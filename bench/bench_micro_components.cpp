@@ -1,12 +1,16 @@
 /**
  * @file
  * Component micro-benchmarks (google-benchmark): encoder throughput,
- * disturbance-injecting writes, reads, the buddy allocator, the cache
- * model and the event queue. These guard the simulator's own speed —
- * the experiment harnesses run millions of these operations.
+ * disturbance-injecting writes, reads, the device's WD scan and line
+ * lookup, the buddy allocator, the cache model and the event queue.
+ * These guard the simulator's own speed — the experiment harnesses run
+ * millions of these operations.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <vector>
 
 #include "common/rng.hh"
 #include "cpu/cache.hh"
@@ -87,6 +91,91 @@ BM_DeviceRead(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DeviceRead);
+
+/**
+ * Device layer, WD scan: the RESET rounds of sdpcm writes to warm lines
+ * (each written line and its four neighbours already materialised).
+ * Only the RESET rounds' applyNextRound calls are timed — their pulse
+ * plus the neighbour probes — so items/s is RESET cells per second.
+ */
+static void
+BM_DeviceWdScan(benchmark::State& state)
+{
+    DeviceConfig dc;
+    dc.seed = 3;
+    PcmDevice dev(dc);
+    constexpr unsigned kLines = 4096;
+    Rng rng(6);
+    std::vector<LineAddr> lines;
+    for (unsigned i = 0; i < kLines; ++i) {
+        lines.push_back({static_cast<unsigned>(rng.below(16)),
+                         1 + rng.below(510),
+                         1 + static_cast<unsigned>(rng.below(62))});
+    }
+    for (const LineAddr& la : lines) {
+        for (const LineAddr n : {la,
+                                 LineAddr{la.bank, la.row - 1, la.line},
+                                 LineAddr{la.bank, la.row + 1, la.line},
+                                 LineAddr{la.bank, la.row, la.line - 1},
+                                 LineAddr{la.bank, la.row, la.line + 1}}) {
+            dev.peekLine(n);
+        }
+    }
+
+    PcmDevice::WritePlan plan;
+    PcmDevice::RoundOutcome outcome;
+    std::uint64_t reset_cells = 0;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const LineAddr& la = lines[next];
+        next = (next + 1) % kLines;
+        // Fresh random content: about a quarter of the cells RESET.
+        dev.planWriteInto(plan, la, LineData::randomFromKey(rng.next64()));
+        reset_cells += plan.masks.resetCount();
+        double timed_s = 0.0;
+        for (PcmDevice::RoundPeek peek = dev.peekNextRound(plan); peek.valid;
+             peek = dev.peekNextRound(plan)) {
+            const auto t0 = std::chrono::steady_clock::now();
+            dev.applyNextRound(plan, outcome);
+            const auto t1 = std::chrono::steady_clock::now();
+            if (peek.isReset)
+                timed_s += std::chrono::duration<double>(t1 - t0).count();
+        }
+        benchmark::DoNotOptimize(outcome);
+        dev.finishWrite(plan);
+        state.SetIterationTime(timed_s);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(reset_cells));
+}
+BENCHMARK(BM_DeviceWdScan)->UseManualTime();
+
+/**
+ * Device layer, line lookup: readLine over a working set of 160k warm
+ * lines (about the number write-mcf materialises), in random order.
+ */
+static void
+BM_LineLookup(benchmark::State& state)
+{
+    DeviceConfig dc;
+    dc.seed = 3;
+    PcmDevice dev(dc);
+    constexpr unsigned kLines = 160000;
+    Rng rng(7);
+    std::vector<LineAddr> lines;
+    lines.reserve(kLines);
+    for (unsigned i = 0; i < kLines; ++i) {
+        // 16 banks x 64 lines per row, rows spread over the bank.
+        const unsigned row_slot = i / (16 * 64);
+        lines.push_back({i % 16, row_slot * 37, (i / 16) % 64});
+        dev.peekLine(lines.back());
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            dev.readLine(lines[rng.below(kLines)]).words[0]);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LineLookup);
 
 static void
 BM_BuddyAllocFree(benchmark::State& state)

@@ -11,11 +11,18 @@
 
 namespace sdpcm {
 
-/** Number of set bits in a 64-bit word. */
+/**
+ * Number of set bits in a 64-bit word: a branch-free SWAR count. At the
+ * baseline x86-64 target std::popcount is an out-of-line library call;
+ * this inlines to a dozen ALU operations on any target.
+ */
 inline int
 popcount64(std::uint64_t x)
 {
-    return std::popcount(x);
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
 }
 
 /** True if x is a power of two (and nonzero). */

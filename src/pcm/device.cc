@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "obs/ledger.hh"
@@ -20,6 +21,18 @@ packEcpEntry(const EcpEntry& entry)
                                       (entry.value ? 1u : 0u));
 }
 
+/** Fold one integer (or bool) into an FNV-1a hash, as its 64-bit value. */
+template <typename T>
+void
+fnvMix(std::uint64_t& h, T value)
+{
+    std::uint64_t v = static_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+        h ^= v & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
 } // namespace
 
 PcmDevice::PcmDevice(const DeviceConfig& config)
@@ -35,18 +48,6 @@ PcmDevice::PcmDevice(const DeviceConfig& config)
                  "DIN and FNW encoding are mutually exclusive");
     hardErrorMean_ = config_.aging.meanHardPerLineAtEol *
         std::pow(config_.aging.ageFraction, config_.aging.exponent);
-    banks_.resize(config_.geometry.banks());
-    // Pre-size the sparse line maps so steady-state insertion never
-    // rehashes. The full bank (rows x lines) would be gigabytes of
-    // buckets, so cap at a working-set-sized table; beyond that the map
-    // grows as usual.
-    const std::uint64_t lines_per_bank =
-        config_.geometry.rowsPerBank * config_.geometry.linesPerRow();
-    const std::size_t reserve_lines = static_cast<std::size_t>(
-        std::min<std::uint64_t>(lines_per_bank, 1ULL << 15));
-    for (auto& bank : banks_)
-        bank.reserve(reserve_lines);
-    resetScratch_.reserve(kLineBits);
 }
 
 std::uint64_t
@@ -55,21 +56,30 @@ PcmDevice::lineKey(const LineAddr& addr) const
     return addr.row * config_.geometry.linesPerRow() + addr.line;
 }
 
+std::uint64_t
+PcmDevice::storeKey(const LineAddr& addr) const
+{
+    return lineKey(addr) * config_.geometry.banks() + addr.bank;
+}
+
 PcmDevice::LineState&
 PcmDevice::state(const LineAddr& addr)
 {
-    SDPCM_ASSERT(addr.bank < banks_.size(), "bank out of range");
+    SDPCM_ASSERT(addr.bank < config_.geometry.banks(), "bank out of range");
     SDPCM_ASSERT(addr.line < config_.geometry.linesPerRow(),
                  "line out of range");
-    auto& bank = banks_[addr.bank];
-    const std::uint64_t key = lineKey(addr);
-    auto it = bank.find(key);
-    if (it != bank.end())
-        return it->second;
+    if (LineState* ls = lines_.find(storeKey(addr)))
+        return *ls;
+    return materialise(addr);
+}
 
+PcmDevice::LineState&
+PcmDevice::materialise(const LineAddr& addr)
+{
     // First touch: materialise deterministic content and, when modelling
     // an aged DIMM, a sampled population of stuck-at cells.
-    LineState ls;
+    LineState& ls = lines_.insert(storeKey(addr));
+    const std::uint64_t key = lineKey(addr);
     const std::uint64_t content_key =
         mix64(config_.seed ^ (static_cast<std::uint64_t>(addr.bank) << 58) ^
               key);
@@ -122,10 +132,7 @@ PcmDevice::state(const LineAddr& addr)
         ls.counters.ecpHighWater = static_cast<std::uint32_t>(
             ls.ecp.entries().size());
     }
-
-    auto [ins, ok] = bank.emplace(key, std::move(ls));
-    SDPCM_ASSERT(ok, "line state insert failed");
-    return ins->second;
+    return ls;
 }
 
 bool
@@ -174,6 +181,11 @@ PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr)
     plan.wlHits.clear();
     plan.blHitsUpper = 0;
     plan.blHitsLower = 0;
+    plan.line_ = nullptr;
+    plan.left_ = nullptr;
+    plan.right_ = nullptr;
+    plan.upper_ = nullptr;
+    plan.lower_ = nullptr;
 }
 
 void
@@ -201,6 +213,7 @@ PcmDevice::planWriteInto(WritePlan& plan, const LineAddr& addr,
 {
     LineState& ls = state(addr);
     resetPlan(plan, addr);
+    plan.line_ = &ls;
 
     if (config_.dinEnabled) {
         const auto enc = din_.encode(new_logical, ls.physical);
@@ -239,6 +252,7 @@ PcmDevice::planCorrectionInto(WritePlan& plan, const LineAddr& addr,
 {
     LineState& ls = state(addr);
     resetPlan(plan, addr);
+    plan.line_ = &ls;
     plan.isCorrection = true;
     plan.targetFlags = ls.dinFlags;
 
@@ -316,12 +330,21 @@ PcmDevice::buildRounds(WritePlan& plan)
 }
 
 void
-PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
-                             WritePlan& plan, RoundOutcome& outcome)
+PcmDevice::injectDisturbance(unsigned pos, WritePlan& plan,
+                             RoundOutcome& outcome)
 {
+    const LineAddr& addr = plan.addr;
     const unsigned word = pos >> 6;
     const unsigned offset = pos & 63;
     const unsigned lines_per_row = config_.geometry.linesPerRow();
+
+    // Each neighbour line is pinned where its first lookup falls: the
+    // word-line probe of an idle cell, or a successful bit-line draw.
+    auto pin = [&](LineState*& slot, const LineAddr& n_addr) -> LineState& {
+        if (!slot)
+            slot = &state(n_addr);
+        return *slot;
+    };
 
     // --- Word-line neighbours (same device row, adjacent cells on the
     // shared word-line; oxide isolation between bit-lines). DIN encoding
@@ -329,10 +352,8 @@ PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
     const double wl_rate = config_.rates.wordLine *
         (config_.dinEnabled ? config_.din.modeledResidualFactor : 1.0);
     if (wl_rate > 0.0) {
-        auto probe_wl = [&](LineAddr n_addr, unsigned n_pos, bool idle) {
-            if (!idle)
-                return;
-            LineState& ns = state(n_addr);
+        auto probe_wl = [&](LineState& ns, const LineAddr& n_addr,
+                            unsigned n_pos) {
             if (ns.physical.getBit(n_pos) || isHardCell(ns, n_pos))
                 return;
             // The natural draw always runs first so the device RNG stream
@@ -354,28 +375,31 @@ PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
             plan.wlHits.push_back((n_addr.line << 9) | n_pos);
         };
 
-        // Left neighbour.
+        // Left neighbour. Cells this write programs are not idle.
         if (offset > 0) {
             const unsigned n_pos = pos - 1;
-            probe_wl(addr, n_pos, !plan.writtenMask.getBit(n_pos));
+            if (!plan.writtenMask.getBit(n_pos))
+                probe_wl(*plan.line_, addr, n_pos);
         } else if (addr.line > 0) {
-            probe_wl(LineAddr{addr.bank, addr.row, addr.line - 1},
-                     (word << 6) | 63, true);
+            const LineAddr n_addr{addr.bank, addr.row, addr.line - 1};
+            probe_wl(pin(plan.left_, n_addr), n_addr, (word << 6) | 63);
         }
         // Right neighbour.
         if (offset < 63) {
             const unsigned n_pos = pos + 1;
-            probe_wl(addr, n_pos, !plan.writtenMask.getBit(n_pos));
+            if (!plan.writtenMask.getBit(n_pos))
+                probe_wl(*plan.line_, addr, n_pos);
         } else if (addr.line + 1 < lines_per_row) {
-            probe_wl(LineAddr{addr.bank, addr.row, addr.line + 1},
-                     word << 6, true);
+            const LineAddr n_addr{addr.bank, addr.row, addr.line + 1};
+            probe_wl(pin(plan.right_, n_addr), n_addr, word << 6);
         }
     }
 
     // --- Bit-line neighbours (adjacent device rows on the shared GST
     // rail; always idle since a write touches a single row).
     if (config_.rates.bitLine > 0.0) {
-        auto probe_bl = [&](const LineAddr& n_addr, bool upper) {
+        auto probe_bl = [&](LineState*& slot, const LineAddr& n_addr,
+                            bool upper) {
             // Draw first: materialising the neighbour is only needed when
             // the thermal draw succeeds (the flip applies iff vulnerable).
             // As on the word line, the natural draw precedes any forced
@@ -384,7 +408,7 @@ PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
                 !(inject_ && inject_->forceWdFlip())) {
                 return;
             }
-            LineState& ns = state(n_addr);
+            LineState& ns = pin(slot, n_addr);
             if (ns.physical.getBit(pos) || isHardCell(ns, pos))
                 return;
             ns.physical.setBit(pos, true);
@@ -403,9 +427,9 @@ PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
         };
 
         if (auto upper = map_.upperNeighbor(addr))
-            probe_bl(*upper, true);
+            probe_bl(plan.upper_, *upper, true);
         if (auto lower = map_.lowerNeighbor(addr))
-            probe_bl(*lower, false);
+            probe_bl(plan.lower_, *lower, false);
     }
 }
 
@@ -429,7 +453,7 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
     if (!plan.roundsRemaining())
         return false;
 
-    LineState& ls = state(plan.addr);
+    LineState& ls = *plan.line_;
     const ProgramRound& round = plan.rounds[plan.nextRound];
     plan.nextRound += 1;
     const bool is_reset = round.isReset;
@@ -439,16 +463,14 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
                                : config_.timing.setCycles;
 
     unsigned programmed = 0;
-    resetScratch_.clear();
-    std::vector<unsigned>& reset_cells = resetScratch_;
     {
         PROF_SCOPE(prof_, DevicePulse);
-        forEachSetBit(round.mask, [&](unsigned pos) {
-            ls.physical.setBit(pos, !is_reset);
-            ++programmed;
-            if (is_reset)
-                reset_cells.push_back(pos);
-        });
+        for (unsigned w = 0; w < kLineWords; ++w) {
+            const std::uint64_t mask = round.mask.words[w];
+            std::uint64_t& cells = ls.physical.words[w];
+            cells = is_reset ? cells & ~mask : cells | mask;
+            programmed += static_cast<unsigned>(popcount64(mask));
+        }
     }
 
     stats_.dataCellWrites += programmed;
@@ -463,11 +485,15 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
     }
 
     // Only RESET pulses disseminate enough heat to disturb (SET current is
-    // about half, i.e. ~4x lower temperature rise; Section 2.2.1).
+    // about half, i.e. ~4x lower temperature rise; Section 2.2.1). The
+    // whole round is programmed before any neighbour is probed.
     {
         PROF_SCOPE(prof_, DeviceWdScan);
-        for (const unsigned pos : reset_cells)
-            injectDisturbance(plan.addr, pos, plan, outcome);
+        if (is_reset) {
+            forEachSetBit(round.mask, [&](unsigned pos) {
+                injectDisturbance(pos, plan, outcome);
+            });
+        }
     }
     return true;
 }
@@ -478,12 +504,15 @@ PcmDevice::repairWlHits(WritePlan& plan)
     // DIN check-and-rewrite: the disturbances a write causes within its
     // own device row are repaired as part of the write operation (the
     // disturbed cells were idle '0' cells, so the repair is a RESET).
+    // Every hit lies on the written line or a word-line neighbour the
+    // scan pinned when it flipped the cell.
     unsigned fixed = 0;
     for (const unsigned key : plan.wlHits) {
         const unsigned line = key >> 9;
         const unsigned pos = key & 511;
-        LineAddr fix_addr{plan.addr.bank, plan.addr.row, line};
-        LineState& fs = state(fix_addr);
+        LineState& fs = line == plan.addr.line ? *plan.line_
+            : line < plan.addr.line            ? *plan.left_
+                                               : *plan.right_;
         if (fs.physical.getBit(pos)) {
             fs.physical.setBit(pos, false);
             fixed += 1;
@@ -495,8 +524,10 @@ PcmDevice::repairWlHits(WritePlan& plan)
                 if (fs.counters.cellWrites > maxLineCellWrites_)
                     maxLineCellWrites_ = fs.counters.cellWrites;
             }
-            if (ledger_)
-                ledger_->flipRepaired(fix_addr, pos);
+            if (ledger_) {
+                ledger_->flipRepaired(
+                    LineAddr{plan.addr.bank, plan.addr.row, line}, pos);
+            }
         }
     }
     return fixed;
@@ -507,13 +538,11 @@ PcmDevice::finishWrite(WritePlan& plan)
 {
     SDPCM_ASSERT(!plan.roundsRemaining(),
                  "finishWrite with rounds still pending");
+    SDPCM_ASSERT(plan.line_, "finishWrite on a plan that was never planned");
     FinishOutcome out;
     out.wlErrorsFixed = repairWlHits(plan);
 
-    // Fetch after the loop above: state() lookups never insert here (the
-    // fixed lines were materialised when disturbed), but re-fetching keeps
-    // the reference safe against future changes.
-    LineState& ls = state(plan.addr);
+    LineState& ls = *plan.line_;
 
     if (!plan.isCorrection) {
         ls.dinFlags = plan.targetFlags;
@@ -672,10 +701,29 @@ PcmDevice::ecpWdCells(const LineAddr& addr)
 std::size_t
 PcmDevice::touchedLines() const
 {
-    std::size_t n = 0;
-    for (const auto& bank : banks_)
-        n += bank.size();
-    return n;
+    return lines_.size();
+}
+
+std::vector<std::pair<LineAddr, const PcmDevice::LineState*>>
+PcmDevice::sortedLines() const
+{
+    std::vector<std::pair<LineAddr, const LineState*>> lines;
+    lines.reserve(lines_.size());
+    const unsigned banks = config_.geometry.banks();
+    const unsigned lines_per_row = config_.geometry.linesPerRow();
+    lines_.forEach([&](std::uint64_t key, const LineState& ls) {
+        const std::uint64_t line_key = key / banks;
+        lines.emplace_back(
+            LineAddr{static_cast<unsigned>(key % banks),
+                     line_key / lines_per_row,
+                     static_cast<unsigned>(line_key % lines_per_row)},
+            &ls);
+    });
+    std::sort(lines.begin(), lines.end(), [](const auto& a, const auto& b) {
+        return std::tie(a.first.bank, a.first.row, a.first.line) <
+            std::tie(b.first.bank, b.first.row, b.first.line);
+    });
+    return lines;
 }
 
 std::vector<LineCounterSample>
@@ -684,27 +732,47 @@ PcmDevice::lineCounterSamples() const
     std::vector<LineCounterSample> samples;
     if (!config_.lineCounters)
         return samples;
-    samples.reserve(touchedLines());
-    const unsigned lines_per_row = config_.geometry.linesPerRow();
-    for (unsigned b = 0; b < banks_.size(); ++b) {
-        for (const auto& [key, ls] : banks_[b]) {
-            LineCounterSample s;
-            s.addr = LineAddr{b,
-                              key / lines_per_row,
-                              static_cast<unsigned>(key % lines_per_row)};
-            s.counters = ls.counters;
-            samples.push_back(s);
+    const auto lines = sortedLines();
+    samples.reserve(lines.size());
+    for (const auto& [addr, ls] : lines)
+        samples.push_back(LineCounterSample{addr, ls->counters});
+    return samples;
+}
+
+std::uint64_t
+PcmDevice::lineStateDigest() const
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto& [addr, ls] : sortedLines()) {
+        fnvMix(h, addr.bank);
+        fnvMix(h, addr.row);
+        fnvMix(h, addr.line);
+        for (const std::uint64_t word : ls->physical.words)
+            fnvMix(h, word);
+        fnvMix(h, ls->dinFlags);
+        fnvMix(h, ls->ecp.entries().size());
+        for (const EcpEntry& e : ls->ecp.entries()) {
+            fnvMix(h, e.cell);
+            fnvMix(h, e.value);
+            fnvMix(h, e.hard);
+        }
+        fnvMix(h, ls->hardCells.size());
+        for (const auto& [cell, stuck] : ls->hardCells) {
+            fnvMix(h, cell);
+            fnvMix(h, stuck);
+        }
+        fnvMix(h, ls->ecpSlotImage.size());
+        for (const std::uint16_t image : ls->ecpSlotImage)
+            fnvMix(h, image);
+        fnvMix(h, ls->writeCount);
+        const LineCounters& c = ls->counters;
+        for (const std::uint32_t v : {c.writes, c.wdFlips, c.wdAbsorbed,
+                                      c.wdCorrected, c.ecpHighWater,
+                                      c.cellWrites}) {
+            fnvMix(h, v);
         }
     }
-    std::sort(samples.begin(), samples.end(),
-              [](const LineCounterSample& a, const LineCounterSample& b) {
-                  if (a.addr.bank != b.addr.bank)
-                      return a.addr.bank < b.addr.bank;
-                  if (a.addr.row != b.addr.row)
-                      return a.addr.row < b.addr.row;
-                  return a.addr.line < b.addr.line;
-              });
-    return samples;
+    return h;
 }
 
 void

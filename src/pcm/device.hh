@@ -21,7 +21,7 @@
 #define SDPCM_PCM_DEVICE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -109,6 +109,116 @@ struct DeviceConfig
     bool lineCounters = false;
 };
 
+/**
+ * The device's line store: a flat hash table from a 64-bit line key to
+ * an entry of type T. Entries are never erased.
+ *
+ * Pointer-stability rule: entries live in fixed-capacity chunks that are
+ * never moved or freed before the table is, so a pointer or reference to
+ * an entry stays valid for the table's whole lifetime, however many
+ * entries are inserted after it.
+ *
+ * Lookups go through one open-addressing index of {key, entry*} slots
+ * with linear probing. A probe compares the key held in the slot, so it
+ * reads one cache line and no entry. The index starts small and doubles
+ * before its load passes 3/4.
+ */
+template <typename T>
+class LineTable
+{
+  public:
+    /** The entry for `key`, or null when there is none. */
+    T*
+    find(std::uint64_t key)
+    {
+        if (slots_.empty())
+            return nullptr;
+        for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+            const Slot& slot = slots_[i];
+            if (!slot.entry || slot.key == key)
+                return slot.entry;
+        }
+    }
+
+    /** Add a default-constructed entry for `key`, which must be absent. */
+    T&
+    insert(std::uint64_t key)
+    {
+        if ((size_ + 1) * 4 > slots_.size() * 3)
+            grow();
+        if (size_ % kChunkEntries == 0)
+            chunks_.push_back(std::make_unique<T[]>(kChunkEntries));
+        T* entry = &chunks_.back()[size_ % kChunkEntries];
+        place(key, entry);
+        size_ += 1;
+        return *entry;
+    }
+
+    std::size_t size() const { return size_; }
+
+    /** Call fn(key, entry) for every entry, in no particular order. */
+    template <typename Fn>
+    void
+    forEach(Fn&& fn) const
+    {
+        for (const Slot& slot : slots_) {
+            if (slot.entry)
+                fn(slot.key, static_cast<const T&>(*slot.entry));
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        T* entry = nullptr; //!< null marks an empty slot
+    };
+
+    static constexpr std::size_t kChunkEntries = 512;
+    static constexpr std::size_t kMinSlots = 64;
+
+    /**
+     * Fibonacci hashing: the top bits of key * 2^64/phi depend on every
+     * key bit, so keys differing only in their low bits still spread
+     * over the whole index.
+     */
+    std::size_t
+    home(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                        shift_);
+    }
+
+    void
+    place(std::uint64_t key, T* entry)
+    {
+        std::size_t i = home(key);
+        for (; slots_[i].entry; i = (i + 1) & mask_)
+            SDPCM_ASSERT(slots_[i].key != key, "line key inserted twice");
+        slots_[i] = Slot{key, entry};
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old = std::move(slots_);
+        const std::size_t n = old.empty() ? kMinSlots : 2 * old.size();
+        slots_.assign(n, Slot{});
+        mask_ = n - 1;
+        shift_ = 64 - log2Exact(n);
+        for (const Slot& slot : old) {
+            if (slot.entry)
+                place(slot.key, slot.entry);
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::size_t size_ = 0;
+    std::size_t mask_ = 0;
+    unsigned shift_ = 64;
+};
+
 /** Aggregate device statistics. */
 struct DeviceStats
 {
@@ -141,6 +251,8 @@ struct DeviceStats
 /** The PCM DIMM functional model. */
 class PcmDevice
 {
+    struct LineState;
+
   public:
     explicit PcmDevice(const DeviceConfig& config);
 
@@ -244,6 +356,21 @@ class PcmDevice
         {
             return static_cast<unsigned>(rounds.size());
         }
+
+      private:
+        friend class PcmDevice;
+        // The lines this write touches, pinned so the round, WD-scan and
+        // repair paths never look a line up. The written line is pinned
+        // at planning; each neighbour only where the scan first needs
+        // it, so pinning never changes when a line materialises (and
+        // draws its stuck cells from the device RNG). Pins point into
+        // the planning device's line store and stay valid as long as it
+        // lives; every re-plan resets them.
+        LineState* line_ = nullptr;  //!< the written line
+        LineState* left_ = nullptr;  //!< word-line neighbour, line - 1
+        LineState* right_ = nullptr; //!< word-line neighbour, line + 1
+        LineState* upper_ = nullptr; //!< bit-line neighbour, row - 1
+        LineState* lower_ = nullptr; //!< bit-line neighbour, row + 1
     };
 
     /** Plan a normal write of logical data. */
@@ -360,6 +487,15 @@ class PcmDevice
      */
     std::vector<LineCounterSample> lineCounterSamples() const;
 
+    /**
+     * FNV-1a digest of every materialised line's modelled state, visited
+     * in (bank, row, line) order: physical cells, flag bits, ECP entries
+     * and their wear images, stuck cells, write count and counters.
+     * Differential tests compare it across host-side changes that must
+     * leave the modelled cells untouched.
+     */
+    std::uint64_t lineStateDigest() const;
+
   private:
     struct LineState
     {
@@ -374,8 +510,17 @@ class PcmDevice
         LineCounters counters; //!< updated only when config_.lineCounters
     };
 
+    /** The line's state, materialised on first touch. */
     LineState& state(const LineAddr& addr);
+    LineState& materialise(const LineAddr& addr);
+
+    /** Key within the bank: row * linesPerRow + line (content seed). */
     std::uint64_t lineKey(const LineAddr& addr) const;
+    /** Line-store key: lineKey * banks + bank, unique per line. */
+    std::uint64_t storeKey(const LineAddr& addr) const;
+
+    /** Every materialised line, sorted by (bank, row, line). */
+    std::vector<std::pair<LineAddr, const LineState*>> sortedLines() const;
 
     /** Reset a plan for reuse, keeping its vectors' capacity. */
     static void resetPlan(WritePlan& plan, const LineAddr& addr);
@@ -388,9 +533,9 @@ class PcmDevice
 
     bool isHardCell(const LineState& ls, unsigned pos) const;
 
-    /** Inject WD for one applied RESET at (addr, pos). */
-    void injectDisturbance(const LineAddr& addr, unsigned pos,
-                           WritePlan& plan, RoundOutcome& outcome);
+    /** Inject WD for one applied RESET at `pos` of the plan's line. */
+    void injectDisturbance(unsigned pos, WritePlan& plan,
+                           RoundOutcome& outcome);
 
     /** Charge differential bit writes for an ECP entry update. */
     void chargeEcpEntryWrite(LineState& ls, std::size_t slot,
@@ -410,14 +555,11 @@ class PcmDevice
     /** Peak LineCounters::cellWrites across lines (wear-skew gauge). */
     std::uint32_t maxLineCellWrites_ = 0;
 
-    /** Injected stuck-cell scratch for state() (reused per line). */
+    /** Injected stuck-cell scratch for materialise() (reused per line). */
     std::vector<unsigned> injectScratch_;
 
-    /** RESET-cell scratch for applyNextRound (reused across rounds). */
-    std::vector<unsigned> resetScratch_;
-
-    /** Per-bank sparse line stores; key = row * linesPerRow + line. */
-    std::vector<std::unordered_map<std::uint64_t, LineState>> banks_;
+    /** Every materialised line, keyed by storeKey(). */
+    LineTable<LineState> lines_;
 };
 
 } // namespace sdpcm

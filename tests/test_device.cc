@@ -7,9 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <optional>
 #include <set>
+#include <tuple>
 
+#include "obs/ledger.hh"
 #include "pcm/device.hh"
+#include "sim/event_queue.hh"
+#include "verify/faultinject.hh"
 
 namespace sdpcm {
 namespace {
@@ -342,6 +350,414 @@ TEST(Device, TouchedLinesTracksMaterialisation)
     dev.readLine(LineAddr{1, 0, 0});
     EXPECT_EQ(dev.touchedLines(), 2u);
 }
+
+// --- Line store ------------------------------------------------------
+
+struct StoreProbe
+{
+    std::uint64_t value = 0;
+    LineData line;
+};
+
+TEST(LineStore, EntriesStayPutAcrossIndexDoublings)
+{
+    LineTable<StoreProbe> table;
+    EXPECT_EQ(table.find(0), nullptr);
+    constexpr std::uint64_t kEarly = 1000;
+    constexpr std::uint64_t kLate = 100000;
+    const auto key_of = [](std::uint64_t i) { return mix64(i); };
+
+    std::vector<StoreProbe*> early;
+    for (std::uint64_t i = 0; i < kEarly; ++i) {
+        StoreProbe& p = table.insert(key_of(i));
+        p.value = i;
+        p.line = LineData::randomFromKey(i);
+        early.push_back(&p);
+    }
+    // 10^5 more insertions double the index seven more times.
+    for (std::uint64_t i = kEarly; i < kEarly + kLate; ++i)
+        table.insert(key_of(i)).value = i;
+
+    ASSERT_EQ(table.size(), kEarly + kLate);
+    for (std::uint64_t i = 0; i < kEarly; ++i) {
+        ASSERT_EQ(table.find(key_of(i)), early[i]) << i;
+        EXPECT_EQ(early[i]->value, i);
+        EXPECT_EQ(early[i]->line, LineData::randomFromKey(i));
+    }
+    for (std::uint64_t i = kEarly; i < kEarly + kLate; ++i)
+        ASSERT_EQ(table.find(key_of(i))->value, i) << i;
+    EXPECT_EQ(table.find(key_of(kEarly + kLate)), nullptr);
+
+    std::uint64_t visited = 0;
+    std::uint64_t value_sum = 0;
+    table.forEach([&](std::uint64_t key, const StoreProbe& p) {
+        EXPECT_EQ(key, key_of(p.value));
+        visited += 1;
+        value_sum += p.value;
+    });
+    const std::uint64_t n = kEarly + kLate;
+    EXPECT_EQ(visited, n);
+    EXPECT_EQ(value_sum, n * (n - 1) / 2);
+}
+
+TEST(LineStore, TouchedLinesAndCounterSamplesAreExact)
+{
+    DeviceConfig dc = quietConfig();
+    dc.lineCounters = true;
+    PcmDevice dev(dc);
+    Rng rng(21);
+    // 60k random reads over 16 x 64 x 64 lines: about 40k distinct
+    // lines, many of them read more than once.
+    std::vector<LineAddr> reference;
+    for (unsigned i = 0; i < 60000; ++i) {
+        const LineAddr la{static_cast<unsigned>(rng.below(16)), rng.below(64),
+                          static_cast<unsigned>(rng.below(64))};
+        dev.readLine(la);
+        reference.push_back(la);
+    }
+    std::sort(reference.begin(), reference.end(),
+              [](const LineAddr& a, const LineAddr& b) {
+                  return std::tie(a.bank, a.row, a.line) <
+                      std::tie(b.bank, b.row, b.line);
+              });
+    reference.erase(std::unique(reference.begin(), reference.end()),
+                    reference.end());
+    EXPECT_EQ(dev.touchedLines(), reference.size());
+
+    const std::vector<LineCounterSample> samples = dev.lineCounterSamples();
+    ASSERT_EQ(samples.size(), reference.size());
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        ASSERT_EQ(samples[i].addr, reference[i]) << i;
+}
+
+TEST(LineStore, BanksNeverAlias)
+{
+    // All 16 banks see the same (row, line) pattern; each bank's line
+    // is a line of its own.
+    PcmDevice dev(quietConfig());
+    for (const LineAddr pattern : {LineAddr{0, 0, 0}, LineAddr{0, 7, 63},
+                                   LineAddr{0, 131071, 5}}) {
+        for (unsigned bank = 0; bank < 16; ++bank) {
+            LineAddr la = pattern;
+            la.bank = bank;
+            auto plan = dev.planWrite(
+                la, LineData::randomFromKey(pattern.row * 100 + bank));
+            runPlan(dev, plan);
+        }
+        for (unsigned bank = 0; bank < 16; ++bank) {
+            LineAddr la = pattern;
+            la.bank = bank;
+            EXPECT_EQ(dev.readLine(la),
+                      LineData::randomFromKey(pattern.row * 100 + bank))
+                << "bank " << bank << " row " << pattern.row;
+        }
+    }
+    EXPECT_EQ(dev.touchedLines(), 3u * 16u);
+}
+
+// --- Differential digests ---------------------------------------------
+//
+// A fixed script drives the device through every write-path entry point
+// the controller uses and hashes everything it can observe. The recorded
+// digests pin the order of line materialisation, of the device RNG
+// stream (hard-cell draws included) and of every disturbance, so a
+// host-side change to the device must reproduce them exactly. A change
+// meant to alter simulated behaviour re-records them and says so.
+
+/** FNV-1a fold of one 64-bit value. */
+void
+mix(std::uint64_t& h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+        h ^= v & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+void
+mixDouble(std::uint64_t& h, double d)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    mix(h, bits);
+}
+
+void
+mixLine(std::uint64_t& h, const LineData& line)
+{
+    for (const std::uint64_t word : line.words)
+        mix(h, word);
+}
+
+void
+mixStats(std::uint64_t& h, const DeviceStats& s)
+{
+    for (const std::uint64_t v :
+         {s.lineReads, s.lineWrites, s.correctionWrites, s.dataCellWrites,
+          s.normalCellWrites, s.correctionCellWrites, s.wlDisturbances,
+          s.blDisturbances, s.ecpWdRecorded, s.ecpOverflows,
+          s.ecpBitsWritten, s.ecpWdReleased, s.hardErrors,
+          s.ecpSaturatedLines, s.injectedStuckCells}) {
+        mix(h, v);
+    }
+    for (const RunningStat* r :
+         {&s.wlErrorsPerWrite, &s.blErrorsPerAdjacentLine}) {
+        mix(h, r->count());
+        mixDouble(h, r->sum());
+        mixDouble(h, r->min());
+        mixDouble(h, r->max());
+    }
+    mix(h, s.blErrorHistogram.total());
+    mix(h, s.blErrorHistogram.overflow());
+    for (std::size_t v = 0; v < s.blErrorHistogram.numBuckets(); ++v)
+        mix(h, s.blErrorHistogram.bucket(v));
+}
+
+struct ScriptResult
+{
+    std::uint64_t digest = 0;
+    DeviceStats stats;
+    std::uint64_t cancels = 0;
+    std::uint64_t forcedFlips = 0;
+};
+
+/**
+ * Run the scripted sequence: data writes with VnC-style neighbour
+ * clean-up (ECP parking or correction) or none (blind writes, whose
+ * neighbours first materialise inside the WD scan), cancelled writes
+ * that repair their in-row damage and resume, stand-alone corrections,
+ * reads and ECP queries. All of it stays in a 2-bank x 24-row window
+ * whose lines sit at the row edges, so word-line, bit-line and edge
+ * neighbours keep interacting.
+ */
+ScriptResult
+runDeviceScript(DeviceConfig dc, const FaultSpec& faults)
+{
+    dc.geometry.rowsPerBank = 24;
+    PcmDevice dev(dc);
+    std::unique_ptr<FaultInjector> inject;
+    if (faults.any()) {
+        inject = std::make_unique<FaultInjector>(faults);
+        dev.setFaultInjector(inject.get());
+    }
+    EventQueue events;
+    WdLedger ledger(events, dc.geometry);
+    dev.setLedger(&ledger);
+
+    const AddressMap& map = dev.addressMap();
+    Rng rng(0x5eedULL);
+    ScriptResult result;
+    std::uint64_t& h = result.digest;
+    h = 0xcbf29ce484222325ULL;
+    // Recycled like the controller's plan pools.
+    PcmDevice::WritePlan plan;
+    PcmDevice::WritePlan fix;
+    PcmDevice::RoundOutcome round;
+    std::vector<unsigned> diffs;
+
+    auto apply = [&](PcmDevice::WritePlan& p, unsigned max_rounds) {
+        for (unsigned n = 0; n < max_rounds && dev.applyNextRound(p, round);
+             ++n) {
+            mix(h, round.isReset);
+            mix(h, round.latency);
+            mix(h, round.wlErrors);
+            mix(h, round.blErrors);
+        }
+    };
+    auto finish = [&](PcmDevice::WritePlan& p) {
+        const PcmDevice::FinishOutcome out = dev.finishWrite(p);
+        mix(h, out.wlErrorsFixed);
+        mix(h, out.ecpWdReleased);
+    };
+    auto correct = [&](const LineAddr& la, const std::vector<unsigned>& cells) {
+        ledger.beginOp(0, 1);
+        dev.planCorrectionInto(fix, la, cells);
+        mix(h, fix.totalRounds());
+        apply(fix, ~0u);
+        finish(fix);
+    };
+    // Compare a neighbour with its pre-write content, then park the
+    // damage in ECP (LazyCorrection) or correct it (VnC).
+    auto settle = [&](const LineAddr& la, const LineData& before) {
+        dev.verifyLineInto(la, before, diffs);
+        mix(h, diffs.size());
+        if (diffs.empty())
+            return;
+        const bool park = rng.chance(0.5);
+        if (park && dev.recordWdInEcp(la, diffs))
+            return;
+        correct(la, diffs);
+    };
+
+    for (unsigned step = 0; step < 1500; ++step) {
+        const unsigned line = rng.chance(0.5)
+            ? static_cast<unsigned>(rng.below(4))
+            : 60 + static_cast<unsigned>(rng.below(4));
+        const LineAddr la{static_cast<unsigned>(rng.below(2)),
+                          rng.below(dc.geometry.rowsPerBank), line};
+        const unsigned action = static_cast<unsigned>(rng.below(10));
+        if (action < 6) {
+            const bool vnc = rng.chance(0.6);
+            const std::optional<LineAddr> upper =
+                vnc ? map.upperNeighbor(la) : std::nullopt;
+            const std::optional<LineAddr> lower =
+                vnc ? map.lowerNeighbor(la) : std::nullopt;
+            const LineData upper_before =
+                upper ? dev.readLine(*upper) : LineData{};
+            const LineData lower_before =
+                lower ? dev.readLine(*lower) : LineData{};
+            LineData data = dev.peekLine(la);
+            constexpr unsigned kFlips[] = {4, 30, 120, 256};
+            const unsigned flips = kFlips[rng.below(4)];
+            for (unsigned i = 0; i < flips; ++i)
+                data.flipBit(static_cast<unsigned>(rng.below(kLineBits)));
+
+            ledger.beginOp(0, 0);
+            dev.planWriteInto(plan, la, data);
+            mix(h, plan.totalRounds());
+            if (plan.totalRounds() > 1 && rng.chance(0.3)) {
+                // Cancel part-way: unwind the in-row damage, then resume.
+                apply(plan, 1 + static_cast<unsigned>(
+                                    rng.below(plan.totalRounds() - 1)));
+                ledger.beginCancelRepair();
+                mix(h, dev.repairWlHits(plan));
+                ledger.endCancelRepair();
+                ledger.noteCancel(la);
+                result.cancels += 1;
+                dev.planWriteInto(plan, la, data);
+                mix(h, plan.totalRounds());
+            }
+            apply(plan, ~0u);
+            finish(plan);
+            if (upper)
+                settle(*upper, upper_before);
+            if (lower)
+                settle(*lower, lower_before);
+            mixLine(h, dev.readLine(la));
+        } else if (action < 8) {
+            mixLine(h, dev.readLine(la));
+        } else if (action == 8) {
+            mix(h, dev.ecpUsed(la));
+            mix(h, dev.ecpFree(la));
+            for (const unsigned cell : dev.ecpWdCells(la))
+                mix(h, cell);
+            mixLine(h, dev.uncorrectableMask(la));
+        } else {
+            std::vector<unsigned> cells(1 + rng.below(8));
+            for (unsigned& cell : cells)
+                cell = static_cast<unsigned>(rng.below(kLineBits));
+            correct(la, cells);
+        }
+    }
+
+    mixStats(h, dev.stats());
+    mix(h, dev.lineStateDigest());
+    mix(h, dev.touchedLines());
+    mix(h, dev.maxLineCellWrites());
+    const WdLedgerSummary s = ledger.summarize();
+    for (const std::uint64_t v : {s.flipsWl, s.flipsBl,
+                                  s.flipsFromCorrection, s.outstanding,
+                                  s.cancels}) {
+        mix(h, v);
+    }
+    for (unsigned o = 0; o < kNumWdOutcomes; ++o) {
+        mix(h, s.outcomes[o]);
+        mix(h, s.lateFixes[o]);
+    }
+    if (inject) {
+        result.forcedFlips = inject->forcedFlips();
+        mix(h, result.forcedFlips);
+    }
+    result.stats = dev.stats();
+    return result;
+}
+
+struct DiffCase
+{
+    const char* name;
+    DeviceConfig config;
+    FaultSpec faults; //!< no injector unless faults.any()
+    std::uint64_t digest; //!< recorded
+};
+
+void
+PrintTo(const DiffCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+std::vector<DiffCase>
+diffCases()
+{
+    // The sdpcm device: DIN on, Table 1 4F^2 rates, ECP-6.
+    const DeviceConfig sdpcm;
+
+    DeviceConfig fnw = sdpcm;
+    fnw.dinEnabled = false;
+    fnw.fnwEnabled = true;
+
+    DeviceConfig din8f2 = sdpcm;
+    din8f2.rates.bitLine = 0.0;
+
+    DeviceConfig aged = sdpcm;
+    aged.aging.ageFraction = 0.6;
+
+    FaultSpec storm;
+    storm.stuckPerLine = 0.3;
+    storm.ecpSteal = 1;
+    storm.wdBoost = 0.05;
+    storm.seed = 5;
+
+    DeviceConfig pooled = sdpcm;
+    pooled.timing.windowed = false;
+
+    DeviceConfig counted = sdpcm;
+    counted.lineCounters = true;
+
+    // Digests recorded with the per-bank std::unordered_map line store.
+    return {
+        {"sdpcm", sdpcm, FaultSpec{}, 0xd876b677d10d9e51ULL},
+        {"fnw", fnw, FaultSpec{}, 0x9fb59ac699faa85dULL},
+        {"din8F2", din8f2, FaultSpec{}, 0xa344f38446f1b9bbULL},
+        {"aged", aged, FaultSpec{}, 0x479d6989890aa8d5ULL},
+        {"injected", sdpcm, storm, 0xfe3cc4950f58b1e8ULL},
+        {"pooled", pooled, FaultSpec{}, 0x4c23bf56eed6ee5fULL},
+        {"lineCounters", counted, FaultSpec{}, 0x8bbd2b8b032a5cddULL},
+    };
+}
+
+class DeviceDifferential : public ::testing::TestWithParam<DiffCase>
+{};
+
+TEST_P(DeviceDifferential, ScriptMatchesRecordedDigest)
+{
+    const DiffCase& c = GetParam();
+    const ScriptResult r = runDeviceScript(c.config, c.faults);
+    EXPECT_EQ(r.digest, c.digest) << std::hex << "0x" << r.digest;
+
+    // The script must reach the paths it guards.
+    EXPECT_GT(r.stats.wlDisturbances, 0u);
+    EXPECT_GT(r.stats.correctionWrites, 0u);
+    EXPECT_GT(r.cancels, 0u);
+    if (c.config.rates.bitLine > 0.0) {
+        EXPECT_GT(r.stats.blDisturbances, 0u);
+        EXPECT_GT(r.stats.ecpWdRecorded, 0u);
+        EXPECT_GT(r.stats.ecpWdReleased, 0u);
+    }
+    if (c.config.aging.ageFraction > 0.0) {
+        EXPECT_GT(r.stats.hardErrors, 0u);
+    }
+    if (c.faults.any()) {
+        EXPECT_GT(r.stats.injectedStuckCells, 0u);
+        EXPECT_GT(r.forcedFlips, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, DeviceDifferential, ::testing::ValuesIn(diffCases()),
+    [](const ::testing::TestParamInfo<DiffCase>& info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace sdpcm
