@@ -11,12 +11,13 @@
  *   --jobs=N   concurrent (scheme, workload) runs (default: all host
  *              cores; results are bit-identical for any value)
  *   --report=FILE  write a machine-readable run report (obs/report.hh)
- *              of every (scheme, workload) cell. Each bench has a
- *              default REPORT_<bench>.json path; --report= (empty)
- *              disables the report.
+ *              of every (scheme, workload) cell. Benches with a
+ *              default REPORT_<bench>.json path write it unless
+ *              --report= (empty) disables it; the others write a report
+ *              only when given a FILE.
  *   --verify-oracle  run the shadow-memory integrity oracle on every
- *              cell (verify/oracle.hh); checkOracle() fails the bench
- *              if any cell saw a mismatch.
+ *              cell (verify/oracle.hh); the bench exits 1 if any cell
+ *              saw a mismatch.
  *   --inject=SPEC  deterministic fault injection, e.g.
  *              --inject=stuck=0.5,ecp=2,wd=0.01,seed=3
  *              (verify/faultinject.hh).
@@ -56,6 +57,9 @@
  *              lifetime estimate (default 1e8).
  *   --quiet    silence banner and progress lines (LogLevel::Warn).
  *              Monitor breach and watchdog warnings still print.
+ *
+ * Every bench ends with `return finish(...)`, which writes all of the
+ * outputs above and returns the oracle verdict as the exit code.
  */
 
 #ifndef SDPCM_BENCH_COMMON_HH
@@ -63,8 +67,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -115,16 +119,14 @@ configFromArgs(const ArgParser& args, std::int64_t default_refs = 10000)
     }
     cfg.profileSample = static_cast<std::uint32_t>(prof_sample);
     cfg.enduranceCellWrites = args.getDouble("endurance", 1e8);
-    // The shared maybeWrite* helpers read these after the run; declare
-    // them now so finishParsing() before the run accepts them.
-    (void)args.has("report");
-    (void)args.has("spans-folded");
-    (void)args.has("spans-top");
-    (void)args.has("wd-ledger");
-    (void)args.has("wd-top");
-    (void)args.has("profile");
-    (void)args.has("profile-top");
-    (void)args.has("profile-folded");
+    // finish() reads these after the run; check them now so a bad value
+    // is a usage error before any simulation runs, and so
+    // finishParsing() before the run accepts them.
+    for (const char* top : {"spans-top", "wd-top", "profile-top"})
+        args.getInt(top, 0, 0, std::numeric_limits<unsigned>::max());
+    for (const char* out : {"report", "spans-folded", "wd-ledger",
+                            "profile", "profile-folded"})
+        (void)args.has(out);
     return cfg;
 }
 
@@ -158,11 +160,23 @@ banner(const std::string& title, const RunnerConfig& cfg)
 }
 
 /**
+ * The bench prologue: parse the shared flags, reject unknown ones and
+ * print the banner. Pairs with finish().
+ */
+inline RunnerConfig
+start(const ArgParser& args, const std::string& title,
+      std::int64_t default_refs = 10000)
+{
+    const RunnerConfig cfg = configFromArgs(args, default_refs);
+    args.finishParsing();
+    banner(title, cfg);
+    return cfg;
+}
+
+/**
  * When --verify-oracle was on, report per-cell mismatch totals and
  * return the process exit code (1 on any mismatch, else 0). With the
- * oracle off this is a silent no-op returning 0, so benches can
- * unconditionally `return bench::checkOracle(cfg, results);`-combine it
- * with their own exit status.
+ * oracle off this is a silent no-op returning 0 (finish() returns it).
  */
 inline int
 checkOracle(const RunnerConfig& cfg,
@@ -225,40 +239,29 @@ runMatrix(const std::vector<SchemeConfig>& schemes,
 }
 
 /**
- * Write the run report unless the user passed --report= (empty) to
- * disable it. Every cell of `results` becomes one report run; the
- * optional `environment` pairs carry machine-varying extras (wall-clock
- * seconds) that the regression gate ignores.
+ * Each scheme's `field` summary merged over its workloads, in matrix
+ * order (so a merged profile tree is identical for any --jobs value).
  */
-inline void
-maybeWriteReport(const ArgParser& args, const std::string& default_path,
-                 const std::string& bench_name, const RunnerConfig& cfg,
-                 const std::vector<SchemeResults>& results,
-                 std::vector<std::pair<std::string, double>> environment =
-                     {})
+template <typename Summary>
+inline std::vector<Summary>
+mergedPerScheme(const std::vector<SchemeResults>& results,
+                Summary RunMetrics::*field)
 {
-    const std::string path = args.getString("report", default_path);
-    if (path.empty())
-        return;
-    RunReport report;
-    report.bench = bench_name;
-    report.config = cfg;
-    report.environment = std::move(environment);
-    for (const SchemeResults& scheme : results) {
-        for (const auto& [name, metrics] : scheme.byWorkload) {
+    std::vector<Summary> merged(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        for (const auto& [name, metrics] : results[i].byWorkload) {
             (void)name;
-            report.addRun(metrics);
+            merged[i].merge(metrics.*field);
         }
     }
-    report.writeFile(path);
-    SDPCM_PROGRESS("report written to ", path);
+    return merged;
 }
 
 /**
- * Span-attribution outputs for a finished matrix: collapsed stacks to
- * --spans-folded=FILE (all cells, one file — flamegraph tooling sums
- * identical frames) and a per-scheme top-N blame table on stderr for
- * --spans-top=N. No-op when spans were off.
+ * Span-attribution outputs for a finished matrix: each scheme's top-N
+ * blame table on stderr for --spans-top=N, and the collapsed stacks of
+ * every scheme to --spans-folded=FILE (one file — flamegraph tooling
+ * sums identical frames). No-op when spans were off.
  */
 inline void
 maybeWriteSpans(const ArgParser& args, const RunnerConfig& cfg,
@@ -266,80 +269,24 @@ maybeWriteSpans(const ArgParser& args, const RunnerConfig& cfg,
 {
     if (!cfg.spans)
         return;
-    const std::string folded_path = args.getString("spans-folded", "");
-    const unsigned top_n =
-        static_cast<unsigned>(args.getInt("spans-top", 0));
-    std::ofstream folded;
-    if (!folded_path.empty()) {
-        folded.open(folded_path);
-        SDPCM_ASSERT(folded.good(), "cannot open folded-stack file: ",
-                     folded_path);
-    }
-    for (const SchemeResults& scheme : results) {
-        SpanSummary merged;
-        for (const auto& [name, metrics] : scheme.byWorkload) {
-            (void)name;
-            merged.merge(metrics.spans);
-        }
-        if (folded.is_open())
-            writeFoldedStacks(folded, scheme.scheme, merged);
-        if (top_n > 0)
-            printSpanTop(std::cerr, scheme.scheme, merged, top_n);
-    }
-    if (folded.is_open()) {
-        folded.flush();
-        SDPCM_ASSERT(folded.good(), "error writing folded-stack file: ",
-                     folded_path);
-        std::cout << "folded stacks written to " << folded_path << "\n";
-    }
-}
-
-/**
- * Provenance-ledger outputs for a finished matrix: the per-scheme
- * aggregated ledger JSON to --wd-ledger=FILE (bare --wd-ledger keeps the
- * ledger on without a file) and a per-scheme top-N aggressor table on
- * stderr for --wd-top=N. No-op when the ledger was off.
- */
-inline void
-maybeWriteWdLedger(const ArgParser& args, const std::string& bench_name,
-                   const RunnerConfig& cfg,
-                   const std::vector<SchemeResults>& results)
-{
-    if (!cfg.wdLedger)
-        return;
-    const std::string path = args.getString("wd-ledger", "");
-    const unsigned top_n = static_cast<unsigned>(args.getInt("wd-top", 0));
-    // Merged summaries must outlive the entry pointers handed to the
-    // JSON writer, so collect them first.
-    std::vector<WdLedgerSummary> merged(results.size());
-    std::vector<WdLedgerEntry> entries;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        for (const auto& [name, metrics] : results[i].byWorkload) {
-            (void)name;
-            merged[i].merge(metrics.wd);
-        }
-        entries.push_back({results[i].scheme, "all", &merged[i]});
-        if (top_n > 0)
-            printWdTop(std::cerr, results[i].scheme, merged[i], top_n);
-    }
-    if (path.empty() || path == "1")
-        return;
-    std::ofstream os(path);
-    SDPCM_ASSERT(os.good(), "cannot open wd-ledger file: ", path);
-    writeWdLedgerJson(os, bench_name, entries);
-    os.flush();
-    SDPCM_ASSERT(os.good(), "error writing wd-ledger file: ", path);
-    std::cout << "wd ledger written to " << path << "\n";
+    const auto merged = mergedPerScheme(results, &RunMetrics::spans);
+    const auto top_n = static_cast<unsigned>(args.getInt("spans-top", 0));
+    for (std::size_t i = 0; top_n > 0 && i < results.size(); ++i)
+        printSpanTop(std::cerr, results[i].scheme, merged[i], top_n);
+    writeOutputFile(args.getString("spans-folded", ""), "folded stacks",
+                    [&](std::ostream& os) {
+                        for (std::size_t i = 0; i < results.size(); ++i)
+                            writeFoldedStacks(os, results[i].scheme,
+                                              merged[i]);
+                    });
 }
 
 /**
  * Host-profile outputs for a finished matrix: per-scheme top-N blame
  * tables on stderr for --profile-top=N, collapsed stacks (one file, all
  * schemes) to --profile-folded=FILE, and the whole-matrix merged profile
- * JSON to --profile=FILE (bare --profile keeps the profiler on without a
- * file; prof.* metrics still land in the report). Summaries are merged
- * in deterministic matrix order, so the tree structure is identical for
- * any --jobs value. No-op when profiling was off.
+ * JSON to --profile=FILE (prof.* metrics still land in the report).
+ * No-op when profiling was off.
  */
 inline void
 maybeWriteProfile(const ArgParser& args, const std::string& bench_name,
@@ -348,44 +295,74 @@ maybeWriteProfile(const ArgParser& args, const std::string& bench_name,
 {
     if (!cfg.profile)
         return;
-    const std::string json_path = args.getString("profile", "");
-    const std::string folded_path = args.getString("profile-folded", "");
-    const unsigned top_n =
+    const auto merged = mergedPerScheme(results, &RunMetrics::prof);
+    const auto top_n =
         static_cast<unsigned>(args.getInt("profile-top", 0));
-    std::ofstream folded;
-    if (!folded_path.empty()) {
-        folded.open(folded_path);
-        SDPCM_ASSERT(folded.good(), "cannot open profile-folded file: ",
-                     folded_path);
-    }
     ProfSummary all;
-    for (const SchemeResults& scheme : results) {
-        ProfSummary merged;
-        for (const auto& [name, metrics] : scheme.byWorkload) {
-            (void)name;
-            merged.merge(metrics.prof);
-        }
-        all.merge(merged);
-        if (folded.is_open())
-            writeProfileFolded(folded, scheme.scheme, merged);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        all.merge(merged[i]);
         if (top_n > 0)
-            printProfileTop(std::cerr, scheme.scheme, merged, top_n);
+            printProfileTop(std::cerr, results[i].scheme, merged[i], top_n);
     }
-    if (folded.is_open()) {
-        folded.flush();
-        SDPCM_ASSERT(folded.good(),
-                     "error writing profile-folded file: ", folded_path);
-        std::cout << "profile folded stacks written to " << folded_path
-                  << "\n";
+    writeOutputFile(args.getString("profile-folded", ""),
+                    "profile folded stacks", [&](std::ostream& os) {
+                        for (std::size_t i = 0; i < results.size(); ++i)
+                            writeProfileFolded(os, results[i].scheme,
+                                               merged[i]);
+                    });
+    writeOutputFile(args.getPath("profile"), "profile",
+                    [&](std::ostream& os) {
+                        writeProfileJson(os, bench_name, all);
+                    });
+}
+
+/**
+ * Write every output of a finished bench and return its exit code:
+ * span and profile outputs; per-scheme top-N aggressor tables on stderr
+ * for --wd-top=N and the per-scheme ledger JSON to --wd-ledger=FILE;
+ * the run report (--report=FILE, else `default_report`; "" writes none)
+ * with one run per cell, the optional `environment` pairs carrying
+ * machine-varying extras (wall-clock seconds) the regression gate
+ * ignores; and the oracle verdict.
+ */
+inline int
+finish(const ArgParser& args, const std::string& bench_name,
+       const RunnerConfig& cfg, const std::vector<SchemeResults>& results,
+       const std::string& default_report = "",
+       std::vector<std::pair<std::string, double>> environment = {})
+{
+    maybeWriteSpans(args, cfg, results);
+    maybeWriteProfile(args, bench_name, cfg, results);
+    if (cfg.wdLedger) {
+        const auto merged = mergedPerScheme(results, &RunMetrics::wd);
+        const auto top_n = static_cast<unsigned>(args.getInt("wd-top", 0));
+        std::vector<WdLedgerEntry> entries;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            entries.push_back({results[i].scheme, "all", &merged[i]});
+            if (top_n > 0)
+                printWdTop(std::cerr, results[i].scheme, merged[i], top_n);
+        }
+        writeOutputFile(args.getPath("wd-ledger"), "wd ledger",
+                        [&](std::ostream& os) {
+                            writeWdLedgerJson(os, bench_name, entries);
+                        });
     }
-    if (json_path.empty() || json_path == "1")
-        return;
-    std::ofstream os(json_path);
-    SDPCM_ASSERT(os.good(), "cannot open profile file: ", json_path);
-    writeProfileJson(os, bench_name, all);
-    os.flush();
-    SDPCM_ASSERT(os.good(), "error writing profile file: ", json_path);
-    std::cout << "profile written to " << json_path << "\n";
+    const std::string report_path = args.getString("report", default_report);
+    if (!report_path.empty()) {
+        RunReport report;
+        report.bench = bench_name;
+        report.config = cfg;
+        report.environment = std::move(environment);
+        for (const SchemeResults& scheme : results) {
+            for (const auto& [name, metrics] : scheme.byWorkload) {
+                (void)name;
+                report.addRun(metrics);
+            }
+        }
+        writeOutputFile(report_path, "report",
+                        [&](std::ostream& os) { report.write(os); });
+    }
+    return checkOracle(cfg, results);
 }
 
 /** Workload-name column order: Table 3 order plus the aggregate. */

@@ -19,9 +19,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figure 11: system performance under different schemes", cfg);
+    const RunnerConfig cfg =
+        start(args, "Figure 11: system performance under different schemes");
 
     const std::vector<SchemeConfig> schemes = {
         SchemeConfig::din8F2(),
@@ -86,9 +85,5 @@ main(int argc, char** argv)
 
     std::cout << "\nShape check: baseline << LazyC < LazyC+PreRead ~ "
                  "LazyC+(2:3) < all-three <= DIN; (1:2) ~ DIN.\n";
-    maybeWriteReport(args, "REPORT_fig11.json", "bench_fig11", cfg,
-                     results);
-    maybeWriteSpans(args, cfg, results);
-    maybeWriteProfile(args, "bench_fig11", cfg, results);
-    return 0;
+    return finish(args, "bench_fig11", cfg, results, "REPORT_fig11.json");
 }

@@ -19,9 +19,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figure 12: ECP entries vs correction operations", cfg);
+    const RunnerConfig cfg =
+        start(args, "Figure 12: ECP entries vs correction operations");
 
     const std::vector<unsigned> entries = {0, 2, 4, 6, 8, 10};
     std::vector<SchemeConfig> schemes;
@@ -64,8 +63,5 @@ main(int argc, char** argv)
     std::cout << "\n(corrections per completed data write; paper: ~1.8 "
                  "at ECP-0 falling to ~0.14 at ECP-4;\n the analytic row "
                  "is the Markov model of analysis/wd_analytic.hh)\n";
-    maybeWriteReport(args, "REPORT_fig12.json", "bench_fig12", cfg,
-                     results);
-    maybeWriteProfile(args, "bench_fig12", cfg, results);
-    return 0;
+    return finish(args, "bench_fig12", cfg, results, "REPORT_fig12.json");
 }

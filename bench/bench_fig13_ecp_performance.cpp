@@ -16,9 +16,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figure 13: ECP entries vs system performance", cfg);
+    const RunnerConfig cfg =
+        start(args, "Figure 13: ECP entries vs system performance");
 
     const std::vector<unsigned> entries = {0, 2, 4, 6, 8, 10};
     std::vector<SchemeConfig> schemes = {SchemeConfig::baselineVnc()};
@@ -52,9 +51,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(speedup over baseline VnC; paper: +21% at ECP-6, "
                  "flat beyond)\n";
-    maybeWriteReport(args, "REPORT_fig13.json", "bench_fig13", cfg,
-                     results);
-    maybeWriteSpans(args, cfg, results);
-    maybeWriteProfile(args, "bench_fig13", cfg, results);
-    return 0;
+    return finish(args, "bench_fig13", cfg, results, "REPORT_fig13.json");
 }

@@ -9,6 +9,8 @@
  * limit — negligible against the capacity loss of an aging DIMM.
  */
 
+#include <cmath>
+
 #include "bench_common.hh"
 
 using namespace sdpcm;
@@ -18,10 +20,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figure 14: performance across the DIMM lifetime (LazyC)",
-           cfg);
+    const RunnerConfig cfg =
+        start(args, "Figure 14: performance across the DIMM lifetime (LazyC)");
 
     const std::vector<double> ages = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
     const auto workloads = standardWorkloads();
@@ -30,13 +30,20 @@ main(int argc, char** argv)
                     "normalised performance", "corrections/write",
                     "hard errors materialised"});
     double fresh_cpi = 0.0;
+    std::vector<SchemeResults> results;
     for (const double age : ages) {
         RunnerConfig aged = cfg;
         aged.aging.ageFraction = age;
-        std::fprintf(stderr, "running age %.0f%%", age * 100.0);
-        const auto res = runScheme(SchemeConfig::lazyC(), workloads,
-                                   aged);
-        std::fprintf(stderr, " done\n");
+        // One label per age (as fig15 labels WQ-32): report runs stay
+        // unique.
+        SchemeConfig scheme = SchemeConfig::lazyC();
+        scheme.name += "-age" + std::to_string(std::lround(age * 100.0));
+        if (logEnabled(LogLevel::Info))
+            std::fprintf(stderr, "running age %.0f%%", age * 100.0);
+        results.push_back(runScheme(scheme, workloads, aged));
+        if (logEnabled(LogLevel::Info))
+            std::fprintf(stderr, " done\n");
+        const SchemeResults& res = results.back();
 
         std::vector<double> cpis;
         double corr = 0.0;
@@ -59,5 +66,5 @@ main(int argc, char** argv)
     std::cout << "\n(paper: ~0.2% degradation at end of life; hard "
                  "errors consume ECP entries, shrinking LazyC's parking "
                  "space)\n";
-    return 0;
+    return finish(args, "bench_fig14", cfg, results);
 }

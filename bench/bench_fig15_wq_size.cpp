@@ -16,9 +16,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figure 15: write queue size under LazyC+PreRead", cfg);
+    const RunnerConfig cfg =
+        start(args, "Figure 15: write queue size under LazyC+PreRead");
 
     const std::vector<unsigned> sizes = {8, 16, 32, 64};
     std::vector<SchemeConfig> schemes = {SchemeConfig::din8F2()};
@@ -60,5 +59,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(performance normalised to DIN; paper: 32 entries "
                  "keep LazyC+PreRead within ~10% of DIN)\n";
-    return 0;
+    return finish(args, "bench_fig15", cfg, results);
 }

@@ -19,9 +19,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figure 16: (n:m) allocator ratios", cfg);
+    const RunnerConfig cfg = start(args, "Figure 16: (n:m) allocator ratios");
 
     const std::vector<NmRatio> ratios = {
         {1, 2}, {2, 3}, {3, 4}, {7, 8}, {1, 1}};
@@ -64,5 +62,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(performance normalised to DIN; paper: (1:2) shows "
                  "no degradation, monotone from 3:4 to 1:2)\n";
-    return 0;
+    return finish(args, "bench_fig16", cfg, results);
 }

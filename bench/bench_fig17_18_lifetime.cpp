@@ -26,13 +26,12 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figures 17/18: normalised lifetime (data chips / ECP chip)",
-           cfg);
+    const RunnerConfig cfg =
+        start(args, "Figures 17/18: normalised lifetime "
+                    "(data chips / ECP chip)");
 
-    const auto results =
-        runMatrix({SchemeConfig::lazyC()}, cfg).front();
+    const auto all = runMatrix({SchemeConfig::lazyC()}, cfg);
+    const auto& results = all.front();
 
     TablePrinter t({"workload", "data-chip lifetime", "ECP-chip lifetime",
                     "ECP/data wear headroom", "wd bits per write"});
@@ -69,5 +68,5 @@ main(int argc, char** argv)
                  "headroom stays above 1x.\n"
                  "Paper reference: data ~99.96%, ECP ~92% (see "
                  "EXPERIMENTS.md for the accounting discussion).\n";
-    return 0;
+    return finish(args, "bench_fig17_18", cfg, all);
 }

@@ -18,9 +18,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figure 19: LazyC with write cancellation", cfg);
+    const RunnerConfig cfg =
+        start(args, "Figure 19: LazyC with write cancellation");
 
     SchemeConfig wc = SchemeConfig::baselineVnc();
     wc.name = "WC";
@@ -60,5 +59,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(normalised to basic VnC; paper: VnC 1.0, WC a bit "
                  "above, LazyC ~1.21, WC+LazyC ~1.31)\n";
-    return 0;
+    return finish(args, "bench_fig19", cfg, results);
 }

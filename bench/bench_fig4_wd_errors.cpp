@@ -20,12 +20,11 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
-    args.finishParsing();
-    banner("Figure 4: WD errors per line write (diff-write + DIN)", cfg);
+    const RunnerConfig cfg =
+        start(args, "Figure 4: WD errors per line write (diff-write + DIN)");
 
-    const auto results =
-        runMatrix({SchemeConfig::baselineVnc()}, cfg).front();
+    const auto all = runMatrix({SchemeConfig::baselineVnc()}, cfg);
+    const auto& results = all.front();
 
     TablePrinter t({"workload", "word-line avg", "word-line max",
                     "adjacent-line avg", "adjacent-line max",
@@ -52,5 +51,5 @@ main(int argc, char** argv)
 
     std::cout << "\nPaper reference: (a) word-line avg ~0.4; (b) up to 9 "
                  "errors in one adjacent 64B line.\n";
-    return 0;
+    return finish(args, "bench_fig4", cfg, all);
 }

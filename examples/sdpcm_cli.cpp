@@ -15,8 +15,9 @@
  *             --epoch-csv=sdpcm.epochs.csv
  */
 
-#include <fstream>
 #include <iostream>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "common/args.hh"
@@ -76,6 +77,70 @@ schemeByName(const std::string& name, const ArgParser& args)
     scheme.drainBurstWrites = static_cast<unsigned>(
         args.getInt("drain-burst", scheme.drainBurstWrites));
     return scheme;
+}
+
+/**
+ * Span, ledger and profile outputs of the finished `cells` (matrix
+ * order; a single run is a one-cell list). Per-cell summaries go to the
+ * JSON exports; folded stacks and top tables use the merge of all
+ * cells, labelled `label` ("scheme/workload" or "scheme/all").
+ */
+void
+writeObserverOutputs(const ArgParser& args, const RunnerConfig& cfg,
+                     const std::string& scheme, const std::string& label,
+                     const std::vector<const RunMetrics*>& cells)
+{
+    const auto top = [&args](const char* name) {
+        return static_cast<unsigned>(args.getInt(name, 0));
+    };
+    if (cfg.spans) {
+        SpanSummary merged;
+        std::vector<SpanBlameEntry> entries;
+        for (const RunMetrics* m : cells) {
+            merged.merge(m->spans);
+            entries.push_back({m->scheme, m->workload, &m->spans});
+        }
+        writeOutputFile(args.getPath("spans"), "span blame",
+                        [&](std::ostream& os) {
+                            writeSpanBlameJson(os, "sdpcm_cli", entries);
+                        });
+        writeOutputFile(args.getString("spans-folded", ""),
+                        "folded stacks", [&](std::ostream& os) {
+                            writeFoldedStacks(os, scheme, merged);
+                        });
+        if (top("spans-top") > 0)
+            printSpanTop(std::cerr, label, merged, top("spans-top"));
+    }
+    if (cfg.wdLedger) {
+        WdLedgerSummary merged;
+        std::vector<WdLedgerEntry> entries;
+        for (const RunMetrics* m : cells) {
+            merged.merge(m->wd);
+            entries.push_back({m->scheme, m->workload, &m->wd});
+        }
+        writeOutputFile(args.getPath("wd-ledger"), "wd ledger",
+                        [&](std::ostream& os) {
+                            writeWdLedgerJson(os, "sdpcm_cli", entries);
+                        });
+        if (top("wd-top") > 0)
+            printWdTop(std::cerr, label, merged, top("wd-top"));
+    }
+    if (cfg.profile) {
+        // Merged in matrix order: the tree is identical for any --jobs.
+        ProfSummary merged;
+        for (const RunMetrics* m : cells)
+            merged.merge(m->prof);
+        writeOutputFile(args.getPath("profile"), "profile",
+                        [&](std::ostream& os) {
+                            writeProfileJson(os, label, merged);
+                        });
+        writeOutputFile(args.getString("profile-folded", ""),
+                        "profile folded stacks", [&](std::ostream& os) {
+                            writeProfileFolded(os, scheme, merged);
+                        });
+        if (top("profile-top") > 0)
+            printProfileTop(std::cerr, label, merged, top("profile-top"));
+    }
 }
 
 } // namespace
@@ -246,31 +311,28 @@ main(int argc, char** argv)
     cfg.jobs = static_cast<unsigned>(args.getInt("jobs", 0));
     cfg.aging.ageFraction = args.getDouble("age", 0.0);
     cfg.tracePath = args.getString("trace", "");
-    cfg.epochTicks =
-        static_cast<Tick>(args.getInt("epoch", 0));
+    cfg.epochTicks = static_cast<Tick>(args.getInt(
+        "epoch", 0, 0, std::numeric_limits<std::int64_t>::max()));
     const bool want_heatmap = args.has("heatmap");
     cfg.lineCounters = args.getBool("line-counters", false) || want_heatmap;
-    // A bare --spans stores "1" (enable, no file); any other value is
-    // the blame-JSON output path.
-    const std::string spans_arg = args.getString("spans", "");
-    const std::string spans_json =
-        (spans_arg.empty() || spans_arg == "1") ? "" : spans_arg;
-    const std::string spans_folded = args.getString("spans-folded", "");
-    const unsigned spans_top =
-        static_cast<unsigned>(args.getInt("spans-top", 0));
-    cfg.spans = args.has("spans") || !spans_folded.empty() ||
-                spans_top > 0;
-    // Same idiom for --profile: bare flag enables, a value is the
-    // profile-JSON output path.
-    const std::string profile_arg = args.getString("profile", "");
-    const std::string profile_json =
-        (profile_arg.empty() || profile_arg == "1") ? "" : profile_arg;
-    const std::string profile_folded =
-        args.getString("profile-folded", "");
-    const unsigned profile_top =
-        static_cast<unsigned>(args.getInt("profile-top", 0));
-    cfg.profile = args.has("profile") || !profile_folded.empty() ||
-                  profile_top > 0;
+    // A bare --spans / --wd-ledger / --profile enables the observer with
+    // no file; any other value is its JSON output path. The output flags
+    // are range-checked here, before the run.
+    const auto top = [&args](const char* name) {
+        return args.getInt(name, 0, 0,
+                           std::numeric_limits<unsigned>::max()) > 0;
+    };
+    const auto named = [&args](const char* name) {
+        return !args.getString(name, "").empty();
+    };
+    // Every flag is read (none short-circuited) so all count as known.
+    const bool spans_folded = named("spans-folded");
+    const bool spans_top = top("spans-top");
+    const bool profile_folded = named("profile-folded");
+    const bool profile_top = top("profile-top");
+    const bool wd_top = top("wd-top");
+    cfg.spans = args.has("spans") || spans_folded || spans_top;
+    cfg.profile = args.has("profile") || profile_folded || profile_top;
     const std::int64_t prof_sample = args.getInt(
         "profile-sample", static_cast<std::int64_t>(cfg.profileSample));
     if (!validProfileSamplePeriod(prof_sample)) {
@@ -280,14 +342,7 @@ main(int argc, char** argv)
     cfg.profileSample = static_cast<std::uint32_t>(prof_sample);
     cfg.verifyOracle = args.getBool("verify-oracle", false);
     cfg.telemetry = telemetryFromArgs(args);
-    // Same bare-flag idiom as --spans: --wd-ledger stores "1" (enable,
-    // no file); any other value is the JSON export path.
-    const std::string ledger_arg = args.getString("wd-ledger", "");
-    const std::string ledger_json =
-        (ledger_arg.empty() || ledger_arg == "1") ? "" : ledger_arg;
-    const unsigned wd_top =
-        static_cast<unsigned>(args.getInt("wd-top", 0));
-    cfg.wdLedger = args.has("wd-ledger") || wd_top > 0;
+    cfg.wdLedger = args.has("wd-ledger") || wd_top;
     cfg.enduranceCellWrites = args.getDouble("endurance", 1e8);
     if (args.has("inject")) {
         try {
@@ -301,14 +356,21 @@ main(int argc, char** argv)
     // option is declared before the unknown-flag check below.
     const std::string epoch_csv_path = args.getString("epoch-csv", "");
     const std::string epoch_json_path = args.getString("epoch-json", "");
-    const std::string heatmap_kind_name =
-        args.getString("heatmap", "writes");
-    const unsigned heatmap_bins =
-        static_cast<unsigned>(args.getInt("heatmap-bins", 64));
-    const bool has_heatmap_csv = args.has("heatmap-csv");
-    const std::string heatmap_csv_arg = args.getString("heatmap-csv", "");
-    const bool has_heatmap_pgm = args.has("heatmap-pgm");
-    const std::string heatmap_pgm_arg = args.getString("heatmap-pgm", "");
+    HeatmapKind heatmap_kind = HeatmapKind::Writes;
+    try {
+        heatmap_kind =
+            heatmapKindByName(args.getString("heatmap", "writes"));
+    } catch (const std::invalid_argument& e) {
+        SDPCM_FATAL(e.what());
+    }
+    const std::string heatmap_base =
+        "heatmap_" + std::string(heatmapKindName(heatmap_kind));
+    const std::string heatmap_csv =
+        args.getString("heatmap-csv", heatmap_base + ".csv");
+    const std::string heatmap_pgm =
+        args.getString("heatmap-pgm", heatmap_base + ".pgm");
+    const auto heatmap_bins = static_cast<unsigned>(args.getInt(
+        "heatmap-bins", 64, 1, std::numeric_limits<unsigned>::max()));
     const std::string report_path = args.getString("report", "");
 
     const SchemeConfig scheme =
@@ -362,84 +424,11 @@ main(int argc, char** argv)
                           m.ctrl.readLatency.percentile(0.99), 0)});
         }
         t.print(std::cout);
-        if (cfg.spans) {
-            SpanSummary merged;
-            std::vector<SpanBlameEntry> entries;
-            for (const auto& w : workloads) {
-                const RunMetrics& cell = results.front().at(w.name);
-                merged.merge(cell.spans);
-                entries.push_back(
-                    SpanBlameEntry{cell.scheme, cell.workload,
-                                   &cell.spans});
-            }
-            if (!spans_json.empty()) {
-                std::ofstream os(spans_json);
-                if (!os)
-                    SDPCM_FATAL("cannot open ", spans_json);
-                writeSpanBlameJson(os, "sdpcm_cli", entries);
-                SDPCM_PROGRESS("span blame written to ", spans_json);
-            }
-            if (!spans_folded.empty()) {
-                std::ofstream os(spans_folded);
-                if (!os)
-                    SDPCM_FATAL("cannot open ", spans_folded);
-                writeFoldedStacks(os, scheme.name, merged);
-                SDPCM_PROGRESS("folded stacks written to ",
-                               spans_folded);
-            }
-            if (spans_top > 0) {
-                printSpanTop(std::cerr, scheme.name + "/all", merged,
-                             spans_top);
-            }
-        }
-        if (cfg.wdLedger) {
-            WdLedgerSummary merged;
-            std::vector<WdLedgerEntry> entries;
-            for (const auto& w : workloads) {
-                const RunMetrics& cell = results.front().at(w.name);
-                merged.merge(cell.wd);
-                entries.push_back(WdLedgerEntry{cell.scheme,
-                                                cell.workload,
-                                                &cell.wd});
-            }
-            if (!ledger_json.empty()) {
-                std::ofstream os(ledger_json);
-                if (!os)
-                    SDPCM_FATAL("cannot open ", ledger_json);
-                writeWdLedgerJson(os, "sdpcm_cli", entries);
-                SDPCM_PROGRESS("wd ledger written to ", ledger_json);
-            }
-            if (wd_top > 0) {
-                printWdTop(std::cerr, scheme.name + "/all", merged,
-                           wd_top);
-            }
-        }
-        if (cfg.profile) {
-            // Merge in workload (matrix) order: the merged tree is
-            // identical for any --jobs value.
-            ProfSummary merged;
-            for (const auto& w : workloads)
-                merged.merge(results.front().at(w.name).prof);
-            if (!profile_json.empty()) {
-                std::ofstream os(profile_json);
-                if (!os)
-                    SDPCM_FATAL("cannot open ", profile_json);
-                writeProfileJson(os, scheme.name + "/all", merged);
-                SDPCM_PROGRESS("profile written to ", profile_json);
-            }
-            if (!profile_folded.empty()) {
-                std::ofstream os(profile_folded);
-                if (!os)
-                    SDPCM_FATAL("cannot open ", profile_folded);
-                writeProfileFolded(os, scheme.name, merged);
-                SDPCM_PROGRESS("profile folded stacks written to ",
-                               profile_folded);
-            }
-            if (profile_top > 0) {
-                printProfileTop(std::cerr, scheme.name + "/all", merged,
-                                profile_top);
-            }
-        }
+        std::vector<const RunMetrics*> cells;
+        for (const auto& w : workloads)
+            cells.push_back(&results.front().at(w.name));
+        writeObserverOutputs(args, cfg, scheme.name, scheme.name + "/all",
+                             cells);
         if (cfg.verifyOracle) {
             std::cout << "\noracle: " << oracle_mismatches
                       << " mismatch(es) across " << workloads.size()
@@ -492,121 +481,36 @@ main(int argc, char** argv)
         }
     }
     if (m.epochs.enabled()) {
-        const std::string& csv_path = epoch_csv_path;
-        const std::string& json_path = epoch_json_path;
-        if (!csv_path.empty()) {
-            std::ofstream os(csv_path);
-            if (!os)
-                SDPCM_FATAL("cannot open ", csv_path);
-            m.epochs.dumpCsv(os);
-            SDPCM_PROGRESS("epoch series (", m.epochs.samples.size(),
-                           " samples) written to ", csv_path);
-        }
-        if (!json_path.empty()) {
-            std::ofstream os(json_path);
-            if (!os)
-                SDPCM_FATAL("cannot open ", json_path);
-            m.epochs.dumpJson(os);
-            SDPCM_PROGRESS("epoch series (", m.epochs.samples.size(),
-                           " samples) written to ", json_path);
-        }
-        if (csv_path.empty() && json_path.empty()) {
+        const std::string what = "epoch series (" +
+            std::to_string(m.epochs.samples.size()) + " samples)";
+        writeOutputFile(epoch_csv_path, what,
+                        [&](std::ostream& os) { m.epochs.dumpCsv(os); });
+        writeOutputFile(epoch_json_path, what,
+                        [&](std::ostream& os) { m.epochs.dumpJson(os); });
+        if (epoch_csv_path.empty() && epoch_json_path.empty()) {
             std::cout << "\n";
             m.epochs.dumpCsv(std::cout);
         }
     }
     if (want_heatmap) {
-        HeatmapKind kind;
-        try {
-            kind = heatmapKindByName(heatmap_kind_name);
-        } catch (const std::invalid_argument& e) {
-            SDPCM_FATAL(e.what());
-        }
         const DimmGeometry geom; // runOne uses the default Table 2 DIMM
         const Heatmap map = buildHeatmap(
-            m.lines, kind, geom.banks(), geom.linesPerRow(),
+            m.lines, heatmap_kind, geom.banks(), geom.linesPerRow(),
             heatmap_bins);
-        const std::string base = "heatmap_" + std::string(
-            heatmapKindName(kind));
-        const std::string csv_path =
-            has_heatmap_csv ? heatmap_csv_arg : base + ".csv";
-        const std::string pgm_path =
-            has_heatmap_pgm ? heatmap_pgm_arg : base + ".pgm";
-        if (!csv_path.empty()) {
-            std::ofstream os(csv_path);
-            if (!os)
-                SDPCM_FATAL("cannot open ", csv_path);
+        std::ostringstream what;
+        what << "heatmap (" << heatmapKindName(heatmap_kind) << ", "
+             << map.banks << " banks x " << map.rowBins << " row bins x "
+             << map.lines << " lines)";
+        writeOutputFile(heatmap_csv, what.str(), [&](std::ostream& os) {
             writeHeatmapCsv(map, os);
-            SDPCM_PROGRESS("heatmap (", heatmapKindName(kind), ", ",
-                           map.banks, " banks x ", map.rowBins,
-                           " row bins x ", map.lines,
-                           " lines) written to ", csv_path);
-        }
-        if (!pgm_path.empty()) {
-            std::ofstream os(pgm_path);
-            if (!os)
-                SDPCM_FATAL("cannot open ", pgm_path);
+        });
+        writeOutputFile(heatmap_pgm, "heatmap image", [&](std::ostream& os) {
             writeHeatmapPgm(map, os);
-            SDPCM_PROGRESS("heatmap image written to ", pgm_path);
-        }
+        });
     }
-    if (cfg.spans) {
-        if (!spans_json.empty()) {
-            std::ofstream os(spans_json);
-            if (!os)
-                SDPCM_FATAL("cannot open ", spans_json);
-            writeSpanBlameJson(os, "sdpcm_cli",
-                               {SpanBlameEntry{m.scheme, m.workload,
-                                               &m.spans}});
-            SDPCM_PROGRESS("span blame written to ", spans_json);
-        }
-        if (!spans_folded.empty()) {
-            std::ofstream os(spans_folded);
-            if (!os)
-                SDPCM_FATAL("cannot open ", spans_folded);
-            writeFoldedStacks(os, scheme.name, m.spans);
-            SDPCM_PROGRESS("folded stacks written to ", spans_folded);
-        }
-        if (spans_top > 0) {
-            printSpanTop(std::cerr, scheme.name + "/" + spec.name,
-                         m.spans, spans_top);
-        }
-    }
-    if (cfg.profile) {
-        if (!profile_json.empty()) {
-            std::ofstream os(profile_json);
-            if (!os)
-                SDPCM_FATAL("cannot open ", profile_json);
-            writeProfileJson(os, scheme.name + "/" + spec.name, m.prof);
-            SDPCM_PROGRESS("profile written to ", profile_json);
-        }
-        if (!profile_folded.empty()) {
-            std::ofstream os(profile_folded);
-            if (!os)
-                SDPCM_FATAL("cannot open ", profile_folded);
-            writeProfileFolded(os, scheme.name, m.prof);
-            SDPCM_PROGRESS("profile folded stacks written to ",
-                           profile_folded);
-        }
-        if (profile_top > 0) {
-            printProfileTop(std::cerr, scheme.name + "/" + spec.name,
-                            m.prof, profile_top);
-        }
-    }
+    writeObserverOutputs(args, cfg, scheme.name,
+                         scheme.name + "/" + spec.name, {&m});
     if (cfg.wdLedger) {
-        if (!ledger_json.empty()) {
-            std::ofstream os(ledger_json);
-            if (!os)
-                SDPCM_FATAL("cannot open ", ledger_json);
-            writeWdLedgerJson(os, "sdpcm_cli",
-                              {WdLedgerEntry{m.scheme, m.workload,
-                                             &m.wd}});
-            SDPCM_PROGRESS("wd ledger written to ", ledger_json);
-        }
-        if (wd_top > 0) {
-            printWdTop(std::cerr, scheme.name + "/" + spec.name, m.wd,
-                       wd_top);
-        }
         std::cout << "\nwd ledger: " << m.wd.flips() << " flips ("
                   << m.wd.flipsWl << " wl / " << m.wd.flipsBl
                   << " bl), " << m.wd.flipsFromCorrection
@@ -619,8 +523,8 @@ main(int argc, char** argv)
         report.bench = "sdpcm_cli";
         report.config = cfg;
         report.addRun(m);
-        report.writeFile(report_path);
-        SDPCM_PROGRESS("report written to ", report_path);
+        writeOutputFile(report_path, "report",
+                        [&](std::ostream& os) { report.write(os); });
     }
     if (m.oracle.enabled) {
         std::cout << "\noracle: " << m.oracle.mismatches

@@ -46,6 +46,13 @@ ArgParser::getString(const std::string& key,
     return it->second;
 }
 
+std::string
+ArgParser::getPath(const std::string& key) const
+{
+    const std::string path = getString(key, "");
+    return path == "1" ? "" : path;
+}
+
 std::int64_t
 ArgParser::parseInt(const std::string& text)
 {
@@ -107,6 +114,18 @@ ArgParser::getInt(const std::string& key, std::int64_t default_value) const
         SDPCM_FATAL("bad value for --", key, "=", it->second, ": ",
                     e.what());
     }
+}
+
+std::int64_t
+ArgParser::getInt(const std::string& key, std::int64_t default_value,
+                  std::int64_t min_value, std::int64_t max_value) const
+{
+    const std::int64_t v = getInt(key, default_value);
+    if (v < min_value || v > max_value) {
+        SDPCM_FATAL("bad value for --", key, "=", v, ": must be in [",
+                    min_value, ", ", max_value, "]");
+    }
+    return v;
 }
 
 double

@@ -40,8 +40,15 @@ class ArgParser
 
     std::string getString(const std::string& key,
                           const std::string& default_value) const;
+    /** An output-file flag: FILE for --key=FILE, "" for a bare --key
+     *  (the output is on without a file) or when absent. */
+    std::string getPath(const std::string& key) const;
     std::int64_t getInt(const std::string& key,
                         std::int64_t default_value) const;
+    /** getInt that is fatal unless min_value <= value <= max_value. */
+    std::int64_t getInt(const std::string& key, std::int64_t default_value,
+                        std::int64_t min_value,
+                        std::int64_t max_value) const;
     double getDouble(const std::string& key, double default_value) const;
     bool getBool(const std::string& key, bool default_value) const;
 

@@ -131,8 +131,8 @@ MemoryController::submitRead(PhysAddr addr, unsigned core_id,
         if (it->la == la) {
             stats_.readsForwarded += 1;
             const LineData data = it->payload;
-            if (oracle_)
-                oracle_->noteForwardedRead(la, data);
+            if (obs_.oracle)
+                obs_.oracle->noteForwardedRead(la, data);
             events_.scheduleAfter(0, [cb = std::move(on_complete),
                                       data] { cb(data); });
             return;
@@ -141,8 +141,8 @@ MemoryController::submitRead(PhysAddr addr, unsigned core_id,
     if (b.active && b.active->w.la == la) {
         stats_.readsForwarded += 1;
         const LineData data = b.active->w.payload;
-        if (oracle_)
-            oracle_->noteForwardedRead(la, data);
+        if (obs_.oracle)
+            obs_.oracle->noteForwardedRead(la, data);
         events_.scheduleAfter(0, [cb = std::move(on_complete),
                                   data] { cb(data); });
         return;
@@ -150,8 +150,8 @@ MemoryController::submitRead(PhysAddr addr, unsigned core_id,
 
     PendingRead pr{la, core_id, events_.now(), std::move(on_complete),
                    SpanRecorder::kNull, 0};
-    if (spans_) {
-        pr.span = spans_->open(/*is_write=*/false, events_.now());
+    if (obs_.spans) {
+        pr.span = obs_.spans->open(/*is_write=*/false, events_.now());
         pr.drainSnap = drainCumNow(b);
     }
     b.readQueue.push_back(std::move(pr));
@@ -176,13 +176,13 @@ MemoryController::maybeCancelForRead(unsigned bank)
     const Tick elapsed = events_.now() - b.opStart;
     refundCycles(b.opKind, b.opLatency - elapsed);
 
-    if (trace_) {
+    if (obs_.trace) {
         // Close the op's duration event early and mark the abort.
-        trace_->end(bank, events_.now(), {{"cancelled", 1.0}});
+        obs_.trace->end(bank, events_.now(), {{"cancelled", 1.0}});
         if (b.opSpanTraced)
-            trace_->end(bank, events_.now(), {{"cancelled", 1.0}});
-        trace_->instant(bank, "write_cancel", "ctrl", events_.now(),
-                        {{"elapsed", static_cast<double>(elapsed)}});
+            obs_.trace->end(bank, events_.now(), {{"cancelled", 1.0}});
+        obs_.trace->instant(bank, "write_cancel", "ctrl", events_.now(),
+                             {{"elapsed", static_cast<double>(elapsed)}});
     }
     b.opSpanTraced = false;
     b.opGen += 1; // the scheduled completion becomes a no-op
@@ -246,8 +246,8 @@ MemoryController::submitWriteData(PhysAddr addr, const NmRatio& tag,
                 stats_.preReadsRefreshed += 1;
             }
         }
-        if (oracle_)
-            oracle_->noteWriteSubmitted(la, payload, /*new_entry=*/false);
+        if (obs_.oracle)
+            obs_.oracle->noteWriteSubmitted(la, payload, /*new_entry=*/false);
         return true;
     }
 
@@ -262,12 +262,12 @@ MemoryController::submitWriteData(PhysAddr addr, const NmRatio& tag,
     w.enqueueTick = events_.now();
     w.payload = payload;
     computeAdjacency(w);
-    if (spans_)
-        w.span = spans_->open(/*is_write=*/true, events_.now());
+    if (obs_.spans)
+        w.span = obs_.spans->open(/*is_write=*/true, events_.now());
     b.writeQueue.push_back(std::move(w));
     stats_.writesAccepted += 1;
-    if (oracle_)
-        oracle_->noteWriteSubmitted(la, payload, /*new_entry=*/true);
+    if (obs_.oracle)
+        obs_.oracle->noteWriteSubmitted(la, payload, /*new_entry=*/true);
 
     if (b.writeQueue.size() >= scheme_.writeQueueEntries &&
         !b.draining) {
@@ -284,10 +284,10 @@ MemoryController::submitWriteData(PhysAddr addr, const NmRatio& tag,
 void
 MemoryController::noteDrainStart(unsigned bank)
 {
-    if (trace_) {
-        trace_->instant(bank, "drain_start", "ctrl", events_.now(),
-                        {{"queued", static_cast<double>(
-                              banks_[bank].writeQueue.size())}});
+    if (obs_.trace) {
+        obs_.trace->instant(bank, "drain_start", "ctrl", events_.now(),
+                             {{"queued", static_cast<double>(
+                                   banks_[bank].writeQueue.size())}});
     }
 }
 
@@ -458,15 +458,15 @@ MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
     b.opStart = events_.now();
     b.opLatency = latency;
     chargeCycles(kind, latency);
-    const bool spanned = spans_ && span != SpanRecorder::kNull;
+    const bool spanned = obs_.spans && span != SpanRecorder::kNull;
     if (spanned)
-        spans_->transition(span, span_phase, b.opStart);
+        obs_.spans->transition(span, span_phase, b.opStart);
     // Phase event first so the op's duration nests inside it.
-    b.opSpanTraced = trace_ && spanned;
+    b.opSpanTraced = obs_.trace && spanned;
     if (b.opSpanTraced)
-        trace_->begin(bank, spanPhaseName(span_phase), "span", b.opStart);
-    if (trace_)
-        trace_->begin(bank, opName(kind), "bank", b.opStart);
+        obs_.trace->begin(bank, spanPhaseName(span_phase), "span", b.opStart);
+    if (obs_.trace)
+        obs_.trace->begin(bank, opName(kind), "bank", b.opStart);
 
     const std::uint64_t gen = b.opGen;
     events_.scheduleAfter(latency, [this, bank, gen, spanned, span,
@@ -477,16 +477,16 @@ MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
             return; // operation was cancelled
         bb.busy = false;
         bb.opCancellable = false;
-        if (trace_)
-            trace_->end(bank, events_.now());
+        if (obs_.trace)
+            obs_.trace->end(bank, events_.now());
         if (bb.opSpanTraced) {
-            trace_->end(bank, events_.now());
+            obs_.trace->end(bank, events_.now());
             bb.opSpanTraced = false;
         }
         done();
         if (spanned && span_release)
-            spans_->transition(span, SpanPhase::QueueWait,
-                               events_.now());
+            obs_.spans->transition(span, SpanPhase::QueueWait,
+                                    events_.now());
         kick(bank);
     });
 }
@@ -500,7 +500,7 @@ MemoryController::kick(unsigned bank)
     // Scheduler pass: drain bookkeeping and issue decisions bill to
     // CtrlKick; the service bodies run later in their own scopes, and
     // inline round planning opens nested WriteRound/Correction scopes.
-    PROF_SCOPE(prof_, CtrlKick);
+    PROF_SCOPE(obs_.prof, CtrlKick);
 
     // Close out an exhausted drain burst before deciding anything else.
     if (b.draining && !b.active &&
@@ -568,13 +568,13 @@ MemoryController::serviceRead(unsigned bank)
     PendingRead req = std::move(b.readQueue.front());
     b.readQueue.pop_front();
     const SpanRecorder::Handle span = req.span;
-    if (spans_ && span != SpanRecorder::kNull) {
+    if (obs_.spans && span != SpanRecorder::kNull) {
         // Carve the drain-burst overlap out of the read's queue wait:
         // that slice is the bursty-write policy's fault, not generic
         // contention.
-        spans_->transitionSplit(span, SpanPhase::Drain,
-                                drainCumNow(b) - req.drainSnap,
-                                SpanPhase::QueueWait, events_.now());
+        obs_.spans->transitionSplit(span, SpanPhase::Drain,
+                                     drainCumNow(b) - req.drainSnap,
+                                     SpanPhase::QueueWait, events_.now());
     }
     occupy(bank, device_.config().timing.readCycles, OpKind::Read,
            [this, bank, req = std::move(req)] {
@@ -584,7 +584,7 @@ MemoryController::serviceRead(unsigned bank)
                // cancellation's read grace fires mid-drain). The array
                // would return torn or stale data; the pending payload is
                // the line's architecturally current value.
-               PROF_SCOPE(prof_, ReadService);
+               PROF_SCOPE(obs_.prof, ReadService);
                Bank& bb = banks_[bank];
                const LineData* fwd = nullptr;
                for (auto it = bb.writeQueue.rbegin();
@@ -603,15 +603,15 @@ MemoryController::serviceRead(unsigned bank)
                stats_.readsServiced += 1;
                stats_.readLatency.record(
                    static_cast<double>(events_.now() - req.enqueueTick));
-               if (oracle_) {
-                   PROF_SCOPE(prof_, OracleCheck);
+               if (obs_.oracle) {
+                   PROF_SCOPE(obs_.prof, OracleCheck);
                    if (fwd)
-                       oracle_->noteForwardedRead(req.la, data);
+                       obs_.oracle->noteForwardedRead(req.la, data);
                    else
-                       oracle_->noteArrayRead(req.la, data);
+                       obs_.oracle->noteArrayRead(req.la, data);
                }
-               if (spans_ && req.span != SpanRecorder::kNull)
-                   spans_->close(req.span, events_.now());
+               if (obs_.spans && req.span != SpanRecorder::kNull)
+                   obs_.spans->close(req.span, events_.now());
                req.onComplete(data);
            },
            /*cancellable=*/false, span, SpanPhase::ReadService,
@@ -661,25 +661,25 @@ MemoryController::tryIssuePreRead(unsigned bank)
             // Issue the pre-read against the array.
             const LineAddr target = adj;
             const std::uint64_t id = w.id;
-            if (spans_ && w.span != SpanRecorder::kNull) {
+            if (obs_.spans && w.span != SpanRecorder::kNull) {
                 // The capture burns bank cycles but the write it serves
                 // keeps queue-waiting: hidden, not critical, cycles.
-                spans_->hidden(w.span,
-                               is_upper ? SpanPhase::PreReadUp
-                                        : SpanPhase::PreReadLow,
-                               device_.config().timing.readCycles);
+                obs_.spans->hidden(w.span,
+                                    is_upper ? SpanPhase::PreReadUp
+                                             : SpanPhase::PreReadLow,
+                                    device_.config().timing.readCycles);
             }
             occupy(bank, device_.config().timing.readCycles,
                    OpKind::PreRead,
                    [this, bank, target, id, is_upper] {
                        // Pre-read captures feed the write's verify
                        // stage, so their host cost bills there.
-                       PROF_SCOPE(prof_, VerifyScan);
+                       PROF_SCOPE(obs_.prof, VerifyScan);
                        const LineData data = device_.readLine(target);
                        stats_.preReadsIssued += 1;
-                       if (oracle_) {
-                           PROF_SCOPE(prof_, OracleCheck);
-                           oracle_->notePreReadCapture(target, data);
+                       if (obs_.oracle) {
+                           PROF_SCOPE(obs_.prof, OracleCheck);
+                           obs_.oracle->notePreReadCapture(target, data);
                        }
                        // Re-locate the entry by id; it may have moved (or
                        // gained a same-line twin via cancellation).
@@ -722,8 +722,8 @@ MemoryController::startWriteService(unsigned bank)
     aw.w = std::move(b.writeQueue.front());
     b.writeQueue.pop_front();
     aw.serviceStart = events_.now();
-    if (spans_ && aw.w.span != SpanRecorder::kNull)
-        spans_->beginAttempt(aw.w.span, events_.now());
+    if (obs_.spans && aw.w.span != SpanRecorder::kNull)
+        obs_.spans->beginAttempt(aw.w.span, events_.now());
     b.active.emplace(std::move(aw));
     notifySpace(bank);
     advanceWrite(bank);
@@ -734,7 +734,7 @@ MemoryController::cancelActive(unsigned bank)
 {
     Bank& b = banks_[bank];
     SDPCM_ASSERT(b.active, "cancel without active write");
-    PROF_SCOPE(prof_, Cancel);
+    PROF_SCOPE(obs_.prof, Cancel);
     QueuedWrite w = std::move(b.active->w);
     const Tick serviceStart = b.active->serviceStart;
     if (b.active->planned) {
@@ -747,23 +747,23 @@ MemoryController::cancelActive(unsigned bank)
         // bank is read-idle, so a demand read or pre-read capture of
         // those neighbours would otherwise observe (and buffer) the
         // aborted attempt's damage.
-        if (ledger_)
-            ledger_->beginCancelRepair();
+        if (obs_.ledger)
+            obs_.ledger->beginCancelRepair();
         device_.repairWlHits(b.active->plan);
-        if (ledger_)
-            ledger_->endCancelRepair();
+        if (obs_.ledger)
+            obs_.ledger->endCancelRepair();
         b.planPool = std::move(b.active->plan);
     }
     b.active.reset();
     w.cancels += 1;
-    if (ledger_)
-        ledger_->noteCancel(w.la);
+    if (obs_.ledger)
+        obs_.ledger->noteCancel(w.la);
     stats_.writeCancellations += 1;
     // The whole aborted attempt is sunk cost: its work will be re-done
     // when the entry resumes from the queue front.
     stats_.cancelStallCycles += events_.now() - serviceStart;
-    if (spans_ && w.span != SpanRecorder::kNull)
-        spans_->cancelAttempt(w.span, events_.now());
+    if (obs_.spans && w.span != SpanRecorder::kNull)
+        obs_.spans->cancelAttempt(w.span, events_.now());
     b.writeQueue.push_front(std::move(w));
 }
 
@@ -777,10 +777,10 @@ MemoryController::completeWrite(unsigned bank)
         static_cast<double>(events_.now() - b.active->serviceStart));
     stats_.cascadeDepth.record(
         static_cast<double>(b.active->maxDepthSeen));
-    if (oracle_)
-        oracle_->noteServiceEnd(b.active->w.id);
-    if (spans_ && b.active->w.span != SpanRecorder::kNull)
-        spans_->close(b.active->w.span, events_.now());
+    if (obs_.oracle)
+        obs_.oracle->noteServiceEnd(b.active->w.id);
+    if (obs_.spans && b.active->w.span != SpanRecorder::kNull)
+        obs_.spans->close(b.active->w.span, events_.now());
     if (b.active->planned)
         b.planPool = std::move(b.active->plan);
     b.active.reset();
@@ -828,10 +828,10 @@ MemoryController::handleVerifyErrors(unsigned bank, const LineAddr& addr,
         std::sort(cells.begin(), cells.end());
         cells.erase(std::unique(cells.begin(), cells.end()),
                     cells.end());
-        if (trace_) {
-            trace_->instant(bank, "ecp_overflow", "ctrl", events_.now(),
-                            {{"cells", static_cast<double>(
-                                  cells.size())}});
+        if (obs_.trace) {
+            obs_.trace->instant(bank, "ecp_overflow", "ctrl", events_.now(),
+                                 {{"cells", static_cast<double>(
+                                       cells.size())}});
         }
     } else {
         cells = errors;
@@ -839,15 +839,15 @@ MemoryController::handleVerifyErrors(unsigned bank, const LineAddr& addr,
 
     if (depth > kMaxCascadeDepth) {
         stats_.cascadeDropped += 1;
-        if (oracle_)
-            oracle_->noteUncorrectedDrop(addr);
+        if (obs_.oracle)
+            obs_.oracle->noteUncorrectedDrop(addr);
         SDPCM_WARN("cascade depth cap hit at bank ", bank,
                    " row ", addr.row);
         return;
     }
-    if (trace_ && depth >= kCascadeSpikeDepth) {
-        trace_->instant(bank, "cascade_spike", "ctrl", events_.now(),
-                        {{"depth", static_cast<double>(depth)}});
+    if (obs_.trace && depth >= kCascadeSpikeDepth) {
+        obs_.trace->instant(bank, "cascade_spike", "ctrl", events_.now(),
+                             {{"depth", static_cast<double>(depth)}});
     }
     a.maxDepthSeen = std::max(a.maxDepthSeen, depth);
     a.tasks.push_back(CorrectionTask{addr, std::move(cells), depth});
@@ -875,7 +875,7 @@ MemoryController::advanceWrite(unsigned bank)
             const Tick lat = scheme_.chargeVerifyOps
                 ? device_.config().timing.readCycles : 0;
             occupy(bank, lat, OpKind::VerifyRead, [this, bank] {
-                PROF_SCOPE(prof_, VerifyScan);
+                PROF_SCOPE(obs_.prof, VerifyScan);
                 ActiveWrite& aw = *banks_[bank].active;
                 aw.w.upperData = device_.readLine(aw.w.upperAddr);
                 aw.w.prUpper = true;
@@ -897,7 +897,7 @@ MemoryController::advanceWrite(unsigned bank)
             const Tick lat = scheme_.chargeVerifyOps
                 ? device_.config().timing.readCycles : 0;
             occupy(bank, lat, OpKind::VerifyRead, [this, bank] {
-                PROF_SCOPE(prof_, VerifyScan);
+                PROF_SCOPE(obs_.prof, VerifyScan);
                 ActiveWrite& aw = *banks_[bank].active;
                 aw.w.lowerData = device_.readLine(aw.w.lowerAddr);
                 aw.w.prLower = true;
@@ -908,25 +908,25 @@ MemoryController::advanceWrite(unsigned bank)
           }
           case ActiveWrite::Stage::Rounds: {
             if (!a.planned) {
-                PROF_SCOPE(prof_, WriteRound);
+                PROF_SCOPE(obs_.prof, WriteRound);
                 // Recycle the bank's retired plan: planWriteInto reuses
                 // its rounds/wlHits buffers instead of reallocating.
                 a.plan = std::move(b.planPool);
                 device_.planWriteInto(a.plan, a.w.la, a.w.payload);
                 a.planned = true;
-                if (oracle_) {
-                    PROF_SCOPE(prof_, OracleCheck);
-                    oracle_->noteRoundsStart(a.w.id, a.w.la);
+                if (obs_.oracle) {
+                    PROF_SCOPE(obs_.prof, OracleCheck);
+                    obs_.oracle->noteRoundsStart(a.w.id, a.w.la);
                 }
             }
             const auto peek = device_.peekNextRound(a.plan);
             if (peek.valid) {
                 occupy(bank, peek.latency, OpKind::WriteRound,
                        [this, bank] {
-                           PROF_SCOPE(prof_, WriteRound);
+                           PROF_SCOPE(obs_.prof, WriteRound);
                            ActiveWrite& aw = *banks_[bank].active;
-                           if (ledger_)
-                               ledger_->beginOp(aw.w.coreId, 0);
+                           if (obs_.ledger)
+                               obs_.ledger->beginOp(aw.w.coreId, 0);
                            PcmDevice::RoundOutcome outcome;
                            const bool applied =
                                device_.applyNextRound(aw.plan, outcome);
@@ -936,12 +936,12 @@ MemoryController::advanceWrite(unsigned bank)
                 return;
             }
             {
-                PROF_SCOPE(prof_, WriteRound);
+                PROF_SCOPE(obs_.prof, WriteRound);
                 device_.finishWrite(a.plan);
                 refreshBuffersAfterWrite(bank, a.w.la, a.w.payload);
-                if (oracle_) {
-                    PROF_SCOPE(prof_, OracleCheck);
-                    oracle_->noteWriteCommitted(a.w.la, a.w.payload);
+                if (obs_.oracle) {
+                    PROF_SCOPE(obs_.prof, OracleCheck);
+                    obs_.oracle->noteWriteCommitted(a.w.la, a.w.payload);
                 }
             }
             a.stage = ActiveWrite::Stage::VerUpper;
@@ -955,15 +955,15 @@ MemoryController::advanceWrite(unsigned bank)
             const Tick lat = scheme_.chargeVerifyOps
                 ? device_.config().timing.readCycles : 0;
             occupy(bank, lat, OpKind::VerifyRead, [this, bank] {
-                PROF_SCOPE(prof_, VerifyScan);
+                PROF_SCOPE(obs_.prof, VerifyScan);
                 ActiveWrite& aw = *banks_[bank].active;
                 const LineData post = device_.readLine(aw.w.upperAddr);
                 stats_.verifyReads += 1;
                 aw.stage = ActiveWrite::Stage::VerLower;
-                if (oracle_) {
-                    PROF_SCOPE(prof_, OracleCheck);
-                    oracle_->noteVerifyBuffer(aw.w.upperAddr,
-                                              aw.w.upperData, aw.w.id);
+                if (obs_.oracle) {
+                    PROF_SCOPE(obs_.prof, OracleCheck);
+                    obs_.oracle->noteVerifyBuffer(aw.w.upperAddr,
+                                                   aw.w.upperData, aw.w.id);
                 }
                 diffPositionsInto(post, aw.w.upperData, diffScratch_);
                 handleVerifyErrors(bank, aw.w.upperAddr, diffScratch_,
@@ -979,15 +979,15 @@ MemoryController::advanceWrite(unsigned bank)
             const Tick lat = scheme_.chargeVerifyOps
                 ? device_.config().timing.readCycles : 0;
             occupy(bank, lat, OpKind::VerifyRead, [this, bank] {
-                PROF_SCOPE(prof_, VerifyScan);
+                PROF_SCOPE(obs_.prof, VerifyScan);
                 ActiveWrite& aw = *banks_[bank].active;
                 const LineData post = device_.readLine(aw.w.lowerAddr);
                 stats_.verifyReads += 1;
                 aw.stage = ActiveWrite::Stage::Corrections;
-                if (oracle_) {
-                    PROF_SCOPE(prof_, OracleCheck);
-                    oracle_->noteVerifyBuffer(aw.w.lowerAddr,
-                                              aw.w.lowerData, aw.w.id);
+                if (obs_.oracle) {
+                    PROF_SCOPE(obs_.prof, OracleCheck);
+                    obs_.oracle->noteVerifyBuffer(aw.w.lowerAddr,
+                                                   aw.w.lowerData, aw.w.id);
                 }
                 diffPositionsInto(post, aw.w.lowerData, diffScratch_);
                 handleVerifyErrors(bank, aw.w.lowerAddr, diffScratch_,
@@ -1068,7 +1068,7 @@ MemoryController::advanceCorrection(unsigned bank)
                 break;
             }
             occupy(bank, read_lat, OpKind::CascadeRead, [this, bank] {
-                PROF_SCOPE(prof_, Correction);
+                PROF_SCOPE(obs_.prof, Correction);
                 ActiveCorrection& cc = *banks_[bank].active->corr;
                 cc.upData = device_.readLine(cc.up);
                 cc.haveUpData = true;
@@ -1082,7 +1082,7 @@ MemoryController::advanceCorrection(unsigned bank)
                 break;
             }
             occupy(bank, read_lat, OpKind::CascadeRead, [this, bank] {
-                PROF_SCOPE(prof_, Correction);
+                PROF_SCOPE(obs_.prof, Correction);
                 ActiveCorrection& cc = *banks_[bank].active->corr;
                 cc.lowData = device_.readLine(cc.low);
                 cc.haveLowData = true;
@@ -1092,7 +1092,7 @@ MemoryController::advanceCorrection(unsigned bank)
           }
           case ActiveCorrection::Stage::Rounds: {
             if (!c.planned) {
-                PROF_SCOPE(prof_, Correction);
+                PROF_SCOPE(obs_.prof, Correction);
                 c.plan = std::move(b.corrPlanPool);
                 device_.planCorrectionInto(c.plan, c.task.addr,
                                            c.task.cells);
@@ -1100,9 +1100,9 @@ MemoryController::advanceCorrection(unsigned bank)
                 stats_.correctionWrites += 1;
                 // Correction rounds RESET cells too: their neighbourhood
                 // becomes transiently dirty under the same writer.
-                if (oracle_) {
-                    PROF_SCOPE(prof_, OracleCheck);
-                    oracle_->noteRoundsStart(a.w.id, c.task.addr);
+                if (obs_.oracle) {
+                    PROF_SCOPE(obs_.prof, OracleCheck);
+                    obs_.oracle->noteRoundsStart(a.w.id, c.task.addr);
                 }
             }
             const auto peek = device_.peekNextRound(c.plan);
@@ -1111,12 +1111,12 @@ MemoryController::advanceCorrection(unsigned bank)
                     ? peek.latency : 0;
                 occupy(bank, lat, OpKind::CorrectionRound,
                        [this, bank] {
-                           PROF_SCOPE(prof_, Correction);
+                           PROF_SCOPE(obs_.prof, Correction);
                            ActiveWrite& aw = *banks_[bank].active;
                            ActiveCorrection& cc = *aw.corr;
-                           if (ledger_) {
-                               ledger_->beginOp(aw.w.coreId,
-                                                cc.task.depth);
+                           if (obs_.ledger) {
+                               obs_.ledger->beginOp(aw.w.coreId,
+                                                     cc.task.depth);
                            }
                            PcmDevice::RoundOutcome outcome;
                            const bool applied =
@@ -1127,7 +1127,7 @@ MemoryController::advanceCorrection(unsigned bank)
                 return;
             }
             {
-                PROF_SCOPE(prof_, Correction);
+                PROF_SCOPE(obs_.prof, Correction);
                 device_.finishWrite(c.plan);
             }
             c.stage = ActiveCorrection::Stage::VerUp;
@@ -1139,7 +1139,7 @@ MemoryController::advanceCorrection(unsigned bank)
                 break;
             }
             occupy(bank, read_lat, OpKind::CascadeRead, [this, bank] {
-                PROF_SCOPE(prof_, Correction);
+                PROF_SCOPE(obs_.prof, Correction);
                 ActiveWrite& aw = *banks_[bank].active;
                 ActiveCorrection& cc = *aw.corr;
                 const LineData post = device_.readLine(cc.up);
@@ -1157,7 +1157,7 @@ MemoryController::advanceCorrection(unsigned bank)
                 break;
             }
             occupy(bank, read_lat, OpKind::CascadeRead, [this, bank] {
-                PROF_SCOPE(prof_, Correction);
+                PROF_SCOPE(obs_.prof, Correction);
                 ActiveWrite& aw = *banks_[bank].active;
                 ActiveCorrection& cc = *aw.corr;
                 const LineData post = device_.readLine(cc.low);

@@ -47,8 +47,6 @@
 
 namespace sdpcm {
 
-class ShadowOracle;
-
 /** Controller statistics. */
 struct CtrlStats
 {
@@ -98,8 +96,12 @@ struct CtrlStats
     LatencyStat writeServiceLatency; //!< service start -> complete
 };
 
-/** The per-channel memory controller. */
-class MemoryController
+/**
+ * The per-channel memory controller. It feeds every observer of its
+ * bundle: bank-op trace events, oracle mirroring, request spans, WD
+ * ledger service context and profiler scopes per stage body.
+ */
+class MemoryController : public Observed
 {
   public:
     MemoryController(EventQueue& events, PcmDevice& device,
@@ -110,46 +112,10 @@ class MemoryController
     const CtrlStats& stats() const { return stats_; }
 
     /**
-     * Attach a structured-event sink (null detaches). Every bank
-     * occupancy becomes a duration event on the bank's lane; drains,
-     * cancellations, ECP overflows and cascade spikes become instants.
-     * With no sink attached the emission sites are single null checks.
+     * Point the bundle's trace member at `sink` (null detaches); for
+     * harnesses that attach their own sink to an assembled System.
      */
-    void setTraceSink(TraceSink* sink) { trace_ = sink; }
-
-    /**
-     * Attach the shadow-memory integrity oracle (null detaches). Every
-     * submit/commit/read/verify event is mirrored into it; detached, the
-     * emission sites are single null checks.
-     */
-    void setOracle(ShadowOracle* oracle) { oracle_ = oracle; }
-
-    /**
-     * Attach the per-request span recorder (null detaches). Every
-     * read/write gets a lifecycle record whose phase transitions are
-     * driven at the existing stage boundaries; detached, the emission
-     * sites are single null checks (obs/spans.hh).
-     */
-    void setSpanRecorder(SpanRecorder* spans) { spans_ = spans; }
-
-    /**
-     * Attach the disturbance-provenance ledger (null detaches). The
-     * controller contributes service context only — which core's
-     * request is in rounds, at what cascade depth, and whether a
-     * word-line repair belongs to a cancel unwind; the flip and fix
-     * events themselves come from the device (obs/ledger.hh).
-     */
-    void setLedger(WdLedger* ledger) { ledger_ = ledger; }
-
-    /**
-     * Attach the host-time profiler (null detaches). The controller
-     * opens a scope per scheduler pass and per service-stage completion
-     * body (read service, write rounds, verify scans, corrections,
-     * cancellation), so host wall-clock telescopes from EventDispatch
-     * down into the device loops. Strictly observe-only: no simulated
-     * state, RNG draw, or tick is touched (obs/profiler.hh).
-     */
-    void setProfiler(HostProfiler* prof) { prof_ = prof; }
+    void setTraceSink(TraceSink* sink) { obs_.trace = sink; }
 
     // --- Observability accessors (epoch sampling / diagnostics). ---
     unsigned
@@ -374,11 +340,6 @@ class MemoryController
     /** Verify-diff scratch: most verifies find zero errors, so reusing
      *  one vector makes the verify path allocation-free. */
     std::vector<unsigned> diffScratch_;
-    TraceSink* trace_ = nullptr;
-    ShadowOracle* oracle_ = nullptr;
-    SpanRecorder* spans_ = nullptr;
-    WdLedger* ledger_ = nullptr;
-    HostProfiler* prof_ = nullptr;
     std::uint64_t nextWriteId_ = 1;
     std::vector<Bank> banks_;
     mutable std::map<std::uint64_t, NmPolicy> policies_;

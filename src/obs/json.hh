@@ -92,6 +92,34 @@ class JsonWriter
     std::vector<bool> hasItem_;
 };
 
+/**
+ * A standalone multi-run export: `kind`, schema_version 1, `bench`, and
+ * per entry {scheme, workload, `key`: summary written by `body`}.
+ */
+template <typename Entry, typename Summary>
+void
+writeRunsJson(std::ostream& os, const char* kind, const std::string& bench,
+              const char* key, const std::vector<Entry>& entries,
+              void (*body)(JsonWriter&, const Summary&))
+{
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("kind", kind);
+    w.kv("schema_version", std::uint64_t(1));
+    w.kv("bench", bench);
+    w.key("runs").beginArray();
+    for (const Entry& e : entries) {
+        w.beginObject();
+        w.kv("scheme", e.scheme);
+        w.kv("workload", e.workload);
+        w.key(key);
+        body(w, *e.summary);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
 /** A parsed JSON document (tools and tests; not a hot-path type). */
 struct JsonValue
 {

@@ -368,22 +368,8 @@ void
 writeWdLedgerJson(std::ostream& os, const std::string& bench,
                   const std::vector<WdLedgerEntry>& entries)
 {
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("kind", "sdpcm_wd_ledger");
-    w.kv("schema_version", std::uint64_t(1));
-    w.kv("bench", bench);
-    w.key("runs").beginArray();
-    for (const WdLedgerEntry& e : entries) {
-        w.beginObject();
-        w.kv("scheme", e.scheme);
-        w.kv("workload", e.workload);
-        w.key("wd");
-        wdLedgerToJson(w, *e.summary);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
+    writeRunsJson(os, "sdpcm_wd_ledger", bench, "wd", entries,
+                  &wdLedgerToJson);
 }
 
 void

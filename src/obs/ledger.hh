@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "obs/observers.hh"
 #include "pcm/address.hh"
 #include "sim/event_queue.hh"
 
@@ -265,13 +266,7 @@ void printWdTop(std::ostream& os, const std::string& label,
 void wdLedgerToJson(JsonWriter& w, const WdLedgerSummary& summary);
 
 /** One (scheme, workload) cell of a standalone ledger file. */
-struct WdLedgerEntry
-{
-    std::string scheme;
-    std::string workload;
-    /** Not owned; must outlive the writeWdLedgerJson call. */
-    const WdLedgerSummary* summary = nullptr;
-};
+using WdLedgerEntry = RunEntry<WdLedgerSummary>;
 
 /** Write a standalone provenance document (`sdpcm_wd_ledger`). */
 void writeWdLedgerJson(std::ostream& os, const std::string& bench,

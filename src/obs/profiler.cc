@@ -42,8 +42,6 @@ profPhaseName(ProfPhase phase)
         return "OracleCheck";
       case ProfPhase::TelemetryPoll:
         return "TelemetryPoll";
-      case ProfPhase::EpochSample:
-        return "EpochSample";
       case ProfPhase::TraceWrite:
         return "TraceWrite";
       case ProfPhase::ReportWrite:

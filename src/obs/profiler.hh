@@ -74,13 +74,12 @@ enum class ProfPhase : std::uint8_t
     DeviceWdScan,  //!< neighbour write-disturbance probe loop
     DeviceRead,    //!< raw line readout from the cell array
     OracleCheck,   //!< shadow-oracle read/commit/final checking
-    TelemetryPoll, //!< telemetry frame sampling + monitors + streaming
-    EpochSample,   //!< epoch sampler polling
+    TelemetryPoll, //!< telemetry and epoch frames + monitors + streaming
     TraceWrite,    //!< trace sink event serialisation
     ReportWrite,   //!< in-run metrics/report assembly
 };
 
-constexpr unsigned kNumProfPhases = 16;
+constexpr unsigned kNumProfPhases = 15;
 
 const char* profPhaseName(ProfPhase phase);
 

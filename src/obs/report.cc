@@ -98,13 +98,19 @@ RunReport::write(std::ostream& os) const
 }
 
 void
-RunReport::writeFile(const std::string& path) const
+writeOutputFile(const std::string& path, const std::string& what,
+                const std::function<void(std::ostream&)>& write)
 {
+    if (path.empty())
+        return;
     std::ofstream os(path);
-    SDPCM_ASSERT(os.good(), "cannot open report file: ", path);
+    if (!os)
+        SDPCM_FATAL("cannot open ", what, " file: ", path);
     write(os);
     os.flush();
-    SDPCM_ASSERT(os.good(), "error writing report file: ", path);
+    if (!os)
+        SDPCM_FATAL("error writing ", what, " file: ", path);
+    SDPCM_PROGRESS(what, " written to ", path);
 }
 
 namespace {

@@ -21,6 +21,7 @@
 #ifndef SDPCM_OBS_REPORT_HH
 #define SDPCM_OBS_REPORT_HH
 
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -68,8 +69,15 @@ struct RunReport
     void addRun(const RunMetrics& metrics);
 
     void write(std::ostream& os) const;
-    void writeFile(const std::string& path) const;
 };
+
+/**
+ * Write one output file through `write` and announce it as "<what>
+ * written to <path>" (a progress line). An empty path writes nothing;
+ * a file that cannot be opened or written is fatal.
+ */
+void writeOutputFile(const std::string& path, const std::string& what,
+                     const std::function<void(std::ostream&)>& write);
 
 /** A report parsed back from JSON (consumer/gate side). */
 struct ParsedReport

@@ -338,22 +338,8 @@ void
 writeSpanBlameJson(std::ostream& os, const std::string& bench,
                    const std::vector<SpanBlameEntry>& entries)
 {
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("kind", "sdpcm_span_blame");
-    w.kv("schema_version", std::uint64_t(1));
-    w.kv("bench", bench);
-    w.key("runs").beginArray();
-    for (const SpanBlameEntry& e : entries) {
-        w.beginObject();
-        w.kv("scheme", e.scheme);
-        w.kv("workload", e.workload);
-        w.key("spans");
-        spanSummaryToJson(w, *e.summary);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
+    writeRunsJson(os, "sdpcm_span_blame", bench, "spans", entries,
+                  &spanSummaryToJson);
 }
 
 void

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "obs/observers.hh"
 #include "pcm/timing.hh"
 
 namespace sdpcm {
@@ -229,13 +230,7 @@ class JsonWriter;
 void spanSummaryToJson(JsonWriter& w, const SpanSummary& summary);
 
 /** One (scheme, workload) cell of a standalone blame file. */
-struct SpanBlameEntry
-{
-    std::string scheme;
-    std::string workload;
-    /** Not owned; must outlive the writeSpanBlameJson call. */
-    const SpanSummary* summary = nullptr;
-};
+using SpanBlameEntry = RunEntry<SpanSummary>;
 
 /** Write a standalone per-phase blame document (`sdpcm_span_blame`). */
 void writeSpanBlameJson(std::ostream& os, const std::string& bench,

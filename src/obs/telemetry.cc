@@ -1,12 +1,15 @@
 #include "obs/telemetry.hh"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "common/args.hh"
 #include "common/logging.hh"
+#include "obs/csv.hh"
 #include "obs/json.hh"
 #include "obs/monitor.hh"
+#include "obs/trace_sink.hh"
 
 namespace sdpcm {
 
@@ -17,12 +20,14 @@ telemetryFromArgs(const ArgParser& args)
     cfg.path = args.getString("telemetry", "");
     cfg.promPath = args.getString("telemetry-prom", "");
     cfg.monitorRules = args.getString("monitor", "");
+    constexpr std::int64_t kMaxTicks =
+        std::numeric_limits<std::int64_t>::max();
     cfg.watchdogTicks =
-        static_cast<Tick>(args.getInt("watchdog", 0));
-    cfg.windowFrames =
-        static_cast<unsigned>(args.getInt("telemetry-window", 8));
-    cfg.intervalTicks =
-        static_cast<Tick>(args.getInt("telemetry-interval", 0));
+        static_cast<Tick>(args.getInt("watchdog", 0, 0, kMaxTicks));
+    cfg.windowFrames = static_cast<unsigned>(args.getInt(
+        "telemetry-window", 8, 1, std::numeric_limits<unsigned>::max()));
+    cfg.intervalTicks = static_cast<Tick>(
+        args.getInt("telemetry-interval", 0, 0, kMaxTicks));
     const bool wanted = !cfg.path.empty() || !cfg.promPath.empty() ||
                         !cfg.monitorRules.empty() ||
                         cfg.watchdogTicks > 0;
@@ -30,6 +35,12 @@ telemetryFromArgs(const ArgParser& args)
         // Any telemetry output without an explicit cadence turns
         // sampling on at a default frame interval (25us at 4GHz).
         cfg.intervalTicks = 100000;
+    }
+    if (cfg.watchdogTicks > 0 && cfg.watchdogTicks < cfg.intervalTicks) {
+        // The watchdog checks once per frame, so a shorter window could
+        // never see an intact window and would flag every gap.
+        SDPCM_FATAL("--watchdog=", cfg.watchdogTicks, " must be >= the "
+                    "telemetry interval (", cfg.intervalTicks, " ticks)");
     }
     if (!cfg.monitorRules.empty()) {
         // Fail fast on a malformed rule, before any simulation runs.
@@ -120,18 +131,33 @@ MetricRegistry::hasLatency(const std::string& name) const
     return false;
 }
 
+MetricRegistry
+MetricRegistry::subset(bool (*keep)(const std::string&)) const
+{
+    MetricRegistry reg;
+    for (const Counter& c : counters_) {
+        if (keep(c.name))
+            reg.counters_.push_back(c);
+    }
+    for (const Gauge& g : gauges_) {
+        if (keep(g.name))
+            reg.gauges_.push_back(g);
+    }
+    return reg;
+}
+
 TelemetrySampler::TelemetrySampler(EventQueue& events,
                                    MetricRegistry registry,
                                    const TelemetryConfig& cfg,
                                    const std::string& scheme,
                                    const std::string& workload,
-                                   TraceSink* sink)
+                                   FrameFn on_frame)
     : events_(events),
       registry_(std::move(registry)),
       cfg_(cfg),
       scheme_(scheme),
       workload_(workload),
-      trace_(sink)
+      onFrame_(std::move(on_frame))
 {
     SDPCM_ASSERT(cfg_.intervalTicks > 0,
                  "telemetry interval must be positive");
@@ -274,7 +300,7 @@ TelemetrySampler::unobservedActivity() const
 void
 TelemetrySampler::takeFrame(Tick now)
 {
-    PROF_SCOPE(prof_, TelemetryPoll);
+    PROF_SCOPE(obs_.prof, TelemetryPoll);
     FrameData fd;
     fd.tick = now;
     fd.seq = summary_.frames;
@@ -313,6 +339,8 @@ TelemetrySampler::takeFrame(Tick now)
     summary_.frames += 1;
     lastFrameTick_ = now;
     writeFrame(fd);
+    if (onFrame_)
+        onFrame_(fd);
 
     if (monitors_) {
         for (const BreachEvent& b : monitors_->evaluate(fd)) {
@@ -335,10 +363,10 @@ TelemetrySampler::takeFrame(Tick now)
                 w.endObject();
                 stream_ << "\n";
             }
-            if (trace_) {
-                trace_->instant(0, "slo_breach", "monitor", now,
-                                {{"value", b.value},
-                                 {"limit", b.limit}});
+            if (obs_.trace) {
+                obs_.trace->instant(0, "slo_breach", "monitor", now,
+                                    {{"value", b.value},
+                                     {"limit", b.limit}});
             }
         }
     }
@@ -357,9 +385,9 @@ TelemetrySampler::takeFrame(Tick now)
             w.endObject();
             stream_ << "\n";
         }
-        if (trace_) {
-            trace_->instant(0, "watchdog_stall", "monitor", now,
-                            {{"window", static_cast<double>(idle)}});
+        if (obs_.trace) {
+            obs_.trace->instant(0, "watchdog_stall", "monitor", now,
+                                {{"window", static_cast<double>(idle)}});
         }
     }
 }
@@ -510,6 +538,166 @@ TelemetrySampler::writePromFile()
     os.flush();
     SDPCM_ASSERT(os.good(), "error writing prometheus file: ",
                  cfg_.promPath);
+}
+
+namespace {
+
+/**
+ * One epoch column: its CSV/JSON name, the registry signal it projects
+ * (a counter delta or a gauge; null for the tick) and its sample field.
+ */
+struct EpochColumn
+{
+    const char* name;
+    const char* signal;
+    std::uint64_t EpochSample::*field;
+};
+
+const EpochColumn kEpochColumns[] = {
+    {"tick", nullptr, &EpochSample::tick},
+    {"reads_serviced", "ctrl.readsServiced", &EpochSample::readsServiced},
+    {"reads_forwarded", "ctrl.readsForwarded",
+     &EpochSample::readsForwarded},
+    {"writes_accepted", "ctrl.writesAccepted",
+     &EpochSample::writesAccepted},
+    {"writes_completed", "ctrl.writesCompleted",
+     &EpochSample::writesCompleted},
+    {"write_drains", "ctrl.writeDrains", &EpochSample::writeDrains},
+    {"ecp_updates", "ctrl.ecpUpdates", &EpochSample::ecpUpdates},
+    {"correction_writes", "ctrl.correctionWrites",
+     &EpochSample::correctionWrites},
+    {"write_cancellations", "ctrl.writeCancellations",
+     &EpochSample::writeCancellations},
+    {"cycles_read", "ctrl.cycles.read", &EpochSample::cyclesRead},
+    {"cycles_preread", "ctrl.cycles.preRead", &EpochSample::cyclesPreRead},
+    {"cycles_write", "ctrl.cycles.write", &EpochSample::cyclesWrite},
+    {"cycles_verify", "ctrl.cycles.verify", &EpochSample::cyclesVerify},
+    {"cycles_correction", "ctrl.cycles.correction",
+     &EpochSample::cyclesCorrection},
+    {"cycles_ecp", "ctrl.cycles.ecp", &EpochSample::cyclesEcp},
+    {"read_queued", "ctrl.readQueued", &EpochSample::readQueued},
+    {"write_queued", "ctrl.writeQueued", &EpochSample::writeQueued},
+    {"max_bank_write_queue", "ctrl.maxBankWriteQueue",
+     &EpochSample::maxBankWriteQueue},
+    {"pending_corrections", "ctrl.pendingCorrections",
+     &EpochSample::pendingCorrections},
+};
+
+} // namespace
+
+std::vector<std::string>
+EpochSeries::columns()
+{
+    std::vector<std::string> names;
+    for (const EpochColumn& c : kEpochColumns)
+        names.emplace_back(c.name);
+    return names;
+}
+
+bool
+EpochSeries::usesSignal(const std::string& name)
+{
+    for (const EpochColumn& c : kEpochColumns) {
+        if (c.signal && name == c.signal)
+            return true;
+    }
+    return false;
+}
+
+void
+EpochSeries::record(const FrameData& frame, TraceSink* trace)
+{
+    EpochSample s;
+    s.tick = frame.tick;
+    for (const EpochColumn& c : kEpochColumns) {
+        if (!c.signal)
+            continue;
+        // Counter deltas travel signed; the cast restores the unsigned
+        // wrap-delta the columns hold (a cycle refund can wrap one).
+        const auto delta = frame.counterDeltas.find(c.signal);
+        s.*c.field = delta != frame.counterDeltas.end()
+            ? static_cast<std::uint64_t>(delta->second)
+            : frame.gauges.at(c.signal);
+    }
+    samples.push_back(s);
+
+    if (trace) {
+        trace->counter("queues", s.tick,
+                       {{"reads_queued",
+                         static_cast<double>(s.readQueued)},
+                        {"writes_queued",
+                         static_cast<double>(s.writeQueued)},
+                        {"pending_corrections",
+                         static_cast<double>(s.pendingCorrections)}});
+        trace->counter("throughput", s.tick,
+                       {{"reads_serviced",
+                         static_cast<double>(s.readsServiced)},
+                        {"writes_completed",
+                         static_cast<double>(s.writesCompleted)}});
+    }
+}
+
+void
+EpochSeries::dumpCsv(std::ostream& os) const
+{
+    // Header comment: document the file's one non-obvious invariant so a
+    // consumer need not find this source. Comment lines start with '#';
+    // readers (including our own tests) skip them before the header row.
+    os << "# sdpcm epoch series: one sample per epoch of " << epochTicks
+       << " ticks (tick = sample time, end of epoch).\n"
+       << "# Delta-sum invariant: every counter column (reads_serviced "
+          "... cycles_ecp) holds the\n"
+       << "# delta over its epoch, and summing a column over all rows "
+          "reproduces the end-of-run\n"
+       << "# CtrlStats total exactly. The queue columns (read_queued, "
+          "write_queued,\n"
+       << "# max_bank_write_queue, pending_corrections) are "
+          "instantaneous gauges, not deltas.\n";
+    bool first = true;
+    for (const EpochColumn& c : kEpochColumns) {
+        os << (first ? "" : ",");
+        csv::writeField(os, c.name);
+        first = false;
+    }
+    os << "\n";
+    for (const EpochSample& s : samples) {
+        first = true;
+        for (const EpochColumn& c : kEpochColumns) {
+            os << (first ? "" : ",") << s.*c.field;
+            first = false;
+        }
+        os << "\n";
+    }
+}
+
+void
+EpochSeries::dumpJson(std::ostream& os) const
+{
+    os << "{\"epoch_ticks\":" << epochTicks << ",\"samples\":[";
+    bool first_sample = true;
+    for (const EpochSample& s : samples) {
+        os << (first_sample ? "\n" : ",\n") << "{";
+        first_sample = false;
+        bool first = true;
+        for (const EpochColumn& c : kEpochColumns) {
+            os << (first ? "" : ",");
+            json::writeString(os, c.name);
+            os << ":";
+            json::writeNumber(os, s.*c.field);
+            first = false;
+        }
+        os << "}";
+    }
+    os << "\n]}\n";
+}
+
+std::uint64_t
+EpochSeries::peak(std::uint64_t EpochSample::*column) const
+{
+    std::uint64_t peak = 0;
+    for (const EpochSample& s : samples)
+        peak = std::max(peak, s.*column);
+    return peak;
 }
 
 } // namespace sdpcm

@@ -29,6 +29,13 @@
  * (System::metrics cross-checks them). Deltas are emitted signed: a
  * write cancellation can refund busy-cycles, making an individual frame
  * delta negative; the unsigned wrap-sum still telescopes exactly.
+ *
+ * The epoch series (`--epoch=N`) is a projection of the same machinery:
+ * a second sampler whose registry holds only the 14 controller counters
+ * and 4 queue gauges behind the EpochSeries columns, and whose frames
+ * become EpochSample rows (and `queues` / `throughput` trace counter
+ * tracks). The tick hook, wrap-deltas and the boundary-tick tail frame
+ * therefore exist once, here.
  */
 
 #ifndef SDPCM_OBS_TELEMETRY_HH
@@ -44,7 +51,7 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "obs/trace_sink.hh"
+#include "obs/observers.hh"
 #include "sim/event_queue.hh"
 
 namespace sdpcm {
@@ -124,6 +131,10 @@ class MetricRegistry
     bool hasGauge(const std::string& name) const;
     bool hasLatency(const std::string& name) const;
 
+    /** The counters and gauges whose names `keep` accepts, in registry
+     *  order (no latencies). */
+    MetricRegistry subset(bool (*keep)(const std::string&)) const;
+
   private:
     std::vector<Counter> counters_;
     std::vector<Gauge> gauges_;
@@ -177,23 +188,29 @@ struct TelemetrySummary
 /**
  * Polls the registry every frame interval via an EventQueue tick hook,
  * streams JSONL frames, evaluates SLO monitors and the forward-progress
- * watchdog, and dumps Prometheus text exposition at finalize.
+ * watchdog, and dumps Prometheus text exposition at finalize. Breach and
+ * stall instants go to the bundle's trace sink; every poll bills to the
+ * bundle's profiler (TelemetryPoll), so the sampler's own cost shows up
+ * in the blame table it rides along with.
  */
-class TelemetrySampler
+class TelemetrySampler : public Observed
 {
   public:
+    /** Receives every frame right after it is polled. */
+    using FrameFn = std::function<void(const FrameData&)>;
+
     /**
      * @param registry the fully wired registry (moved in).
      * @param scheme / @param workload label the stream (meta line,
      *        Prometheus labels).
-     * @param sink optional: mirror breach/stall instants into the trace.
+     * @param on_frame optional frame consumer (the epoch series).
      * Throws std::invalid_argument on a malformed monitor rule spec.
      */
     TelemetrySampler(EventQueue& events, MetricRegistry registry,
                      const TelemetryConfig& cfg,
                      const std::string& scheme,
                      const std::string& workload,
-                     TraceSink* sink = nullptr);
+                     FrameFn on_frame = nullptr);
     ~TelemetrySampler();
 
     /**
@@ -201,13 +218,6 @@ class TelemetrySampler
      * owns the retirement/pending polls). Call before start().
      */
     void setWatchdog(std::unique_ptr<Watchdog> watchdog);
-
-    /**
-     * Attach the host-time profiler (null detaches): every frame poll
-     * bills to TelemetryPoll, so the sampler's own cost shows up in the
-     * blame table it rides along with.
-     */
-    void setProfiler(HostProfiler* prof) { prof_ = prof; }
 
     /** Install the tick hook and emit the meta line; call once. */
     void start();
@@ -245,7 +255,7 @@ class TelemetrySampler
     TelemetryConfig cfg_;
     std::string scheme_;
     std::string workload_;
-    TraceSink* trace_;
+    FrameFn onFrame_; //!< null unless a projection consumes frames
 
     std::ofstream stream_;           //!< open iff cfg_.path non-empty
     std::vector<std::uint64_t> prevCounters_;
@@ -257,11 +267,74 @@ class TelemetrySampler
      *  silently to JSONL/trace, with a per-rule summary at finalize). */
     std::set<std::string> warnedRules_;
     TelemetrySummary summary_;
-    HostProfiler* prof_ = nullptr;
     Tick lastFrameTick_ = 0;
     std::size_t hookId_ = 0;
     bool started_ = false;
     bool finalized_ = false;
+};
+
+/** One epoch's worth of controller activity (a projected frame). */
+struct EpochSample
+{
+    Tick tick = 0; //!< sample time (end of the epoch)
+
+    // Counter deltas over the epoch.
+    std::uint64_t readsServiced = 0;
+    std::uint64_t readsForwarded = 0;
+    std::uint64_t writesAccepted = 0;
+    std::uint64_t writesCompleted = 0;
+    std::uint64_t writeDrains = 0;
+    std::uint64_t ecpUpdates = 0;
+    std::uint64_t correctionWrites = 0;
+    std::uint64_t writeCancellations = 0;
+    std::uint64_t cyclesRead = 0;
+    std::uint64_t cyclesPreRead = 0;
+    std::uint64_t cyclesWrite = 0;
+    std::uint64_t cyclesVerify = 0;
+    std::uint64_t cyclesCorrection = 0;
+    std::uint64_t cyclesEcp = 0;
+
+    // Instantaneous gauges at the sample time.
+    std::uint64_t readQueued = 0;      //!< pending reads, all banks
+    std::uint64_t writeQueued = 0;     //!< queued writes, all banks
+    std::uint64_t maxBankWriteQueue = 0;
+    std::uint64_t pendingCorrections = 0;
+};
+
+/**
+ * The epoch time series a run produces (carried by RunMetrics): the
+ * SD-PCM mechanisms' temporal structure — LazyCorrection parking errors
+ * until a burst of overflows, PreRead racing bank-idle windows, drains
+ * blocking reads — that end-of-run totals hide. Summing any delta
+ * column over all samples reproduces the final CtrlStats total exactly
+ * (tested). Samples are taken at the first event on or after each
+ * boundary, so quiet windows just space them further apart.
+ */
+struct EpochSeries
+{
+    Tick epochTicks = 0; //!< 0 when sampling was disabled
+    std::vector<EpochSample> samples;
+
+    bool enabled() const { return epochTicks > 0; }
+
+    /** Column names, in the order dumpCsv() writes them. */
+    static std::vector<std::string> columns();
+
+    /** True for the registry signals the columns project. */
+    static bool usesSignal(const std::string& name);
+
+    /**
+     * Append a frame of the epoch registry as one sample, mirroring it
+     * into `trace` (when non-null) as `queues` and `throughput` counter
+     * tracks.
+     */
+    void record(const FrameData& frame, TraceSink* trace);
+
+    void dumpCsv(std::ostream& os) const;
+    void dumpJson(std::ostream& os) const;
+
+    /** Largest value of one column over the series (0 when empty). */
+    std::uint64_t peak(std::uint64_t EpochSample::*column) const;
 };
 
 } // namespace sdpcm

@@ -91,7 +91,7 @@ void
 ChromeTraceSink::begin(unsigned tid, const char* name, const char* cat,
                        Tick ts, std::initializer_list<TraceArg> args)
 {
-    PROF_SCOPE(prof_, TraceWrite);
+    PROF_SCOPE(obs_.prof, TraceWrite);
     openEvent("B", ts);
     *os_ << ",\"tid\":" << tid << ",\"name\":";
     writeString(*os_, name);
@@ -105,7 +105,7 @@ void
 ChromeTraceSink::end(unsigned tid, Tick ts,
                      std::initializer_list<TraceArg> args)
 {
-    PROF_SCOPE(prof_, TraceWrite);
+    PROF_SCOPE(obs_.prof, TraceWrite);
     openEvent("E", ts);
     *os_ << ",\"tid\":" << tid;
     writeArgs(args);
@@ -116,7 +116,7 @@ void
 ChromeTraceSink::instant(unsigned tid, const char* name, const char* cat,
                          Tick ts, std::initializer_list<TraceArg> args)
 {
-    PROF_SCOPE(prof_, TraceWrite);
+    PROF_SCOPE(obs_.prof, TraceWrite);
     openEvent("i", ts);
     *os_ << ",\"tid\":" << tid << ",\"s\":\"t\",\"name\":";
     writeString(*os_, name);
@@ -130,7 +130,7 @@ void
 ChromeTraceSink::counter(const char* name, Tick ts,
                          std::initializer_list<TraceArg> series)
 {
-    PROF_SCOPE(prof_, TraceWrite);
+    PROF_SCOPE(obs_.prof, TraceWrite);
     openEvent("C", ts);
     *os_ << ",\"tid\":0,\"name\":";
     writeString(*os_, name);

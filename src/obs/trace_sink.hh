@@ -28,6 +28,7 @@
 #include <ostream>
 #include <string>
 
+#include "obs/observers.hh"
 #include "obs/profiler.hh"
 #include "pcm/timing.hh"
 
@@ -71,8 +72,11 @@ class TraceSink
     virtual void flush() {}
 };
 
-/** TraceSink writing Chrome trace-event JSON (Perfetto-loadable). */
-class ChromeTraceSink final : public TraceSink
+/**
+ * TraceSink writing Chrome trace-event JSON (Perfetto-loadable). Event
+ * serialisation bills to the bundle's profiler (TraceWrite phase).
+ */
+class ChromeTraceSink final : public TraceSink, public Observed
 {
   public:
     /** Write to a file owned by the sink. */
@@ -94,10 +98,6 @@ class ChromeTraceSink final : public TraceSink
                  std::initializer_list<TraceArg> series) override;
     void flush() override;
 
-    /** Attach the host-time profiler (null detaches): event
-     *  serialisation bills to the TraceWrite phase. */
-    void setProfiler(HostProfiler* prof) { prof_ = prof; }
-
     /** Write the closing bracket; further events are rejected. */
     void close();
 
@@ -108,7 +108,6 @@ class ChromeTraceSink final : public TraceSink
 
     std::ofstream owned_;
     std::ostream* os_;
-    HostProfiler* prof_ = nullptr;
     bool first_ = true;
     bool closed_ = false;
 };

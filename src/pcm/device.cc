@@ -148,7 +148,7 @@ PcmDevice::isHardCell(const LineState& ls, unsigned pos) const
 LineData
 PcmDevice::readLine(const LineAddr& addr)
 {
-    PROF_SCOPE(prof_, DeviceRead);
+    PROF_SCOPE(obs_.prof, DeviceRead);
     stats_.lineReads += 1;
     return peekLine(addr);
 }
@@ -368,9 +368,9 @@ PcmDevice::injectDisturbance(unsigned pos, WritePlan& plan,
             stats_.wlDisturbances += 1;
             if (config_.lineCounters)
                 ns.counters.wdFlips += 1;
-            if (ledger_) {
-                ledger_->recordFlip(plan.addr, plan.isCorrection, n_addr,
-                                    n_pos, /*word_line=*/true);
+            if (obs_.ledger) {
+                obs_.ledger->recordFlip(plan.addr, plan.isCorrection,
+                                        n_addr, n_pos, /*word_line=*/true);
             }
             plan.wlHits.push_back((n_addr.line << 9) | n_pos);
         };
@@ -416,9 +416,9 @@ PcmDevice::injectDisturbance(unsigned pos, WritePlan& plan,
             stats_.blDisturbances += 1;
             if (config_.lineCounters)
                 ns.counters.wdFlips += 1;
-            if (ledger_) {
-                ledger_->recordFlip(plan.addr, plan.isCorrection, n_addr,
-                                    pos, /*word_line=*/false);
+            if (obs_.ledger) {
+                obs_.ledger->recordFlip(plan.addr, plan.isCorrection,
+                                        n_addr, pos, /*word_line=*/false);
             }
             if (upper)
                 plan.blHitsUpper += 1;
@@ -464,7 +464,7 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
 
     unsigned programmed = 0;
     {
-        PROF_SCOPE(prof_, DevicePulse);
+        PROF_SCOPE(obs_.prof, DevicePulse);
         for (unsigned w = 0; w < kLineWords; ++w) {
             const std::uint64_t mask = round.mask.words[w];
             std::uint64_t& cells = ls.physical.words[w];
@@ -488,7 +488,7 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
     // about half, i.e. ~4x lower temperature rise; Section 2.2.1). The
     // whole round is programmed before any neighbour is probed.
     {
-        PROF_SCOPE(prof_, DeviceWdScan);
+        PROF_SCOPE(obs_.prof, DeviceWdScan);
         if (is_reset) {
             forEachSetBit(round.mask, [&](unsigned pos) {
                 injectDisturbance(pos, plan, outcome);
@@ -524,8 +524,8 @@ PcmDevice::repairWlHits(WritePlan& plan)
                 if (fs.counters.cellWrites > maxLineCellWrites_)
                     maxLineCellWrites_ = fs.counters.cellWrites;
             }
-            if (ledger_) {
-                ledger_->flipRepaired(
+            if (obs_.ledger) {
+                obs_.ledger->flipRepaired(
                     LineAddr{plan.addr.bank, plan.addr.row, line}, pos);
             }
         }
@@ -568,8 +568,8 @@ PcmDevice::finishWrite(WritePlan& plan)
         // pending flips (bit-line hits from earlier neighbour writes)
         // resolve as overwritten. After repairWlHits: this write's own
         // in-row hits resolve as repaired first.
-        if (ledger_)
-            ledger_->noteLineWritten(plan.addr);
+        if (obs_.ledger)
+            obs_.ledger->noteLineWritten(plan.addr);
     } else {
         stats_.correctionWrites += 1;
         // Every cell a correction RESETs was a disturbed (or re-disturbed)
@@ -578,9 +578,9 @@ PcmDevice::finishWrite(WritePlan& plan)
             ls.counters.wdCorrected += static_cast<std::uint32_t>(
                 plan.masks.resetCount());
         }
-        if (ledger_) {
+        if (obs_.ledger) {
             forEachSetBit(plan.masks.resetMask, [&](unsigned pos) {
-                ledger_->flipCorrected(plan.addr, pos);
+                obs_.ledger->flipCorrected(plan.addr, pos);
             });
         }
     }
@@ -631,8 +631,8 @@ PcmDevice::recordWdInEcp(const LineAddr& addr,
             stats_.ecpWdRecorded += 1;
             if (config_.lineCounters)
                 ls.counters.wdAbsorbed += 1;
-            if (ledger_)
-                ledger_->flipAbsorbed(addr, pos);
+            if (obs_.ledger)
+                obs_.ledger->flipAbsorbed(addr, pos);
         } else {
             all_fit = false;
         }

@@ -26,6 +26,7 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "obs/observers.hh"
 #include "obs/profiler.hh"
 #include "encoding/diffwrite.hh"
 #include "encoding/din.hh"
@@ -39,7 +40,6 @@
 namespace sdpcm {
 
 class FaultInjector;
-class WdLedger;
 
 /** Per-direction disturbance probabilities (per RESET, vulnerable cell). */
 struct WdRates
@@ -248,8 +248,11 @@ struct DeviceStats
     Histogram blErrorHistogram{16};
 };
 
-/** The PCM DIMM functional model. */
-class PcmDevice
+/**
+ * The PCM DIMM functional model. Its observers: the WD ledger (every
+ * flip and fix) and the profiler (pulse, WD-probe and readout loops).
+ */
+class PcmDevice : public Observed
 {
     struct LineState;
 
@@ -276,22 +279,6 @@ class PcmDevice
      * identical with and without one attached.
      */
     void setFaultInjector(FaultInjector* inject) { inject_ = inject; }
-
-    /**
-     * Attach the disturbance-provenance ledger (obs/ledger.hh). Same
-     * discipline as the other observers: null when off, one null check
-     * per emission site, and strictly observe-only — the device's RNG
-     * and cell sequences are identical with and without one attached.
-     */
-    void setLedger(WdLedger* ledger) { ledger_ = ledger; }
-
-    /**
-     * Attach the host-time profiler (obs/profiler.hh). Null when off;
-     * attached it times the device's three measured hot loops — the
-     * RESET/SET pulse loop, the neighbour-WD probe loop and line
-     * readout — without touching the RNG or cell state.
-     */
-    void setProfiler(HostProfiler* prof) { prof_ = prof; }
 
     /**
      * Running maximum of per-line programmed-cell counts (wear-skew
@@ -549,8 +536,6 @@ class PcmDevice
     DeviceStats stats_;
     double hardErrorMean_;
     FaultInjector* inject_ = nullptr;
-    WdLedger* ledger_ = nullptr;
-    HostProfiler* prof_ = nullptr;
 
     /** Peak LineCounters::cellWrites across lines (wear-skew gauge). */
     std::uint32_t maxLineCellWrites_ = 0;

@@ -15,13 +15,14 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "obs/observers.hh"
 #include "obs/profiler.hh"
 #include "pcm/timing.hh"
 
 namespace sdpcm {
 
-/** Tick-ordered event queue. */
-class EventQueue
+/** Tick-ordered event queue (bills dispatch to the bundle's profiler). */
+class EventQueue : public Observed
 {
   public:
     using Callback = std::function<void()>;
@@ -105,18 +106,11 @@ class EventQueue
             // Every callback body is charged to EventDispatch; the
             // instrumented subsystems below it (controller stages,
             // device scans, samplers) open their own child scopes.
-            PROF_SCOPE(prof_, EventDispatch);
+            PROF_SCOPE(obs_.prof, EventDispatch);
             ev.cb();
         }
         return true;
     }
-
-    /**
-     * Attach the host-time profiler (null detaches). Same discipline as
-     * the other observers: off means one null check per event and
-     * strictly observe-only either way (obs/profiler.hh).
-     */
-    void setProfiler(HostProfiler* prof) { prof_ = prof; }
 
     /** Run until the queue drains or `max_ticks` is reached. */
     void
@@ -165,7 +159,6 @@ class EventQueue
     std::uint64_t processed_ = 0;
     Tick nextHookTick_ = ~Tick(0);
     std::vector<Hook> hooks_;
-    HostProfiler* prof_ = nullptr;
 };
 
 } // namespace sdpcm

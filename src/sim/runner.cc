@@ -31,25 +31,8 @@ runOne(const SchemeConfig& scheme, const WorkloadSpec& workload,
        const RunnerConfig& cfg)
 {
     SystemConfig sc;
+    static_cast<RunOptions&>(sc) = cfg;
     sc.scheme = scheme;
-    sc.aging = cfg.aging;
-    sc.din = cfg.din;
-    sc.timing = cfg.timing;
-    sc.cores = cfg.cores;
-    sc.refsPerCore = cfg.refsPerCore;
-    sc.seed = cfg.seed;
-    sc.maxTicks = cfg.maxTicks;
-    sc.tracePath = cfg.tracePath;
-    sc.epochTicks = cfg.epochTicks;
-    sc.lineCounters = cfg.lineCounters;
-    sc.spans = cfg.spans;
-    sc.telemetry = cfg.telemetry;
-    sc.wdLedger = cfg.wdLedger;
-    sc.profile = cfg.profile;
-    sc.profileSample = cfg.profileSample;
-    sc.enduranceCellWrites = cfg.enduranceCellWrites;
-    sc.verifyOracle = cfg.verifyOracle;
-    sc.faults = cfg.faults;
     System system(sc, workload);
     system.run();
     return system.metrics();
@@ -62,18 +45,13 @@ runMatrix(const std::vector<SchemeConfig>& schemes,
           const MatrixProgressFn& on_cell_done)
 {
     RunnerConfig cell_cfg = cfg;
-    if (!cell_cfg.tracePath.empty()) {
-        SDPCM_WARN("matrix runs ignore tracePath (", cell_cfg.tracePath,
-                   "): concurrent cells would overwrite one file; use "
-                   "runOne for traced runs");
-        cell_cfg.tracePath.clear();
-    }
-    if (!cell_cfg.telemetry.path.empty() ||
+    if (!cell_cfg.tracePath.empty() || !cell_cfg.telemetry.path.empty() ||
         !cell_cfg.telemetry.promPath.empty()) {
-        SDPCM_WARN("matrix runs ignore telemetry stream/prom paths: "
-                   "concurrent cells would overwrite one file; use "
-                   "runOne for streamed telemetry (monitor rules and "
-                   "the watchdog still run per cell)");
+        SDPCM_WARN("matrix runs ignore the trace and telemetry stream/prom "
+                   "paths: concurrent cells would overwrite one file; use "
+                   "runOne for them (monitor rules and the watchdog still "
+                   "run per cell)");
+        cell_cfg.tracePath.clear();
         cell_cfg.telemetry.path.clear();
         cell_cfg.telemetry.promPath.clear();
     }

@@ -29,46 +29,14 @@ namespace sdpcm {
  */
 double geomean(const std::vector<double>& values);
 
-/** Common knobs for a batch of experiment runs. */
-struct RunnerConfig
+/**
+ * Common knobs for a batch of experiment runs: every RunOptions knob
+ * of its runs (tracePath applies to single runs only; see RunOptions),
+ * plus the batch's parallelism.
+ */
+struct RunnerConfig : RunOptions
 {
-    std::uint64_t refsPerCore = 50000;
-    std::uint64_t seed = 1;
-    unsigned cores = 8;
     unsigned jobs = 0; //!< matrix-level parallelism (0 = all host cores)
-    AgingConfig aging;
-    DinConfig din;     //!< encoder knobs (ablation studies)
-    PcmTiming timing;  //!< device timing knobs (ablation studies)
-    Tick maxTicks = ~Tick(0);
-
-    // Observability passthrough (see SystemConfig). tracePath applies to
-    // single runs (runOne); matrix runs would overwrite one file, so the
-    // matrix executor drops it with a warning.
-    std::string tracePath;
-    Tick epochTicks = 0;
-    /** Track per-line wear/WD counters (RunMetrics::lines, heatmaps). */
-    bool lineCounters = false;
-    /** Per-request span attribution (RunMetrics::spans). */
-    bool spans = false;
-    /** Streaming telemetry + SLO monitors (see TelemetryConfig). The
-     *  stream/prom paths apply to single runs only; matrix runs drop
-     *  them (one file, many cells) but keep interval/rules/watchdog so
-     *  mon.* metrics stay per-cell. */
-    TelemetryConfig telemetry;
-    /** Disturbance-provenance ledger (RunMetrics::wd). */
-    bool wdLedger = false;
-    /** Host-time self-profiler (RunMetrics::prof). Each matrix cell
-     *  carries its own per-thread profile; merge the summaries in
-     *  matrix order for a deterministic whole-matrix blame tree. */
-    bool profile = false;
-    /** Profiler sampling period (SystemConfig::profileSample). */
-    std::uint32_t profileSample = 64;
-    /** Per-cell endurance budget for wear.projectedLifetimeTicks. */
-    double enduranceCellWrites = 1e8;
-
-    // Verification passthrough (see SystemConfig).
-    bool verifyOracle = false;
-    FaultSpec faults;
 };
 
 /** Run one (scheme, workload) pair and return its metrics. */

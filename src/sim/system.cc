@@ -10,49 +10,109 @@ namespace sdpcm {
 
 namespace {
 
-/**
- * Publish the system's signals into a telemetry registry. Counter names
- * are the exact run-report snapshot keys — RunMetrics::toSnapshot and
- * the telemetry cross-check both depend on that identity.
- */
+/** A plain counter of the run report, named by its report key. */
+template <typename Stats>
+struct ReportCounter
+{
+    const char* name;
+    std::uint64_t Stats::*field;
+    bool live = false; //!< also a telemetry counter, under the same name
+};
+
+// The report's device, controller and oracle counters. The live ones,
+// in table order, are the telemetry registry's counters: one table
+// keeps every counter name identical to its report key, the identity
+// the frame/report cross-check rests on.
+const ReportCounter<DeviceStats> kDeviceCounters[] = {
+    {"device.lineReads", &DeviceStats::lineReads, true},
+    {"device.lineWrites", &DeviceStats::lineWrites, true},
+    {"device.correctionWrites", &DeviceStats::correctionWrites},
+    {"device.dataCellWrites", &DeviceStats::dataCellWrites},
+    {"device.normalCellWrites", &DeviceStats::normalCellWrites},
+    {"device.correctionCellWrites", &DeviceStats::correctionCellWrites},
+    {"device.wlDisturbances", &DeviceStats::wlDisturbances, true},
+    {"device.blDisturbances", &DeviceStats::blDisturbances, true},
+    {"device.ecpWdRecorded", &DeviceStats::ecpWdRecorded, true},
+    {"device.ecpOverflows", &DeviceStats::ecpOverflows, true},
+    {"device.ecpBitsWritten", &DeviceStats::ecpBitsWritten},
+    {"device.ecpWdReleased", &DeviceStats::ecpWdReleased},
+    {"device.hardErrors", &DeviceStats::hardErrors, true},
+    {"device.injectedStuckCells", &DeviceStats::injectedStuckCells},
+};
+
+const ReportCounter<CtrlStats> kCtrlCounters[] = {
+    {"ctrl.readsServiced", &CtrlStats::readsServiced, true},
+    {"ctrl.readsForwarded", &CtrlStats::readsForwarded, true},
+    {"ctrl.readsForwardedAtService", &CtrlStats::readsForwardedAtService},
+    {"ctrl.writesAccepted", &CtrlStats::writesAccepted, true},
+    {"ctrl.writesCoalesced", &CtrlStats::writesCoalesced, true},
+    {"ctrl.writesCompleted", &CtrlStats::writesCompleted, true},
+    {"ctrl.writeDrains", &CtrlStats::writeDrains, true},
+    {"ctrl.preReadsIssued", &CtrlStats::preReadsIssued, true},
+    {"ctrl.preReadsForwarded", &CtrlStats::preReadsForwarded},
+    {"ctrl.preReadsUseful", &CtrlStats::preReadsUseful},
+    {"ctrl.preReadsRefreshed", &CtrlStats::preReadsRefreshed},
+    {"ctrl.verifyReads", &CtrlStats::verifyReads, true},
+    {"ctrl.adjacentsSkippedNm", &CtrlStats::adjacentsSkippedNm},
+    {"ctrl.ecpUpdates", &CtrlStats::ecpUpdates, true},
+    {"ctrl.correctionWrites", &CtrlStats::correctionWrites, true},
+    {"ctrl.cascadeVerifies", &CtrlStats::cascadeVerifies, true},
+    {"ctrl.cascadeDropped", &CtrlStats::cascadeDropped},
+    {"ctrl.writeCancellations", &CtrlStats::writeCancellations, true},
+    {"ctrl.cancelStallCycles", &CtrlStats::cancelStallCycles, true},
+    {"ctrl.cycles.read", &CtrlStats::cyclesRead, true},
+    {"ctrl.cycles.preRead", &CtrlStats::cyclesPreRead, true},
+    {"ctrl.cycles.write", &CtrlStats::cyclesWrite, true},
+    {"ctrl.cycles.verify", &CtrlStats::cyclesVerify, true},
+    {"ctrl.cycles.correction", &CtrlStats::cyclesCorrection, true},
+    {"ctrl.cycles.ecp", &CtrlStats::cyclesEcp, true},
+};
+
+const ReportCounter<OracleSummary> kOracleCounters[] = {
+    {"oracle.mismatches", &OracleSummary::mismatches},
+    {"oracle.readsChecked", &OracleSummary::readsChecked},
+    {"oracle.forwardsChecked", &OracleSummary::forwardsChecked},
+    {"oracle.preReadsChecked", &OracleSummary::preReadsChecked},
+    {"oracle.buffersChecked", &OracleSummary::buffersChecked},
+    {"oracle.commitsChecked", &OracleSummary::commitsChecked},
+    {"oracle.finalLinesChecked", &OracleSummary::finalLinesChecked},
+    {"oracle.skippedDirty", &OracleSummary::skippedDirty},
+    {"oracle.skippedTainted", &OracleSummary::skippedTainted},
+    {"oracle.finalSkippedPending", &OracleSummary::finalSkippedPending},
+    {"oracle.finalSkippedDirty", &OracleSummary::finalSkippedDirty},
+    {"oracle.maskedUncorrectable", &OracleSummary::maskedUncorrectable},
+};
+
+/** Set every counter of `table` in `s` from `stats`. */
+template <typename Stats, std::size_t N>
+void
+setCounters(StatSnapshot& s, const ReportCounter<Stats> (&table)[N],
+            const Stats& stats)
+{
+    for (const ReportCounter<Stats>& c : table)
+        s.set(c.name, static_cast<double>(stats.*c.field));
+}
+
+/** Publish the live counters of `table` off `stats` into `reg`. */
+template <typename Stats, std::size_t N>
+void
+addLiveCounters(MetricRegistry& reg,
+                const ReportCounter<Stats> (&table)[N], const Stats& stats)
+{
+    for (const ReportCounter<Stats>& c : table) {
+        if (c.live)
+            reg.addCounter(c.name, [&stats, f = c.field] { return stats.*f; });
+    }
+}
+
+/** Publish the system's signals into a telemetry registry. */
 MetricRegistry
 buildRegistry(const MemoryController& ctrl, const PcmDevice& device,
               const WdLedger* ledger)
 {
     MetricRegistry reg;
-    const CtrlStats& cs = ctrl.stats();
-    const auto ctr = [&reg](const char* name,
-                            const std::uint64_t& field) {
-        reg.addCounter(name, [&field] { return field; });
-    };
-    ctr("ctrl.readsServiced", cs.readsServiced);
-    ctr("ctrl.readsForwarded", cs.readsForwarded);
-    ctr("ctrl.writesAccepted", cs.writesAccepted);
-    ctr("ctrl.writesCoalesced", cs.writesCoalesced);
-    ctr("ctrl.writesCompleted", cs.writesCompleted);
-    ctr("ctrl.writeDrains", cs.writeDrains);
-    ctr("ctrl.preReadsIssued", cs.preReadsIssued);
-    ctr("ctrl.verifyReads", cs.verifyReads);
-    ctr("ctrl.ecpUpdates", cs.ecpUpdates);
-    ctr("ctrl.correctionWrites", cs.correctionWrites);
-    ctr("ctrl.cascadeVerifies", cs.cascadeVerifies);
-    ctr("ctrl.writeCancellations", cs.writeCancellations);
-    ctr("ctrl.cancelStallCycles", cs.cancelStallCycles);
-    ctr("ctrl.cycles.read", cs.cyclesRead);
-    ctr("ctrl.cycles.preRead", cs.cyclesPreRead);
-    ctr("ctrl.cycles.write", cs.cyclesWrite);
-    ctr("ctrl.cycles.verify", cs.cyclesVerify);
-    ctr("ctrl.cycles.correction", cs.cyclesCorrection);
-    ctr("ctrl.cycles.ecp", cs.cyclesEcp);
-
-    const DeviceStats& ds = device.stats();
-    ctr("device.lineReads", ds.lineReads);
-    ctr("device.lineWrites", ds.lineWrites);
-    ctr("device.wlDisturbances", ds.wlDisturbances);
-    ctr("device.blDisturbances", ds.blDisturbances);
-    ctr("device.ecpWdRecorded", ds.ecpWdRecorded);
-    ctr("device.ecpOverflows", ds.ecpOverflows);
-    ctr("device.hardErrors", ds.hardErrors);
+    addLiveCounters(reg, kCtrlCounters, ctrl.stats());
+    addLiveCounters(reg, kDeviceCounters, device.stats());
 
     reg.addGauge("ctrl.readQueued", [&ctrl] {
         std::uint64_t n = 0;
@@ -121,8 +181,9 @@ buildRegistry(const MemoryController& ctrl, const PcmDevice& device,
         });
     }
 
-    reg.addLatency("ctrl.readLatency", &cs.readLatency);
-    reg.addLatency("ctrl.writeServiceLatency", &cs.writeServiceLatency);
+    reg.addLatency("ctrl.readLatency", &ctrl.stats().readLatency);
+    reg.addLatency("ctrl.writeServiceLatency",
+                   &ctrl.stats().writeServiceLatency);
     return reg;
 }
 
@@ -216,62 +277,68 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
         traceSink_ = std::make_unique<ChromeTraceSink>(config_.tracePath);
         for (unsigned b = 0; b < ctrl_->numBanks(); ++b)
             traceSink_->threadName(b, "bank " + std::to_string(b));
-        ctrl_->setTraceSink(traceSink_.get());
     }
-    if (config_.epochTicks > 0) {
-        epochSampler_ = std::make_unique<EpochSampler>(
-            events_, *ctrl_, config_.epochTicks, traceSink_.get());
-    }
-    if (config_.verifyOracle) {
+    if (config_.verifyOracle)
         oracle_ = std::make_unique<ShadowOracle>(events_, *device_);
-        oracle_->setTraceSink(traceSink_.get());
-        ctrl_->setOracle(oracle_.get());
-    }
-    if (config_.spans) {
+    if (config_.spans)
         spanRecorder_ = std::make_unique<SpanRecorder>();
-        ctrl_->setSpanRecorder(spanRecorder_.get());
-    }
-    // Before telemetry: the registry publishes wd.* counters off the
-    // ledger when one is attached.
-    if (config_.wdLedger) {
+    if (config_.wdLedger)
         ledger_ = std::make_unique<WdLedger>(events_, config_.geometry);
-        device_->setLedger(ledger_.get());
-        ctrl_->setLedger(ledger_.get());
-    }
-    if (config_.telemetry.enabled()) {
-        telemetrySampler_ = std::make_unique<TelemetrySampler>(
-            events_, buildRegistry(*ctrl_, *device_, ledger_.get()),
-            config_.telemetry,
-            config_.scheme.name, workload_.name, traceSink_.get());
-        if (config_.telemetry.watchdogTicks > 0) {
-            // The System builds the watchdog: it owns the notion of
-            // "retired" (reads serviced + writes completed) and
-            // "pending" (controller not quiescent).
-            telemetrySampler_->setWatchdog(std::make_unique<Watchdog>(
-                config_.telemetry.watchdogTicks,
-                [c = ctrl_.get()] {
-                    return c->stats().readsServiced +
-                           c->stats().writesCompleted;
-                },
-                [c = ctrl_.get()] { return !c->quiescent(); }));
-        }
-    }
-
-    // Last: every observer above is already wired, so one attach pass
-    // covers all instrumented components. The profiler only reads the
-    // host clock — it cannot perturb RNG streams or simulated state.
+    // The profiler only reads the host clock — it cannot perturb RNG
+    // streams or simulated state.
     if (config_.profile) {
         profiler_ = std::make_unique<HostProfiler>(
             &HostProfiler::steadyNs, config_.profileSample);
-        events_.setProfiler(profiler_.get());
-        device_->setProfiler(profiler_.get());
-        ctrl_->setProfiler(profiler_.get());
-        if (traceSink_)
-            traceSink_->setProfiler(profiler_.get());
-        if (epochSampler_)
-            epochSampler_->setProfiler(profiler_.get());
-        if (telemetrySampler_)
-            telemetrySampler_->setProfiler(profiler_.get());
+    }
+    obs_ = ObserverBundle{traceSink_.get(), oracle_.get(),
+                          spanRecorder_.get(), ledger_.get(),
+                          profiler_.get()};
+
+    if (config_.epochTicks > 0 || config_.telemetry.enabled()) {
+        MetricRegistry registry =
+            buildRegistry(*ctrl_, *device_, ledger_.get());
+        if (config_.epochTicks > 0) {
+            // The epoch series is a projection of telemetry frames over
+            // exactly its columns' signals: the tail-frame check
+            // compares every registered signal, so extra ones would
+            // change when the last sample is taken.
+            TelemetryConfig epoch_cfg;
+            epoch_cfg.intervalTicks = config_.epochTicks;
+            epochs_.epochTicks = config_.epochTicks;
+            epochSampler_ = std::make_unique<TelemetrySampler>(
+                events_, registry.subset(&EpochSeries::usesSignal),
+                epoch_cfg, config_.scheme.name, workload_.name,
+                [this](const FrameData& frame) {
+                    epochs_.record(frame, obs_.trace);
+                });
+        }
+        if (config_.telemetry.enabled()) {
+            telemetrySampler_ = std::make_unique<TelemetrySampler>(
+                events_, std::move(registry), config_.telemetry,
+                config_.scheme.name, workload_.name);
+            if (config_.telemetry.watchdogTicks > 0) {
+                // The System builds the watchdog: it owns the notion of
+                // "retired" (reads serviced + writes completed) and
+                // "pending" (controller not quiescent).
+                telemetrySampler_->setWatchdog(std::make_unique<Watchdog>(
+                    config_.telemetry.watchdogTicks,
+                    [c = ctrl_.get()] {
+                        return c->stats().readsServiced +
+                               c->stats().writesCompleted;
+                    },
+                    [c = ctrl_.get()] { return !c->quiescent(); }));
+            }
+        }
+    }
+
+    // One attach pass: every component that emits into an observer
+    // holds the bundle (null members stay off).
+    const std::initializer_list<Observed*> emitters = {
+        &events_, device_.get(), ctrl_.get(), traceSink_.get(),
+        oracle_.get(), epochSampler_.get(), telemetrySampler_.get()};
+    for (Observed* c : emitters) {
+        if (c)
+            c->observe(obs_);
     }
 
     for (unsigned c = 0; c < config_.cores; ++c) {
@@ -335,29 +402,7 @@ RunMetrics::toSnapshot() const
     for (std::size_t c = 0; c < coreCpi.size(); ++c)
         s.set("core" + std::to_string(c) + ".cpi", coreCpi[c]);
 
-    s.set("device.lineReads", static_cast<double>(device.lineReads));
-    s.set("device.lineWrites", static_cast<double>(device.lineWrites));
-    s.set("device.correctionWrites",
-          static_cast<double>(device.correctionWrites));
-    s.set("device.dataCellWrites",
-          static_cast<double>(device.dataCellWrites));
-    s.set("device.normalCellWrites",
-          static_cast<double>(device.normalCellWrites));
-    s.set("device.correctionCellWrites",
-          static_cast<double>(device.correctionCellWrites));
-    s.set("device.wlDisturbances",
-          static_cast<double>(device.wlDisturbances));
-    s.set("device.blDisturbances",
-          static_cast<double>(device.blDisturbances));
-    s.set("device.ecpWdRecorded",
-          static_cast<double>(device.ecpWdRecorded));
-    s.set("device.ecpOverflows",
-          static_cast<double>(device.ecpOverflows));
-    s.set("device.ecpBitsWritten",
-          static_cast<double>(device.ecpBitsWritten));
-    s.set("device.ecpWdReleased",
-          static_cast<double>(device.ecpWdReleased));
-    s.set("device.hardErrors", static_cast<double>(device.hardErrors));
+    setCounters(s, kDeviceCounters, device);
     s.set("device.wlErrorsPerWrite.mean", device.wlErrorsPerWrite.mean());
     s.set("device.wlErrorsPerWrite.max", device.wlErrorsPerWrite.max());
     s.set("device.blErrorsPerAdjacentLine.mean",
@@ -365,41 +410,8 @@ RunMetrics::toSnapshot() const
     s.set("device.blErrorsPerAdjacentLine.max",
           device.blErrorsPerAdjacentLine.max());
 
-    s.set("ctrl.readsServiced", static_cast<double>(ctrl.readsServiced));
-    s.set("ctrl.readsForwarded",
-          static_cast<double>(ctrl.readsForwarded));
-    s.set("ctrl.readsForwardedAtService",
-          static_cast<double>(ctrl.readsForwardedAtService));
-    s.set("ctrl.writesAccepted",
-          static_cast<double>(ctrl.writesAccepted));
-    s.set("ctrl.writesCoalesced",
-          static_cast<double>(ctrl.writesCoalesced));
-    s.set("ctrl.writesCompleted",
-          static_cast<double>(ctrl.writesCompleted));
-    s.set("ctrl.writeDrains", static_cast<double>(ctrl.writeDrains));
-    s.set("ctrl.preReadsIssued",
-          static_cast<double>(ctrl.preReadsIssued));
-    s.set("ctrl.preReadsForwarded",
-          static_cast<double>(ctrl.preReadsForwarded));
-    s.set("ctrl.preReadsUseful",
-          static_cast<double>(ctrl.preReadsUseful));
-    s.set("ctrl.preReadsRefreshed",
-          static_cast<double>(ctrl.preReadsRefreshed));
-    s.set("ctrl.verifyReads", static_cast<double>(ctrl.verifyReads));
-    s.set("ctrl.adjacentsSkippedNm",
-          static_cast<double>(ctrl.adjacentsSkippedNm));
-    s.set("ctrl.ecpUpdates", static_cast<double>(ctrl.ecpUpdates));
-    s.set("ctrl.correctionWrites",
-          static_cast<double>(ctrl.correctionWrites));
-    s.set("ctrl.cascadeVerifies",
-          static_cast<double>(ctrl.cascadeVerifies));
-    s.set("ctrl.cascadeDropped",
-          static_cast<double>(ctrl.cascadeDropped));
+    setCounters(s, kCtrlCounters, ctrl);
     s.set("ctrl.cascadeDepth.max", ctrl.cascadeDepth.max());
-    s.set("ctrl.writeCancellations",
-          static_cast<double>(ctrl.writeCancellations));
-    s.set("ctrl.cancelStallCycles",
-          static_cast<double>(ctrl.cancelStallCycles));
     s.set("ctrl.readLatency.mean", ctrl.readLatency.mean());
     s.set("ctrl.readLatency.max", ctrl.readLatency.max());
     s.set("read_latency_p50", ctrl.readLatency.percentile(0.50));
@@ -413,44 +425,10 @@ RunMetrics::toSnapshot() const
           ctrl.writeServiceLatency.percentile(0.95));
     s.set("write_service_latency_p99",
           ctrl.writeServiceLatency.percentile(0.99));
-    s.set("ctrl.cycles.read", static_cast<double>(ctrl.cyclesRead));
-    s.set("ctrl.cycles.preRead",
-          static_cast<double>(ctrl.cyclesPreRead));
-    s.set("ctrl.cycles.write", static_cast<double>(ctrl.cyclesWrite));
-    s.set("ctrl.cycles.verify", static_cast<double>(ctrl.cyclesVerify));
-    s.set("ctrl.cycles.correction",
-          static_cast<double>(ctrl.cyclesCorrection));
-    s.set("ctrl.cycles.ecp", static_cast<double>(ctrl.cyclesEcp));
-    s.set("device.injectedStuckCells",
-          static_cast<double>(device.injectedStuckCells));
     s.set("derived.correctionsPerWrite", correctionsPerWrite());
 
-    if (oracle.enabled) {
-        s.set("oracle.mismatches",
-              static_cast<double>(oracle.mismatches));
-        s.set("oracle.readsChecked",
-              static_cast<double>(oracle.readsChecked));
-        s.set("oracle.forwardsChecked",
-              static_cast<double>(oracle.forwardsChecked));
-        s.set("oracle.preReadsChecked",
-              static_cast<double>(oracle.preReadsChecked));
-        s.set("oracle.buffersChecked",
-              static_cast<double>(oracle.buffersChecked));
-        s.set("oracle.commitsChecked",
-              static_cast<double>(oracle.commitsChecked));
-        s.set("oracle.finalLinesChecked",
-              static_cast<double>(oracle.finalLinesChecked));
-        s.set("oracle.skippedDirty",
-              static_cast<double>(oracle.skippedDirty));
-        s.set("oracle.skippedTainted",
-              static_cast<double>(oracle.skippedTainted));
-        s.set("oracle.finalSkippedPending",
-              static_cast<double>(oracle.finalSkippedPending));
-        s.set("oracle.finalSkippedDirty",
-              static_cast<double>(oracle.finalSkippedDirty));
-        s.set("oracle.maskedUncorrectable",
-              static_cast<double>(oracle.maskedUncorrectable));
-    }
+    if (oracle.enabled)
+        setCounters(s, kOracleCounters, oracle);
 
     addSpanMetrics(s, spans);
     addWdLedgerMetrics(s, wd);
@@ -518,12 +496,12 @@ RunMetrics::toSnapshot() const
         s.set("epoch.ticks", static_cast<double>(epochs.epochTicks));
         s.set("epoch.samples",
               static_cast<double>(epochs.samples.size()));
-        s.set("epoch.peakReadQueued",
-              static_cast<double>(epochs.peakReadQueued()));
-        s.set("epoch.peakWriteQueued",
-              static_cast<double>(epochs.peakWriteQueued()));
-        s.set("epoch.peakPendingCorrections",
-              static_cast<double>(epochs.peakPendingCorrections()));
+        s.set("epoch.peakReadQueued", static_cast<double>(
+                  epochs.peak(&EpochSample::readQueued)));
+        s.set("epoch.peakWriteQueued", static_cast<double>(
+                  epochs.peak(&EpochSample::writeQueued)));
+        s.set("epoch.peakPendingCorrections", static_cast<double>(
+                  epochs.peak(&EpochSample::pendingCorrections)));
     }
     return s;
 }
@@ -551,7 +529,7 @@ System::metrics() const
     m.device = device_->stats();
     m.ctrl = ctrl_->stats();
     if (epochSampler_)
-        m.epochs = epochSampler_->series();
+        m.epochs = epochs_;
     if (config_.lineCounters)
         m.lines = device_->lineCounterSamples();
     if (oracle_)

@@ -14,8 +14,8 @@
 
 #include "controller/memctrl.hh"
 #include "cpu/core.hh"
-#include "obs/epoch_sampler.hh"
 #include "obs/ledger.hh"
+#include "obs/observers.hh"
 #include "obs/profiler.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace_sink.hh"
@@ -45,23 +45,24 @@ WorkloadSpec workloadFromProfile(const std::string& profile_name);
 /** The 9 simulated applications of Table 3. */
 std::vector<WorkloadSpec> standardWorkloads();
 
-/** Top-level simulation parameters. */
-struct SystemConfig
+/**
+ * The run, observer and verification knobs. SystemConfig (one System)
+ * and RunnerConfig (batches of runs) both derive from it, so a batch
+ * hands its knobs to each run in one assignment.
+ */
+struct RunOptions
 {
-    DimmGeometry geometry;
-    PcmTiming timing;
-    SchemeConfig scheme;
-    DinConfig din;
-    AgingConfig aging;
-    ThermalConfig thermal;
     unsigned cores = 8;
     std::uint64_t refsPerCore = 50000;
     std::uint64_t seed = 1;
-    unsigned tlbEntries = 64;
+    AgingConfig aging;
+    DinConfig din;     //!< encoder knobs (ablation studies)
+    PcmTiming timing;  //!< device timing knobs (ablation studies)
     Tick maxTicks = ~Tick(0);
 
-    // --- Observability (both default off: zero-overhead fast path). ---
-    /** Write a Chrome trace-event JSON of bank activity to this path. */
+    // --- Observability (all default off: zero-overhead fast path). ---
+    /** Write a Chrome trace-event JSON of bank activity to this path
+     *  (single runs only: matrix runs drop it with a warning). */
     std::string tracePath;
     /** Sample controller counters every N ticks (0 disables). */
     Tick epochTicks = 0;
@@ -70,13 +71,18 @@ struct SystemConfig
     /** Per-request span attribution (obs/spans.hh). */
     bool spans = false;
     /** Streaming telemetry + SLO monitors (obs/telemetry.hh); disabled
-     *  unless telemetry.intervalTicks > 0. */
+     *  unless telemetry.intervalTicks > 0. The stream/prom paths apply
+     *  to single runs only; matrix runs drop them (one file, many
+     *  cells) but keep interval/rules/watchdog so mon.* metrics stay
+     *  per-cell. */
     TelemetryConfig telemetry;
     /** Disturbance-provenance ledger (obs/ledger.hh). */
     bool wdLedger = false;
     /** Host-time self-profiler (obs/profiler.hh): hierarchical
      *  wall-clock blame for the simulator's own hot paths. Observe-only
-     *  by construction — it never touches RNG or simulated state. */
+     *  by construction — it never touches RNG or simulated state. Each
+     *  matrix cell carries its own profile; merge the summaries in
+     *  matrix order for a deterministic whole-matrix blame tree. */
     bool profile = false;
     /** Profiler sampling period (power of two): one root scope tree in
      *  `profileSample` is timed in full, the rest only counted, with
@@ -94,6 +100,15 @@ struct SystemConfig
     bool verifyOracle = false;
     /** Deterministic fault injection (see verify/faultinject.hh). */
     FaultSpec faults;
+};
+
+/** Top-level simulation parameters. */
+struct SystemConfig : RunOptions
+{
+    DimmGeometry geometry;
+    SchemeConfig scheme;
+    ThermalConfig thermal;
+    unsigned tlbEntries = 64;
 };
 
 /** Extracted results of one run. */
@@ -158,18 +173,6 @@ class System
     MemoryController& controller() { return *ctrl_; }
     PageAllocatorSystem& allocator() { return *allocator_; }
     EventQueue& events() { return events_; }
-    /** The attached trace sink, or null when tracing is off. */
-    TraceSink* traceSink() { return traceSink_.get(); }
-    /** The integrity oracle, or null when --verify-oracle is off. */
-    ShadowOracle* oracle() { return oracle_.get(); }
-    /** The span recorder, or null when --spans is off. */
-    SpanRecorder* spanRecorder() { return spanRecorder_.get(); }
-    /** The telemetry sampler, or null when --telemetry-interval is off. */
-    TelemetrySampler* telemetry() { return telemetrySampler_.get(); }
-    /** The provenance ledger, or null when --wd-ledger is off. */
-    WdLedger* ledger() { return ledger_.get(); }
-    /** The host-time profiler, or null when --profile is off. */
-    HostProfiler* profiler() { return profiler_.get(); }
     const WdModel& wdModel() const { return wdModel_; }
     const std::vector<std::unique_ptr<TraceCore>>& cores() const
     {
@@ -187,14 +190,21 @@ class System
     EventQueue events_;
     std::unique_ptr<PcmDevice> device_;
     std::unique_ptr<MemoryController> ctrl_;
-    std::unique_ptr<ChromeTraceSink> traceSink_;
-    std::unique_ptr<EpochSampler> epochSampler_;
     std::unique_ptr<FaultInjector> faultInjector_;
+    // Observers (each null when off) and the bundle of their pointers
+    // every emitting component holds.
+    std::unique_ptr<ChromeTraceSink> traceSink_;
     std::unique_ptr<ShadowOracle> oracle_;
     std::unique_ptr<SpanRecorder> spanRecorder_;
     std::unique_ptr<WdLedger> ledger_;
-    std::unique_ptr<TelemetrySampler> telemetrySampler_;
     std::unique_ptr<HostProfiler> profiler_;
+    ObserverBundle obs_;
+    /** Epoch series: a telemetry sampler over the epoch registry whose
+     *  frames fill `epochs_`. Installed before telemetrySampler_, so
+     *  same-tick epoch counters precede breach instants in the trace. */
+    std::unique_ptr<TelemetrySampler> epochSampler_;
+    EpochSeries epochs_;
+    std::unique_ptr<TelemetrySampler> telemetrySampler_;
     std::unique_ptr<PageAllocatorSystem> allocator_;
     std::vector<std::unique_ptr<Mmu>> mmus_;
     std::vector<std::unique_ptr<TraceStream>> streams_;

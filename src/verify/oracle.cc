@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "obs/trace_sink.hh"
+
 namespace sdpcm {
 
 ShadowOracle::ShadowOracle(EventQueue& events, PcmDevice& device)
@@ -92,8 +94,8 @@ ShadowOracle::check(const char* kind, const LineAddr& la,
         m.actual = actual;
         mismatches_.push_back(std::move(m));
     }
-    if (trace_) {
-        trace_->instant(
+    if (obs_.trace) {
+        obs_.trace->instant(
             la.bank, "oracle_mismatch", "oracle", events_.now(),
             {{"row", static_cast<double>(la.row)},
              {"line", static_cast<double>(la.line)},

@@ -41,7 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/trace_sink.hh"
+#include "obs/observers.hh"
 #include "pcm/device.hh"
 #include "sim/event_queue.hh"
 
@@ -78,14 +78,14 @@ struct OracleSummary
     std::uint64_t mismatches = 0;
 };
 
-/** The shadow memory and its checkers (see file comment). */
-class ShadowOracle
+/**
+ * The shadow memory and its checkers (see file comment). Mismatches
+ * become instants in the bundle's trace sink.
+ */
+class ShadowOracle : public Observed
 {
   public:
     ShadowOracle(EventQueue& events, PcmDevice& device);
-
-    /** Attach a structured-event sink; mismatches become instants. */
-    void setTraceSink(TraceSink* sink) { trace_ = sink; }
 
     // --- Controller hooks (null-guarded at every call site). ---
     void noteWriteSubmitted(const LineAddr& la, const LineData& payload,
@@ -150,7 +150,6 @@ class ShadowOracle
 
     EventQueue& events_;
     PcmDevice& device_;
-    TraceSink* trace_ = nullptr;
 
     std::unordered_map<std::uint64_t, LineInfo> lines_;
     /** victim key -> writer ids with in-flight disturbance on it. */

@@ -447,7 +447,7 @@ TEST(Controller, CoalesceRefreshesLaterPreReadBuffers)
     SchemeConfig scheme = SchemeConfig::lazyCPreRead();
     Harness h(scheme, WdRates{0.0, 0.0});
     ShadowOracle oracle(h.events, *h.device);
-    h.ctrl->setOracle(&oracle);
+    h.ctrl->observe({.oracle = &oracle});
     const unsigned bank = 6;
     // B at row 71 has upper adjacent A at row 70 (same line index).
     const PhysAddr a = h.addrOf(bank, 70, 0);
@@ -481,7 +481,7 @@ TEST(Controller, CancellationStressStaysClean)
     scheme.writeCancellation = true;
     Harness h(scheme, WdRates{0.099, 0.115});
     ShadowOracle oracle(h.events, *h.device);
-    h.ctrl->setOracle(&oracle);
+    h.ctrl->observe({.oracle = &oracle});
     Rng rng(4242);
     const unsigned bank = 9;
     LineData last[4];

@@ -542,7 +542,7 @@ runDeviceScript(DeviceConfig dc, const FaultSpec& faults)
     }
     EventQueue events;
     WdLedger ledger(events, dc.geometry);
-    dev.setLedger(&ledger);
+    dev.observe({.ledger = &ledger});
 
     const AddressMap& map = dev.addressMap();
     Rng rng(0x5eedULL);

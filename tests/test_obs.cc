@@ -19,7 +19,7 @@
 
 #include "common/stats.hh"
 #include "obs/csv.hh"
-#include "obs/epoch_sampler.hh"
+#include "obs/telemetry.hh"
 #include "obs/json.hh"
 #include "obs/trace_sink.hh"
 #include "sim/event_queue.hh"
@@ -507,6 +507,63 @@ TEST(EpochSampler, SnapshotCarriesPercentilesAndEpochStats)
     const auto m2 = runOne(SchemeConfig::baselineVnc(),
                            workloadFromProfile("lbm"), off);
     EXPECT_FALSE(m2.toSnapshot().has("epoch.samples"));
+}
+
+/** FNV-1a over the bytes of `text`. */
+std::uint64_t
+fnv1a(const std::string& text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Pins the epoch outputs byte for byte: the CSV and JSON dumps and the
+ * trace's queues/throughput counter events of one fixed cell. The cell's
+ * write cancellations refund busy cycles, so some epoch deltas wrap and
+ * must print unsigned. The digests were recorded with the stand-alone
+ * epoch sampler that preceded the telemetry projection.
+ */
+TEST(EpochSampler, OutputBytesMatchRecordedDigests)
+{
+    const std::string path =
+        ::testing::TempDir() + "sdpcm_epoch_pin.trace.json";
+    RunnerConfig cfg;
+    cfg.refsPerCore = 800;
+    cfg.cores = 2;
+    cfg.seed = 5;
+    cfg.epochTicks = 1009;
+    cfg.tracePath = path;
+    SchemeConfig scheme = SchemeConfig::sdpcm();
+    scheme.writeCancellation = true;
+    const RunMetrics m = runOne(scheme, workloadFromProfile("mcf"), cfg);
+
+    std::size_t wrapped = 0;
+    for (const EpochSample& s : m.epochs.samples)
+        wrapped += s.cyclesWrite >= (std::uint64_t(1) << 63) ? 1 : 0;
+    EXPECT_GT(wrapped, 0u) << "the cell no longer exercises wrapped deltas";
+
+    std::ostringstream csv;
+    std::ostringstream json;
+    m.epochs.dumpCsv(csv);
+    m.epochs.dumpJson(json);
+    std::ifstream is(path);
+    std::string line;
+    std::string counters;
+    while (std::getline(is, line)) {
+        if (line.find("\"name\":\"queues\"") != std::string::npos ||
+            line.find("\"name\":\"throughput\"") != std::string::npos)
+            counters += line + "\n";
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(m.epochs.samples.size(), 579u);
+    EXPECT_EQ(fnv1a(csv.str()), 0x018c448ff5c2eb05ULL);
+    EXPECT_EQ(fnv1a(json.str()), 0x63ea7417afcbcb7aULL);
+    EXPECT_EQ(fnv1a(counters), 0x57b105c7b94d1d96ULL);
 }
 
 /** The tick hook must observe, not keep a drained queue alive. */
