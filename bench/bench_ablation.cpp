@@ -43,7 +43,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Ablation studies (write-heavy subset)", 6000);
     const auto workloads = writeHeavy();
 
@@ -129,5 +129,5 @@ main(int argc, char** argv)
                    TablePrinter::fmt(base_default / v, 3)});
     }
     t2.print(std::cout);
-    return finish(args, "bench_ablation", cfg, results);
+    return finish(out, "bench_ablation", cfg, results);
 }

@@ -3,7 +3,9 @@
  * Shared plumbing for the experiment bench binaries: argument handling,
  * progress reporting and the run-matrix helper.
  *
- * Every bench accepts:
+ * Every bench accepts the shared run flags (parseRunFlags in
+ * sim/runner.hh, the same parser sdpcm_cli uses, so each flag means the
+ * same in every binary):
  *   --refs=N   memory references per core (default 10000; the paper uses
  *              10M — raise this for tighter statistics)
  *   --seed=N   RNG seed
@@ -21,8 +23,9 @@
  *   --inject=SPEC  deterministic fault injection, e.g.
  *              --inject=stuck=0.5,ecp=2,wd=0.01,seed=3
  *              (verify/faultinject.hh).
- *   --spans    per-request span attribution on every cell (obs/spans.hh);
- *              span.* metrics land in the report.
+ *   --spans[=FILE]  per-request span attribution on every cell
+ *              (obs/spans.hh); span.* metrics land in the report and the
+ *              optional FILE gets the per-cell span blame JSON.
  *   --spans-folded=FILE  write the collapsed-stack blame of every cell
  *              (flamegraph format; implies --spans).
  *   --spans-top=N  print each scheme's top-N phases by critical cycles
@@ -54,10 +57,12 @@
  *   --wd-top=N  print each scheme's top-N aggressor lines by victim
  *              flips to stderr (implies --wd-ledger).
  *   --endurance=F  per-cell write endurance used for the projected
- *              lifetime estimate (default 1e8).
+ *              lifetime estimate (default 1e8, at least 1).
  *   --quiet    silence banner and progress lines (LogLevel::Warn).
  *              Monitor breach and watchdog warnings still print.
  *
+ * Every number is range-checked when the flags are parsed, and a bare
+ * value flag (`--report`) is a usage error rather than a file named 1.
  * Every bench ends with `return finish(...)`, which writes all of the
  * outputs above and returns the oracle verdict as the exit code.
  */
@@ -68,7 +73,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -83,52 +87,6 @@
 
 namespace sdpcm {
 namespace bench {
-
-inline RunnerConfig
-configFromArgs(const ArgParser& args, std::int64_t default_refs = 10000)
-{
-    if (args.getBool("quiet", false))
-        setLogLevel(LogLevel::Warn);
-    RunnerConfig cfg;
-    cfg.refsPerCore =
-        static_cast<std::uint64_t>(args.getInt("refs", default_refs));
-    cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-    cfg.cores = static_cast<unsigned>(args.getInt("cores", 8));
-    cfg.jobs = static_cast<unsigned>(args.getInt("jobs", 0));
-    cfg.verifyOracle = args.getBool("verify-oracle", false);
-    cfg.spans = args.getBool("spans", false) ||
-                args.has("spans-folded") || args.has("spans-top");
-    if (args.has("inject")) {
-        // FaultSpec::parse throws on malformed specs; turn that into a
-        // fatal diagnostic instead of an uncaught-exception terminate.
-        try {
-            cfg.faults = FaultSpec::parse(args.getString("inject", ""));
-        } catch (const std::invalid_argument& e) {
-            SDPCM_FATAL("bad --inject spec: ", e.what());
-        }
-    }
-    cfg.telemetry = telemetryFromArgs(args);
-    cfg.wdLedger = args.has("wd-ledger") || args.has("wd-top");
-    cfg.profile = args.has("profile") || args.has("profile-top") ||
-                  args.has("profile-folded");
-    const std::int64_t prof_sample = args.getInt(
-        "profile-sample", static_cast<std::int64_t>(cfg.profileSample));
-    if (!validProfileSamplePeriod(prof_sample)) {
-        SDPCM_FATAL("--profile-sample must be a power of two >= 1, got ",
-                    prof_sample);
-    }
-    cfg.profileSample = static_cast<std::uint32_t>(prof_sample);
-    cfg.enduranceCellWrites = args.getDouble("endurance", 1e8);
-    // finish() reads these after the run; check them now so a bad value
-    // is a usage error before any simulation runs, and so
-    // finishParsing() before the run accepts them.
-    for (const char* top : {"spans-top", "wd-top", "profile-top"})
-        args.getInt(top, 0, 0, std::numeric_limits<unsigned>::max());
-    for (const char* out : {"report", "spans-folded", "wd-ledger",
-                            "profile", "profile-folded"})
-        (void)args.has(out);
-    return cfg;
-}
 
 inline void
 banner(const std::string& title, const RunnerConfig& cfg)
@@ -163,14 +121,14 @@ banner(const std::string& title, const RunnerConfig& cfg)
  * The bench prologue: parse the shared flags, reject unknown ones and
  * print the banner. Pairs with finish().
  */
-inline RunnerConfig
+inline RunFlags
 start(const ArgParser& args, const std::string& title,
-      std::int64_t default_refs = 10000)
+      std::uint64_t default_refs = 10000)
 {
-    const RunnerConfig cfg = configFromArgs(args, default_refs);
+    const RunFlags flags = parseRunFlags(args, default_refs);
     args.finishParsing();
-    banner(title, cfg);
-    return cfg;
+    banner(title, flags.config);
+    return flags;
 }
 
 /**
@@ -238,126 +196,44 @@ runMatrix(const std::vector<SchemeConfig>& schemes,
     return results;
 }
 
-/**
- * Each scheme's `field` summary merged over its workloads, in matrix
- * order (so a merged profile tree is identical for any --jobs value).
- */
-template <typename Summary>
-inline std::vector<Summary>
-mergedPerScheme(const std::vector<SchemeResults>& results,
-                Summary RunMetrics::*field)
+/** One output group per scheme of a finished matrix. */
+inline std::vector<OutputGroup>
+perScheme(const std::vector<SchemeResults>& results)
 {
-    std::vector<Summary> merged(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        for (const auto& [name, metrics] : results[i].byWorkload) {
-            (void)name;
-            merged[i].merge(metrics.*field);
-        }
+    std::vector<OutputGroup> groups;
+    for (const SchemeResults& scheme : results) {
+        groups.push_back({scheme.scheme, scheme.scheme, {}});
+        for (const auto& [name, metrics] : scheme.byWorkload)
+            groups.back().runs.push_back(&metrics);
     }
-    return merged;
+    return groups;
 }
 
 /**
- * Span-attribution outputs for a finished matrix: each scheme's top-N
- * blame table on stderr for --spans-top=N, and the collapsed stacks of
- * every scheme to --spans-folded=FILE (one file — flamegraph tooling
- * sums identical frames). No-op when spans were off.
- */
-inline void
-maybeWriteSpans(const ArgParser& args, const RunnerConfig& cfg,
-                const std::vector<SchemeResults>& results)
-{
-    if (!cfg.spans)
-        return;
-    const auto merged = mergedPerScheme(results, &RunMetrics::spans);
-    const auto top_n = static_cast<unsigned>(args.getInt("spans-top", 0));
-    for (std::size_t i = 0; top_n > 0 && i < results.size(); ++i)
-        printSpanTop(std::cerr, results[i].scheme, merged[i], top_n);
-    writeOutputFile(args.getString("spans-folded", ""), "folded stacks",
-                    [&](std::ostream& os) {
-                        for (std::size_t i = 0; i < results.size(); ++i)
-                            writeFoldedStacks(os, results[i].scheme,
-                                              merged[i]);
-                    });
-}
-
-/**
- * Host-profile outputs for a finished matrix: per-scheme top-N blame
- * tables on stderr for --profile-top=N, collapsed stacks (one file, all
- * schemes) to --profile-folded=FILE, and the whole-matrix merged profile
- * JSON to --profile=FILE (prof.* metrics still land in the report).
- * No-op when profiling was off.
- */
-inline void
-maybeWriteProfile(const ArgParser& args, const std::string& bench_name,
-                  const RunnerConfig& cfg,
-                  const std::vector<SchemeResults>& results)
-{
-    if (!cfg.profile)
-        return;
-    const auto merged = mergedPerScheme(results, &RunMetrics::prof);
-    const auto top_n =
-        static_cast<unsigned>(args.getInt("profile-top", 0));
-    ProfSummary all;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        all.merge(merged[i]);
-        if (top_n > 0)
-            printProfileTop(std::cerr, results[i].scheme, merged[i], top_n);
-    }
-    writeOutputFile(args.getString("profile-folded", ""),
-                    "profile folded stacks", [&](std::ostream& os) {
-                        for (std::size_t i = 0; i < results.size(); ++i)
-                            writeProfileFolded(os, results[i].scheme,
-                                               merged[i]);
-                    });
-    writeOutputFile(args.getPath("profile"), "profile",
-                    [&](std::ostream& os) {
-                        writeProfileJson(os, bench_name, all);
-                    });
-}
-
-/**
- * Write every output of a finished bench and return its exit code:
- * span and profile outputs; per-scheme top-N aggressor tables on stderr
- * for --wd-top=N and the per-scheme ledger JSON to --wd-ledger=FILE;
- * the run report (--report=FILE, else `default_report`; "" writes none)
- * with one run per cell, the optional `environment` pairs carrying
- * machine-varying extras (wall-clock seconds) the regression gate
- * ignores; and the oracle verdict.
+ * Write every output of a finished bench and return its exit code: the
+ * span, ledger and profile outputs (writeObserverOutputs, one group per
+ * scheme); the run report (--report=FILE, else `default_report`; ""
+ * writes none) with one run per cell, the optional `environment` pairs
+ * carrying machine-varying extras (wall-clock seconds) the regression
+ * gate ignores; and the oracle verdict.
  */
 inline int
-finish(const ArgParser& args, const std::string& bench_name,
+finish(const RunOutputs& out, const std::string& bench_name,
        const RunnerConfig& cfg, const std::vector<SchemeResults>& results,
        const std::string& default_report = "",
        std::vector<std::pair<std::string, double>> environment = {})
 {
-    maybeWriteSpans(args, cfg, results);
-    maybeWriteProfile(args, bench_name, cfg, results);
-    if (cfg.wdLedger) {
-        const auto merged = mergedPerScheme(results, &RunMetrics::wd);
-        const auto top_n = static_cast<unsigned>(args.getInt("wd-top", 0));
-        std::vector<WdLedgerEntry> entries;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            entries.push_back({results[i].scheme, "all", &merged[i]});
-            if (top_n > 0)
-                printWdTop(std::cerr, results[i].scheme, merged[i], top_n);
-        }
-        writeOutputFile(args.getPath("wd-ledger"), "wd ledger",
-                        [&](std::ostream& os) {
-                            writeWdLedgerJson(os, bench_name, entries);
-                        });
-    }
-    const std::string report_path = args.getString("report", default_report);
+    const std::vector<OutputGroup> groups = perScheme(results);
+    writeObserverOutputs(out, cfg, bench_name, bench_name, groups, false);
+    const std::string report_path = out.report.value_or(default_report);
     if (!report_path.empty()) {
         RunReport report;
         report.bench = bench_name;
         report.config = cfg;
         report.environment = std::move(environment);
-        for (const SchemeResults& scheme : results) {
-            for (const auto& [name, metrics] : scheme.byWorkload) {
-                (void)name;
-                report.addRun(metrics);
-            }
+        for (const OutputGroup& group : groups) {
+            for (const RunMetrics* metrics : group.runs)
+                report.addRun(*metrics);
         }
         writeOutputFile(report_path, "report",
                         [&](std::ostream& os) { report.write(os); });

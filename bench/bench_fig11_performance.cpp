@@ -19,7 +19,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Figure 11: system performance under different schemes");
 
     const std::vector<SchemeConfig> schemes = {
@@ -85,5 +85,5 @@ main(int argc, char** argv)
 
     std::cout << "\nShape check: baseline << LazyC < LazyC+PreRead ~ "
                  "LazyC+(2:3) < all-three <= DIN; (1:2) ~ DIN.\n";
-    return finish(args, "bench_fig11", cfg, results, "REPORT_fig11.json");
+    return finish(out, "bench_fig11", cfg, results, "REPORT_fig11.json");
 }

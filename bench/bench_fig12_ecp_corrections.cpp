@@ -19,7 +19,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Figure 12: ECP entries vs correction operations");
 
     const std::vector<unsigned> entries = {0, 2, 4, 6, 8, 10};
@@ -63,5 +63,5 @@ main(int argc, char** argv)
     std::cout << "\n(corrections per completed data write; paper: ~1.8 "
                  "at ECP-0 falling to ~0.14 at ECP-4;\n the analytic row "
                  "is the Markov model of analysis/wd_analytic.hh)\n";
-    return finish(args, "bench_fig12", cfg, results, "REPORT_fig12.json");
+    return finish(out, "bench_fig12", cfg, results, "REPORT_fig12.json");
 }

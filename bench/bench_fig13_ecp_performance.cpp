@@ -16,7 +16,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Figure 13: ECP entries vs system performance");
 
     const std::vector<unsigned> entries = {0, 2, 4, 6, 8, 10};
@@ -51,5 +51,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(speedup over baseline VnC; paper: +21% at ECP-6, "
                  "flat beyond)\n";
-    return finish(args, "bench_fig13", cfg, results, "REPORT_fig13.json");
+    return finish(out, "bench_fig13", cfg, results, "REPORT_fig13.json");
 }

@@ -20,7 +20,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Figure 14: performance across the DIMM lifetime (LazyC)");
 
     const std::vector<double> ages = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
@@ -66,5 +66,5 @@ main(int argc, char** argv)
     std::cout << "\n(paper: ~0.2% degradation at end of life; hard "
                  "errors consume ECP entries, shrinking LazyC's parking "
                  "space)\n";
-    return finish(args, "bench_fig14", cfg, results);
+    return finish(out, "bench_fig14", cfg, results);
 }

@@ -16,7 +16,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Figure 15: write queue size under LazyC+PreRead");
 
     const std::vector<unsigned> sizes = {8, 16, 32, 64};
@@ -59,5 +59,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(performance normalised to DIN; paper: 32 entries "
                  "keep LazyC+PreRead within ~10% of DIN)\n";
-    return finish(args, "bench_fig15", cfg, results);
+    return finish(out, "bench_fig15", cfg, results);
 }

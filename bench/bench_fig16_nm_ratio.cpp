@@ -19,7 +19,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = start(args, "Figure 16: (n:m) allocator ratios");
+    const auto [cfg, out] = start(args, "Figure 16: (n:m) allocator ratios");
 
     const std::vector<NmRatio> ratios = {
         {1, 2}, {2, 3}, {3, 4}, {7, 8}, {1, 1}};
@@ -62,5 +62,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(performance normalised to DIN; paper: (1:2) shows "
                  "no degradation, monotone from 3:4 to 1:2)\n";
-    return finish(args, "bench_fig16", cfg, results);
+    return finish(out, "bench_fig16", cfg, results);
 }

@@ -26,7 +26,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Figures 17/18: normalised lifetime "
                     "(data chips / ECP chip)");
 
@@ -68,5 +68,5 @@ main(int argc, char** argv)
                  "headroom stays above 1x.\n"
                  "Paper reference: data ~99.96%, ECP ~92% (see "
                  "EXPERIMENTS.md for the accounting discussion).\n";
-    return finish(args, "bench_fig17_18", cfg, all);
+    return finish(out, "bench_fig17_18", cfg, all);
 }

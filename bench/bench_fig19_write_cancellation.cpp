@@ -18,7 +18,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Figure 19: LazyC with write cancellation");
 
     SchemeConfig wc = SchemeConfig::baselineVnc();
@@ -59,5 +59,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(normalised to basic VnC; paper: VnC 1.0, WC a bit "
                  "above, LazyC ~1.21, WC+LazyC ~1.31)\n";
-    return finish(args, "bench_fig19", cfg, results);
+    return finish(out, "bench_fig19", cfg, results);
 }

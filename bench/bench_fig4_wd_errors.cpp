@@ -20,7 +20,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg =
+    const auto [cfg, out] =
         start(args, "Figure 4: WD errors per line write (diff-write + DIN)");
 
     const auto all = runMatrix({SchemeConfig::baselineVnc()}, cfg);
@@ -51,5 +51,5 @@ main(int argc, char** argv)
 
     std::cout << "\nPaper reference: (a) word-line avg ~0.4; (b) up to 9 "
                  "errors in one adjacent 64B line.\n";
-    return finish(args, "bench_fig4", cfg, all);
+    return finish(out, "bench_fig4", cfg, all);
 }

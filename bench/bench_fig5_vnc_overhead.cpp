@@ -21,7 +21,7 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = start(args, "Figure 5: VnC overhead at runtime");
+    const auto [cfg, out] = start(args, "Figure 5: VnC overhead at runtime");
 
     SchemeConfig verify_only = SchemeConfig::baselineVnc();
     verify_only.name = "VnC (verification cost only)";
@@ -58,5 +58,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(performance normalised to the WD-free DIN design; "
                  "paper: ~19% verify + ~28% correction = ~47% loss)\n";
-    return finish(args, "bench_fig5", cfg, results);
+    return finish(out, "bench_fig5", cfg, results);
 }

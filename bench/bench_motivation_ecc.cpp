@@ -26,9 +26,8 @@ int
 main(int argc, char** argv)
 {
     ArgParser args(argc, argv);
-    const unsigned trials =
-        static_cast<unsigned>(args.getInt("trials", 400));
-    const double flip_density = args.getDouble("flip", 0.15);
+    const auto trials = args.get<unsigned>("trials", 400, 1);
+    const double flip_density = args.get<double>("flip", 0.15, 0.0, 1.0);
     args.finishParsing();
 
     std::cout << "=== Section 3.2: VnC is needed because ECC cannot keep "

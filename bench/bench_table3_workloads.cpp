@@ -16,8 +16,7 @@ int
 main(int argc, char** argv)
 {
     ArgParser args(argc, argv);
-    const std::uint64_t samples =
-        static_cast<std::uint64_t>(args.getInt("refs", 300000));
+    const auto samples = args.get<std::uint64_t>("refs", 300000, 1);
     args.finishParsing();
 
     std::cout << "=== Table 3: simulated applications (generator "

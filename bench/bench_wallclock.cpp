@@ -119,7 +119,7 @@ int
 main(int argc, char** argv)
 {
     ArgParser args(argc, argv);
-    RunnerConfig cfg = configFromArgs(args, 2000);
+    const auto [cfg, out] = parseRunFlags(args, 2000);
     const bool full = args.has("full");
     const std::string out_path =
         args.getString("out", "BENCH_parallel.json");
@@ -308,8 +308,11 @@ main(int argc, char** argv)
     os << "\n}\n";
     SDPCM_PROGRESS("written to ", out_path);
 
-    maybeWriteSpans(args, passes[2].cfg, passes[2].results);
-    maybeWriteProfile(args, "bench_wallclock", prof.cfg, prof.results);
+    for (const Pass* pass : {&passes[2], &passes[5]}) {
+        writeObserverOutputs(out, pass->cfg, "bench_wallclock",
+                             "bench_wallclock", perScheme(pass->results),
+                             false);
+    }
     // The ledger pass is the report's reference copy: every shared
     // metric bit-matches the everything-off serial run while the wd.* /
     // wear.* families ride along, so the regression gate sees the
@@ -318,7 +321,7 @@ main(int argc, char** argv)
     // --profile was passed. Wall-clock figures go into the gate-ignored
     // environment section.
     const int oracle_rc =
-        finish(args, "bench_wallclock", ledger.cfg, ledger.results,
+        finish(out, "bench_wallclock", ledger.cfg, ledger.results,
                "REPORT_wallclock.json", std::move(environment));
     if (!all_clean || !baseline_ok)
         return 1;

@@ -27,8 +27,7 @@ int
 main(int argc, char** argv)
 {
     ArgParser args(argc, argv);
-    const std::uint64_t pages =
-        static_cast<std::uint64_t>(args.getInt("pages", 64));
+    const auto pages = args.get<std::uint64_t>("pages", 64, 1);
     args.finishParsing();
 
     const DimmGeometry geometry;

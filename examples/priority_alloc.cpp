@@ -16,7 +16,7 @@
 
 #include "common/args.hh"
 #include "common/table.hh"
-#include "sim/system.hh"
+#include "sim/runner.hh"
 #include "workload/generators.hh"
 
 using namespace sdpcm;
@@ -77,10 +77,9 @@ int
 main(int argc, char** argv)
 {
     ArgParser args(argc, argv);
-    const std::uint64_t refs =
-        static_cast<std::uint64_t>(args.getInt("refs", 8000));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const auto refs =
+        args.get<std::uint64_t>("refs", 8000, kMinRefsPerCore);
+    const auto seed = args.get<std::uint64_t>("seed", 1);
     args.finishParsing();
 
     std::cout << "Priority allocation: cores 0-3 run mcf under an (n:m) "

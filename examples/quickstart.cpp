@@ -20,8 +20,9 @@ main(int argc, char** argv)
 {
     ArgParser args(argc, argv);
     RunnerConfig cfg;
-    cfg.refsPerCore = args.getInt("refs", 20000);
-    cfg.seed = args.getInt("seed", 1);
+    cfg.refsPerCore =
+        args.get<std::uint64_t>("refs", 20000, kMinRefsPerCore);
+    cfg.seed = args.get<std::uint64_t>("seed", 1);
     args.finishParsing();
 
     const WorkloadSpec workload = workloadFromProfile("mcf");

@@ -16,7 +16,6 @@
  */
 
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,119 +30,6 @@
 #include "workload/trace_file.hh"
 
 using namespace sdpcm;
-
-namespace {
-
-SchemeConfig
-schemeByName(const std::string& name, const ArgParser& args)
-{
-    // Read the shared ratio up front so --n/--m stay declared options
-    // even for schemes that ignore them.
-    const NmRatio ratio{static_cast<unsigned>(args.getInt("n", 2)),
-                        static_cast<unsigned>(args.getInt("m", 3))};
-    SchemeConfig scheme;
-    if (name == "din") {
-        scheme = SchemeConfig::din8F2();
-    } else if (name == "baseline" || name == "vnc") {
-        scheme = SchemeConfig::baselineVnc();
-    } else if (name == "lazyc") {
-        scheme = SchemeConfig::lazyC(
-            static_cast<unsigned>(args.getInt("ecp", 6)));
-    } else if (name == "lazyc+preread") {
-        scheme = SchemeConfig::lazyCPreRead();
-    } else if (name == "nm") {
-        scheme = SchemeConfig::nmOnly(ratio);
-    } else if (name == "all" || name == "lazyc+preread+nm") {
-        scheme = SchemeConfig::lazyCPreReadNm(ratio);
-    } else if (name == "sdpcm") {
-        scheme = SchemeConfig::sdpcm(ratio);
-    } else if (name == "fnw") {
-        scheme = SchemeConfig::fnwVnc();
-    } else {
-        SDPCM_FATAL("unknown scheme '", name,
-                    "' (din, baseline, lazyc, lazyc+preread, nm, all, "
-                    "sdpcm, fnw)");
-    }
-    scheme.ecpEntries =
-        static_cast<unsigned>(args.getInt("ecp", scheme.ecpEntries));
-    scheme.writeQueueEntries = static_cast<unsigned>(
-        args.getInt("wq", scheme.writeQueueEntries));
-    scheme.writeCancellation =
-        args.getBool("wc", scheme.writeCancellation);
-    scheme.idleWriteDrain =
-        args.getBool("idle-drain", scheme.idleWriteDrain);
-    scheme.maxCancelsPerWrite = static_cast<unsigned>(
-        args.getInt("max-cancels", scheme.maxCancelsPerWrite));
-    scheme.drainBurstWrites = static_cast<unsigned>(
-        args.getInt("drain-burst", scheme.drainBurstWrites));
-    return scheme;
-}
-
-/**
- * Span, ledger and profile outputs of the finished `cells` (matrix
- * order; a single run is a one-cell list). Per-cell summaries go to the
- * JSON exports; folded stacks and top tables use the merge of all
- * cells, labelled `label` ("scheme/workload" or "scheme/all").
- */
-void
-writeObserverOutputs(const ArgParser& args, const RunnerConfig& cfg,
-                     const std::string& scheme, const std::string& label,
-                     const std::vector<const RunMetrics*>& cells)
-{
-    const auto top = [&args](const char* name) {
-        return static_cast<unsigned>(args.getInt(name, 0));
-    };
-    if (cfg.spans) {
-        SpanSummary merged;
-        std::vector<SpanBlameEntry> entries;
-        for (const RunMetrics* m : cells) {
-            merged.merge(m->spans);
-            entries.push_back({m->scheme, m->workload, &m->spans});
-        }
-        writeOutputFile(args.getPath("spans"), "span blame",
-                        [&](std::ostream& os) {
-                            writeSpanBlameJson(os, "sdpcm_cli", entries);
-                        });
-        writeOutputFile(args.getString("spans-folded", ""),
-                        "folded stacks", [&](std::ostream& os) {
-                            writeFoldedStacks(os, scheme, merged);
-                        });
-        if (top("spans-top") > 0)
-            printSpanTop(std::cerr, label, merged, top("spans-top"));
-    }
-    if (cfg.wdLedger) {
-        WdLedgerSummary merged;
-        std::vector<WdLedgerEntry> entries;
-        for (const RunMetrics* m : cells) {
-            merged.merge(m->wd);
-            entries.push_back({m->scheme, m->workload, &m->wd});
-        }
-        writeOutputFile(args.getPath("wd-ledger"), "wd ledger",
-                        [&](std::ostream& os) {
-                            writeWdLedgerJson(os, "sdpcm_cli", entries);
-                        });
-        if (top("wd-top") > 0)
-            printWdTop(std::cerr, label, merged, top("wd-top"));
-    }
-    if (cfg.profile) {
-        // Merged in matrix order: the tree is identical for any --jobs.
-        ProfSummary merged;
-        for (const RunMetrics* m : cells)
-            merged.merge(m->prof);
-        writeOutputFile(args.getPath("profile"), "profile",
-                        [&](std::ostream& os) {
-                            writeProfileJson(os, label, merged);
-                        });
-        writeOutputFile(args.getString("profile-folded", ""),
-                        "profile folded stacks", [&](std::ostream& os) {
-                            writeProfileFolded(os, scheme, merged);
-                        });
-        if (top("profile-top") > 0)
-            printProfileTop(std::cerr, label, merged, top("profile-top"));
-    }
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
@@ -291,71 +177,19 @@ main(int argc, char** argv)
         return 0;
     }
 
-    if (args.getBool("quiet", false))
-        setLogLevel(LogLevel::Warn);
-
+    auto [cfg, out] = parseRunFlags(args);
+    const SchemeConfig scheme = schemeFromArgs(args);
     const std::string workload_name = args.getString("workload", "mcf");
-    const std::uint64_t refs =
-        static_cast<std::uint64_t>(args.getInt("refs", 10000));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const bool want_capture = args.has("capture");
-    const std::string capture_path = args.getString("capture", "out.trace");
-    const bool want_replay = args.has("replay");
+    const std::string capture_path = args.getString("capture", "");
     const std::string replay_path = args.getString("replay", "");
-
-    RunnerConfig cfg;
-    cfg.refsPerCore = refs;
-    cfg.seed = seed;
-    cfg.cores = static_cast<unsigned>(args.getInt("cores", 8));
-    cfg.jobs = static_cast<unsigned>(args.getInt("jobs", 0));
-    cfg.aging.ageFraction = args.getDouble("age", 0.0);
+    cfg.aging.ageFraction =
+        args.get<double>("age", 0.0, 0.0, kMaxAgeFraction);
     cfg.tracePath = args.getString("trace", "");
-    cfg.epochTicks = static_cast<Tick>(args.getInt(
-        "epoch", 0, 0, std::numeric_limits<std::int64_t>::max()));
-    const bool want_heatmap = args.has("heatmap");
-    cfg.lineCounters = args.getBool("line-counters", false) || want_heatmap;
-    // A bare --spans / --wd-ledger / --profile enables the observer with
-    // no file; any other value is its JSON output path. The output flags
-    // are range-checked here, before the run.
-    const auto top = [&args](const char* name) {
-        return args.getInt(name, 0, 0,
-                           std::numeric_limits<unsigned>::max()) > 0;
-    };
-    const auto named = [&args](const char* name) {
-        return !args.getString(name, "").empty();
-    };
-    // Every flag is read (none short-circuited) so all count as known.
-    const bool spans_folded = named("spans-folded");
-    const bool spans_top = top("spans-top");
-    const bool profile_folded = named("profile-folded");
-    const bool profile_top = top("profile-top");
-    const bool wd_top = top("wd-top");
-    cfg.spans = args.has("spans") || spans_folded || spans_top;
-    cfg.profile = args.has("profile") || profile_folded || profile_top;
-    const std::int64_t prof_sample = args.getInt(
-        "profile-sample", static_cast<std::int64_t>(cfg.profileSample));
-    if (!validProfileSamplePeriod(prof_sample)) {
-        SDPCM_FATAL("--profile-sample must be a power of two >= 1, got ",
-                    prof_sample);
-    }
-    cfg.profileSample = static_cast<std::uint32_t>(prof_sample);
-    cfg.verifyOracle = args.getBool("verify-oracle", false);
-    cfg.telemetry = telemetryFromArgs(args);
-    cfg.wdLedger = args.has("wd-ledger") || wd_top;
-    cfg.enduranceCellWrites = args.getDouble("endurance", 1e8);
-    if (args.has("inject")) {
-        try {
-            cfg.faults = FaultSpec::parse(args.getString("inject", ""));
-        } catch (const std::invalid_argument& e) {
-            SDPCM_FATAL(e.what());
-        }
-    }
-
-    // Output flags used after the run, hoisted so every supported
-    // option is declared before the unknown-flag check below.
+    cfg.epochTicks = args.get<Tick>("epoch", 0);
     const std::string epoch_csv_path = args.getString("epoch-csv", "");
     const std::string epoch_json_path = args.getString("epoch-json", "");
+    const bool want_heatmap = args.has("heatmap");
+    cfg.lineCounters = args.getBool("line-counters", false) || want_heatmap;
     HeatmapKind heatmap_kind = HeatmapKind::Writes;
     try {
         heatmap_kind =
@@ -369,35 +203,30 @@ main(int argc, char** argv)
         args.getString("heatmap-csv", heatmap_base + ".csv");
     const std::string heatmap_pgm =
         args.getString("heatmap-pgm", heatmap_base + ".pgm");
-    const auto heatmap_bins = static_cast<unsigned>(args.getInt(
-        "heatmap-bins", 64, 1, std::numeric_limits<unsigned>::max()));
-    const std::string report_path = args.getString("report", "");
-
-    const SchemeConfig scheme =
-        schemeByName(args.getString("scheme", "lazyc+preread"), args);
+    const auto heatmap_bins = args.get<unsigned>("heatmap-bins", 64, 1);
 
     // All supported flags have been read; a typo'd option fails fast
     // here instead of silently no-oping.
     args.finishParsing();
 
-    if (want_capture) {
+    if (args.has("capture")) {
         const WorkloadSpec spec = workloadFromProfile(workload_name);
-        auto stream = spec.makeStream(0, seed);
+        auto stream = spec.makeStream(0, cfg.seed);
         TraceFileWriter writer(capture_path);
-        const auto written = writer.capture(*stream, refs);
+        const auto written = writer.capture(*stream, cfg.refsPerCore);
         std::cout << "captured " << written << " records of '"
                   << workload_name << "' to " << capture_path << "\n";
         return 0;
     }
 
-    if (workload_name == "all" && !want_replay) {
+    if (workload_name == "all" && !args.has("replay")) {
         // Matrix mode: the scheme over every Table 3 workload, fanned
         // out across --jobs workers with ordered progress on stderr.
         const auto workloads = standardWorkloads();
         if (logEnabled(LogLevel::Info)) {
             std::cout << "scheme " << scheme.name << ", "
                       << workloads.size() << " workloads, " << cfg.cores
-                      << " cores x " << refs << " refs, "
+                      << " cores x " << cfg.refsPerCore << " refs, "
                       << resolveJobs(cfg.jobs) << " jobs\n\n";
         }
         const auto results = runMatrix(
@@ -424,11 +253,11 @@ main(int argc, char** argv)
                           m.ctrl.readLatency.percentile(0.99), 0)});
         }
         t.print(std::cout);
-        std::vector<const RunMetrics*> cells;
+        const std::string label = scheme.name + "/all";
+        OutputGroup all{label, scheme.name, {}};
         for (const auto& w : workloads)
-            cells.push_back(&results.front().at(w.name));
-        writeObserverOutputs(args, cfg, scheme.name, scheme.name + "/all",
-                             cells);
+            all.runs.push_back(&results.front().at(w.name));
+        writeObserverOutputs(out, cfg, "sdpcm_cli", label, {all}, true);
         if (cfg.verifyOracle) {
             std::cout << "\noracle: " << oracle_mismatches
                       << " mismatch(es) across " << workloads.size()
@@ -440,11 +269,10 @@ main(int argc, char** argv)
     }
 
     WorkloadSpec spec;
-    if (want_replay) {
-        const std::string path = replay_path;
-        spec.name = "replay:" + path;
-        spec.makeStream = [path](unsigned, std::uint64_t) {
-            return std::make_unique<TraceFileStream>(path);
+    if (args.has("replay")) {
+        spec.name = "replay:" + replay_path;
+        spec.makeStream = [replay_path](unsigned, std::uint64_t) {
+            return std::make_unique<TraceFileStream>(replay_path);
         };
     } else {
         spec = workloadFromProfile(workload_name);
@@ -453,7 +281,7 @@ main(int argc, char** argv)
     if (logEnabled(LogLevel::Info)) {
         std::cout << "scheme " << scheme.name << ", workload "
                   << spec.name << ", " << cfg.cores << " cores x "
-                  << refs << " refs";
+                  << cfg.refsPerCore << " refs";
         if (cfg.faults.any())
             std::cout << ", inject " << cfg.faults.describe();
         std::cout << "\n\n";
@@ -508,8 +336,9 @@ main(int argc, char** argv)
             writeHeatmapPgm(map, os);
         });
     }
-    writeObserverOutputs(args, cfg, scheme.name,
-                         scheme.name + "/" + spec.name, {&m});
+    const std::string label = scheme.name + "/" + spec.name;
+    writeObserverOutputs(out, cfg, "sdpcm_cli", label,
+                         {{label, scheme.name, {&m}}}, true);
     if (cfg.wdLedger) {
         std::cout << "\nwd ledger: " << m.wd.flips() << " flips ("
                   << m.wd.flipsWl << " wl / " << m.wd.flipsBl
@@ -518,12 +347,12 @@ main(int argc, char** argv)
                   << " outstanding, " << m.wd.blame.size()
                   << " aggressor line(s)\n";
     }
-    if (!report_path.empty()) {
+    if (!out.report.value_or("").empty()) {
         RunReport report;
         report.bench = "sdpcm_cli";
         report.config = cfg;
         report.addRun(m);
-        writeOutputFile(report_path, "report",
+        writeOutputFile(*out.report, "report",
                         [&](std::ostream& os) { report.write(os); });
     }
     if (m.oracle.enabled) {

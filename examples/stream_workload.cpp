@@ -30,9 +30,8 @@ main(int argc, char** argv)
     // Three arrays must overflow the 32MB DRAM L3 for any traffic to
     // reach PCM at all.
     const std::uint64_t array_bytes =
-        static_cast<std::uint64_t>(args.getInt("mb", 16)) << 20;
-    const unsigned passes =
-        static_cast<unsigned>(args.getInt("passes", 2));
+        args.get<std::uint64_t>("mb", 16, 1, ~std::uint64_t{0} >> 20) << 20;
+    const auto passes = args.get<unsigned>("passes", 2, 1);
     args.finishParsing();
     const std::uint64_t lines = array_bytes / 64;
 

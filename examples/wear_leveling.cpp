@@ -16,6 +16,7 @@
 
 #include "common/args.hh"
 #include "common/table.hh"
+#include "pcm/geometry.hh"
 #include "pcm/startgap.hh"
 
 using namespace sdpcm;
@@ -24,10 +25,11 @@ int
 main(int argc, char** argv)
 {
     ArgParser args(argc, argv);
-    const std::uint64_t lines =
-        static_cast<std::uint64_t>(args.getInt("lines", 256));
-    const std::uint64_t writes =
-        static_cast<std::uint64_t>(args.getInt("writes", 500000));
+    // A Start-Gap region spans at most every line of the DIMM.
+    const DimmGeometry dimm;
+    const auto lines = args.get<std::uint64_t>(
+        "lines", 256, 1, dimm.capacityBytes() / dimm.lineBytes);
+    const auto writes = args.get<std::uint64_t>("writes", 500000, 1);
     args.finishParsing();
 
     std::cout << "Start-Gap over " << lines << " lines, " << writes

@@ -14,43 +14,70 @@ ArgParser::ArgParser(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
-            SDPCM_WARN("ignoring positional argument: ", arg);
+            positional_.push_back(arg);
             continue;
         }
         arg = arg.substr(2);
         auto eq = arg.find('=');
         if (eq == std::string::npos)
-            options_[arg] = "1";
+            options_[arg] = std::nullopt;
         else
             options_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }
 }
 
+const std::optional<std::string>*
+ArgParser::lookup(const std::string& key) const
+{
+    auto it = options_.find(key);
+    if (it == options_.end())
+        return nullptr;
+    consumed_.insert(key);
+    return &it->second;
+}
+
 bool
 ArgParser::has(const std::string& key) const
 {
-    const bool present = options_.count(key) != 0;
-    if (present)
-        consumed_.insert(key);
-    return present;
+    return lookup(key) != nullptr;
+}
+
+const std::string*
+ArgParser::value(const std::string& key) const
+{
+    const std::optional<std::string>* v = lookup(key);
+    if (v && !*v)
+        SDPCM_FATAL("--", key, " needs a value");
+    return v ? &**v : nullptr;
+}
+
+void
+ArgParser::badValue(const std::string& key, const std::string& text,
+                    const std::string& why)
+{
+    SDPCM_FATAL("bad value for --", key, "=", text, ": ", why);
 }
 
 std::string
 ArgParser::getString(const std::string& key,
                      const std::string& default_value) const
 {
-    auto it = options_.find(key);
-    if (it == options_.end())
-        return default_value;
-    consumed_.insert(key);
-    return it->second;
+    const std::string* text = value(key);
+    return text ? *text : default_value;
 }
 
 std::string
 ArgParser::getPath(const std::string& key) const
 {
-    const std::string path = getString(key, "");
-    return path == "1" ? "" : path;
+    const std::optional<std::string>* v = lookup(key);
+    if (!v || !*v)
+        return "";
+    try {
+        parseBool(**v);
+    } catch (const std::invalid_argument&) {
+        return **v;
+    }
+    badValue(key, **v, "expected a file name, not a boolean");
 }
 
 std::int64_t
@@ -101,69 +128,36 @@ ArgParser::parseBool(const std::string& text)
         "'");
 }
 
-std::int64_t
-ArgParser::getInt(const std::string& key, std::int64_t default_value) const
-{
-    auto it = options_.find(key);
-    if (it == options_.end())
-        return default_value;
-    consumed_.insert(key);
-    try {
-        return parseInt(it->second);
-    } catch (const std::invalid_argument& e) {
-        SDPCM_FATAL("bad value for --", key, "=", it->second, ": ",
-                    e.what());
-    }
-}
-
-std::int64_t
-ArgParser::getInt(const std::string& key, std::int64_t default_value,
-                  std::int64_t min_value, std::int64_t max_value) const
-{
-    const std::int64_t v = getInt(key, default_value);
-    if (v < min_value || v > max_value) {
-        SDPCM_FATAL("bad value for --", key, "=", v, ": must be in [",
-                    min_value, ", ", max_value, "]");
-    }
-    return v;
-}
-
-double
-ArgParser::getDouble(const std::string& key, double default_value) const
-{
-    auto it = options_.find(key);
-    if (it == options_.end())
-        return default_value;
-    consumed_.insert(key);
-    try {
-        return parseDouble(it->second);
-    } catch (const std::invalid_argument& e) {
-        SDPCM_FATAL("bad value for --", key, "=", it->second, ": ",
-                    e.what());
-    }
-}
-
 bool
 ArgParser::getBool(const std::string& key, bool default_value) const
 {
-    auto it = options_.find(key);
-    if (it == options_.end())
+    const std::optional<std::string>* v = lookup(key);
+    if (!v)
         return default_value;
-    consumed_.insert(key);
+    if (!*v)
+        return true; // a bare --key
     try {
-        return parseBool(it->second);
+        return parseBool(**v);
     } catch (const std::invalid_argument& e) {
-        SDPCM_FATAL("bad value for --", key, "=", it->second, ": ",
-                    e.what());
+        badValue(key, **v, e.what());
     }
+}
+
+const std::vector<std::string>&
+ArgParser::positional() const
+{
+    positionalRead_ = true;
+    return positional_;
 }
 
 void
 ArgParser::finishParsing() const
 {
+    for (std::size_t i = 0; !positionalRead_ && i < positional_.size(); ++i)
+        SDPCM_WARN("ignoring positional argument: ", positional_[i]);
     const bool lax = getBool("lax-flags", false);
     std::string unknown;
-    for (const auto& [key, value] : options_) {
+    for (const auto& [key, text] : options_) {
         if (consumed_.count(key))
             continue;
         if (!unknown.empty())

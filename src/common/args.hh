@@ -2,19 +2,22 @@
  * @file
  * Minimal command-line argument parsing for bench and example binaries.
  *
- * Supports `--key=value` and `--flag` forms. Bench binaries use this to
- * accept `--refs=N` (trace length per core) and `--seed=N` without pulling
- * in a heavyweight flags library.
+ * Supports `--key=value` and bare `--flag` forms; other arguments are
+ * positional. Bench binaries use this to accept `--refs=N` (trace
+ * length per core) and `--seed=N` without pulling in a heavyweight
+ * flags library.
  *
  * Values are parsed strictly: `--refs=10k` or `--seed=banana` is a fatal
- * error, not a silent truncation to 10 / 0. The typed getters fatal with
- * a diagnostic naming the offending `--key=value`; the static parse*
- * helpers throw std::invalid_argument so library code (and tests) can
- * handle failures themselves.
+ * error, not a silent truncation to 10 / 0, and get<T>() range-checks
+ * every number (`--cores=-1` cannot wrap to 2^32-1). The getters fatal
+ * naming the offending `--key=value`; the static parse* helpers throw
+ * std::invalid_argument so library code (and tests) can handle failures
+ * themselves. A bare `--key` is not `--key=1`: value getters fatal on
+ * it, getBool() reads it as true and getPath() as "on, no file".
  *
- * Every successful lookup (has / getString / getInt / getDouble /
- * getBool) marks its key as consumed. Binaries call finishParsing() once
- * all flags have been read: any option never looked at — a typo like
+ * Every successful lookup (has / getString / getPath / get / getBool)
+ * marks its key as consumed. Binaries call finishParsing() once all
+ * flags have been read: any option never looked at — a typo like
  * `--telemetery=f.jsonl` — is a fatal error (or a warning under the
  * `--lax-flags` escape hatch), so misspelled flags can no longer
  * silently no-op.
@@ -24,9 +27,16 @@
 #define SDPCM_COMMON_ARGS_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace sdpcm {
 
@@ -41,16 +51,32 @@ class ArgParser
     std::string getString(const std::string& key,
                           const std::string& default_value) const;
     /** An output-file flag: FILE for --key=FILE, "" for a bare --key
-     *  (the output is on without a file) or when absent. */
+     *  (the output is on without a file) or when absent. A boolean
+     *  word (--key=0, --key=on, ...) is fatal: it is not a file name. */
     std::string getPath(const std::string& key) const;
-    std::int64_t getInt(const std::string& key,
-                        std::int64_t default_value) const;
-    /** getInt that is fatal unless min_value <= value <= max_value. */
-    std::int64_t getInt(const std::string& key, std::int64_t default_value,
-                        std::int64_t min_value,
-                        std::int64_t max_value) const;
-    double getDouble(const std::string& key, double default_value) const;
+
+    /**
+     * The number in --key=V, or `default_value` when absent. Fatal
+     * unless V parses as a T (integers: base 0, no trailing junk) and
+     * min_value <= V <= max_value.
+     */
+    template <typename T>
+    T get(const std::string& key, T default_value,
+          T min_value = std::numeric_limits<T>::lowest(),
+          T max_value = std::numeric_limits<T>::max()) const;
+
+    std::int64_t getInt(const std::string& key, std::int64_t def) const
+    {
+        return get(key, def);
+    }
+    double getDouble(const std::string& key, double def) const
+    {
+        return get(key, def);
+    }
     bool getBool(const std::string& key, bool default_value) const;
+
+    /** The non-flag arguments (finishParsing() warns if never read). */
+    const std::vector<std::string>& positional() const;
 
     /**
      * Fatal on any option that was never looked up (unknown or typo'd
@@ -71,9 +97,47 @@ class ArgParser
     static bool parseBool(const std::string& text);
 
   private:
-    std::map<std::string, std::string> options_;
+    /** --key's entry (nullopt: bare), marked consumed; null if absent. */
+    const std::optional<std::string>* lookup(const std::string& key) const;
+    /** The text of --key=V; nullptr when absent, fatal when bare. */
+    const std::string* value(const std::string& key) const;
+    [[noreturn]] static void badValue(const std::string& key,
+                                      const std::string& text,
+                                      const std::string& why);
+
+    /** nullopt marks a bare --key. */
+    std::map<std::string, std::optional<std::string>> options_;
+    std::vector<std::string> positional_;
     mutable std::set<std::string> consumed_;
+    mutable bool positionalRead_ = false;
 };
+
+template <typename T>
+T
+ArgParser::get(const std::string& key, T default_value, T min_value,
+               T max_value) const
+{
+    const std::string* text = value(key);
+    if (!text)
+        return default_value;
+    try {
+        if constexpr (std::is_floating_point_v<T>) {
+            const double v = parseDouble(*text);
+            if (v >= min_value && v <= max_value)
+                return static_cast<T>(v);
+        } else {
+            const std::int64_t v = parseInt(*text);
+            if (std::cmp_greater_equal(v, min_value) &&
+                std::cmp_less_equal(v, max_value))
+                return static_cast<T>(v);
+        }
+    } catch (const std::invalid_argument& e) {
+        badValue(key, *text, e.what());
+    }
+    std::ostringstream why;
+    why << "must be in [" << +min_value << ", " << +max_value << "]";
+    badValue(key, *text, why.str());
+}
 
 } // namespace sdpcm
 

@@ -1,5 +1,7 @@
 #include "controller/scheme.hh"
 
+#include <stdexcept>
+
 namespace sdpcm {
 
 SchemeConfig
@@ -81,6 +83,30 @@ SchemeConfig::sdpcm(const NmRatio& tag)
     SchemeConfig c = lazyCPreReadNm(tag);
     c.name = "sdpcm";
     return c;
+}
+
+SchemeConfig
+SchemeConfig::byName(const std::string& name, const NmRatio& ratio)
+{
+    if (name == "din")
+        return din8F2();
+    if (name == "baseline" || name == "vnc")
+        return baselineVnc();
+    if (name == "lazyc")
+        return lazyC();
+    if (name == "lazyc+preread")
+        return lazyCPreRead();
+    if (name == "nm")
+        return nmOnly(ratio);
+    if (name == "all" || name == "lazyc+preread+nm")
+        return lazyCPreReadNm(ratio);
+    if (name == "sdpcm")
+        return sdpcm(ratio);
+    if (name == "fnw")
+        return fnwVnc();
+    throw std::invalid_argument("unknown scheme '" + name +
+                                "' (din, baseline, lazyc, lazyc+preread, "
+                                "nm, all, sdpcm, fnw)");
 }
 
 } // namespace sdpcm

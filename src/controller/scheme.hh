@@ -111,6 +111,16 @@ struct SchemeConfig
 
     /** The full SD-PCM stack: LazyC + PreRead + (n:m)-Alloc. */
     static SchemeConfig sdpcm(const NmRatio& tag = NmRatio{2, 3});
+
+    /**
+     * The scheme of a sdpcm_cli --scheme / fuzz spec name; the (n:m)
+     * schemes use `ratio`. Throws std::invalid_argument on an unknown
+     * name.
+     */
+    static SchemeConfig byName(const std::string& name,
+                               const NmRatio& ratio);
+
+    bool operator==(const SchemeConfig&) const = default;
 };
 
 } // namespace sdpcm

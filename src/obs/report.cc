@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -111,6 +112,84 @@ writeOutputFile(const std::string& path, const std::string& what,
     if (!os)
         SDPCM_FATAL("error writing ", what, " file: ", path);
     SDPCM_PROGRESS(what, " written to ", path);
+}
+
+namespace {
+
+template <typename Summary>
+std::vector<Summary>
+mergedPerGroup(const std::vector<OutputGroup>& groups,
+               Summary RunMetrics::*field)
+{
+    std::vector<Summary> merged(groups.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+        for (const RunMetrics* m : groups[i].runs)
+            merged[i].merge(m->*field);
+    }
+    return merged;
+}
+
+} // namespace
+
+void
+writeObserverOutputs(const RunOutputs& out, const RunOptions& cfg,
+                     const std::string& tool, const std::string& title,
+                     const std::vector<OutputGroup>& groups,
+                     bool ledger_per_run)
+{
+    // Each group's collapsed stacks (one file) and top-N table.
+    const auto per_group = [&groups](const ObserverOutputs& o,
+                                     const char* what, const auto& merged,
+                                     auto fold, auto top) {
+        writeOutputFile(o.folded, what, [&](std::ostream& os) {
+            for (std::size_t i = 0; i < groups.size(); ++i)
+                fold(os, groups[i].stack, merged[i]);
+        });
+        for (std::size_t i = 0; o.top > 0 && i < groups.size(); ++i)
+            top(std::cerr, groups[i].label, merged[i], o.top);
+    };
+    if (cfg.spans) {
+        const auto merged = mergedPerGroup(groups, &RunMetrics::spans);
+        std::vector<SpanBlameEntry> entries;
+        for (const OutputGroup& g : groups) {
+            for (const RunMetrics* m : g.runs)
+                entries.push_back({m->scheme, m->workload, &m->spans});
+        }
+        writeOutputFile(out.spans.json, "span blame", [&](std::ostream& os) {
+            writeSpanBlameJson(os, tool, entries);
+        });
+        per_group(out.spans, "folded stacks", merged, writeFoldedStacks,
+                  printSpanTop);
+    }
+    if (cfg.wdLedger) {
+        const auto merged = mergedPerGroup(groups, &RunMetrics::wd);
+        std::vector<WdLedgerEntry> entries;
+        for (std::size_t i = 0; i < groups.size(); ++i) {
+            if (!ledger_per_run) {
+                entries.push_back({groups[i].stack, "all", &merged[i]});
+                continue;
+            }
+            for (const RunMetrics* m : groups[i].runs)
+                entries.push_back({m->scheme, m->workload, &m->wd});
+        }
+        writeOutputFile(out.wdLedger.json, "wd ledger",
+                        [&](std::ostream& os) {
+                            writeWdLedgerJson(os, tool, entries);
+                        });
+        // The ledger has no collapsed stacks: only its top-N tables.
+        per_group(out.wdLedger, "", merged, [](auto&&...) {}, printWdTop);
+    }
+    if (cfg.profile) {
+        const auto merged = mergedPerGroup(groups, &RunMetrics::prof);
+        ProfSummary all;
+        for (const ProfSummary& p : merged)
+            all.merge(p);
+        writeOutputFile(out.profile.json, "profile", [&](std::ostream& os) {
+            writeProfileJson(os, title, all);
+        });
+        per_group(out.profile, "profile folded stacks", merged,
+                  writeProfileFolded, printProfileTop);
+    }
 }
 
 namespace {

@@ -79,6 +79,27 @@ struct RunReport
 void writeOutputFile(const std::string& path, const std::string& what,
                      const std::function<void(std::ostream&)>& write);
 
+/** Runs whose summaries merge into one top-N table (`label`) and one
+ *  folded-stack root (`stack`): a bench's scheme, or a CLI invocation. */
+struct OutputGroup
+{
+    std::string label;
+    std::string stack;
+    std::vector<const RunMetrics*> runs;
+};
+
+/**
+ * The span, ledger and profile outputs `out` asks for, for the
+ * observers `cfg` ran, merged in group and run order: JSON exports
+ * named for `tool` (ledger entries per run with `ledger_per_run`, else
+ * per group), the profile of every run as `title`, and each group's
+ * folded stacks and stderr top-N tables.
+ */
+void writeObserverOutputs(const RunOutputs& out, const RunOptions& cfg,
+                          const std::string& tool, const std::string& title,
+                          const std::vector<OutputGroup>& groups,
+                          bool ledger_per_run);
+
 /** A report parsed back from JSON (consumer/gate side). */
 struct ParsedReport
 {

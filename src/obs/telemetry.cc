@@ -1,10 +1,7 @@
 #include "obs/telemetry.hh"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 
-#include "common/args.hh"
 #include "common/logging.hh"
 #include "obs/csv.hh"
 #include "obs/json.hh"
@@ -12,46 +9,6 @@
 #include "obs/trace_sink.hh"
 
 namespace sdpcm {
-
-TelemetryConfig
-telemetryFromArgs(const ArgParser& args)
-{
-    TelemetryConfig cfg;
-    cfg.path = args.getString("telemetry", "");
-    cfg.promPath = args.getString("telemetry-prom", "");
-    cfg.monitorRules = args.getString("monitor", "");
-    constexpr std::int64_t kMaxTicks =
-        std::numeric_limits<std::int64_t>::max();
-    cfg.watchdogTicks =
-        static_cast<Tick>(args.getInt("watchdog", 0, 0, kMaxTicks));
-    cfg.windowFrames = static_cast<unsigned>(args.getInt(
-        "telemetry-window", 8, 1, std::numeric_limits<unsigned>::max()));
-    cfg.intervalTicks = static_cast<Tick>(
-        args.getInt("telemetry-interval", 0, 0, kMaxTicks));
-    const bool wanted = !cfg.path.empty() || !cfg.promPath.empty() ||
-                        !cfg.monitorRules.empty() ||
-                        cfg.watchdogTicks > 0;
-    if (cfg.intervalTicks == 0 && wanted) {
-        // Any telemetry output without an explicit cadence turns
-        // sampling on at a default frame interval (25us at 4GHz).
-        cfg.intervalTicks = 100000;
-    }
-    if (cfg.watchdogTicks > 0 && cfg.watchdogTicks < cfg.intervalTicks) {
-        // The watchdog checks once per frame, so a shorter window could
-        // never see an intact window and would flag every gap.
-        SDPCM_FATAL("--watchdog=", cfg.watchdogTicks, " must be >= the "
-                    "telemetry interval (", cfg.intervalTicks, " ticks)");
-    }
-    if (!cfg.monitorRules.empty()) {
-        // Fail fast on a malformed rule, before any simulation runs.
-        try {
-            MonitorRule::parseList(cfg.monitorRules);
-        } catch (const std::invalid_argument& e) {
-            SDPCM_FATAL(e.what());
-        }
-    }
-    return cfg;
-}
 
 namespace {
 
@@ -168,8 +125,8 @@ TelemetrySampler::TelemetrySampler(EventQueue& events,
 
     if (!cfg_.path.empty()) {
         stream_.open(cfg_.path);
-        SDPCM_ASSERT(stream_.good(), "cannot open telemetry file: ",
-                     cfg_.path);
+        if (!stream_)
+            SDPCM_FATAL("cannot open telemetry file: ", cfg_.path);
     }
     if (!cfg_.monitorRules.empty()) {
         monitors_ = std::make_unique<MonitorSet>(

@@ -56,7 +56,6 @@
 
 namespace sdpcm {
 
-class ArgParser;
 class MonitorSet;
 class Watchdog;
 
@@ -80,16 +79,6 @@ struct TelemetryConfig
 
     bool enabled() const { return intervalTicks > 0; }
 };
-
-/**
- * Shared frontend parsing (CLI and benches): --telemetry=FILE,
- * --telemetry-interval=N, --telemetry-prom=FILE, --telemetry-window=N,
- * --monitor=RULES, --watchdog=N. Passing any telemetry flag without an
- * explicit interval enables sampling at a default interval. Monitor
- * rules are validated here (fail-fast before any simulation runs);
- * SDPCM_FATAL on a malformed spec.
- */
-TelemetryConfig telemetryFromArgs(const ArgParser& args);
 
 /**
  * Named signals of one simulation instance. Deliberately per-instance,

@@ -13,7 +13,8 @@ using json::writeString;
 ChromeTraceSink::ChromeTraceSink(const std::string& path)
     : owned_(path), os_(&owned_)
 {
-    SDPCM_ASSERT(owned_.good(), "cannot open trace file: ", path);
+    if (!owned_)
+        SDPCM_FATAL("cannot open trace file: ", path);
     *os_ << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
 }
 

@@ -45,6 +45,9 @@ struct NmRatio
         return n == m;
     }
 
+    /** The ratios an allocator accepts: 1 <= n <= m. */
+    bool valid() const { return n >= 1 && n <= m; }
+
     std::string
     toString() const
     {
@@ -63,8 +66,8 @@ class NmPolicy
     NmPolicy(const NmRatio& ratio, std::uint64_t strips_per_block)
         : ratio_(ratio), stripsPerBlock_(strips_per_block)
     {
-        SDPCM_ASSERT(ratio.n >= 1 && ratio.n <= ratio.m,
-                     "invalid (n:m) ratio ", ratio.n, ":", ratio.m);
+        SDPCM_ASSERT(ratio.valid(), "invalid (n:m) ratio ", ratio.n, ":",
+                     ratio.m);
         SDPCM_ASSERT(strips_per_block > 0, "empty block");
     }
 

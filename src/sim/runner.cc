@@ -2,11 +2,117 @@
 
 #include <cmath>
 #include <mutex>
+#include <stdexcept>
 
+#include "common/args.hh"
 #include "common/logging.hh"
+#include "obs/monitor.hh"
+#include "obs/profiler.hh"
 #include "sim/parallel.hh"
 
 namespace sdpcm {
+
+RunFlags
+parseRunFlags(const ArgParser& args, std::uint64_t default_refs)
+{
+    if (args.getBool("quiet", false))
+        setLogLevel(LogLevel::Warn);
+    RunFlags flags;
+    RunnerConfig& cfg = flags.config;
+    RunOutputs& out = flags.outputs;
+    cfg.refsPerCore =
+        args.get<std::uint64_t>("refs", default_refs, kMinRefsPerCore);
+    cfg.seed = args.get<std::uint64_t>("seed", 1);
+    cfg.cores = args.get<unsigned>("cores", 8, kMinCores);
+    cfg.jobs = args.get<unsigned>("jobs", 0);
+    cfg.verifyOracle = args.getBool("verify-oracle", false);
+    try {
+        cfg.faults = FaultSpec::parse(args.getString("inject", ""));
+    } catch (const std::invalid_argument& e) {
+        SDPCM_FATAL("bad --inject spec: ", e.what());
+    }
+
+    const auto observer = [&args](ObserverOutputs& o, const char* json,
+                                  const char* folded, const char* top) {
+        o.json = args.getPath(json);
+        o.folded = folded ? args.getString(folded, "") : "";
+        o.top = args.get<unsigned>(top, 0);
+        return args.has(json) || !o.folded.empty() || o.top > 0;
+    };
+    cfg.spans = observer(out.spans, "spans", "spans-folded", "spans-top");
+    cfg.wdLedger = observer(out.wdLedger, "wd-ledger", nullptr, "wd-top");
+    cfg.profile =
+        observer(out.profile, "profile", "profile-folded", "profile-top");
+    cfg.profileSample = args.get<std::uint32_t>(
+        "profile-sample", cfg.profileSample, 1, std::uint32_t{1} << 31);
+    if (!validProfileSamplePeriod(cfg.profileSample)) {
+        SDPCM_FATAL("--profile-sample must be a power of two >= 1, got ",
+                    cfg.profileSample);
+    }
+
+    TelemetryConfig& tel = cfg.telemetry;
+    tel.path = args.getString("telemetry", "");
+    tel.promPath = args.getString("telemetry-prom", "");
+    tel.monitorRules = args.getString("monitor", "");
+    tel.watchdogTicks = args.get<Tick>("watchdog", 0);
+    tel.windowFrames = args.get<unsigned>("telemetry-window", 8, 1);
+    tel.intervalTicks = args.get<Tick>("telemetry-interval", 0);
+    if (tel.intervalTicks == 0 &&
+        (!tel.path.empty() || !tel.promPath.empty() ||
+         !tel.monitorRules.empty() || tel.watchdogTicks > 0)) {
+        // Any telemetry output without an explicit cadence turns
+        // sampling on at a default frame interval (25us at 4GHz).
+        tel.intervalTicks = 100000;
+    }
+    if (tel.watchdogTicks > 0 && tel.watchdogTicks < tel.intervalTicks) {
+        // The watchdog checks once per frame, so a shorter window could
+        // never see an intact window and would flag every gap.
+        SDPCM_FATAL("--watchdog=", tel.watchdogTicks, " must be >= the "
+                    "telemetry interval (", tel.intervalTicks, " ticks)");
+    }
+    try {
+        // Fail fast on a malformed rule, before any simulation runs.
+        MonitorRule::parseList(tel.monitorRules);
+    } catch (const std::invalid_argument& e) {
+        SDPCM_FATAL(e.what());
+    }
+
+    cfg.enduranceCellWrites = args.get<double>("endurance", 1e8, 1.0);
+    if (args.has("report"))
+        out.report = args.getString("report", "");
+    return flags;
+}
+
+SchemeConfig
+schemeFromArgs(const ArgParser& args)
+{
+    // --n/--m are read (and checked) for every scheme.
+    const NmRatio ratio{args.get<unsigned>("n", 2),
+                        args.get<unsigned>("m", 3)};
+    if (!ratio.valid()) {
+        SDPCM_FATAL("bad value for --n=", ratio.n, " --m=", ratio.m,
+                    ": needs 1 <= n <= m");
+    }
+    SchemeConfig scheme;
+    try {
+        scheme = SchemeConfig::byName(
+            args.getString("scheme", "lazyc+preread"), ratio);
+    } catch (const std::invalid_argument& e) {
+        SDPCM_FATAL(e.what());
+    }
+    scheme.ecpEntries = args.get<unsigned>("ecp", scheme.ecpEntries);
+    scheme.writeQueueEntries = args.get<unsigned>(
+        "wq", scheme.writeQueueEntries, kMinWriteQueueEntries);
+    scheme.writeCancellation =
+        args.getBool("wc", scheme.writeCancellation);
+    scheme.idleWriteDrain =
+        args.getBool("idle-drain", scheme.idleWriteDrain);
+    scheme.maxCancelsPerWrite =
+        args.get<unsigned>("max-cancels", scheme.maxCancelsPerWrite);
+    scheme.drainBurstWrites =
+        args.get<unsigned>("drain-burst", scheme.drainBurstWrites);
+    return scheme;
+}
 
 double
 geomean(const std::vector<double>& values)

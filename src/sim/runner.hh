@@ -15,12 +15,15 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/system.hh"
 
 namespace sdpcm {
+
+class ArgParser;
 
 /**
  * Geometric mean of a series. Non-positive values cannot enter a
@@ -38,6 +41,56 @@ struct RunnerConfig : RunOptions
 {
     unsigned jobs = 0; //!< matrix-level parallelism (0 = all host cores)
 };
+
+/**
+ * Knob bounds beyond the knobs' types, checked by the flag parsers and
+ * FuzzScenario::fromJson alike (with NmRatio::valid for 1 <= n <= m).
+ */
+inline constexpr unsigned kMinCores = 1;
+inline constexpr std::uint64_t kMinRefsPerCore = 1;
+inline constexpr unsigned kMinWriteQueueEntries = 1;
+inline constexpr double kMaxAgeFraction = 1.0; //!< age is in [0, this]
+
+/** One observer's outputs: files ("" = none), stderr table (0 = none). */
+struct ObserverOutputs
+{
+    std::string json;   //!< --X[=FILE]
+    std::string folded; //!< --X-folded=FILE
+    unsigned top = 0;   //!< --X-top=N
+};
+
+/** Where a finished run's outputs go. */
+struct RunOutputs
+{
+    ObserverOutputs spans;
+    ObserverOutputs wdLedger;
+    ObserverOutputs profile;
+    /** --report=FILE; "" writes none, unset keeps the binary's default. */
+    std::optional<std::string> report;
+};
+
+/** The shared run flags of one command line. */
+struct RunFlags
+{
+    RunnerConfig config;
+    RunOutputs outputs;
+};
+
+/**
+ * Parse the run flags sdpcm_cli and the benches share (listed in
+ * bench/bench_common.hh), fatal on any bad value. A bare --spans,
+ * --wd-ledger or --profile turns its observer on with no file, and any
+ * output an observer's flags ask for (a FILE, N > 0) turns it on.
+ * --quiet lowers the log level on the spot.
+ */
+RunFlags parseRunFlags(const ArgParser& args,
+                       std::uint64_t default_refs = 10000);
+
+/**
+ * sdpcm_cli's scheme: SchemeConfig::byName(--scheme, {--n, --m}), then
+ * the --ecp --wq --wc --idle-drain --max-cancels --drain-burst knobs.
+ */
+SchemeConfig schemeFromArgs(const ArgParser& args);
 
 /** Run one (scheme, workload) pair and return its metrics. */
 RunMetrics runOne(const SchemeConfig& scheme, const WorkloadSpec& workload,

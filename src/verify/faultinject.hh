@@ -51,6 +51,8 @@ struct FaultSpec
         return stuckPerLine > 0.0 || ecpSteal > 0 || wdBoost > 0.0;
     }
 
+    bool operator==(const FaultSpec&) const = default;
+
     /**
      * Parse a comma-separated spec: "stuck=0.3,ecp=2,wd=0.02,seed=9".
      * Unknown keys or malformed values throw std::invalid_argument.

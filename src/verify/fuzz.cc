@@ -1,41 +1,24 @@
 #include "verify/fuzz.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "obs/profiler.hh"
-#include "sim/system.hh"
+#include "sim/runner.hh"
 
 namespace sdpcm {
 
 SchemeConfig
 FuzzScenario::toScheme() const
 {
-    // Same name set as the sdpcm_cli --scheme factory.
-    SchemeConfig sc;
-    const NmRatio ratio{n, m};
-    if (scheme == "din") {
-        sc = SchemeConfig::din8F2();
-    } else if (scheme == "baseline" || scheme == "vnc") {
-        sc = SchemeConfig::baselineVnc();
-    } else if (scheme == "lazyc") {
-        sc = SchemeConfig::lazyC(ecp);
-    } else if (scheme == "lazyc+preread") {
-        sc = SchemeConfig::lazyCPreRead();
-    } else if (scheme == "nm") {
-        sc = SchemeConfig::nmOnly(ratio);
-    } else if (scheme == "sdpcm") {
-        sc = SchemeConfig::sdpcm(ratio);
-    } else if (scheme == "fnw") {
-        sc = SchemeConfig::fnwVnc();
-    } else {
-        throw std::runtime_error("fuzz scenario: unknown scheme '" +
-                                 scheme + "'");
-    }
+    SchemeConfig sc = SchemeConfig::byName(scheme, NmRatio{n, m});
     sc.ecpEntries = ecp;
     sc.writeQueueEntries = wq;
     sc.writeCancellation = wc;
@@ -83,6 +66,13 @@ FuzzScenario::describe() const
 std::string
 FuzzScenario::cliLine() const
 {
+    // Doubles in shortest round-trip form: the shrinker halves stuck/wd
+    // to values the default 6 digits would print rounded.
+    const auto exact = [](double v) {
+        std::ostringstream num;
+        json::writeNumber(num, v);
+        return num.str();
+    };
     std::ostringstream os;
     os << "sdpcm_cli --verify-oracle --scheme=" << scheme
        << " --workload=" << workload << " --refs=" << refs
@@ -92,12 +82,12 @@ FuzzScenario::cliLine() const
        << " --max-cancels=" << maxCancels
        << " --drain-burst=" << drainBurst;
     if (age > 0.0)
-        os << " --age=" << age;
+        os << " --age=" << exact(age);
     if (scheme == "nm" || scheme == "sdpcm")
         os << " --n=" << n << " --m=" << m;
     if (stuck > 0.0 || ecpSteal > 0 || wd > 0.0) {
-        os << " --inject=stuck=" << stuck << ",ecp=" << ecpSteal
-           << ",wd=" << wd << ",seed=" << faultSeed;
+        os << " --inject=stuck=" << exact(stuck) << ",ecp=" << ecpSteal
+           << ",wd=" << exact(wd) << ",seed=" << faultSeed;
     }
     return os.str();
 }
@@ -139,44 +129,34 @@ FuzzScenario::toJson() const
 
 namespace {
 
-std::uint64_t
-jsonU64(const JsonValue& v, const char* key)
+/** Spec field `key` as a T (integers must fit T), or a runtime_error. */
+template <typename T>
+T
+field(const JsonValue& doc, const char* key)
 {
-    const JsonValue& field = v.at(key);
-    if (field.type != JsonValue::Type::Number || field.number < 0.0)
-        throw std::runtime_error(std::string("fuzz spec: field '") + key +
-                                 "' must be a non-negative number");
-    return static_cast<std::uint64_t>(field.number);
-}
-
-double
-jsonDouble(const JsonValue& v, const char* key)
-{
-    const JsonValue& field = v.at(key);
-    if (field.type != JsonValue::Type::Number)
-        throw std::runtime_error(std::string("fuzz spec: field '") + key +
-                                 "' must be a number");
-    return field.number;
-}
-
-bool
-jsonBool(const JsonValue& v, const char* key)
-{
-    const JsonValue& field = v.at(key);
-    if (field.type != JsonValue::Type::Bool)
-        throw std::runtime_error(std::string("fuzz spec: field '") + key +
-                                 "' must be a boolean");
-    return field.boolean;
-}
-
-std::string
-jsonString(const JsonValue& v, const char* key)
-{
-    const JsonValue& field = v.at(key);
-    if (field.type != JsonValue::Type::String)
-        throw std::runtime_error(std::string("fuzz spec: field '") + key +
-                                 "' must be a string");
-    return field.str;
+    const JsonValue& v = doc.at(key);
+    const auto bad = [key](const std::string& want) {
+        return std::runtime_error(std::string("fuzz spec: field '") + key +
+                                  "' must be " + want);
+    };
+    if constexpr (std::is_same_v<T, bool>) {
+        if (v.type != JsonValue::Type::Bool)
+            throw bad("a boolean");
+        return v.boolean;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (v.type != JsonValue::Type::String)
+            throw bad("a string");
+        return v.str;
+    } else {
+        if (v.type != JsonValue::Type::Number)
+            throw bad("a number");
+        if (std::is_integral_v<T> &&
+            !(v.number >= 0.0 &&
+              v.number < std::ldexp(1.0, std::numeric_limits<T>::digits)))
+            throw bad("in [0, " +
+                      std::to_string(std::numeric_limits<T>::max()) + "]");
+        return static_cast<T>(v.number);
+    }
 }
 
 } // namespace
@@ -210,32 +190,33 @@ FuzzScenario::fromJson(const std::string& text)
 
     FuzzScenario s;
     try {
-        s.scheme = jsonString(doc, "scheme");
-        s.workload = jsonString(doc, "workload");
-        s.wc = jsonBool(doc, "wc");
-        s.idleDrain = jsonBool(doc, "idleDrain");
-        s.maxCancels = static_cast<unsigned>(jsonU64(doc, "maxCancels"));
-        s.drainBurst = static_cast<unsigned>(jsonU64(doc, "drainBurst"));
-        s.ecp = static_cast<unsigned>(jsonU64(doc, "ecp"));
-        s.wq = static_cast<unsigned>(jsonU64(doc, "wq"));
-        s.n = static_cast<unsigned>(jsonU64(doc, "n"));
-        s.m = static_cast<unsigned>(jsonU64(doc, "m"));
-        s.cores = static_cast<unsigned>(jsonU64(doc, "cores"));
-        s.refs = jsonU64(doc, "refs");
-        s.seed = jsonU64(doc, "seed");
-        s.age = jsonDouble(doc, "age");
-        s.stuck = jsonDouble(doc, "stuck");
-        s.ecpSteal = static_cast<unsigned>(jsonU64(doc, "ecpSteal"));
-        s.wd = jsonDouble(doc, "wd");
-        s.faultSeed = jsonU64(doc, "faultSeed");
+        s.scheme = field<std::string>(doc, "scheme");
+        s.workload = field<std::string>(doc, "workload");
+        s.wc = field<bool>(doc, "wc");
+        s.idleDrain = field<bool>(doc, "idleDrain");
+        s.maxCancels = field<unsigned>(doc, "maxCancels");
+        s.drainBurst = field<unsigned>(doc, "drainBurst");
+        s.ecp = field<unsigned>(doc, "ecp");
+        s.wq = field<unsigned>(doc, "wq");
+        s.n = field<unsigned>(doc, "n");
+        s.m = field<unsigned>(doc, "m");
+        s.cores = field<unsigned>(doc, "cores");
+        s.refs = field<std::uint64_t>(doc, "refs");
+        s.seed = field<std::uint64_t>(doc, "seed");
+        s.age = field<double>(doc, "age");
+        s.stuck = field<double>(doc, "stuck");
+        s.ecpSteal = field<unsigned>(doc, "ecpSteal");
+        s.wd = field<double>(doc, "wd");
+        s.faultSeed = field<std::uint64_t>(doc, "faultSeed");
     } catch (const std::out_of_range&) {
         throw std::runtime_error("fuzz spec: missing required field");
     }
-    if (!(s.age >= 0.0 && s.age <= 1.0))
+    if (!(s.age >= 0.0 && s.age <= kMaxAgeFraction))
         throw std::runtime_error("fuzz spec: age must be in [0,1]");
-    if (s.wq == 0 || s.cores == 0 || s.m == 0 || s.n == 0 || s.n > s.m)
-        throw std::runtime_error("fuzz spec: needs wq>0, cores>0 and "
-                                 "1<=n<=m");
+    if (s.wq < kMinWriteQueueEntries || s.cores < kMinCores ||
+        s.refs < kMinRefsPerCore || !NmRatio{s.n, s.m}.valid())
+        throw std::runtime_error("fuzz spec: needs wq>0, cores>0, refs>0 "
+                                 "and 1<=n<=m");
     // Reuse the injector's own validation (finite, in-range).
     (void)FaultSpec::parse("stuck=" + std::to_string(s.stuck) +
                            ",wd=" + std::to_string(s.wd));
@@ -251,21 +232,6 @@ FuzzScenario::fromJsonFile(const std::string& path)
     std::ostringstream buf;
     buf << is.rdbuf();
     return fromJson(buf.str());
-}
-
-bool
-FuzzScenario::operator==(const FuzzScenario& other) const
-{
-    return scheme == other.scheme && workload == other.workload &&
-           wc == other.wc && idleDrain == other.idleDrain &&
-           maxCancels == other.maxCancels &&
-           drainBurst == other.drainBurst && ecp == other.ecp &&
-           wq == other.wq && n == other.n && m == other.m &&
-           cores == other.cores && refs == other.refs &&
-           seed == other.seed && age == other.age &&
-           stuck == other.stuck &&
-           ecpSteal == other.ecpSteal && wd == other.wd &&
-           faultSeed == other.faultSeed;
 }
 
 const char*

@@ -60,7 +60,8 @@ struct FuzzScenario
     double wd = 0.0;              //!< forced WD-flip probability
     std::uint64_t faultSeed = 1;  //!< injector RNG seed
 
-    /** Materialise the controller/device scheme configuration. */
+    /** Materialise the scheme (SchemeConfig::byName; throws
+     *  std::invalid_argument on an unknown name). */
     SchemeConfig toScheme() const;
 
     /** Materialise the fault-injection spec. */
@@ -71,7 +72,8 @@ struct FuzzScenario
 
     /**
      * The exact sdpcm_cli invocation reproducing this scenario
-     * (including --verify-oracle), for copy-paste triage.
+     * (including --verify-oracle), for copy-paste triage; doubles
+     * print in shortest round-trip form.
      */
     std::string cliLine() const;
 
@@ -87,11 +89,7 @@ struct FuzzScenario
     static FuzzScenario fromJson(const std::string& text);
     static FuzzScenario fromJsonFile(const std::string& path);
 
-    bool operator==(const FuzzScenario& other) const;
-    bool operator!=(const FuzzScenario& other) const
-    {
-        return !(*this == other);
-    }
+    bool operator==(const FuzzScenario&) const = default;
 };
 
 /** Outcome classification of one scenario execution. */

@@ -10,6 +10,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/args.hh"
 #include "common/bitops.hh"
@@ -280,6 +282,91 @@ TEST(ArgParserDeath, FinishParsingFatalsOnUnknownFlag)
     ArgParser args(2, const_cast<char**>(argv));
     EXPECT_EXIT(args.finishParsing(), ::testing::ExitedWithCode(1),
                 "unknown option\\(s\\): --telemetery");
+}
+
+/** An ArgParser over `words` (argv[0] is supplied). */
+ArgParser
+parserOf(std::vector<std::string> words)
+{
+    words.insert(words.begin(), "prog");
+    std::vector<char*> argv;
+    for (std::string& w : words)
+        argv.push_back(w.data());
+    return ArgParser(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(ArgParser, TypedGetterReadsInRangeValues)
+{
+    const ArgParser args = parserOf(
+        {"--cores=4", "--seed=0x10", "--age=0.25", "--top=0"});
+    EXPECT_EQ(args.get<unsigned>("cores", 8, 1), 4u);
+    EXPECT_EQ(args.get<std::uint64_t>("seed", 1), 16u);
+    EXPECT_EQ(args.get<double>("age", 0.0, 0.0, 1.0), 0.25);
+    EXPECT_EQ(args.get<std::size_t>("top", 10), 0u);
+    EXPECT_EQ(args.get<unsigned>("missing", 7, 1, 5), 7u); // default kept
+    args.finishParsing();
+}
+
+TEST(ArgParserDeath, TypedGetterRejectsNegativeUnsigned)
+{
+    const ArgParser args = parserOf({"--cores=-1"});
+    EXPECT_EXIT(args.get<unsigned>("cores", 8),
+                ::testing::ExitedWithCode(1),
+                "bad value for --cores=-1: must be in \\[0, 4294967295\\]");
+}
+
+TEST(ArgParserDeath, TypedGetterRejectsOutOfRange)
+{
+    const ArgParser args =
+        parserOf({"--cores=0", "--wq=4294967296", "--age=2"});
+    EXPECT_EXIT(args.get<unsigned>("cores", 8, 1),
+                ::testing::ExitedWithCode(1),
+                "bad value for --cores=0: must be in \\[1, 4294967295\\]");
+    EXPECT_EXIT(args.get<unsigned>("wq", 32),
+                ::testing::ExitedWithCode(1),
+                "bad value for --wq=4294967296");
+    EXPECT_EXIT(args.get<double>("age", 0.0, 0.0, 1.0),
+                ::testing::ExitedWithCode(1),
+                "bad value for --age=2: must be in \\[0, 1\\]");
+}
+
+TEST(ArgParser, BareFlagIsNotOne)
+{
+    const ArgParser args = parserOf({"--quiet", "--spans", "--report="});
+    EXPECT_TRUE(args.getBool("quiet", false)); // bare = true
+    EXPECT_TRUE(args.has("spans"));
+    EXPECT_EQ(args.getPath("spans"), "");      // on, no file
+    EXPECT_EQ(args.getString("report", "R.json"), ""); // empty, not bare
+    EXPECT_EQ(args.getPath("missing"), "");
+}
+
+TEST(ArgParserDeath, ValueGetterFatalsOnBareFlag)
+{
+    const ArgParser args = parserOf({"--trace", "--refs", "--age"});
+    EXPECT_EXIT(args.getString("trace", ""), ::testing::ExitedWithCode(1),
+                "fatal: --trace needs a value");
+    EXPECT_EXIT(args.get<unsigned>("refs", 10),
+                ::testing::ExitedWithCode(1), "--refs needs a value");
+    EXPECT_EXIT(args.getDouble("age", 0.0), ::testing::ExitedWithCode(1),
+                "--age needs a value");
+}
+
+TEST(ArgParser, GetPathKeepsFileNames)
+{
+    const ArgParser args = parserOf({"--spans=S.json", "--profile=1.json"});
+    EXPECT_EQ(args.getPath("spans"), "S.json");
+    EXPECT_EQ(args.getPath("profile"), "1.json");
+}
+
+TEST(ArgParserDeath, GetPathRejectsBooleanWord)
+{
+    const ArgParser args =
+        parserOf({"--profile=0", "--wd-ledger=1", "--spans=off"});
+    for (const char* key : {"profile", "wd-ledger", "spans"}) {
+        EXPECT_EXIT(args.getPath(key), ::testing::ExitedWithCode(1),
+                    std::string("bad value for --") + key +
+                        "=.*: expected a file name, not a boolean");
+    }
 }
 
 TEST(ArgParser, LaxFlagsDowngradesUnknownToWarning)

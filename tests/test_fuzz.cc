@@ -9,9 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/args.hh"
 #include "common/rng.hh"
+#include "sim/runner.hh"
 #include "verify/fuzz.hh"
 
 namespace sdpcm {
@@ -103,6 +108,11 @@ TEST(FuzzSpec, RejectsMalformedValues)
                  std::runtime_error); // number where bool expected
     EXPECT_THROW((void)FuzzScenario::fromJson(mutate("refs", "-1")),
                  std::runtime_error);
+    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("refs", "0")),
+                 std::runtime_error);
+    EXPECT_THROW(
+        (void)FuzzScenario::fromJson(mutate("cores", "4294967297")),
+        std::runtime_error); // would wrap to 1 core through a cast
     EXPECT_THROW((void)FuzzScenario::fromJson("not json"),
                  std::runtime_error);
 }
@@ -122,6 +132,71 @@ TEST(FuzzSpec, CliLineIsFaithful)
         EXPECT_NE(cli.find(flag), std::string::npos)
             << "missing " << flag << " in: " << cli;
     }
+}
+
+/**
+ * Parse `s.cliLine()` the way sdpcm_cli does (library scheme and run
+ * parsers, plus the CLI's own --workload/--age) and require every knob
+ * to come back exactly: a replayed repro must run this scenario.
+ */
+void
+expectCliLineReplays(const FuzzScenario& s)
+{
+    const std::string line = s.cliLine();
+    SCOPED_TRACE(line);
+    std::vector<std::string> words;
+    std::istringstream is(line);
+    for (std::string w; is >> w;)
+        words.push_back(w);
+    std::vector<char*> argv;
+    for (std::string& w : words)
+        argv.push_back(w.data());
+    const ArgParser args(static_cast<int>(argv.size()), argv.data());
+    const SchemeConfig scheme = schemeFromArgs(args);
+    const RunnerConfig cfg = parseRunFlags(args).config;
+    EXPECT_EQ(args.getString("workload", ""), s.workload);
+    EXPECT_EQ(args.get<double>("age", 0.0), s.age);
+    args.finishParsing(); // fatal on any flag the CLI would not accept
+
+    EXPECT_EQ(scheme, s.toScheme());
+    EXPECT_EQ(cfg.cores, s.cores);
+    EXPECT_EQ(cfg.refsPerCore, s.refs);
+    EXPECT_EQ(cfg.seed, s.seed);
+    EXPECT_TRUE(cfg.verifyOracle);
+    // The line carries --inject only when a fault channel is on; an
+    // unarmed injector is never built, so its seed does not travel.
+    const FaultSpec faults = s.toFaults();
+    EXPECT_EQ(cfg.faults, faults.any() ? faults : FaultSpec{});
+}
+
+TEST(FuzzSpec, CliLineReplaysExactKnobs)
+{
+    std::vector<FuzzScenario> scenarios;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(SDPCM_FUZZ_CORPUS_DIR)) {
+        if (entry.path().extension() == ".json") {
+            scenarios.push_back(
+                FuzzScenario::fromJsonFile(entry.path().string()));
+        }
+    }
+    ASSERT_FALSE(scenarios.empty());
+    Rng rng(1);
+    for (int i = 0; i < 200; ++i) {
+        const FuzzScenario s = randomScenario(rng);
+        scenarios.push_back(s);
+        // The shrinker's halving steps, down to its floors (stuck stops
+        // at 1e-3, wd at 1e-4): 1.5/1024 must not print as 0.00146484.
+        for (FuzzScenario c = s; c.stuck / 2.0 >= 1e-3;) {
+            c.stuck /= 2.0;
+            scenarios.push_back(c);
+        }
+        for (FuzzScenario c = s; c.wd / 2.0 >= 1e-4;) {
+            c.wd /= 2.0;
+            scenarios.push_back(c);
+        }
+    }
+    for (const FuzzScenario& s : scenarios)
+        expectCliLineReplays(s);
 }
 
 // ---------------------------------------------------------------------

@@ -98,29 +98,20 @@ writeDiffJson(std::ostream& os, const std::string& baseline_path,
 int
 main(int argc, char** argv)
 {
-    // Positional args are the two report paths; ArgParser only handles
-    // --key=value (and warns on positionals), so split argv first.
-    std::vector<std::string> paths;
-    std::vector<char*> flag_argv = {argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) == 0)
-            flag_argv.push_back(argv[i]);
-        else
-            paths.push_back(arg);
-    }
-    ArgParser args(static_cast<int>(flag_argv.size()), flag_argv.data());
+    const ArgParser args(argc, argv);
+    const std::vector<std::string>& paths = args.positional();
     if (args.has("help") || paths.size() != 2) {
         std::cerr << "usage: report_diff BASELINE.json CURRENT.json"
                      " [--thresholds=FILE] [--show-all]"
                      " [--allow-missing] [--json[=FILE]]\n";
         return paths.size() == 2 ? 0 : 2;
     }
-    // Flags are read at several points below; declare the full set now
-    // so a typo'd option fails fast instead of silently no-oping.
-    for (const char* known :
-         {"thresholds", "allow-missing", "show-all", "json"})
-        (void)args.has(known);
+    const std::string thr_path = args.getString("thresholds", "");
+    const bool allow_missing = args.getBool("allow-missing", false);
+    const bool show_all = args.getBool("show-all", false);
+    // A bare --json prints the verdict instead of the table; --json=FILE
+    // writes it there and the table still prints.
+    const std::string json_path = args.getPath("json");
     args.finishParsing();
 
     ParsedReport baseline, current;
@@ -128,7 +119,6 @@ main(int argc, char** argv)
     try {
         baseline = parseReportFile(paths[0]);
         current = parseReportFile(paths[1]);
-        const std::string thr_path = args.getString("thresholds", "");
         if (!thr_path.empty())
             thresholds = ThresholdSet::parseFile(thr_path);
     } catch (const std::runtime_error& e) {
@@ -137,31 +127,26 @@ main(int argc, char** argv)
     }
 
     const DiffResult diff =
-        diffReports(baseline, current, thresholds,
-                    args.getBool("allow-missing", false));
-    const bool show_all = args.getBool("show-all", false);
+        diffReports(baseline, current, thresholds, allow_missing);
 
-    // --json alone stores "1" (stdout, replacing the table); any other
-    // value is an output path and the table still prints.
     if (args.has("json")) {
-        const std::string json_arg = args.getString("json", "");
-        if (json_arg.empty() || json_arg == "1") {
+        if (json_path.empty()) {
             writeDiffJson(std::cout, paths[0], paths[1], diff);
             return diff.ok ? 0 : 1;
         }
-        std::ofstream os(json_arg);
+        std::ofstream os(json_path);
         if (!os) {
-            std::cerr << "report_diff: cannot open " << json_arg << "\n";
+            std::cerr << "report_diff: cannot open " << json_path << "\n";
             return 2;
         }
         writeDiffJson(os, paths[0], paths[1], diff);
         os.flush();
         if (!os) {
-            std::cerr << "report_diff: error writing " << json_arg
+            std::cerr << "report_diff: error writing " << json_path
                       << "\n";
             return 2;
         }
-        std::cout << "json verdict written to " << json_arg << "\n";
+        std::cout << "json verdict written to " << json_path << "\n";
     }
 
     std::cout << "baseline: " << paths[0] << " (" << baseline.runs.size()

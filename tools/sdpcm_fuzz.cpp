@@ -228,22 +228,18 @@ main(int argc, char** argv)
     }
     if (args.getBool("quiet", false))
         setLogLevel(LogLevel::Warn);
-    const std::uint64_t trials =
-        static_cast<std::uint64_t>(args.getInt("trials", 100));
-    const double seconds = args.getDouble("seconds", 0.0);
-    const std::uint64_t master_seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const auto trials = args.get<std::uint64_t>("trials", 100);
+    const double seconds = args.get<double>("seconds", 0.0, 0.0);
+    const auto master_seed = args.get<std::uint64_t>("seed", 1);
     const std::string out_dir = args.getString("out", ".");
     const bool no_shrink = args.getBool("no-shrink", false);
-    const bool have_replay = args.has("replay");
     const std::string replay_path = args.getString("replay", "");
-    const bool have_corpus = args.has("corpus");
     const std::string corpus_dir = args.getString("corpus", "");
     args.finishParsing();
 
-    if (have_replay)
+    if (args.has("replay"))
         return replayOne(replay_path, /*in_process=*/false);
-    if (have_corpus)
+    if (args.has("corpus"))
         return replayCorpus(corpus_dir);
     if (trials == 0 && seconds <= 0.0) {
         std::cerr << "sdpcm_fuzz: --trials=0 needs --seconds=S\n";

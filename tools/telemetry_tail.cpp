@@ -367,16 +367,8 @@ crossCheck(const Stream& s, const std::string& report_path)
 int
 main(int argc, char** argv)
 {
-    std::vector<std::string> paths;
-    std::vector<char*> flag_argv = {argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) == 0)
-            flag_argv.push_back(argv[i]);
-        else
-            paths.push_back(arg);
-    }
-    ArgParser args(static_cast<int>(flag_argv.size()), flag_argv.data());
+    const ArgParser args(argc, argv);
+    const std::vector<std::string>& paths = args.positional();
     if (args.has("help") || paths.empty() || paths.size() > 2) {
         std::cerr
             << "usage: telemetry_tail RUN.jsonl [B.jsonl] [--top=N]\n"
@@ -390,10 +382,11 @@ main(int argc, char** argv)
                "tolerance)\n";
         return paths.empty() || paths.size() > 2 ? 2 : 0;
     }
-    // Flags are read at several points below; declare the full set now
-    // so a typo'd option fails fast instead of silently no-oping.
-    for (const char* known : {"rel", "report", "metric", "top"})
-        (void)args.has(known);
+    const double rel = args.get<double>("rel", 0.0, 0.0);
+    const std::string report_path = args.getString("report", "");
+    const std::string metric =
+        args.getString("metric", "ctrl.readsServiced");
+    const auto top_n = args.get<std::size_t>("top", 10);
     args.finishParsing();
 
     try {
@@ -402,16 +395,12 @@ main(int argc, char** argv)
         if (paths.size() == 2) {
             const Stream b = parseStream(paths[1]);
             checkIntegrity(b);
-            return diffStreams(a, b, args.getDouble("rel", 0.0));
+            return diffStreams(a, b, rel);
         }
-        const std::string report_path = args.getString("report", "");
         if (!report_path.empty())
             return crossCheck(a, report_path);
-        if (args.has("metric") || args.has("top")) {
-            return printTop(
-                a, args.getString("metric", "ctrl.readsServiced"),
-                static_cast<std::size_t>(args.getInt("top", 10)));
-        }
+        if (args.has("metric") || args.has("top"))
+            return printTop(a, metric, top_n);
         printSummary(a);
         return 0;
     } catch (const std::runtime_error& e) {
