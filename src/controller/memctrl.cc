@@ -1,6 +1,7 @@
 #include "controller/memctrl.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "obs/ledger.hh"
@@ -17,6 +18,41 @@ diffPositionsInto(const LineData& a, const LineData& b,
 {
     out.clear();
     forEachSetBit(a.diff(b), [&](unsigned pos) { out.push_back(pos); });
+}
+
+/** Trace name and billed CtrlStats cycle counter of each bank-op kind,
+ *  in MemoryController::OpKind order. A cancel refunds the same
+ *  counter. */
+struct OpInfo
+{
+    const char* name;
+    std::uint64_t CtrlStats::*cycles;
+};
+
+constexpr OpInfo kOpInfo[] = {
+    {"Read", &CtrlStats::cyclesRead},
+    {"PreRead", &CtrlStats::cyclesPreRead},
+    {"WriteRound", &CtrlStats::cyclesWrite},
+    {"VerifyRead", &CtrlStats::cyclesVerify},
+    {"CorrectionRound", &CtrlStats::cyclesCorrection},
+    {"CascadeRead", &CtrlStats::cyclesCorrection},
+    {"EcpUpdate", &CtrlStats::cyclesEcp},
+};
+
+/** Span phases of a write's in-service pre-read and verify reads, by
+ *  side (upper, lower). */
+constexpr SpanPhase kPreReadPhase[] = {SpanPhase::PreReadUp,
+                                       SpanPhase::PreReadLow};
+constexpr SpanPhase kVerifyPhase[] = {SpanPhase::VerifyUp,
+                                      SpanPhase::VerifyLow};
+
+/** The stage after `s`: both service machines step through their
+ *  stages in declaration order. */
+template <typename Stage>
+Stage
+nextStage(Stage s)
+{
+    return static_cast<Stage>(static_cast<int>(s) + 1);
 }
 
 } // namespace
@@ -37,10 +73,6 @@ MemoryController::MemoryController(EventQueue& events, PcmDevice& device,
     scheme_.drainBurstWrites = std::clamp(
         scheme_.drainBurstWrites, 1u,
         std::max(1u, scheme_.writeQueueEntries / 2));
-    if (!scheme_.superDense) {
-        SDPCM_ASSERT(!scheme_.vnc,
-                     "the 8F^2 comparator needs no verify-n-correct");
-    }
     banks_.resize(device_.config().geometry.banks());
 }
 
@@ -61,47 +93,44 @@ MemoryController::policyFor(const NmRatio& tag) const
     return it->second;
 }
 
-void
-MemoryController::computeAdjacency(QueuedWrite& w)
+MemoryController::Adjacents
+MemoryController::adjacentsOf(const LineAddr& la, const NmRatio& tag,
+                              std::uint64_t* skipped) const
 {
-    w.needUpper = false;
-    w.needLower = false;
-    if (!scheme_.vnc)
-        return;
+    Adjacents adj;
+    if (!scheme_.superDense)
+        return adj;
     const AddressMap& map = device_.addressMap();
-    const NmPolicy& pol = policyFor(w.tag);
-    const std::uint64_t strip = map.stripOfRow(w.la.row);
-
-    if (auto upper = map.upperNeighbor(w.la)) {
-        if (pol.verifyUpper(strip)) {
-            w.needUpper = true;
-            w.upperAddr = *upper;
-        } else {
-            stats_.adjacentsSkippedNm += 1;
+    const NmPolicy& pol = policyFor(tag);
+    const std::uint64_t strip = map.stripOfRow(la.row);
+    const std::optional<LineAddr> lines[] = {map.upperNeighbor(la),
+                                             map.lowerNeighbor(la)};
+    const bool used[] = {pol.verifyUpper(strip), pol.verifyLower(strip)};
+    for (unsigned side = 0; side < 2; ++side) {
+        if (!lines[side])
+            continue;
+        if (used[side]) {
+            adj[side].need = true;
+            adj[side].addr = *lines[side];
+        } else if (skipped) {
+            *skipped += 1;
         }
     }
-    if (auto lower = map.lowerNeighbor(w.la)) {
-        if (pol.verifyLower(strip)) {
-            w.needLower = true;
-            w.lowerAddr = *lower;
-        } else {
-            stats_.adjacentsSkippedNm += 1;
-        }
-    }
+    return adj;
 }
 
-LineData
-MemoryController::coherentValue(unsigned bank, const LineAddr& la)
+const LineData*
+MemoryController::pendingPayload(unsigned bank, const LineAddr& la) const
 {
     const Bank& b = banks_[bank];
     for (auto it = b.writeQueue.rbegin(); it != b.writeQueue.rend();
          ++it) {
         if (it->la == la)
-            return it->payload;
+            return &it->payload;
     }
     if (b.active && b.active->w.la == la)
-        return b.active->w.payload;
-    return device_.peekLine(la);
+        return &b.active->w.payload;
+    return nullptr;
 }
 
 LineData
@@ -125,22 +154,10 @@ MemoryController::submitRead(PhysAddr addr, unsigned core_id,
     const LineAddr la = device_.addressMap().decode(addr);
     Bank& b = banks_[la.bank];
 
-    // Forward from pending writes (the queue holds the newest data).
-    for (auto it = b.writeQueue.rbegin(); it != b.writeQueue.rend();
-         ++it) {
-        if (it->la == la) {
-            stats_.readsForwarded += 1;
-            const LineData data = it->payload;
-            if (obs_.oracle)
-                obs_.oracle->noteForwardedRead(la, data);
-            events_.scheduleAfter(0, [cb = std::move(on_complete),
-                                      data] { cb(data); });
-            return;
-        }
-    }
-    if (b.active && b.active->w.la == la) {
+    // Forward from pending writes (they hold the newest data).
+    if (const LineData* pending = pendingPayload(la.bank, la)) {
         stats_.readsForwarded += 1;
-        const LineData data = b.active->w.payload;
+        const LineData data = *pending;
         if (obs_.oracle)
             obs_.oracle->noteForwardedRead(la, data);
         events_.scheduleAfter(0, [cb = std::move(on_complete),
@@ -174,7 +191,8 @@ MemoryController::maybeCancelForRead(unsigned bank)
 
     // Refund the unelapsed cycles of the aborted operation.
     const Tick elapsed = events_.now() - b.opStart;
-    refundCycles(b.opKind, b.opLatency - elapsed);
+    stats_.*kOpInfo[static_cast<unsigned>(b.opKind)].cycles -=
+        b.opLatency - elapsed;
 
     if (obs_.trace) {
         // Close the op's duration event early and mark the abort.
@@ -205,7 +223,8 @@ MemoryController::submitWrite(PhysAddr addr, const NmRatio& tag,
                               unsigned core_id, double flip_density)
 {
     const LineAddr la = device_.addressMap().decode(addr);
-    const LineData base = coherentValue(la.bank, la);
+    const LineData* pending = pendingPayload(la.bank, la);
+    const LineData base = pending ? *pending : device_.peekLine(la);
     return submitWriteData(addr, tag, core_id,
                            mutatePayload(base, flip_density));
 }
@@ -233,19 +252,7 @@ MemoryController::submitWriteData(PhysAddr addr, const NmRatio& tag,
         // Entries behind the coalesce target may have forwarded its old
         // payload into their pre-read buffers; refresh them so VnC does
         // not verify against data that will never be in the array.
-        for (std::size_t k = idx + 1; k < b.writeQueue.size(); ++k) {
-            QueuedWrite& later = b.writeQueue[k];
-            if (later.needUpper && later.prUpper &&
-                later.upperAddr == la) {
-                later.upperData = payload;
-                stats_.preReadsRefreshed += 1;
-            }
-            if (later.needLower && later.prLower &&
-                later.lowerAddr == la) {
-                later.lowerData = payload;
-                stats_.preReadsRefreshed += 1;
-            }
-        }
+        refreshBuffers(la.bank, idx + 1, la, payload);
         if (obs_.oracle)
             obs_.oracle->noteWriteSubmitted(la, payload, /*new_entry=*/false);
         return true;
@@ -261,7 +268,7 @@ MemoryController::submitWriteData(PhysAddr addr, const NmRatio& tag,
     w.id = nextWriteId_++;
     w.enqueueTick = events_.now();
     w.payload = payload;
-    computeAdjacency(w);
+    w.adj = adjacentsOf(la, tag, &stats_.adjacentsSkippedNm);
     if (obs_.spans)
         w.span = obs_.spans->open(/*is_write=*/true, events_.now());
     b.writeQueue.push_back(std::move(w));
@@ -269,25 +276,25 @@ MemoryController::submitWriteData(PhysAddr addr, const NmRatio& tag,
     if (obs_.oracle)
         obs_.oracle->noteWriteSubmitted(la, payload, /*new_entry=*/true);
 
-    if (b.writeQueue.size() >= scheme_.writeQueueEntries &&
-        !b.draining) {
-        b.draining = true;
-        b.drainStart = events_.now();
-        b.drainRemaining = scheme_.drainBurstWrites;
-        stats_.writeDrains += 1;
-        noteDrainStart(la.bank);
-    }
+    drainIfFull(la.bank);
     kick(la.bank);
     return true;
 }
 
 void
-MemoryController::noteDrainStart(unsigned bank)
+MemoryController::drainIfFull(unsigned bank)
 {
+    Bank& b = banks_[bank];
+    if (b.draining || b.writeQueue.size() < scheme_.writeQueueEntries)
+        return;
+    b.draining = true;
+    b.drainStart = events_.now();
+    b.drainRemaining = scheme_.drainBurstWrites;
+    stats_.writeDrains += 1;
     if (obs_.trace) {
         obs_.trace->instant(bank, "drain_start", "ctrl", events_.now(),
                              {{"queued", static_cast<double>(
-                                   banks_[bank].writeQueue.size())}});
+                                   b.writeQueue.size())}});
     }
 }
 
@@ -369,80 +376,6 @@ MemoryController::pendingCorrections() const
     return n;
 }
 
-const char*
-MemoryController::opName(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::Read:
-        return "Read";
-      case OpKind::PreRead:
-        return "PreRead";
-      case OpKind::WriteRound:
-        return "WriteRound";
-      case OpKind::VerifyRead:
-        return "VerifyRead";
-      case OpKind::CorrectionRound:
-        return "CorrectionRound";
-      case OpKind::CascadeRead:
-        return "CascadeRead";
-      case OpKind::EcpUpdate:
-        return "EcpUpdate";
-    }
-    return "?";
-}
-
-void
-MemoryController::chargeCycles(OpKind kind, Tick latency)
-{
-    switch (kind) {
-      case OpKind::Read:
-        stats_.cyclesRead += latency;
-        break;
-      case OpKind::PreRead:
-        stats_.cyclesPreRead += latency;
-        break;
-      case OpKind::WriteRound:
-        stats_.cyclesWrite += latency;
-        break;
-      case OpKind::VerifyRead:
-        stats_.cyclesVerify += latency;
-        break;
-      case OpKind::CorrectionRound:
-      case OpKind::CascadeRead:
-        stats_.cyclesCorrection += latency;
-        break;
-      case OpKind::EcpUpdate:
-        stats_.cyclesEcp += latency;
-        break;
-    }
-}
-
-void
-MemoryController::refundCycles(OpKind kind, Tick latency)
-{
-    switch (kind) {
-      case OpKind::Read:
-        stats_.cyclesRead -= latency;
-        break;
-      case OpKind::PreRead:
-        stats_.cyclesPreRead -= latency;
-        break;
-      case OpKind::WriteRound:
-        stats_.cyclesWrite -= latency;
-        break;
-      case OpKind::VerifyRead:
-        stats_.cyclesVerify -= latency;
-        break;
-      case OpKind::CorrectionRound:
-      case OpKind::CascadeRead:
-        stats_.cyclesCorrection -= latency;
-        break;
-      case OpKind::EcpUpdate:
-        stats_.cyclesEcp -= latency;
-        break;
-    }
-}
-
 void
 MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
                          std::function<void()> done, bool cancellable,
@@ -457,7 +390,10 @@ MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
     b.opKind = kind;
     b.opStart = events_.now();
     b.opLatency = latency;
-    chargeCycles(kind, latency);
+    static_assert(std::size(kOpInfo) ==
+                  static_cast<std::size_t>(OpKind::EcpUpdate) + 1);
+    const OpInfo& op = kOpInfo[static_cast<unsigned>(kind)];
+    stats_.*op.cycles += latency;
     const bool spanned = obs_.spans && span != SpanRecorder::kNull;
     if (spanned)
         obs_.spans->transition(span, span_phase, b.opStart);
@@ -466,7 +402,7 @@ MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
     if (b.opSpanTraced)
         obs_.trace->begin(bank, spanPhaseName(span_phase), "span", b.opStart);
     if (obs_.trace)
-        obs_.trace->begin(bank, opName(kind), "bank", b.opStart);
+        obs_.trace->begin(bank, op.name, "bank", b.opStart);
 
     const std::uint64_t gen = b.opGen;
     events_.scheduleAfter(latency, [this, bank, gen, spanned, span,
@@ -509,14 +445,7 @@ MemoryController::kick(unsigned bank)
         b.drainCum += events_.now() - b.drainStart;
     }
     // A (still) full queue immediately triggers the next burst.
-    if (!b.draining &&
-        b.writeQueue.size() >= scheme_.writeQueueEntries) {
-        b.draining = true;
-        b.drainStart = events_.now();
-        b.drainRemaining = scheme_.drainBurstWrites;
-        stats_.writeDrains += 1;
-        noteDrainStart(bank);
-    }
+    drainIfFull(bank);
 
     // Write cancellation lets the cancelling read cut in before the
     // write burst resumes (one read per cancellation).
@@ -585,17 +514,7 @@ MemoryController::serviceRead(unsigned bank)
                // would return torn or stale data; the pending payload is
                // the line's architecturally current value.
                PROF_SCOPE(obs_.prof, ReadService);
-               Bank& bb = banks_[bank];
-               const LineData* fwd = nullptr;
-               for (auto it = bb.writeQueue.rbegin();
-                    it != bb.writeQueue.rend(); ++it) {
-                   if (it->la == req.la) {
-                       fwd = &it->payload;
-                       break;
-                   }
-               }
-               if (!fwd && bb.active && bb.active->w.la == req.la)
-                   fwd = &bb.active->w.payload;
+               const LineData* fwd = pendingPayload(bank, req.la);
                if (fwd)
                    stats_.readsForwardedAtService += 1;
                const LineData data =
@@ -622,6 +541,9 @@ void
 MemoryController::tryIssuePreRead(unsigned bank)
 {
     Bank& b = banks_[bank];
+    // kick() advances a write in service before it gets here, so every
+    // line a capture could forward from is still in the queue.
+    SDPCM_ASSERT(!b.active, "pre-read during a write service");
     // A cancelled, partially-programmed write parked at the queue front
     // has disturbed its bit-line neighbours without having verified them
     // yet (that happens when it resumes). An array capture taken in this
@@ -632,46 +554,36 @@ MemoryController::tryIssuePreRead(unsigned bank)
     // keeps the rule simple.
     if (!b.writeQueue.empty() && b.writeQueue.front().cancels > 0)
         return;
+    const Tick read_lat = device_.config().timing.readCycles;
     for (std::size_t i = 0; i < b.writeQueue.size(); ++i) {
         QueuedWrite& w = b.writeQueue[i];
-
-        auto try_side = [&](bool need, bool& pr_bit, const LineAddr& adj,
-                            LineData& buffer, bool is_upper) -> bool {
-            if (!need || pr_bit)
-                return false;
+        for (unsigned side = 0; side < 2; ++side) {
+            Adjacent& n = w.adj[side];
+            if (!n.need || n.have)
+                continue;
             // Forward from an earlier pending write to the adjacent line
             // (it will have committed by the time this write services).
             // Scan backward: with duplicate entries for one line (a
             // cancellation artefact) the later one commits last, so only
             // its payload is the value this write will find in the array.
             for (std::size_t j = i; j-- > 0;) {
-                if (b.writeQueue[j].la == adj) {
-                    buffer = b.writeQueue[j].payload;
-                    pr_bit = true;
+                if (b.writeQueue[j].la == n.addr) {
+                    n.data = b.writeQueue[j].payload;
+                    n.have = true;
                     stats_.preReadsForwarded += 1;
-                    return false; // no bank op needed
+                    break;
                 }
             }
-            if (b.active && b.active->w.la == adj) {
-                buffer = b.active->w.payload;
-                pr_bit = true;
-                stats_.preReadsForwarded += 1;
-                return false;
-            }
+            if (n.have)
+                continue; // no bank op needed
             // Issue the pre-read against the array.
-            const LineAddr target = adj;
-            const std::uint64_t id = w.id;
             if (obs_.spans && w.span != SpanRecorder::kNull) {
                 // The capture burns bank cycles but the write it serves
                 // keeps queue-waiting: hidden, not critical, cycles.
-                obs_.spans->hidden(w.span,
-                                    is_upper ? SpanPhase::PreReadUp
-                                             : SpanPhase::PreReadLow,
-                                    device_.config().timing.readCycles);
+                obs_.spans->hidden(w.span, kPreReadPhase[side], read_lat);
             }
-            occupy(bank, device_.config().timing.readCycles,
-                   OpKind::PreRead,
-                   [this, bank, target, id, is_upper] {
+            occupy(bank, read_lat, OpKind::PreRead,
+                   [this, bank, target = n.addr, id = w.id, side] {
                        // Pre-read captures feed the write's verify
                        // stage, so their host cost bills there.
                        PROF_SCOPE(obs_.prof, VerifyScan);
@@ -685,27 +597,13 @@ MemoryController::tryIssuePreRead(unsigned bank)
                        // gained a same-line twin via cancellation).
                        for (auto& entry : banks_[bank].writeQueue) {
                            if (entry.id == id) {
-                               if (is_upper) {
-                                   entry.upperData = data;
-                                   entry.prUpper = true;
-                               } else {
-                                   entry.lowerData = data;
-                                   entry.prLower = true;
-                               }
+                               entry.adj[side].data = data;
+                               entry.adj[side].have = true;
                                return;
                            }
                        }
                        // Entry already in service or gone; drop the data.
                    });
-            return true;
-        };
-
-        if (try_side(w.needUpper, w.prUpper, w.upperAddr, w.upperData,
-                     true)) {
-            return;
-        }
-        if (try_side(w.needLower, w.prLower, w.lowerAddr, w.lowerData,
-                     false)) {
             return;
         }
     }
@@ -787,18 +685,16 @@ MemoryController::completeWrite(unsigned bank)
 }
 
 void
-MemoryController::refreshBuffersAfterWrite(unsigned bank,
-                                           const LineAddr& la,
-                                           const LineData& data)
+MemoryController::refreshBuffers(unsigned bank, std::size_t first,
+                                 const LineAddr& la, const LineData& data)
 {
-    for (auto& entry : banks_[bank].writeQueue) {
-        if (entry.needUpper && entry.prUpper && entry.upperAddr == la) {
-            entry.upperData = data;
-            stats_.preReadsRefreshed += 1;
-        }
-        if (entry.needLower && entry.prLower && entry.lowerAddr == la) {
-            entry.lowerData = data;
-            stats_.preReadsRefreshed += 1;
+    auto& queue = banks_[bank].writeQueue;
+    for (std::size_t k = first; k < queue.size(); ++k) {
+        for (Adjacent& n : queue[k].adj) {
+            if (n.have && n.addr == la) {
+                n.data = data;
+                stats_.preReadsRefreshed += 1;
+            }
         }
     }
 }
@@ -859,51 +755,29 @@ MemoryController::advanceWrite(unsigned bank)
     Bank& b = banks_[bank];
     SDPCM_ASSERT(b.active, "advance without active write");
     ActiveWrite& a = *b.active;
+    const Tick read_lat = device_.config().timing.readCycles;
 
     while (true) {
         switch (a.stage) {
-          case ActiveWrite::Stage::PreUpper: {
-            if (!a.w.needUpper) {
-                a.stage = ActiveWrite::Stage::PreLower;
-                break;
-            }
-            if (a.w.prUpper) {
-                stats_.preReadsUseful += 1;
-                a.stage = ActiveWrite::Stage::PreLower;
-                break;
-            }
-            const Tick lat = scheme_.chargeVerifyOps
-                ? device_.config().timing.readCycles : 0;
-            occupy(bank, lat, OpKind::VerifyRead, [this, bank] {
-                PROF_SCOPE(obs_.prof, VerifyScan);
-                ActiveWrite& aw = *banks_[bank].active;
-                aw.w.upperData = device_.readLine(aw.w.upperAddr);
-                aw.w.prUpper = true;
-                stats_.verifyReads += 1;
-                aw.stage = ActiveWrite::Stage::PreLower;
-            }, /*cancellable=*/true, a.w.span, SpanPhase::PreReadUp);
-            return;
-          }
+          case ActiveWrite::Stage::PreUpper:
           case ActiveWrite::Stage::PreLower: {
-            if (!a.w.needLower) {
-                a.stage = ActiveWrite::Stage::Rounds;
+            const unsigned side = a.stage == ActiveWrite::Stage::PreLower;
+            const Adjacent& n = a.w.adj[side];
+            if (!n.need || n.have) {
+                if (n.have)
+                    stats_.preReadsUseful += 1;
+                a.stage = nextStage(a.stage);
                 break;
             }
-            if (a.w.prLower) {
-                stats_.preReadsUseful += 1;
-                a.stage = ActiveWrite::Stage::Rounds;
-                break;
-            }
-            const Tick lat = scheme_.chargeVerifyOps
-                ? device_.config().timing.readCycles : 0;
-            occupy(bank, lat, OpKind::VerifyRead, [this, bank] {
+            occupy(bank, read_lat, OpKind::VerifyRead, [this, bank, side] {
                 PROF_SCOPE(obs_.prof, VerifyScan);
                 ActiveWrite& aw = *banks_[bank].active;
-                aw.w.lowerData = device_.readLine(aw.w.lowerAddr);
-                aw.w.prLower = true;
+                Adjacent& buf = aw.w.adj[side];
+                buf.data = device_.readLine(buf.addr);
+                buf.have = true;
                 stats_.verifyReads += 1;
-                aw.stage = ActiveWrite::Stage::Rounds;
-            }, /*cancellable=*/true, a.w.span, SpanPhase::PreReadLow);
+                aw.stage = nextStage(aw.stage);
+            }, /*cancellable=*/true, a.w.span, kPreReadPhase[side]);
             return;
           }
           case ActiveWrite::Stage::Rounds: {
@@ -938,7 +812,7 @@ MemoryController::advanceWrite(unsigned bank)
             {
                 PROF_SCOPE(obs_.prof, WriteRound);
                 device_.finishWrite(a.plan);
-                refreshBuffersAfterWrite(bank, a.w.la, a.w.payload);
+                refreshBuffers(bank, 0, a.w.la, a.w.payload);
                 if (obs_.oracle) {
                     PROF_SCOPE(obs_.prof, OracleCheck);
                     obs_.oracle->noteWriteCommitted(a.w.la, a.w.payload);
@@ -947,52 +821,27 @@ MemoryController::advanceWrite(unsigned bank)
             a.stage = ActiveWrite::Stage::VerUpper;
             break;
           }
-          case ActiveWrite::Stage::VerUpper: {
-            if (!a.w.needUpper) {
-                a.stage = ActiveWrite::Stage::VerLower;
-                break;
-            }
-            const Tick lat = scheme_.chargeVerifyOps
-                ? device_.config().timing.readCycles : 0;
-            occupy(bank, lat, OpKind::VerifyRead, [this, bank] {
-                PROF_SCOPE(obs_.prof, VerifyScan);
-                ActiveWrite& aw = *banks_[bank].active;
-                const LineData post = device_.readLine(aw.w.upperAddr);
-                stats_.verifyReads += 1;
-                aw.stage = ActiveWrite::Stage::VerLower;
-                if (obs_.oracle) {
-                    PROF_SCOPE(obs_.prof, OracleCheck);
-                    obs_.oracle->noteVerifyBuffer(aw.w.upperAddr,
-                                                   aw.w.upperData, aw.w.id);
-                }
-                diffPositionsInto(post, aw.w.upperData, diffScratch_);
-                handleVerifyErrors(bank, aw.w.upperAddr, diffScratch_,
-                                   1);
-            }, /*cancellable=*/false, a.w.span, SpanPhase::VerifyUp);
-            return;
-          }
+          case ActiveWrite::Stage::VerUpper:
           case ActiveWrite::Stage::VerLower: {
-            if (!a.w.needLower) {
-                a.stage = ActiveWrite::Stage::Corrections;
+            const unsigned side = a.stage == ActiveWrite::Stage::VerLower;
+            if (!a.w.adj[side].need) {
+                a.stage = nextStage(a.stage);
                 break;
             }
-            const Tick lat = scheme_.chargeVerifyOps
-                ? device_.config().timing.readCycles : 0;
-            occupy(bank, lat, OpKind::VerifyRead, [this, bank] {
+            occupy(bank, read_lat, OpKind::VerifyRead, [this, bank, side] {
                 PROF_SCOPE(obs_.prof, VerifyScan);
                 ActiveWrite& aw = *banks_[bank].active;
-                const LineData post = device_.readLine(aw.w.lowerAddr);
+                const Adjacent& n = aw.w.adj[side];
+                const LineData post = device_.readLine(n.addr);
                 stats_.verifyReads += 1;
-                aw.stage = ActiveWrite::Stage::Corrections;
+                aw.stage = nextStage(aw.stage);
                 if (obs_.oracle) {
                     PROF_SCOPE(obs_.prof, OracleCheck);
-                    obs_.oracle->noteVerifyBuffer(aw.w.lowerAddr,
-                                                   aw.w.lowerData, aw.w.id);
+                    obs_.oracle->noteVerifyBuffer(n.addr, n.data, aw.w.id);
                 }
-                diffPositionsInto(post, aw.w.lowerData, diffScratch_);
-                handleVerifyErrors(bank, aw.w.lowerAddr, diffScratch_,
-                                   1);
-            }, /*cancellable=*/false, a.w.span, SpanPhase::VerifyLow);
+                diffPositionsInto(post, n.data, diffScratch_);
+                handleVerifyErrors(bank, n.addr, diffScratch_, 1);
+            }, /*cancellable=*/false, a.w.span, kVerifyPhase[side]);
             return;
           }
           case ActiveWrite::Stage::Corrections: {
@@ -1016,29 +865,12 @@ MemoryController::advanceWrite(unsigned bank)
             ActiveCorrection c;
             c.task = std::move(a.tasks.front());
             a.tasks.pop_front();
-
-            const AddressMap& map = device_.addressMap();
-            const NmPolicy& pol = policyFor(a.w.tag);
-            const std::uint64_t strip = map.stripOfRow(c.task.addr.row);
-            if (auto up = map.upperNeighbor(c.task.addr)) {
-                if (pol.verifyUpper(strip)) {
-                    c.needUp = true;
-                    c.up = *up;
-                    if (c.up == a.w.la) {
-                        // The just-written line: its value is known.
-                        c.upData = a.w.payload;
-                        c.haveUpData = true;
-                    }
-                }
-            }
-            if (auto low = map.lowerNeighbor(c.task.addr)) {
-                if (pol.verifyLower(strip)) {
-                    c.needLow = true;
-                    c.low = *low;
-                    if (c.low == a.w.la) {
-                        c.lowData = a.w.payload;
-                        c.haveLowData = true;
-                    }
+            c.adj = adjacentsOf(c.task.addr, a.w.tag);
+            for (Adjacent& n : c.adj) {
+                if (n.need && n.addr == a.w.la) {
+                    // The just-written line: its value is known.
+                    n.data = a.w.payload;
+                    n.have = true;
                 }
             }
             a.corr.emplace(std::move(c));
@@ -1062,31 +894,21 @@ MemoryController::advanceCorrection(unsigned bank)
 
     while (true) {
         switch (c.stage) {
-          case ActiveCorrection::Stage::PreUp: {
-            if (!c.needUp || c.haveUpData) {
-                c.stage = ActiveCorrection::Stage::PreLow;
-                break;
-            }
-            occupy(bank, read_lat, OpKind::CascadeRead, [this, bank] {
-                PROF_SCOPE(obs_.prof, Correction);
-                ActiveCorrection& cc = *banks_[bank].active->corr;
-                cc.upData = device_.readLine(cc.up);
-                cc.haveUpData = true;
-                cc.stage = ActiveCorrection::Stage::PreLow;
-            }, /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
-            return;
-          }
+          case ActiveCorrection::Stage::PreUp:
           case ActiveCorrection::Stage::PreLow: {
-            if (!c.needLow || c.haveLowData) {
-                c.stage = ActiveCorrection::Stage::Rounds;
+            const unsigned side = c.stage == ActiveCorrection::Stage::PreLow;
+            const Adjacent& n = c.adj[side];
+            if (!n.need || n.have) {
+                c.stage = nextStage(c.stage);
                 break;
             }
-            occupy(bank, read_lat, OpKind::CascadeRead, [this, bank] {
+            occupy(bank, read_lat, OpKind::CascadeRead, [this, bank, side] {
                 PROF_SCOPE(obs_.prof, Correction);
                 ActiveCorrection& cc = *banks_[bank].active->corr;
-                cc.lowData = device_.readLine(cc.low);
-                cc.haveLowData = true;
-                cc.stage = ActiveCorrection::Stage::Rounds;
+                Adjacent& buf = cc.adj[side];
+                buf.data = device_.readLine(buf.addr);
+                buf.have = true;
+                cc.stage = nextStage(cc.stage);
             }, /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
             return;
           }
@@ -1133,38 +955,22 @@ MemoryController::advanceCorrection(unsigned bank)
             c.stage = ActiveCorrection::Stage::VerUp;
             break;
           }
-          case ActiveCorrection::Stage::VerUp: {
-            if (!c.needUp) {
-                c.stage = ActiveCorrection::Stage::VerLow;
-                break;
-            }
-            occupy(bank, read_lat, OpKind::CascadeRead, [this, bank] {
-                PROF_SCOPE(obs_.prof, Correction);
-                ActiveWrite& aw = *banks_[bank].active;
-                ActiveCorrection& cc = *aw.corr;
-                const LineData post = device_.readLine(cc.up);
-                stats_.cascadeVerifies += 1;
-                cc.stage = ActiveCorrection::Stage::VerLow;
-                diffPositionsInto(post, cc.upData, diffScratch_);
-                handleVerifyErrors(bank, cc.up, diffScratch_,
-                                   cc.task.depth + 1);
-            }, /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
-            return;
-          }
+          case ActiveCorrection::Stage::VerUp:
           case ActiveCorrection::Stage::VerLow: {
-            if (!c.needLow) {
-                c.stage = ActiveCorrection::Stage::Done;
+            const unsigned side = c.stage == ActiveCorrection::Stage::VerLow;
+            if (!c.adj[side].need) {
+                c.stage = nextStage(c.stage);
                 break;
             }
-            occupy(bank, read_lat, OpKind::CascadeRead, [this, bank] {
+            occupy(bank, read_lat, OpKind::CascadeRead, [this, bank, side] {
                 PROF_SCOPE(obs_.prof, Correction);
-                ActiveWrite& aw = *banks_[bank].active;
-                ActiveCorrection& cc = *aw.corr;
-                const LineData post = device_.readLine(cc.low);
+                ActiveCorrection& cc = *banks_[bank].active->corr;
+                const Adjacent& n = cc.adj[side];
+                const LineData post = device_.readLine(n.addr);
                 stats_.cascadeVerifies += 1;
-                cc.stage = ActiveCorrection::Stage::Done;
-                diffPositionsInto(post, cc.lowData, diffScratch_);
-                handleVerifyErrors(bank, cc.low, diffScratch_,
+                cc.stage = nextStage(cc.stage);
+                diffPositionsInto(post, n.data, diffScratch_);
+                handleVerifyErrors(bank, n.addr, diffScratch_,
                                    cc.task.depth + 1);
             }, /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
             return;

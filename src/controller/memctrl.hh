@@ -32,6 +32,7 @@
 #ifndef SDPCM_CONTROLLER_MEMCTRL_HH
 #define SDPCM_CONTROLLER_MEMCTRL_HH
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -161,12 +162,29 @@ class MemoryController : public Observed
     std::uint64_t inFlightWrites() const;
 
   private:
-    /** Bank-op categories for cycle attribution. */
+    /** Bank-op categories: each has a trace name and the CtrlStats
+     *  cycle counter it bills (the kOpInfo table in memctrl.cc). */
     enum class OpKind
     {
         Read, PreRead, WriteRound, VerifyRead, CorrectionRound,
         CascadeRead, EcpUpdate
     };
+
+    /**
+     * One bit-line neighbour a write or correction verifies: `need` when
+     * it exists and the (n:m) tag marks it used, and `have` once `data`
+     * holds its pre-write value (for a queued write, Figure 8's pr-bit
+     * and pre-read buffer).
+     */
+    struct Adjacent
+    {
+        bool need = false;
+        bool have = false;
+        LineAddr addr;
+        LineData data;
+    };
+    /** Upper then lower neighbour: the order every VnC step runs in. */
+    using Adjacents = std::array<Adjacent, 2>;
 
     /** One queued write (Figure 8 write-queue entry). */
     struct QueuedWrite
@@ -180,16 +198,9 @@ class MemoryController : public Observed
         std::uint64_t id = 0;
         Tick enqueueTick = 0;
         LineData payload;
-        // Adjacency derived from tag + geometry at enqueue time.
-        bool needUpper = false;
-        bool needLower = false;
-        LineAddr upperAddr;
-        LineAddr lowerAddr;
-        // PreRead flag bits + buffers.
-        bool prUpper = false;
-        bool prLower = false;
-        LineData upperData;
-        LineData lowerData;
+        /** Derived from tag + geometry at enqueue time; PreRead fills
+         *  the buffers while the entry waits. */
+        Adjacents adj;
         unsigned cancels = 0;
         /** Span lifecycle record (kNull when attribution is off). */
         SpanRecorder::Handle span = SpanRecorder::kNull;
@@ -222,10 +233,7 @@ class MemoryController : public Observed
         CorrectionTask task;
         PcmDevice::WritePlan plan;
         bool planned = false;
-        bool needUp = false, needLow = false;
-        LineAddr up, low;
-        bool haveUpData = false, haveLowData = false;
-        LineData upData, lowData;
+        Adjacents adj;
 
         enum class Stage { PreUp, PreLow, Rounds, VerUp, VerLow, Done };
         Stage stage = Stage::PreUp;
@@ -279,8 +287,8 @@ class MemoryController : public Observed
         Tick drainCum = 0;
     };
 
-    static const char* opName(OpKind kind);
-    void noteDrainStart(unsigned bank);
+    /** Start a drain burst if the bank's write queue is full. */
+    void drainIfFull(unsigned bank);
     /** Cumulative drain-burst cycles of the bank as of now. */
     Tick drainCumNow(const Bank& b) const;
 
@@ -297,8 +305,6 @@ class MemoryController : public Observed
                 SpanRecorder::Handle span = SpanRecorder::kNull,
                 SpanPhase span_phase = SpanPhase::QueueWait,
                 bool span_release = true);
-    void chargeCycles(OpKind kind, Tick latency);
-    void refundCycles(OpKind kind, Tick latency);
     void maybeCancelForRead(unsigned bank);
     void serviceRead(unsigned bank);
     void startWriteService(unsigned bank);
@@ -318,16 +324,23 @@ class MemoryController : public Observed
                             const std::vector<unsigned>& errors,
                             unsigned depth);
 
-    /** Derive adjacency requirements for a write under its tag. */
-    void computeAdjacency(QueuedWrite& w);
+    /**
+     * The neighbours a write to `la` under `tag` must verify (none
+     * without super dense cells). Neighbours the tag marks no-use are
+     * counted into `skipped` when it is given.
+     */
+    Adjacents adjacentsOf(const LineAddr& la, const NmRatio& tag,
+                          std::uint64_t* skipped = nullptr) const;
     const NmPolicy& policyFor(const NmRatio& tag) const;
 
-    /** Latest queue-coherent logical value of a line. */
-    LineData coherentValue(unsigned bank, const LineAddr& la);
+    /** Newest payload of `la` the bank still has to commit (the write
+     *  queue back to front, then the write in service), or null. */
+    const LineData* pendingPayload(unsigned bank, const LineAddr& la) const;
 
-    /** Forward/refresh pre-read buffers after a write to `la` commits. */
-    void refreshBuffersAfterWrite(unsigned bank, const LineAddr& la,
-                                  const LineData& data);
+    /** Overwrite the buffered copies of `la` that queue entries `first`
+     *  onward hold with `data`, its new pending or committed value. */
+    void refreshBuffers(unsigned bank, std::size_t first,
+                        const LineAddr& la, const LineData& data);
 
     /** Make a payload by flipping ~density*512 random bits of base. */
     LineData mutatePayload(const LineData& base, double density);

@@ -10,7 +10,6 @@ SchemeConfig::din8F2()
     SchemeConfig c;
     c.name = "DIN";
     c.superDense = false;
-    c.vnc = false;
     return c;
 }
 

@@ -26,13 +26,12 @@ struct SchemeConfig
     std::string name = "baseline";
 
     /**
-     * Super dense (4F^2) cell array. When false the comparator DIN design
-     * (8F^2) is modelled: bit-line disturbance vanishes and no VnC runs.
+     * Super dense (4F^2) cell array: every write runs verify-n-correct
+     * on its used bit-line neighbours. When false the comparator DIN
+     * design (8F^2) is modelled: bit-line disturbance vanishes and no
+     * VnC runs.
      */
     bool superDense = true;
-
-    /** Run verify-n-correct on every write (required for super dense). */
-    bool vnc = true;
 
     /** LazyCorrection: park WD errors in free ECP entries. */
     bool lazyCorrection = false;
@@ -87,11 +86,12 @@ struct SchemeConfig
     unsigned ecpUpdateCycles = 0;
 
     /**
-     * Attribution switches for the Figure 5 overhead breakdown: when
-     * false, the corresponding operations still execute functionally but
-     * occupy the bank for zero cycles.
+     * Attribution switch for the Figure 5 overhead breakdown: when
+     * false, correction rounds and the reads around them (cascading
+     * verification) still execute functionally but occupy the bank for
+     * zero cycles, leaving only the verification cost. Verify reads are
+     * always charged.
      */
-    bool chargeVerifyOps = true;
     bool chargeCorrectionOps = true;
 
     /** TLB miss penalty in cycles (page-table walk). */

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 
 #include "controller/memctrl.hh"
 #include "sim/event_queue.hh"
+#include "sim/system.hh"
 #include "verify/oracle.hh"
 
 namespace sdpcm {
@@ -521,6 +526,193 @@ TEST(Controller, CancellationStressStaysClean)
         ADD_FAILURE() << "oracle reported mismatches";
     }
 }
+
+
+// ---------------------------------------------------------------------
+// Controller differential: whole-system digests that pin the VnC engine
+// ---------------------------------------------------------------------
+
+/** FNV-1a step over the 8 bytes of `v`. */
+void
+mix(std::uint64_t& h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+        h ^= v & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+void
+mixText(std::uint64_t& h, const std::string& text)
+{
+    for (const char ch : text) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 0x100000001b3ULL;
+    }
+}
+
+struct CtrlDiffCase
+{
+    const char* name;
+    SchemeConfig scheme;
+    const char* workload;
+    FaultSpec faults;
+    bool oracle = false;
+    /** Snapshot counters the run must drive above zero (the path the
+     *  case guards), and counters that must stay zero. */
+    std::vector<const char*> positive;
+    std::vector<const char*> zero;
+    std::uint64_t digest; //!< recorded
+};
+
+void
+PrintTo(const CtrlDiffCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+std::vector<CtrlDiffCase>
+ctrlDiffCases()
+{
+    SchemeConfig wc = SchemeConfig::sdpcm();
+    wc.writeCancellation = true;
+    wc.maxCancelsPerWrite = 2;
+
+    SchemeConfig small_queue = SchemeConfig::baselineVnc();
+    small_queue.writeQueueEntries = 4;
+    small_queue.drainBurstWrites = 1;
+    small_queue.idleWriteDrain = true;
+
+    // Figure 5's verify-only bar: corrections run but cost no cycles.
+    SchemeConfig verify_only = SchemeConfig::baselineVnc();
+    verify_only.chargeCorrectionOps = false;
+
+    SchemeConfig ecp_cost = SchemeConfig::lazyC();
+    ecp_cost.ecpUpdateCycles = 400;
+
+    SchemeConfig storm_wc = SchemeConfig::sdpcm();
+    storm_wc.writeCancellation = true;
+    FaultSpec storm;
+    storm.stuckPerLine = 0.3;
+    storm.ecpSteal = 2;
+    storm.wdBoost = 0.02;
+    storm.seed = 5;
+
+    // Digests recorded with the controller's mirrored upper/lower
+    // stage bodies, before each VnC step existed once.
+    const FaultSpec none;
+    return {
+        {"baseline", SchemeConfig::baselineVnc(), "mcf", none, false,
+         {"ctrl.verifyReads", "ctrl.correctionWrites",
+          "ctrl.cascadeVerifies", "ctrl.cycles.verify",
+          "ctrl.cycles.correction"},
+         {"ctrl.ecpUpdates"}, 0xe33bc9ba429e8b86ULL},
+        {"lazyC2", SchemeConfig::lazyC(2), "mcf", none, false,
+         {"ctrl.ecpUpdates", "device.ecpOverflows", "ctrl.correctionWrites",
+          "ctrl.cascadeVerifies"},
+         {"ctrl.cycles.ecp"}, 0x38222203f6ba9b6dULL},
+        {"lazyCPreRead", SchemeConfig::lazyCPreRead(), "qstress", none,
+         false,
+         {"ctrl.preReadsIssued", "ctrl.preReadsForwarded",
+          "ctrl.preReadsUseful", "ctrl.preReadsRefreshed",
+          "ctrl.cycles.preRead"},
+         {}, 0xac6d126e7359425fULL},
+        {"sdpcm", SchemeConfig::sdpcm(), "lbm", none, false,
+         {"ctrl.adjacentsSkippedNm", "ctrl.preReadsUseful",
+          "ctrl.ecpUpdates"},
+         {}, 0x0a811e56882ed759ULL},
+        {"nm12", SchemeConfig::nmOnly(NmRatio{1, 2}), "mcf", none, false,
+         {"ctrl.adjacentsSkippedNm"}, {}, 0x9fc943608924175bULL},
+        {"sdpcmCancel", wc, "qstress", none, false,
+         {"ctrl.writeCancellations", "ctrl.cancelStallCycles",
+          "ctrl.preReadsUseful"},
+         {}, 0x142d100bdee42fafULL},
+        {"smallQueue", small_queue, "mcf", none, false,
+         {"ctrl.writeDrains", "ctrl.writesCompleted", "ctrl.verifyReads"},
+         {}, 0x4a8829cc57dafbafULL},
+        {"verifyOnly", verify_only, "mcf", none, false,
+         {"ctrl.correctionWrites", "ctrl.cascadeVerifies",
+          "ctrl.cycles.verify"},
+         {"ctrl.cycles.correction"}, 0x7b40810128bf2ea0ULL},
+        {"ecpCost", ecp_cost, "mcf", none, false,
+         {"ctrl.ecpUpdates", "ctrl.cycles.ecp"}, {},
+         0x7d0ad5e7d199f01cULL},
+        {"fnw", SchemeConfig::fnwVnc(), "mcf", none, false,
+         {"ctrl.verifyReads", "ctrl.correctionWrites",
+          "ctrl.cascadeVerifies"},
+         {}, 0xf4468cf793fd1980ULL},
+        {"din", SchemeConfig::din8F2(), "mcf", none, false,
+         {"ctrl.writesCompleted"},
+         {"ctrl.verifyReads", "ctrl.correctionWrites",
+          "ctrl.cycles.verify"},
+         0x0db23381c6160f25ULL},
+        {"stormOracle", storm_wc, "qstress", storm, true,
+         {"ctrl.writeCancellations", "device.injectedStuckCells",
+          "ctrl.preReadsUseful", "ctrl.correctionWrites",
+          "oracle.readsChecked"},
+         {"oracle.mismatches"}, 0xd9a45e49d96640b5ULL},
+    };
+}
+
+class ControllerDifferential
+    : public ::testing::TestWithParam<CtrlDiffCase>
+{};
+
+/**
+ * Every simulated statistic, the final line states and the Chrome trace
+ * bytes of one small run hash to a recorded digest. The cases cover the
+ * controller paths the golden report never runs (write cancellation,
+ * ECP overflow and update cost, uncharged corrections, small drain
+ * bursts), so reordering the VnC steps changes several digests.
+ */
+TEST_P(ControllerDifferential, RunMatchesRecordedDigest)
+{
+    const CtrlDiffCase& c = GetParam();
+    const std::string trace =
+        ::testing::TempDir() + "sdpcm_ctrl_diff_" + c.name + ".trace.json";
+    SystemConfig sc;
+    sc.cores = 2;
+    sc.refsPerCore = 600;
+    sc.seed = 11;
+    sc.spans = true;
+    sc.wdLedger = true;
+    sc.tracePath = trace;
+    sc.verifyOracle = c.oracle;
+    sc.faults = c.faults;
+    sc.scheme = c.scheme;
+    System sys(sc, workloadFromProfile(c.workload));
+    sys.run();
+    const StatSnapshot snap = sys.metrics().toSnapshot();
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto& [name, value] : snap.values()) {
+        mixText(h, name);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof bits);
+        mix(h, bits);
+    }
+    mix(h, sys.device().lineStateDigest());
+    std::ifstream is(trace, std::ios::binary);
+    ASSERT_TRUE(is) << trace;
+    const std::string bytes{std::istreambuf_iterator<char>(is),
+                            std::istreambuf_iterator<char>()};
+    is.close();
+    std::remove(trace.c_str());
+    EXPECT_GT(bytes.size(), 0u);
+    mixText(h, bytes);
+    EXPECT_EQ(h, c.digest) << std::hex << "0x" << h;
+
+    for (const char* name : c.positive)
+        EXPECT_GT(snap.get(name), 0.0) << name;
+    for (const char* name : c.zero)
+        EXPECT_EQ(snap.get(name), 0.0) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ControllerDifferential, ::testing::ValuesIn(ctrlDiffCases()),
+    [](const ::testing::TestParamInfo<CtrlDiffCase>& info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace sdpcm

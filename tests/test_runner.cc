@@ -29,11 +29,9 @@ TEST(SchemeFactories, MatchSection53)
 {
     const auto din = SchemeConfig::din8F2();
     EXPECT_FALSE(din.superDense);
-    EXPECT_FALSE(din.vnc);
 
     const auto base = SchemeConfig::baselineVnc();
     EXPECT_TRUE(base.superDense);
-    EXPECT_TRUE(base.vnc);
     EXPECT_FALSE(base.lazyCorrection);
 
     const auto lazy = SchemeConfig::lazyC();
