@@ -210,18 +210,23 @@ BM_CacheHierarchy(benchmark::State& state)
 }
 BENCHMARK(BM_CacheHierarchy);
 
+/** An event target that only counts the events it gets. */
+struct CountingTarget : EventTarget
+{
+    std::uint64_t fired = 0;
+    void fire(std::uint64_t) override { fired += 1; }
+};
+
 static void
 BM_EventQueue(benchmark::State& state)
 {
     for (auto _ : state) {
         EventQueue q;
-        std::uint64_t fired = 0;
-        for (int i = 0; i < 1000; ++i) {
-            q.schedule(static_cast<Tick>(i * 7 % 997),
-                       [&fired] { fired += 1; });
-        }
+        CountingTarget target;
+        for (int i = 0; i < 1000; ++i)
+            q.schedule(static_cast<Tick>(i * 7 % 997), target);
         q.run();
-        benchmark::DoNotOptimize(fired);
+        benchmark::DoNotOptimize(target.fired);
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }

@@ -63,7 +63,13 @@ main(int argc, char** argv)
         Mmu mmu(allocator, scheme.defaultTag, 4096);
         auto hierarchy = CacheHierarchy::makeTable2();
 
-        std::uint64_t reads = 0, writes = 0, outstanding = 0;
+        std::uint64_t reads = 0, writes = 0;
+        /** Counts the reads still waiting for their data. */
+        struct Outstanding : ReadClient
+        {
+            std::uint64_t n = 0;
+            void readDone(const LineData&) override { n -= 1; }
+        } outstanding;
         auto issue_memory = [&](std::uint64_t vaddr, bool is_write) {
             const Translation tr = mmu.translate(vaddr);
             if (is_write) {
@@ -71,9 +77,8 @@ main(int argc, char** argv)
                     events.run(); // drain and retry
                 writes += 1;
             } else {
-                outstanding += 1;
-                ctrl.submitRead(tr.paddr, 0,
-                                [&](const LineData&) { outstanding -= 1; });
+                outstanding.n += 1;
+                ctrl.submitRead(tr.paddr, 0, outstanding);
                 reads += 1;
             }
         };

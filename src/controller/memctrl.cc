@@ -21,8 +21,8 @@ diffPositionsInto(const LineData& a, const LineData& b,
 }
 
 /** Trace name and billed CtrlStats cycle counter of each bank-op kind,
- *  in MemoryController::OpKind order. A cancel refunds the same
- *  counter. */
+ *  in MemoryController::OpKind order (completeOp() finishes each). A
+ *  cancel refunds the same counter. */
 struct OpInfo
 {
     const char* name;
@@ -32,11 +32,13 @@ struct OpInfo
 constexpr OpInfo kOpInfo[] = {
     {"Read", &CtrlStats::cyclesRead},
     {"PreRead", &CtrlStats::cyclesPreRead},
+    {"VerifyRead", &CtrlStats::cyclesVerify},      // WritePreRead
     {"WriteRound", &CtrlStats::cyclesWrite},
-    {"VerifyRead", &CtrlStats::cyclesVerify},
-    {"CorrectionRound", &CtrlStats::cyclesCorrection},
-    {"CascadeRead", &CtrlStats::cyclesCorrection},
+    {"VerifyRead", &CtrlStats::cyclesVerify},      // WriteVerify
     {"EcpUpdate", &CtrlStats::cyclesEcp},
+    {"CascadeRead", &CtrlStats::cyclesCorrection}, // CorrPreRead
+    {"CorrectionRound", &CtrlStats::cyclesCorrection},
+    {"CascadeRead", &CtrlStats::cyclesCorrection}, // CorrVerify
 };
 
 /** Span phases of a write's in-service pre-read and verify reads, by
@@ -74,6 +76,8 @@ MemoryController::MemoryController(EventQueue& events, PcmDevice& device,
         scheme_.drainBurstWrites, 1u,
         std::max(1u, scheme_.writeQueueEntries / 2));
     banks_.resize(device_.config().geometry.banks());
+    SDPCM_ASSERT(banks_.size() <= kBankMask, "too many banks for a ",
+                 kBankBits, "-bit event bank field");
 }
 
 const NmPolicy&
@@ -148,8 +152,7 @@ MemoryController::mutatePayload(const LineData& base, double density)
 
 void
 MemoryController::submitRead(PhysAddr addr, unsigned core_id,
-                             std::function<void(const LineData&)>
-                                 on_complete)
+                             ReadClient& client)
 {
     const LineAddr la = device_.addressMap().decode(addr);
     Bank& b = banks_[la.bank];
@@ -157,21 +160,21 @@ MemoryController::submitRead(PhysAddr addr, unsigned core_id,
     // Forward from pending writes (they hold the newest data).
     if (const LineData* pending = pendingPayload(la.bank, la)) {
         stats_.readsForwarded += 1;
-        const LineData data = *pending;
         if (obs_.oracle)
-            obs_.oracle->noteForwardedRead(la, data);
-        events_.scheduleAfter(0, [cb = std::move(on_complete),
-                                  data] { cb(data); });
+            obs_.oracle->noteForwardedRead(la, *pending);
+        // Deliveries are all due now, so they fire in FIFO order.
+        forwards_.push_back(ForwardedRead{&client, *pending});
+        events_.scheduleAfter(0, *this, kForwardArg);
         return;
     }
 
-    PendingRead pr{la, core_id, events_.now(), std::move(on_complete),
+    PendingRead pr{la, core_id, events_.now(), &client,
                    SpanRecorder::kNull, 0};
     if (obs_.spans) {
         pr.span = obs_.spans->open(/*is_write=*/false, events_.now());
         pr.drainSnap = drainCumNow(b);
     }
-    b.readQueue.push_back(std::move(pr));
+    b.readQueue.push_back(pr);
 
     // Write cancellation: abort a cancellable in-flight write operation
     // so the read can be served immediately.
@@ -306,21 +309,22 @@ MemoryController::drainCumNow(const Bank& b) const
 }
 
 void
-MemoryController::onWriteSpace(PhysAddr addr, std::function<void()> cb)
+MemoryController::onWriteSpace(PhysAddr addr, EventTarget& target,
+                               std::uint64_t arg)
 {
     const LineAddr la = device_.addressMap().decode(addr);
-    banks_[la.bank].spaceWaiters.push_back(std::move(cb));
+    banks_[la.bank].spaceWaiters.push_back(SpaceWaiter{&target, arg});
 }
 
 void
 MemoryController::notifySpace(unsigned bank)
 {
-    auto waiters = std::move(banks_[bank].spaceWaiters);
-    banks_[bank].spaceWaiters.clear();
     // Defer through the event queue: waiters re-enter submitWrite/kick,
     // which must not run in the middle of a service-state transition.
-    for (auto& cb : waiters)
-        events_.scheduleAfter(0, std::move(cb));
+    std::vector<SpaceWaiter>& waiters = banks_[bank].spaceWaiters;
+    for (const SpaceWaiter& w : waiters)
+        events_.scheduleAfter(0, *w.target, w.arg);
+    waiters.clear();
 }
 
 bool
@@ -378,9 +382,8 @@ MemoryController::pendingCorrections() const
 
 void
 MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
-                         std::function<void()> done, bool cancellable,
-                         SpanRecorder::Handle span, SpanPhase span_phase,
-                         bool span_release)
+                         bool cancellable, SpanRecorder::Handle span,
+                         SpanPhase span_phase)
 {
     Bank& b = banks_[bank];
     SDPCM_ASSERT(!b.busy, "bank ", bank, " double-occupied");
@@ -391,10 +394,11 @@ MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
     b.opStart = events_.now();
     b.opLatency = latency;
     static_assert(std::size(kOpInfo) ==
-                  static_cast<std::size_t>(OpKind::EcpUpdate) + 1);
+                  static_cast<std::size_t>(OpKind::CorrVerify) + 1);
     const OpInfo& op = kOpInfo[static_cast<unsigned>(kind)];
     stats_.*op.cycles += latency;
     const bool spanned = obs_.spans && span != SpanRecorder::kNull;
+    b.opSpan = spanned ? span : SpanRecorder::kNull;
     if (spanned)
         obs_.spans->transition(span, span_phase, b.opStart);
     // Phase event first so the op's duration nests inside it.
@@ -403,28 +407,168 @@ MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
         obs_.trace->begin(bank, spanPhaseName(span_phase), "span", b.opStart);
     if (obs_.trace)
         obs_.trace->begin(bank, op.name, "bank", b.opStart);
+    events_.scheduleAfter(latency, *this, opArg(b, bank));
+}
 
-    const std::uint64_t gen = b.opGen;
-    events_.scheduleAfter(latency, [this, bank, gen, spanned, span,
-                                    span_release,
-                                    done = std::move(done)] {
-        Bank& bb = banks_[bank];
-        if (bb.opGen != gen)
-            return; // operation was cancelled
-        bb.busy = false;
-        bb.opCancellable = false;
-        if (obs_.trace)
-            obs_.trace->end(bank, events_.now());
-        if (bb.opSpanTraced) {
-            obs_.trace->end(bank, events_.now());
-            bb.opSpanTraced = false;
+void
+MemoryController::fire(std::uint64_t arg)
+{
+    if (arg == kForwardArg) {
+        // Copy the entry out first: the client may submit another read.
+        const ForwardedRead fwd = forwards_.front();
+        forwards_.pop_front();
+        fwd.client->readDone(fwd.data);
+        return;
+    }
+    const unsigned bank = static_cast<unsigned>(arg & kBankMask);
+    Bank& b = banks_[bank];
+    if (arg != opArg(b, bank))
+        return; // operation was cancelled
+    b.busy = false;
+    b.opCancellable = false;
+    if (obs_.trace)
+        obs_.trace->end(bank, events_.now());
+    if (b.opSpanTraced) {
+        obs_.trace->end(bank, events_.now());
+        b.opSpanTraced = false;
+    }
+    // The op's client may occupy this bank again before completeOp()
+    // returns, so keep the span to release first. A read closes its
+    // span itself.
+    const SpanRecorder::Handle release =
+        b.opKind != OpKind::Read ? b.opSpan : SpanRecorder::kNull;
+    completeOp(bank);
+    if (release != SpanRecorder::kNull)
+        obs_.spans->transition(release, SpanPhase::QueueWait,
+                               events_.now());
+    kick(bank);
+}
+
+void
+MemoryController::completeOp(unsigned bank)
+{
+    Bank& b = banks_[bank];
+    const unsigned side = b.opSide;
+    switch (b.opKind) {
+      case OpKind::Read: {
+        // Re-validate forwarding at service time: a write to this line
+        // may have been accepted — or gone into service and be
+        // partially programmed — since the read queued (e.g. a
+        // cancellation's read grace fires mid-drain). The array would
+        // return torn or stale data; the pending payload is the line's
+        // architecturally current value.
+        PROF_SCOPE(obs_.prof, ReadService);
+        const PendingRead req = b.opRead;
+        const LineData* fwd = pendingPayload(bank, req.la);
+        if (fwd)
+            stats_.readsForwardedAtService += 1;
+        const LineData data = fwd ? *fwd : device_.readLine(req.la);
+        stats_.readsServiced += 1;
+        stats_.readLatency.record(
+            static_cast<double>(events_.now() - req.enqueueTick));
+        if (obs_.oracle) {
+            PROF_SCOPE(obs_.prof, OracleCheck);
+            if (fwd)
+                obs_.oracle->noteForwardedRead(req.la, data);
+            else
+                obs_.oracle->noteArrayRead(req.la, data);
         }
-        done();
-        if (spanned && span_release)
-            obs_.spans->transition(span, SpanPhase::QueueWait,
-                                    events_.now());
-        kick(bank);
-    });
+        if (obs_.spans && req.span != SpanRecorder::kNull)
+            obs_.spans->close(req.span, events_.now());
+        req.client->readDone(data);
+        return;
+      }
+      case OpKind::PreRead: {
+        // Pre-read captures feed the write's verify stage, so their
+        // host cost bills there.
+        PROF_SCOPE(obs_.prof, VerifyScan);
+        const LineData data = device_.readLine(b.opTarget);
+        stats_.preReadsIssued += 1;
+        if (obs_.oracle) {
+            PROF_SCOPE(obs_.prof, OracleCheck);
+            obs_.oracle->notePreReadCapture(b.opTarget, data);
+        }
+        // Re-locate the entry by id; it may have moved (or gained a
+        // same-line twin via cancellation).
+        for (auto& entry : b.writeQueue) {
+            if (entry.id == b.opWriteId) {
+                entry.adj[side].data = data;
+                entry.adj[side].have = true;
+                return;
+            }
+        }
+        // Entry already in service or gone; drop the data.
+        return;
+      }
+      case OpKind::WritePreRead: {
+        PROF_SCOPE(obs_.prof, VerifyScan);
+        ActiveWrite& a = *b.active;
+        Adjacent& buf = a.w.adj[side];
+        buf.data = device_.readLine(buf.addr);
+        buf.have = true;
+        stats_.verifyReads += 1;
+        a.stage = nextStage(a.stage);
+        return;
+      }
+      case OpKind::WriteRound: {
+        PROF_SCOPE(obs_.prof, WriteRound);
+        ActiveWrite& a = *b.active;
+        if (obs_.ledger)
+            obs_.ledger->beginOp(a.w.coreId, 0);
+        PcmDevice::RoundOutcome outcome;
+        const bool applied = device_.applyNextRound(a.plan, outcome);
+        SDPCM_ASSERT(applied, "round vanished");
+        return;
+      }
+      case OpKind::WriteVerify: {
+        PROF_SCOPE(obs_.prof, VerifyScan);
+        ActiveWrite& a = *b.active;
+        const Adjacent& n = a.w.adj[side];
+        const LineData post = device_.readLine(n.addr);
+        stats_.verifyReads += 1;
+        a.stage = nextStage(a.stage);
+        if (obs_.oracle) {
+            PROF_SCOPE(obs_.prof, OracleCheck);
+            obs_.oracle->noteVerifyBuffer(n.addr, n.data, a.w.id);
+        }
+        diffPositionsInto(post, n.data, diffScratch_);
+        handleVerifyErrors(bank, n.addr, diffScratch_, 1);
+        return;
+      }
+      case OpKind::EcpUpdate:
+        return;
+      case OpKind::CorrPreRead: {
+        PROF_SCOPE(obs_.prof, Correction);
+        ActiveCorrection& c = *b.active->corr;
+        Adjacent& buf = c.adj[side];
+        buf.data = device_.readLine(buf.addr);
+        buf.have = true;
+        c.stage = nextStage(c.stage);
+        return;
+      }
+      case OpKind::CorrectionRound: {
+        PROF_SCOPE(obs_.prof, Correction);
+        ActiveWrite& a = *b.active;
+        ActiveCorrection& c = *a.corr;
+        if (obs_.ledger)
+            obs_.ledger->beginOp(a.w.coreId, c.task.depth);
+        PcmDevice::RoundOutcome outcome;
+        const bool applied = device_.applyNextRound(c.plan, outcome);
+        SDPCM_ASSERT(applied, "round vanished");
+        return;
+      }
+      case OpKind::CorrVerify: {
+        PROF_SCOPE(obs_.prof, Correction);
+        ActiveCorrection& c = *b.active->corr;
+        const Adjacent& n = c.adj[side];
+        const LineData post = device_.readLine(n.addr);
+        stats_.cascadeVerifies += 1;
+        c.stage = nextStage(c.stage);
+        diffPositionsInto(post, n.data, diffScratch_);
+        handleVerifyErrors(bank, n.addr, diffScratch_, c.task.depth + 1);
+        return;
+      }
+    }
 }
 
 void
@@ -494,7 +638,7 @@ void
 MemoryController::serviceRead(unsigned bank)
 {
     Bank& b = banks_[bank];
-    PendingRead req = std::move(b.readQueue.front());
+    const PendingRead req = b.readQueue.front();
     b.readQueue.pop_front();
     const SpanRecorder::Handle span = req.span;
     if (obs_.spans && span != SpanRecorder::kNull) {
@@ -505,36 +649,9 @@ MemoryController::serviceRead(unsigned bank)
                                      drainCumNow(b) - req.drainSnap,
                                      SpanPhase::QueueWait, events_.now());
     }
+    b.opRead = req;
     occupy(bank, device_.config().timing.readCycles, OpKind::Read,
-           [this, bank, req = std::move(req)] {
-               // Re-validate forwarding at service time: a write to this
-               // line may have been accepted — or gone into service and
-               // be partially programmed — since the read queued (e.g. a
-               // cancellation's read grace fires mid-drain). The array
-               // would return torn or stale data; the pending payload is
-               // the line's architecturally current value.
-               PROF_SCOPE(obs_.prof, ReadService);
-               const LineData* fwd = pendingPayload(bank, req.la);
-               if (fwd)
-                   stats_.readsForwardedAtService += 1;
-               const LineData data =
-                   fwd ? *fwd : device_.readLine(req.la);
-               stats_.readsServiced += 1;
-               stats_.readLatency.record(
-                   static_cast<double>(events_.now() - req.enqueueTick));
-               if (obs_.oracle) {
-                   PROF_SCOPE(obs_.prof, OracleCheck);
-                   if (fwd)
-                       obs_.oracle->noteForwardedRead(req.la, data);
-                   else
-                       obs_.oracle->noteArrayRead(req.la, data);
-               }
-               if (obs_.spans && req.span != SpanRecorder::kNull)
-                   obs_.spans->close(req.span, events_.now());
-               req.onComplete(data);
-           },
-           /*cancellable=*/false, span, SpanPhase::ReadService,
-           /*span_release=*/false);
+           /*cancellable=*/false, span, SpanPhase::ReadService);
 }
 
 void
@@ -582,28 +699,10 @@ MemoryController::tryIssuePreRead(unsigned bank)
                 // keeps queue-waiting: hidden, not critical, cycles.
                 obs_.spans->hidden(w.span, kPreReadPhase[side], read_lat);
             }
-            occupy(bank, read_lat, OpKind::PreRead,
-                   [this, bank, target = n.addr, id = w.id, side] {
-                       // Pre-read captures feed the write's verify
-                       // stage, so their host cost bills there.
-                       PROF_SCOPE(obs_.prof, VerifyScan);
-                       const LineData data = device_.readLine(target);
-                       stats_.preReadsIssued += 1;
-                       if (obs_.oracle) {
-                           PROF_SCOPE(obs_.prof, OracleCheck);
-                           obs_.oracle->notePreReadCapture(target, data);
-                       }
-                       // Re-locate the entry by id; it may have moved (or
-                       // gained a same-line twin via cancellation).
-                       for (auto& entry : banks_[bank].writeQueue) {
-                           if (entry.id == id) {
-                               entry.adj[side].data = data;
-                               entry.adj[side].have = true;
-                               return;
-                           }
-                       }
-                       // Entry already in service or gone; drop the data.
-                   });
+            b.opTarget = n.addr;
+            b.opWriteId = w.id;
+            b.opSide = side;
+            occupy(bank, read_lat, OpKind::PreRead);
             return;
         }
     }
@@ -632,6 +731,10 @@ MemoryController::cancelActive(unsigned bank)
 {
     Bank& b = banks_[bank];
     SDPCM_ASSERT(b.active, "cancel without active write");
+    // Only pre-read and program-round ops are cancellable: nothing has
+    // been verified, so no correction can be queued yet.
+    SDPCM_ASSERT(b.active->tasks.empty() && !b.active->corr,
+                 "cancelled a write with corrections queued");
     PROF_SCOPE(obs_.prof, Cancel);
     QueuedWrite w = std::move(b.active->w);
     const Tick serviceStart = b.active->serviceStart;
@@ -670,6 +773,8 @@ MemoryController::completeWrite(unsigned bank)
 {
     Bank& b = banks_[bank];
     SDPCM_ASSERT(b.active, "complete without active write");
+    SDPCM_ASSERT(b.active->tasks.empty() && !b.active->corr,
+                 "write completed with corrections outstanding");
     stats_.writesCompleted += 1;
     stats_.writeServiceLatency.record(
         static_cast<double>(events_.now() - b.active->serviceStart));
@@ -769,15 +874,9 @@ MemoryController::advanceWrite(unsigned bank)
                 a.stage = nextStage(a.stage);
                 break;
             }
-            occupy(bank, read_lat, OpKind::VerifyRead, [this, bank, side] {
-                PROF_SCOPE(obs_.prof, VerifyScan);
-                ActiveWrite& aw = *banks_[bank].active;
-                Adjacent& buf = aw.w.adj[side];
-                buf.data = device_.readLine(buf.addr);
-                buf.have = true;
-                stats_.verifyReads += 1;
-                aw.stage = nextStage(aw.stage);
-            }, /*cancellable=*/true, a.w.span, kPreReadPhase[side]);
+            b.opSide = side;
+            occupy(bank, read_lat, OpKind::WritePreRead,
+                   /*cancellable=*/true, a.w.span, kPreReadPhase[side]);
             return;
           }
           case ActiveWrite::Stage::Rounds: {
@@ -796,16 +895,7 @@ MemoryController::advanceWrite(unsigned bank)
             const auto peek = device_.peekNextRound(a.plan);
             if (peek.valid) {
                 occupy(bank, peek.latency, OpKind::WriteRound,
-                       [this, bank] {
-                           PROF_SCOPE(obs_.prof, WriteRound);
-                           ActiveWrite& aw = *banks_[bank].active;
-                           if (obs_.ledger)
-                               obs_.ledger->beginOp(aw.w.coreId, 0);
-                           PcmDevice::RoundOutcome outcome;
-                           const bool applied =
-                               device_.applyNextRound(aw.plan, outcome);
-                           SDPCM_ASSERT(applied, "round vanished");
-                       }, /*cancellable=*/true, a.w.span,
+                       /*cancellable=*/true, a.w.span,
                        SpanPhase::WriteRounds);
                 return;
             }
@@ -828,27 +918,16 @@ MemoryController::advanceWrite(unsigned bank)
                 a.stage = nextStage(a.stage);
                 break;
             }
-            occupy(bank, read_lat, OpKind::VerifyRead, [this, bank, side] {
-                PROF_SCOPE(obs_.prof, VerifyScan);
-                ActiveWrite& aw = *banks_[bank].active;
-                const Adjacent& n = aw.w.adj[side];
-                const LineData post = device_.readLine(n.addr);
-                stats_.verifyReads += 1;
-                aw.stage = nextStage(aw.stage);
-                if (obs_.oracle) {
-                    PROF_SCOPE(obs_.prof, OracleCheck);
-                    obs_.oracle->noteVerifyBuffer(n.addr, n.data, aw.w.id);
-                }
-                diffPositionsInto(post, n.data, diffScratch_);
-                handleVerifyErrors(bank, n.addr, diffScratch_, 1);
-            }, /*cancellable=*/false, a.w.span, kVerifyPhase[side]);
+            b.opSide = side;
+            occupy(bank, read_lat, OpKind::WriteVerify,
+                   /*cancellable=*/false, a.w.span, kVerifyPhase[side]);
             return;
           }
           case ActiveWrite::Stage::Corrections: {
             if (a.pendingEcpCycles > 0) {
                 const Tick lat = a.pendingEcpCycles;
                 a.pendingEcpCycles = 0;
-                occupy(bank, lat, OpKind::EcpUpdate, [] {},
+                occupy(bank, lat, OpKind::EcpUpdate,
                        /*cancellable=*/false, a.w.span,
                        SpanPhase::LazyCorrect);
                 return;
@@ -902,14 +981,9 @@ MemoryController::advanceCorrection(unsigned bank)
                 c.stage = nextStage(c.stage);
                 break;
             }
-            occupy(bank, read_lat, OpKind::CascadeRead, [this, bank, side] {
-                PROF_SCOPE(obs_.prof, Correction);
-                ActiveCorrection& cc = *banks_[bank].active->corr;
-                Adjacent& buf = cc.adj[side];
-                buf.data = device_.readLine(buf.addr);
-                buf.have = true;
-                cc.stage = nextStage(cc.stage);
-            }, /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
+            b.opSide = side;
+            occupy(bank, read_lat, OpKind::CorrPreRead,
+                   /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
             return;
           }
           case ActiveCorrection::Stage::Rounds: {
@@ -932,19 +1006,7 @@ MemoryController::advanceCorrection(unsigned bank)
                 const Tick lat = scheme_.chargeCorrectionOps
                     ? peek.latency : 0;
                 occupy(bank, lat, OpKind::CorrectionRound,
-                       [this, bank] {
-                           PROF_SCOPE(obs_.prof, Correction);
-                           ActiveWrite& aw = *banks_[bank].active;
-                           ActiveCorrection& cc = *aw.corr;
-                           if (obs_.ledger) {
-                               obs_.ledger->beginOp(aw.w.coreId,
-                                                     cc.task.depth);
-                           }
-                           PcmDevice::RoundOutcome outcome;
-                           const bool applied =
-                               device_.applyNextRound(cc.plan, outcome);
-                           SDPCM_ASSERT(applied, "round vanished");
-                       }, /*cancellable=*/false, a.w.span,
+                       /*cancellable=*/false, a.w.span,
                        SpanPhase::LazyCorrect);
                 return;
             }
@@ -962,17 +1024,9 @@ MemoryController::advanceCorrection(unsigned bank)
                 c.stage = nextStage(c.stage);
                 break;
             }
-            occupy(bank, read_lat, OpKind::CascadeRead, [this, bank, side] {
-                PROF_SCOPE(obs_.prof, Correction);
-                ActiveCorrection& cc = *banks_[bank].active->corr;
-                const Adjacent& n = cc.adj[side];
-                const LineData post = device_.readLine(n.addr);
-                stats_.cascadeVerifies += 1;
-                cc.stage = nextStage(cc.stage);
-                diffPositionsInto(post, n.data, diffScratch_);
-                handleVerifyErrors(bank, n.addr, diffScratch_,
-                                   cc.task.depth + 1);
-            }, /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
+            b.opSide = side;
+            occupy(bank, read_lat, OpKind::CorrVerify,
+                   /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
             return;
           }
           case ActiveCorrection::Stage::Done: {

@@ -33,12 +33,12 @@
 #define SDPCM_CONTROLLER_MEMCTRL_HH
 
 #include <array>
-#include <deque>
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <vector>
 
+#include "common/fifo.hh"
 #include "common/stats.hh"
 #include "controller/scheme.hh"
 #include "obs/spans.hh"
@@ -97,12 +97,23 @@ struct CtrlStats
     LatencyStat writeServiceLatency; //!< service start -> complete
 };
 
+/** Whoever submitted a read: its data is delivered here. */
+class ReadClient
+{
+  public:
+    /** The read's data is available (array read or forwarded). */
+    virtual void readDone(const LineData& data) = 0;
+};
+
 /**
  * The per-channel memory controller. It feeds every observer of its
  * bundle: bank-op trace events, oracle mirroring, request spans, WD
  * ledger service context and profiler scopes per stage body.
+ *
+ * Its own events are bank-op completions and forwarded-read deliveries
+ * (see fire()); each bank keeps the state of its one in-flight op.
  */
-class MemoryController : public Observed
+class MemoryController : public Observed, public EventTarget
 {
   public:
     MemoryController(EventQueue& events, PcmDevice& device,
@@ -130,9 +141,9 @@ class MemoryController : public Observed
     /** Correction tasks queued or in flight across all banks. */
     std::uint64_t pendingCorrections() const;
 
-    /** Submit a read; the callback fires when data is available. */
-    void submitRead(PhysAddr addr, unsigned core_id,
-                    std::function<void(const LineData&)> on_complete);
+    /** Submit a read; `client` gets its data when it is available
+     *  and must outlive the read. */
+    void submitRead(PhysAddr addr, unsigned core_id, ReadClient& client);
 
     /** True if the bank's write queue can take another entry. */
     bool canAcceptWrite(PhysAddr addr) const;
@@ -149,8 +160,10 @@ class MemoryController : public Observed
     bool submitWriteData(PhysAddr addr, const NmRatio& tag,
                          unsigned core_id, const LineData& payload);
 
-    /** Register a callback for when the bank's write queue has space. */
-    void onWriteSpace(PhysAddr addr, std::function<void()> cb);
+    /** Schedule `target.fire(arg)` once the write queue of the bank
+     *  holding `addr` has space again. */
+    void onWriteSpace(PhysAddr addr, EventTarget& target,
+                      std::uint64_t arg);
 
     /** True when all queues are empty and no bank is busy. */
     bool quiescent() const;
@@ -161,13 +174,28 @@ class MemoryController : public Observed
     /** Banks currently mid write service (telemetry gauge). */
     std::uint64_t inFlightWrites() const;
 
+    /** A bank op finished (`arg` is opArg()) or a forwarded read is
+     *  due (`arg` is kForwardArg). */
+    void fire(std::uint64_t arg) override;
+
   private:
-    /** Bank-op categories: each has a trace name and the CtrlStats
-     *  cycle counter it bills (the kOpInfo table in memctrl.cc). */
-    enum class OpKind
+    /**
+     * Bank ops. Each has a trace name and the CtrlStats cycle counter it
+     * bills (the kOpInfo table in memctrl.cc), and one case of
+     * completeOp() that finishes it. The neighbour reads of a write in
+     * service and of a correction trace as VerifyRead and CascadeRead.
+     */
+    enum class OpKind : std::uint8_t
     {
-        Read, PreRead, WriteRound, VerifyRead, CorrectionRound,
-        CascadeRead, EcpUpdate
+        Read,            //!< a demand read; returns data to its client
+        PreRead,         //!< PreRead's capture for a queued write
+        WritePreRead,    //!< the write in service reads a neighbour
+        WriteRound,      //!< one program round of the write
+        WriteVerify,     //!< the write's post-read of a neighbour
+        EcpUpdate,       //!< LazyC's parked-error ECP update
+        CorrPreRead,     //!< a correction reads a neighbour
+        CorrectionRound, //!< one program round of a correction
+        CorrVerify       //!< the correction's post-read of a neighbour
     };
 
     /**
@@ -211,7 +239,7 @@ class MemoryController : public Observed
         LineAddr la;
         unsigned coreId = 0;
         Tick enqueueTick = 0;
-        std::function<void(const LineData&)> onComplete;
+        ReadClient* client = nullptr;
         /** Span lifecycle record (kNull when attribution is off). */
         SpanRecorder::Handle span = SpanRecorder::kNull;
         /** Bank drain-cycle total at enqueue; the delta at service time
@@ -245,7 +273,7 @@ class MemoryController : public Observed
         QueuedWrite w;
         PcmDevice::WritePlan plan;
         bool planned = false;
-        std::deque<CorrectionTask> tasks;
+        Fifo<CorrectionTask> tasks;
         std::optional<ActiveCorrection> corr;
         Tick serviceStart = 0;
         Tick pendingEcpCycles = 0;
@@ -259,29 +287,52 @@ class MemoryController : public Observed
         Stage stage = Stage::PreUpper;
     };
 
+    /** A core stalled on a full write queue: `target.fire(arg)`
+     *  retries its write. */
+    struct SpaceWaiter
+    {
+        EventTarget* target;
+        std::uint64_t arg;
+    };
+
+    /** A read answered from a pending write, delivered by an event. */
+    struct ForwardedRead
+    {
+        ReadClient* client;
+        LineData data;
+    };
+
     struct Bank
     {
         bool busy = false;
         bool draining = false;
         unsigned drainRemaining = 0;
         unsigned wcReadGrace = 0; //!< reads admitted by a cancellation
-        std::deque<PendingRead> readQueue;
-        std::deque<QueuedWrite> writeQueue;
+        Fifo<PendingRead> readQueue;
+        Fifo<QueuedWrite> writeQueue;
         std::optional<ActiveWrite> active;
-        std::vector<std::function<void()>> spaceWaiters;
+        std::vector<SpaceWaiter> spaceWaiters;
         // Retired plan objects recycled into the next service so the
         // per-write rounds/wlHits vectors stop reallocating (hot path).
         PcmDevice::WritePlan planPool;
         PcmDevice::WritePlan corrPlanPool;
-        // In-flight operation bookkeeping (for write cancellation).
+        // The in-flight op: what completeOp() needs to finish it, and
+        // what write cancellation needs to abort it.
         std::uint64_t opGen = 0;       //!< bumped to invalidate completions
         bool opCancellable = false;
         OpKind opKind = OpKind::Read;
-        Tick opStart = 0;
-        Tick opLatency = 0;
+        unsigned opSide = 0; //!< side a capture or neighbour read is for
         /** True while the in-flight op has an open span-phase trace
          *  event that must be closed on completion or cancel. */
         bool opSpanTraced = false;
+        /** The span the op is billed to (kNull when attribution is off
+         *  or the op has none). */
+        SpanRecorder::Handle opSpan = SpanRecorder::kNull;
+        Tick opStart = 0;
+        Tick opLatency = 0;
+        LineAddr opTarget;           //!< a capture's neighbour line
+        std::uint64_t opWriteId = 0; //!< a capture's queued write
+        PendingRead opRead;          //!< the read being serviced
         // Cumulative drain-burst cycles (for read Drain attribution).
         Tick drainStart = 0;
         Tick drainCum = 0;
@@ -294,17 +345,27 @@ class MemoryController : public Observed
 
     void kick(unsigned bank);
     /**
-     * Occupy the bank for `latency` cycles. When `span` is a live
-     * handle, the request's span transitions into `span_phase` for the
-     * op's duration (nested under the op's trace event); on completion
-     * it returns to QueueWait unless `span_release` is false (the
-     * caller closes the span itself, e.g. a completing read).
+     * Occupy the bank for `latency` cycles with a `kind` op, which
+     * completeOp() finishes; the caller sets any other op state the
+     * kind needs (side, capture target, serviced read) on the bank.
+     * When `span` is a live handle, the request's span transitions into
+     * `span_phase` for the op's duration (nested under the op's trace
+     * event); on completion it returns to QueueWait, except after a
+     * Read, whose completion closes the span itself.
      */
     void occupy(unsigned bank, Tick latency, OpKind kind,
-                std::function<void()> done, bool cancellable = false,
+                bool cancellable = false,
                 SpanRecorder::Handle span = SpanRecorder::kNull,
-                SpanPhase span_phase = SpanPhase::QueueWait,
-                bool span_release = true);
+                SpanPhase span_phase = SpanPhase::QueueWait);
+    /** The event argument of the bank's in-flight op: its generation
+     *  and bank, so a cancelled op's completion no longer matches. */
+    static std::uint64_t
+    opArg(const Bank& b, unsigned bank)
+    {
+        return b.opGen << kBankBits | bank;
+    }
+    /** Finish the bank's in-flight op: one case per OpKind. */
+    void completeOp(unsigned bank);
     void maybeCancelForRead(unsigned bank);
     void serviceRead(unsigned bank);
     void startWriteService(unsigned bank);
@@ -355,7 +416,16 @@ class MemoryController : public Observed
     std::vector<unsigned> diffScratch_;
     std::uint64_t nextWriteId_ = 1;
     std::vector<Bank> banks_;
+    /** Forwarded reads in delivery order (one event each). */
+    Fifo<ForwardedRead> forwards_;
     mutable std::map<std::uint64_t, NmPolicy> policies_;
+
+    /** Low bits of an event argument that hold the bank. */
+    static constexpr unsigned kBankBits = 16;
+    static constexpr std::uint64_t kBankMask = (1u << kBankBits) - 1;
+    /** The event argument of a forwarded-read delivery. An op's
+     *  generation is at least 1, so no opArg() equals it. */
+    static constexpr std::uint64_t kForwardArg = kBankMask;
 
     static constexpr unsigned kMaxCascadeDepth = 64;
     /** Cascade depth at which a trace instant marker is emitted. */

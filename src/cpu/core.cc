@@ -29,59 +29,76 @@ TraceCore::finish()
 }
 
 void
+TraceCore::fire(std::uint64_t step)
+{
+    switch (step) {
+      case kPerform:
+        perform();
+        return;
+      case kTlbRetry:
+        paddr_ = mmu_.translate(record_.vaddr).paddr;
+        performTranslated();
+        return;
+      case kWriteRetry:
+        performTranslated();
+        return;
+    }
+    SDPCM_PANIC("core ", id_, ": unknown step ", step);
+}
+
+void
+TraceCore::readDone(const LineData&)
+{
+    issueNext();
+}
+
+void
 TraceCore::issueNext()
 {
     if (refsIssued_ >= maxRefs_) {
         finish();
         return;
     }
-    TraceRecord record;
-    if (!stream_.next(record)) {
+    if (!stream_.next(record_)) {
         finish();
         return;
     }
     refsIssued_ += 1;
-    stats_.instructions += record.gap + 1;
+    stats_.instructions += record_.gap + 1;
     // Retire the gap instructions at 1 IPC, then access memory.
-    events_.scheduleAfter(record.gap,
-                          [this, record] { perform(record); });
+    events_.scheduleAfter(record_.gap, *this, kPerform);
 }
 
 void
-TraceCore::perform(const TraceRecord& record)
+TraceCore::perform()
 {
-    const Translation tr = mmu_.translate(record.vaddr);
+    const Translation tr = mmu_.translate(record_.vaddr);
     if (!tr.tlbHit && tlbMissCycles_ > 0) {
         // Charge the page-table walk, then retry with a warm TLB.
-        events_.scheduleAfter(tlbMissCycles_, [this, record] {
-            const Translation tr2 = mmu_.translate(record.vaddr);
-            performTranslated(record, tr2.paddr);
-        });
+        events_.scheduleAfter(tlbMissCycles_, *this, kTlbRetry);
         return;
     }
-    performTranslated(record, tr.paddr);
+    paddr_ = tr.paddr;
+    performTranslated();
 }
 
 void
-TraceCore::performTranslated(const TraceRecord& record, PhysAddr paddr)
+TraceCore::performTranslated()
 {
-    if (!record.isWrite) {
+    if (!record_.isWrite) {
         stats_.readsIssued += 1;
-        ctrl_.submitRead(paddr, id_,
-                         [this](const LineData&) { issueNext(); });
+        ctrl_.submitRead(paddr_, id_, *this);
         return;
     }
 
-    if (ctrl_.submitWrite(paddr, mmu_.tag(), id_, record.flipDensity)) {
+    if (ctrl_.submitWrite(paddr_, mmu_.tag(), id_, record_.flipDensity)) {
         stats_.writesIssued += 1;
         issueNext();
         return;
     }
     // Write queue full: stall until space frees, then retry.
     stats_.writeStalls += 1;
-    ctrl_.onWriteSpace(paddr, [this, record, paddr] {
-        performTranslated(record, paddr);
-    });
+    ctrl_.onWriteSpace(paddr_, *this, kWriteRetry);
 }
 
 } // namespace sdpcm

@@ -8,6 +8,10 @@
  * blocking L3 miss), and posts writes to the memory controller's write
  * queue, stalling only when that queue is full. The (n:m) allocator tag
  * travels with each request via the MMU translation.
+ *
+ * A core has at most one reference in flight, so it keeps that record
+ * itself: each event it schedules names only the next step (`arg`), and
+ * a read's data comes back through ReadClient::readDone().
  */
 
 #ifndef SDPCM_CPU_CORE_HH
@@ -35,7 +39,7 @@ struct CoreStats
 };
 
 /** One trace-driven in-order core. */
-class TraceCore
+class TraceCore : public EventTarget, public ReadClient
 {
   public:
     TraceCore(unsigned id, EventQueue& events, MemoryController& ctrl,
@@ -58,10 +62,21 @@ class TraceCore
                static_cast<double>(stats_.instructions);
     }
 
+    void fire(std::uint64_t step) override;
+    void readDone(const LineData& data) override;
+
   private:
+    /** The steps a core schedules on itself (its events' `arg`). */
+    enum Step : std::uint64_t
+    {
+        kPerform,   //!< the gap has retired: translate and access memory
+        kTlbRetry,  //!< the page-table walk is done: translate again
+        kWriteRetry //!< the write queue has space: submit the write again
+    };
+
     void issueNext();
-    void perform(const TraceRecord& record);
-    void performTranslated(const TraceRecord& record, PhysAddr paddr);
+    void perform();
+    void performTranslated();
     void finish();
 
     unsigned id_;
@@ -72,6 +87,8 @@ class TraceCore
     std::uint64_t maxRefs_;
     unsigned tlbMissCycles_;
     std::uint64_t refsIssued_ = 0;
+    TraceRecord record_; //!< the reference in flight
+    PhysAddr paddr_ = 0; //!< its physical address, once translated
     bool done_ = false;
     CoreStats stats_;
 };

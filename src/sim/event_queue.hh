@@ -2,8 +2,10 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single global queue orders callbacks by tick (CPU cycles at 4GHz);
+ * A single global queue orders events by tick (CPU cycles at 4GHz);
  * ties are broken by insertion order so runs are fully deterministic.
+ * An event is a plain 32-byte record naming its target and one argument,
+ * so scheduling and dispatching one never touches the heap allocator.
  */
 
 #ifndef SDPCM_SIM_EVENT_QUEUE_HH
@@ -12,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -21,26 +24,39 @@
 
 namespace sdpcm {
 
+/**
+ * A component that receives scheduled events. The queue hands each
+ * event's `arg` back to fire(); what it means (a step of the target's
+ * own state machine, a bank index, ...) is up to the target.
+ */
+class EventTarget
+{
+  public:
+    /** Handle one event that was scheduled with `arg`. */
+    virtual void fire(std::uint64_t arg) = 0;
+};
+
 /** Tick-ordered event queue (bills dispatch to the bundle's profiler). */
 class EventQueue : public Observed
 {
   public:
-    using Callback = std::function<void()>;
+    /** A periodic observation hook (see addTickHook()). */
+    using TickHook = std::function<void(Tick)>;
 
-    /** Schedule a callback at an absolute tick (>= now). */
+    /** Schedule `target.fire(arg)` at an absolute tick (>= now). */
     void
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, EventTarget& target, std::uint64_t arg = 0)
     {
         SDPCM_ASSERT(when >= now_, "scheduling into the past: ", when,
                      " < ", now_);
-        heap_.push(Event{when, nextSeq_++, std::move(cb)});
+        heap_.push(Event{when, nextSeq_++, &target, arg});
     }
 
-    /** Schedule a callback `delay` ticks from now. */
+    /** Schedule `target.fire(arg)` `delay` ticks from now. */
     void
-    scheduleAfter(Tick delay, Callback cb)
+    scheduleAfter(Tick delay, EventTarget& target, std::uint64_t arg = 0)
     {
-        schedule(now_ + delay, std::move(cb));
+        schedule(now_ + delay, target, arg);
     }
 
     Tick now() const { return now_; }
@@ -55,11 +71,12 @@ class EventQueue : public Observed
      * still ends the run. Hooks observe state only — they must not
      * schedule events. Several hooks with independent intervals may be
      * installed; when one tick crosses multiple boundaries the due hooks
-     * fire in installation order (deterministic). @return a hook id for
-     * removeTickHook().
+     * fire in installation order (deterministic). Hooks fire once per
+     * interval, not once per event, so they keep a type-erased callable.
+     * @return a hook id for removeTickHook().
      */
     std::size_t
-    addTickHook(Tick interval, std::function<void(Tick)> hook)
+    addTickHook(Tick interval, TickHook hook)
     {
         SDPCM_ASSERT(interval > 0, "tick-hook interval must be positive");
         Hook h;
@@ -87,9 +104,9 @@ class EventQueue : public Observed
     {
         if (heap_.empty())
             return false;
-        // Move the callback out before popping: the callback may schedule
+        // Copy the record out before popping: the target may schedule
         // new events.
-        Event ev = std::move(const_cast<Event&>(heap_.top()));
+        const Event ev = heap_.top();
         heap_.pop();
         now_ = ev.when;
         if (now_ >= nextHookTick_) {
@@ -103,11 +120,11 @@ class EventQueue : public Observed
         }
         processed_ += 1;
         {
-            // Every callback body is charged to EventDispatch; the
+            // Every target's fire() is charged to EventDispatch; the
             // instrumented subsystems below it (controller stages,
             // device scans, samplers) open their own child scopes.
             PROF_SCOPE(obs_.prof, EventDispatch);
-            ev.cb();
+            ev.target->fire(ev.arg);
         }
         return true;
     }
@@ -121,11 +138,13 @@ class EventQueue : public Observed
     }
 
   private:
+    /** One scheduled event: ordered by (when, seq), seq unique. */
     struct Event
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
+        EventTarget* target;
+        std::uint64_t arg;
 
         bool
         operator>(const Event& other) const
@@ -135,12 +154,14 @@ class EventQueue : public Observed
             return seq > other.seq;
         }
     };
+    static_assert(sizeof(Event) == 32 &&
+                  std::is_trivially_copyable_v<Event>);
 
     struct Hook
     {
         Tick interval = 0;
         Tick next = ~Tick(0);
-        std::function<void(Tick)> fn;
+        TickHook fn;
     };
 
     void

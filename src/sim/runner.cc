@@ -23,7 +23,7 @@ parseRunFlags(const ArgParser& args, std::uint64_t default_refs)
     cfg.refsPerCore =
         args.get<std::uint64_t>("refs", default_refs, kMinRefsPerCore);
     cfg.seed = args.get<std::uint64_t>("seed", 1);
-    cfg.cores = args.get<unsigned>("cores", 8, kMinCores);
+    cfg.cores = args.get<unsigned>("cores", 8, kMinCores, kMaxCores);
     cfg.jobs = args.get<unsigned>("jobs", 0);
     cfg.verifyOracle = args.getBool("verify-oracle", false);
     try {

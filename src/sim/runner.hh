@@ -47,6 +47,9 @@ struct RunnerConfig : RunOptions
  * FuzzScenario::fromJson alike (with NmRatio::valid for 1 <= n <= m).
  */
 inline constexpr unsigned kMinCores = 1;
+/** Each core is an event target with its own MMU and trace stream;
+ *  nothing in the repository runs more than 8. */
+inline constexpr unsigned kMaxCores = 64;
 inline constexpr std::uint64_t kMinRefsPerCore = 1;
 inline constexpr unsigned kMinWriteQueueEntries = 1;
 inline constexpr double kMaxAgeFraction = 1.0; //!< age is in [0, this]

@@ -214,9 +214,11 @@ FuzzScenario::fromJson(const std::string& text)
     if (!(s.age >= 0.0 && s.age <= kMaxAgeFraction))
         throw std::runtime_error("fuzz spec: age must be in [0,1]");
     if (s.wq < kMinWriteQueueEntries || s.cores < kMinCores ||
-        s.refs < kMinRefsPerCore || !NmRatio{s.n, s.m}.valid())
-        throw std::runtime_error("fuzz spec: needs wq>0, cores>0, refs>0 "
-                                 "and 1<=n<=m");
+        s.cores > kMaxCores || s.refs < kMinRefsPerCore ||
+        !NmRatio{s.n, s.m}.valid())
+        throw std::runtime_error("fuzz spec: needs wq>0, 1<=cores<=" +
+                                 std::to_string(kMaxCores) +
+                                 ", refs>0 and 1<=n<=m");
     // Reuse the injector's own validation (finite, in-range).
     (void)FaultSpec::parse("stuck=" + std::to_string(s.stuck) +
                            ",wd=" + std::to_string(s.wd));

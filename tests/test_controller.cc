@@ -14,6 +14,7 @@
 #include <iterator>
 
 #include "controller/memctrl.hh"
+#include "event_adapters.hh"
 #include "sim/event_queue.hh"
 #include "sim/system.hh"
 #include "verify/oracle.hh"
@@ -65,10 +66,11 @@ TEST(Controller, ReadTakesArrayLatency)
     Harness h(SchemeConfig::din8F2());
     bool done = false;
     Tick completion = 0;
-    h.ctrl->submitRead(h.addrOf(0, 10, 0), 0, [&](const LineData&) {
+    ReadCallback on_read([&](const LineData&) {
         done = true;
         completion = h.events.now();
     });
+    h.ctrl->submitRead(h.addrOf(0, 10, 0), 0, on_read);
     h.drain();
     EXPECT_TRUE(done);
     EXPECT_EQ(completion, 400u);
@@ -208,11 +210,12 @@ TEST(Controller, ReadForwardsFromWriteQueue)
     LineData got;
     bool done = false;
     Tick when = 0;
-    h.ctrl->submitRead(addr, 0, [&](const LineData& data) {
+    ReadCallback on_read([&](const LineData& data) {
         got = data;
         done = true;
         when = h.events.now();
     });
+    h.ctrl->submitRead(addr, 0, on_read);
     h.drain();
     EXPECT_TRUE(done);
     EXPECT_EQ(got, payload);
@@ -232,7 +235,8 @@ TEST(Controller, WriteCoalescing)
     EXPECT_EQ(h.ctrl->pendingWrites(), 1u);
 
     LineData got;
-    h.ctrl->submitRead(addr, 0, [&](const LineData& d) { got = d; });
+    ReadCallback on_read([&](const LineData& d) { got = d; });
+    h.ctrl->submitRead(addr, 0, on_read);
     h.drain();
     EXPECT_EQ(got, latest);
 }
@@ -315,8 +319,9 @@ TEST(Controller, WriteCancellationServesReadQuickly)
     while (!h.events.empty() && h.events.now() < 100)
         h.events.runNext();
     Tick read_done = 0;
-    h.ctrl->submitRead(h.addrOf(bank, 500, 0), 0,
-                       [&](const LineData&) { read_done = h.events.now(); });
+    ReadCallback on_read(
+        [&](const LineData&) { read_done = h.events.now(); });
+    h.ctrl->submitRead(h.addrOf(bank, 500, 0), 0, on_read);
     h.drain();
     EXPECT_GE(h.ctrl->stats().writeCancellations, 1u);
     // The read arrived at tick 400 mid-operation, cancelled it, and was
@@ -401,7 +406,8 @@ TEST(Controller, CoalesceAfterCancellationKeepsNewestWrite)
     ASSERT_TRUE(h.ctrl->submitWriteData(x, NmRatio{1, 1}, 0, p2));
     // A read to the same bank cancels the active write, re-queueing it
     // at the FRONT — now two entries for line x exist.
-    h.ctrl->submitRead(h.addrOf(bank, 500, 0), 0, [](const LineData&) {});
+    ReadCallback ignore;
+    h.ctrl->submitRead(h.addrOf(bank, 500, 0), 0, ignore);
     ASSERT_GE(h.ctrl->stats().writeCancellations, 1u);
     // Third write: must coalesce into the BACK (newest) entry.
     ASSERT_TRUE(h.ctrl->submitWriteData(x, NmRatio{1, 1}, 0, p3));
@@ -431,10 +437,11 @@ TEST(Controller, ReadObservesNewestDataAtServiceTime)
     // Read to x queues behind the busy bank; no write to x exists yet.
     LineData observed;
     bool read_done = false;
-    h.ctrl->submitRead(x, 0, [&](const LineData& d) {
+    ReadCallback on_read([&](const LineData& d) {
         observed = d;
         read_done = true;
     });
+    h.ctrl->submitRead(x, 0, on_read);
     // Write to x is accepted while the read is still waiting.
     ASSERT_TRUE(h.ctrl->submitWriteData(x, NmRatio{1, 1}, 0, p));
     h.drain();
@@ -491,6 +498,7 @@ TEST(Controller, CancellationStressStaysClean)
     const unsigned bank = 9;
     LineData last[4];
     bool have_last[4] = {false, false, false, false};
+    ReadCallback ignore;
 
     for (int i = 0; i < 120; ++i) {
         const unsigned line = static_cast<unsigned>(rng.below(4));
@@ -508,7 +516,7 @@ TEST(Controller, CancellationStressStaysClean)
             while (!h.events.empty() && rng.chance(0.6))
                 h.events.runNext();
             h.ctrl->submitRead(h.addrOf(bank, 700 + rng.below(4), 0), 0,
-                               [](const LineData&) {});
+                               ignore);
         }
         if (i % 20 == 19)
             h.drain();

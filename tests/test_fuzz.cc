@@ -113,6 +113,9 @@ TEST(FuzzSpec, RejectsMalformedValues)
     EXPECT_THROW(
         (void)FuzzScenario::fromJson(mutate("cores", "4294967297")),
         std::runtime_error); // would wrap to 1 core through a cast
+    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("cores", "65")),
+                 std::runtime_error); // above kMaxCores
+    EXPECT_EQ(FuzzScenario::fromJson(mutate("cores", "64")).cores, 64u);
     EXPECT_THROW((void)FuzzScenario::fromJson("not json"),
                  std::runtime_error);
 }

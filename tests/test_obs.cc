@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "event_adapters.hh"
 #include "obs/csv.hh"
 #include "obs/telemetry.hh"
 #include "obs/json.hh"
@@ -570,10 +571,11 @@ TEST(EpochSampler, OutputBytesMatchRecordedDigests)
 TEST(EventQueue, TickHookFiresOnBoundariesAndStopsWithQueue)
 {
     EventQueue q;
+    CallbackTarget idle;
     std::vector<Tick> hook_ticks;
     q.addTickHook(10, [&](Tick t) { hook_ticks.push_back(t); });
     for (Tick t : {3u, 9u, 12u, 25u, 26u, 40u})
-        q.schedule(t, [] {});
+        q.schedule(t, idle);
     q.run();
     // Fires at the first event at-or-after each boundary it crosses.
     EXPECT_EQ(hook_ticks, (std::vector<Tick>{12, 25, 40}));
@@ -584,12 +586,13 @@ TEST(EventQueue, TickHookFiresOnBoundariesAndStopsWithQueue)
 TEST(EventQueue, MultipleTickHooksFireIndependently)
 {
     EventQueue q;
+    CallbackTarget idle;
     std::vector<Tick> tens, sevens;
     const std::size_t ten_id =
         q.addTickHook(10, [&](Tick t) { tens.push_back(t); });
     q.addTickHook(7, [&](Tick t) { sevens.push_back(t); });
     for (Tick t : {5u, 8u, 14u, 21u, 30u})
-        q.schedule(t, [] {});
+        q.schedule(t, idle);
     q.run();
     // 10-hook boundaries 10,20,30 -> first events at 14, 21, 30;
     // 7-hook boundaries 7,14,21,28 -> first events at 8, 14, 21, 30.
@@ -600,7 +603,7 @@ TEST(EventQueue, MultipleTickHooksFireIndependently)
     tens.clear();
     sevens.clear();
     for (Tick t : {36u, 50u})
-        q.schedule(t, [] {});
+        q.schedule(t, idle);
     q.run();
     EXPECT_TRUE(tens.empty());
     EXPECT_EQ(sevens, (std::vector<Tick>{36, 50}));

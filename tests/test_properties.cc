@@ -10,6 +10,7 @@
 #include <map>
 
 #include "controller/memctrl.hh"
+#include "event_adapters.hh"
 #include "os/buddy.hh"
 #include "pcm/device.hh"
 #include "sim/event_queue.hh"
@@ -231,6 +232,7 @@ TEST_P(SchemeInvariant, CompletedWritesAreDurable)
                           device.config().geometry.stripsPer64MB());
     Rng rng(123);
     std::map<std::uint64_t, LineData> expected;
+    ReadCallback ignore;
     for (int i = 0; i < 150; ++i) {
         std::uint64_t row = 50 + rng.below(8);
         while (!policy.stripInUse(row))
@@ -243,7 +245,7 @@ TEST_P(SchemeInvariant, CompletedWritesAreDurable)
             expected[addr] = payload;
         if (i % 10 == 0) {
             // Interleave reads (exercises forwarding + cancellation).
-            ctrl.submitRead(addr, 0, [](const LineData&) {});
+            ctrl.submitRead(addr, 0, ignore);
             events.run();
         }
     }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "event_adapters.hh"
 #include "sim/event_queue.hh"
 #include "sim/runner.hh"
 
@@ -27,9 +28,12 @@ TEST(EventQueue, OrdersByTickThenSeq)
 {
     EventQueue q;
     std::vector<int> order;
-    q.schedule(10, [&] { order.push_back(2); });
-    q.schedule(5, [&] { order.push_back(1); });
-    q.schedule(10, [&] { order.push_back(3); });
+    CallbackTarget first([&] { order.push_back(2); });
+    CallbackTarget early([&] { order.push_back(1); });
+    CallbackTarget second([&] { order.push_back(3); });
+    q.schedule(10, first);
+    q.schedule(5, early);
+    q.schedule(10, second);
     q.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(q.now(), 10u);
@@ -40,9 +44,9 @@ TEST(EventQueue, NestedScheduling)
 {
     EventQueue q;
     int fired = 0;
-    q.schedule(1, [&] {
-        q.scheduleAfter(1, [&] { fired += 1; });
-    });
+    CallbackTarget inner([&] { fired += 1; });
+    CallbackTarget outer([&] { q.scheduleAfter(1, inner); });
+    q.schedule(1, outer);
     q.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.now(), 2u);
@@ -52,8 +56,9 @@ TEST(EventQueue, MaxTicksStopsEarly)
 {
     EventQueue q;
     int fired = 0;
-    q.schedule(10, [&] { fired += 1; });
-    q.schedule(100, [&] { fired += 1; });
+    CallbackTarget count([&] { fired += 1; });
+    q.schedule(10, count);
+    q.schedule(100, count);
     q.run(50);
     EXPECT_EQ(fired, 1);
 }
