@@ -37,6 +37,33 @@ BM_DinEncode(benchmark::State& state)
 }
 BENCHMARK(BM_DinEncode);
 
+/**
+ * DIN decode, the last step of every sdpcm read: lines and flag words
+ * drawn at run time, so no decode folds to a constant.
+ */
+static void
+BM_DinDecode(benchmark::State& state)
+{
+    DinEncoder din;
+    Rng rng(7);
+    constexpr unsigned kInputs = 1024;
+    const std::uint64_t flag_mask = din.numGroups() == 64
+        ? ~0ULL : (1ULL << din.numGroups()) - 1;
+    std::vector<LineData> lines;
+    std::vector<std::uint64_t> flags;
+    for (unsigned i = 0; i < kInputs; ++i) {
+        lines.push_back(LineData::randomFromKey(rng.next64()));
+        flags.push_back(rng.next64() & flag_mask);
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(din.decode(lines[next], flags[next]));
+        next = (next + 1) % kInputs;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DinDecode);
+
 static void
 BM_FnwEncode(benchmark::State& state)
 {

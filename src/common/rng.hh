@@ -13,6 +13,7 @@
 #define SDPCM_COMMON_RNG_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace sdpcm {
@@ -94,6 +95,37 @@ class Rng
             return true;
         return uniform() < p;
     }
+
+    /**
+     * chance(p) for a fixed p with the float work done once: it draws
+     * exactly when chance(p) would and returns the same result, since
+     * uniform() < p holds iff the 53-bit draw is below ceil(p * 2^53).
+     */
+    class Chance
+    {
+      public:
+        explicit Chance(double p)
+            : always_(p >= 1.0),
+              draws_(!(p <= 0.0) && !always_),
+              threshold_(p > 0.0 && p < 1.0
+                             ? static_cast<std::uint64_t>(
+                                   std::ceil(p * 0x1.0p53))
+                             : 0)
+        {}
+
+        bool
+        operator()(Rng& rng) const
+        {
+            if (!draws_)
+                return always_;
+            return (rng.next64() >> 11) < threshold_;
+        }
+
+      private:
+        bool always_;
+        bool draws_;
+        std::uint64_t threshold_;
+    };
 
     /** Geometric draw: number of failures before first success, prob p. */
     std::uint64_t

@@ -1,19 +1,12 @@
 #include "encoding/din.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 
 namespace sdpcm {
 
 namespace {
-
-std::uint64_t
-groupMask(unsigned group_bits, unsigned group_in_word)
-{
-    const std::uint64_t base = group_bits == 64
-        ? ~0ULL
-        : ((1ULL << group_bits) - 1);
-    return base << (group_in_word * group_bits);
-}
 
 /** Vulnerable-pair count of one 64-cell chip segment. */
 int
@@ -24,6 +17,53 @@ wordCost(std::uint64_t target, std::uint64_t old)
     return popcount64(resets & (idle0 >> 1)) +
            popcount64(resets & (idle0 << 1));
 }
+
+/**
+ * Per-group popcounts: lane g (group_bits wide) of the result holds the
+ * number of set bits in lane g of x. The SWAR count of popcount64,
+ * stopped at the group width.
+ */
+std::uint64_t
+groupPopcounts(std::uint64_t x, unsigned group_bits)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    if (group_bits >= 16)
+        x = (x + (x >> 8)) & 0x00ff00ff00ff00ffULL;
+    if (group_bits >= 32)
+        x = (x + (x >> 16)) & 0x0000ffff0000ffffULL;
+    if (group_bits == 64)
+        x = (x + (x >> 32)) & 0x00000000ffffffffULL;
+    return x;
+}
+
+/**
+ * Inversion masks of one 64-cell word, indexed by that word's flag bits:
+ * entry f inverts every group g with bit g of f set.
+ */
+template <unsigned GroupBits>
+constexpr std::array<std::uint64_t, (1u << (64 / GroupBits))>
+inversionTable()
+{
+    constexpr unsigned groups = 64 / GroupBits;
+    std::uint64_t group = ~0ULL;
+    if constexpr (GroupBits < 64)
+        group = (1ULL << GroupBits) - 1;
+    std::array<std::uint64_t, (1u << groups)> table{};
+    for (unsigned f = 0; f < table.size(); ++f) {
+        for (unsigned g = 0; g < groups; ++g) {
+            if ((f >> g) & 1u)
+                table[f] |= group << (g * GroupBits);
+        }
+    }
+    return table;
+}
+
+constexpr auto kInversion8 = inversionTable<8>();
+constexpr auto kInversion16 = inversionTable<16>();
+constexpr auto kInversion32 = inversionTable<32>();
+constexpr auto kInversion64 = inversionTable<64>();
 
 } // namespace
 
@@ -36,6 +76,11 @@ DinEncoder::DinEncoder(const DinConfig& config)
                  "DIN group size must divide 64 and be >= 8, got ",
                  config_.groupBits);
     SDPCM_ASSERT(config_.sweeps >= 1, "DIN needs at least one sweep");
+    groupsPerWord_ = 64 / config_.groupBits;
+    inversion_ = config_.groupBits == 8    ? kInversion8.data()
+        : config_.groupBits == 16          ? kInversion16.data()
+        : config_.groupBits == 32          ? kInversion32.data()
+                                           : kInversion64.data();
 }
 
 DinEncoder::Encoding
@@ -43,7 +88,13 @@ DinEncoder::encode(const LineData& new_logical,
                    const LineData& old_physical) const
 {
     Encoding out;
-    const unsigned groups_per_word = 64 / config_.groupBits;
+    const unsigned bits = config_.groupBits;
+    const unsigned groups = groupsPerWord_;
+    const std::uint64_t lane = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+    const int weight = static_cast<int>(config_.vulnWeight);
+    std::uint64_t tops = 0; // each group's highest cell
+    for (unsigned g = 0; g < groups; ++g)
+        tops |= 1ULL << (g * bits + bits - 1);
 
     // Groups never straddle chip (64-cell) boundaries, so each word is an
     // independent optimisation problem.
@@ -51,42 +102,67 @@ DinEncoder::encode(const LineData& new_logical,
         const std::uint64_t logical = new_logical.words[w];
         const std::uint64_t old = old_physical.words[w];
 
-        std::uint64_t flip_mask = 0; // union of masks of flipped groups
-        std::uint64_t flip_flags = 0;
+        // A write's vulnerable pairs are its live edges. Edge i joins
+        // cells i and i+1 of the word; it is live when both cells end at
+        // '0' and exactly one was '1' (a RESET beside an idle '0' cell).
+        // `split` marks the edges whose old cells differ.
+        const std::uint64_t split = (old ^ (old >> 1)) & ~(1ULL << 63);
+        const std::uint64_t inner = split & ~tops;
 
+        // Cost of inverting group g minus keeping it plain. Its own cells
+        // and inner edges do not depend on the other groups' choices, so
+        // that part is counted once per word; the two boundary edges are
+        // added at each evaluation below.
+        const std::uint64_t programmed = groupPopcounts(logical ^ old, bits);
+        const std::uint64_t pairs_plain =
+            groupPopcounts(~logical & ~(logical >> 1) & inner, bits);
+        const std::uint64_t pairs_inverted =
+            groupPopcounts(logical & (logical >> 1) & inner, bits);
+        std::array<int, 8> own{};
+        // Cost of inverting on a live boundary edge: its pair counts iff
+        // the group's own edge cell ends at '0', which inverting brings
+        // about when that cell's logical bit is 1 and undoes otherwise.
+        std::array<int, 8> left{};
+        std::array<int, 8> right{};
+        for (unsigned g = 0; g < groups; ++g) {
+            const unsigned lo = g * bits;
+            const unsigned hi = lo + bits - 1;
+            const int kept = static_cast<int>((programmed >> lo) & lane);
+            own[g] = weight *
+                    (static_cast<int>((pairs_inverted >> lo) & lane) -
+                     static_cast<int>((pairs_plain >> lo) & lane)) +
+                static_cast<int>(bits) - 2 * kept;
+            left[g] = ((logical >> lo) & 1) ? weight : -weight;
+            right[g] = ((logical >> hi) & 1) ? weight : -weight;
+        }
+
+        unsigned inverted = 0; // bit g set = group g stored inverted
         for (unsigned sweep = 0; sweep < config_.sweeps; ++sweep) {
-            bool changed_any = false;
-            for (unsigned g = 0; g < groups_per_word; ++g) {
-                const std::uint64_t mask =
-                    groupMask(config_.groupBits, g);
-                const std::uint64_t without = flip_mask & ~mask;
-                const std::uint64_t with = flip_mask | mask;
-
-                const std::uint64_t t0 = logical ^ without;
-                const std::uint64_t t1 = logical ^ with;
-                const int w = static_cast<int>(config_.vulnWeight);
-                const int cost0 =
-                    w * wordCost(t0, old) + popcount64(t0 ^ old);
-                const int cost1 =
-                    w * wordCost(t1, old) + popcount64(t1 ^ old);
-                const bool flip = cost1 < cost0;
-                const std::uint64_t next = flip ? with : without;
-                if (next != flip_mask) {
-                    flip_mask = next;
-                    changed_any = true;
-                }
-                if (flip)
-                    flip_flags |= 1ULL << g;
-                else
-                    flip_flags &= ~(1ULL << g);
+            const unsigned before = inverted;
+            for (unsigned g = 0; g < groups; ++g) {
+                const unsigned lo = g * bits;
+                const unsigned hi = lo + bits - 1;
+                // A boundary edge is live when its old cells differ and
+                // its outer cell, in the neighbouring group as currently
+                // chosen, ends at '0'. Bit lo of `live_left` is edge
+                // lo-1 (none for group 0); bit hi of `live_right` is edge
+                // hi (none for the last group: `split` has no bit 63).
+                const std::uint64_t zero = ~(logical ^ inversion_[inverted]);
+                const std::uint64_t live_left = (split & zero) << 1;
+                const std::uint64_t live_right = split & (zero >> 1);
+                const int delta = own[g] +
+                    static_cast<int>((live_left >> lo) & 1) * left[g] +
+                    static_cast<int>((live_right >> hi) & 1) * right[g];
+                inverted = (inverted & ~(1u << g)) |
+                    (static_cast<unsigned>(delta < 0) << g);
             }
-            if (!changed_any)
+            if (inverted == before)
                 break;
         }
 
-        out.physical.words[w] = logical ^ flip_mask;
+        out.physical.words[w] = logical ^ inversion_[inverted];
         // Pack per-word flags into the line-wide flag word.
-        out.flags |= flip_flags << (w * groups_per_word);
+        out.flags |= std::uint64_t{inverted} << (w * groups);
     }
     return out;
 }
@@ -95,15 +171,10 @@ LineData
 DinEncoder::decode(const LineData& physical, std::uint64_t flags) const
 {
     LineData out;
-    const unsigned groups_per_word = 64 / config_.groupBits;
-    unsigned group_index = 0;
+    const std::uint64_t word_flags = (1ULL << groupsPerWord_) - 1;
     for (unsigned w = 0; w < kLineWords; ++w) {
-        std::uint64_t word = physical.words[w];
-        for (unsigned g = 0; g < groups_per_word; ++g, ++group_index) {
-            if ((flags >> group_index) & 1ULL)
-                word ^= groupMask(config_.groupBits, g);
-        }
-        out.words[w] = word;
+        out.words[w] = physical.words[w] ^
+            inversion_[(flags >> (w * groupsPerWord_)) & word_flags];
     }
     return out;
 }

@@ -85,6 +85,12 @@ class DinEncoder
 
   private:
     DinConfig config_;
+    unsigned groupsPerWord_ = 0; //!< 64 / groupBits: flag bits per word
+    /**
+     * Inversion mask of one 64-cell word, indexed by that word's flag
+     * bits (2^groupsPerWord_ entries): a static table per group size.
+     */
+    const std::uint64_t* inversion_ = nullptr;
 };
 
 } // namespace sdpcm

@@ -1,7 +1,9 @@
 #include "pcm/device.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
 #include <tuple>
 
 #include "common/logging.hh"
@@ -330,107 +332,146 @@ PcmDevice::buildRounds(WritePlan& plan)
 }
 
 void
-PcmDevice::injectDisturbance(unsigned pos, WritePlan& plan,
+PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
                              RoundOutcome& outcome)
 {
     const LineAddr& addr = plan.addr;
-    const unsigned word = pos >> 6;
-    const unsigned offset = pos & 63;
-    const unsigned lines_per_row = config_.geometry.linesPerRow();
+    LineState& ls = *plan.line_;
 
-    // Each neighbour line is pinned where its first lookup falls: the
-    // word-line probe of an idle cell, or a successful bit-line draw.
-    auto pin = [&](LineState*& slot, const LineAddr& n_addr) -> LineState& {
-        if (!slot)
-            slot = &state(n_addr);
-        return *slot;
-    };
-
-    // --- Word-line neighbours (same device row, adjacent cells on the
-    // shared word-line; oxide isolation between bit-lines). DIN encoding
-    // suppresses most vulnerable patterns along this direction.
+    // Constants of the round, out of the cell loop. DIN encoding
+    // suppresses most vulnerable patterns along the word-line.
     const double wl_rate = config_.rates.wordLine *
         (config_.dinEnabled ? config_.din.modeledResidualFactor : 1.0);
-    if (wl_rate > 0.0) {
-        auto probe_wl = [&](LineState& ns, const LineAddr& n_addr,
-                            unsigned n_pos) {
-            if (ns.physical.getBit(n_pos) || isHardCell(ns, n_pos))
-                return;
-            // The natural draw always runs first so the device RNG stream
-            // is injection-independent; the injector may then force the
-            // flip through the same vulnerability filter.
-            if (!rng_.chance(wl_rate) &&
-                !(inject_ && inject_->forceWdFlip())) {
-                return;
-            }
-            ns.physical.setBit(n_pos, true);
-            outcome.wlErrors += 1;
-            stats_.wlDisturbances += 1;
-            if (config_.lineCounters)
-                ns.counters.wdFlips += 1;
-            if (obs_.ledger) {
-                obs_.ledger->recordFlip(plan.addr, plan.isCorrection,
-                                        n_addr, n_pos, /*word_line=*/true);
-            }
-            plan.wlHits.push_back((n_addr.line << 9) | n_pos);
-        };
+    const double bl_rate = config_.rates.bitLine;
+    const bool wl = wl_rate > 0.0;
+    const bool has_left = wl && addr.line > 0;
+    const bool has_right =
+        wl && addr.line + 1 < config_.geometry.linesPerRow();
+    const LineAddr left{addr.bank, addr.row, addr.line - 1};
+    const LineAddr right{addr.bank, addr.row, addr.line + 1};
+    const bool bl = bl_rate > 0.0;
+    const std::optional<LineAddr> upper =
+        bl ? map_.upperNeighbor(addr) : std::nullopt;
+    const std::optional<LineAddr> lower =
+        bl ? map_.lowerNeighbor(addr) : std::nullopt;
+    if (!wl && !upper && !lower)
+        return;
 
-        // Left neighbour. Cells this write programs are not idle.
-        if (offset > 0) {
-            const unsigned n_pos = pos - 1;
-            if (!plan.writtenMask.getBit(n_pos))
-                probe_wl(*plan.line_, addr, n_pos);
-        } else if (addr.line > 0) {
-            const LineAddr n_addr{addr.bank, addr.row, addr.line - 1};
-            probe_wl(pin(plan.left_, n_addr), n_addr, (word << 6) | 63);
+    // Each neighbour line is pinned where its first lookup falls: the
+    // word-line probe of the first RESET edge cell (before its idleness
+    // is known), or a successful bit-line draw. Pinning may materialise
+    // the line, which draws its stuck cells from the device RNG, so the
+    // scan's local copy of that RNG is handed back around it.
+    Rng rng = rng_;
+    auto pin = [&](LineState*& slot, const LineAddr& n_addr) -> LineState& {
+        if (!slot) {
+            rng_ = rng;
+            slot = &state(n_addr);
+            rng = rng_;
         }
-        // Right neighbour.
-        if (offset < 63) {
-            const unsigned n_pos = pos + 1;
-            if (!plan.writtenMask.getBit(n_pos))
-                probe_wl(*plan.line_, addr, n_pos);
-        } else if (addr.line + 1 < lines_per_row) {
-            const LineAddr n_addr{addr.bank, addr.row, addr.line + 1};
-            probe_wl(pin(plan.right_, n_addr), n_addr, word << 6);
+        return *slot;
+    };
+    // The natural draw always runs first so the device RNG stream is
+    // injection-independent; the injector may then force the flip
+    // through the same vulnerability filter.
+    const Rng::Chance wl_chance(wl_rate);
+    const Rng::Chance bl_chance(bl_rate);
+    auto hit = [&](const Rng::Chance& chance) {
+        return chance(rng) || (inject_ && inject_->forceWdFlip());
+    };
+    auto flip = [&](LineState& ns, const LineAddr& n_addr, unsigned n_pos,
+                    bool word_line) {
+        ns.physical.setBit(n_pos, true);
+        if (config_.lineCounters)
+            ns.counters.wdFlips += 1;
+        if (obs_.ledger) {
+            obs_.ledger->recordFlip(addr, plan.isCorrection, n_addr, n_pos,
+                                    word_line);
         }
-    }
+    };
+    // Word-line probe of an idle cell (same device row, adjacent cells
+    // on the shared word-line; oxide isolation between bit-lines).
+    auto probe_wl = [&](LineState& ns, const LineAddr& n_addr,
+                        unsigned n_pos) {
+        if (!hit(wl_chance))
+            return false;
+        flip(ns, n_addr, n_pos, /*word_line=*/true);
+        outcome.wlErrors += 1;
+        stats_.wlDisturbances += 1;
+        plan.wlHits.push_back((n_addr.line << 9) | n_pos);
+        return true;
+    };
+    // Word-line probe of a neighbour line's edge cell.
+    auto probe_edge = [&](LineState*& slot, const LineAddr& n_addr,
+                          unsigned n_pos) {
+        LineState& ns = pin(slot, n_addr);
+        if (!ns.physical.getBit(n_pos) && !isHardCell(ns, n_pos))
+            probe_wl(ns, n_addr, n_pos);
+    };
+    // Bit-line probe (adjacent device rows on the shared GST rail; always
+    // idle since a write touches a single row). The neighbour is only
+    // needed when the thermal draw succeeds; the flip lands iff the cell
+    // is vulnerable.
+    auto probe_bl = [&](LineState*& slot, const LineAddr& n_addr,
+                        unsigned pos, unsigned& hits) {
+        if (!hit(bl_chance))
+            return;
+        LineState& ns = pin(slot, n_addr);
+        if (ns.physical.getBit(pos) || isHardCell(ns, pos))
+            return;
+        flip(ns, n_addr, pos, /*word_line=*/false);
+        outcome.blErrors += 1;
+        stats_.blDisturbances += 1;
+        hits += 1;
+    };
 
-    // --- Bit-line neighbours (adjacent device rows on the shared GST
-    // rail; always idle since a write touches a single row).
-    if (config_.rates.bitLine > 0.0) {
-        auto probe_bl = [&](LineState*& slot, const LineAddr& n_addr,
-                            bool upper) {
-            // Draw first: materialising the neighbour is only needed when
-            // the thermal draw succeeds (the flip applies iff vulnerable).
-            // As on the word line, the natural draw precedes any forced
-            // flip so the device RNG stream is injection-independent.
-            if (!rng_.chance(config_.rates.bitLine) &&
-                !(inject_ && inject_->forceWdFlip())) {
-                return;
-            }
-            LineState& ns = pin(slot, n_addr);
-            if (ns.physical.getBit(pos) || isHardCell(ns, pos))
-                return;
-            ns.physical.setBit(pos, true);
-            outcome.blErrors += 1;
-            stats_.blDisturbances += 1;
-            if (config_.lineCounters)
-                ns.counters.wdFlips += 1;
-            if (obs_.ledger) {
-                obs_.ledger->recordFlip(plan.addr, plan.isCorrection,
-                                        n_addr, pos, /*word_line=*/false);
+    LineData hard; // the written line's stuck cells
+    for (const auto& [cell, stuck] : ls.hardCells)
+        hard.setBit(cell, true);
+    const std::uint64_t edges =
+        (has_left ? 1ULL : 0) | (has_right ? 1ULL << 63 : 0);
+
+    for (unsigned w = 0; w < kLineWords; ++w) {
+        // Idle cells of the written line in this word: not programmed by
+        // this write, amorphous and not stuck. A landed flip makes its
+        // cell crystalline, so it leaves the mask at once.
+        std::uint64_t idle = ~plan.writtenMask.words[w] &
+            ~ls.physical.words[w] & ~hard.words[w];
+        // Every RESET cell draws its bit-line chances. Without those, a
+        // cell matters only with an idle in-word neighbour or an edge
+        // neighbour line to pin; idleness only ever shrinks, so the
+        // mask taken here covers every later candidate.
+        std::uint64_t cells = resets.words[w];
+        if (!upper && !lower)
+            cells &= (idle << 1) | (idle >> 1) | edges;
+        for (; cells; cells &= cells - 1) {
+            const unsigned offset =
+                static_cast<unsigned>(std::countr_zero(cells));
+            const unsigned pos = (w << 6) | offset;
+            if (wl) {
+                // Left neighbour, then right.
+                if (offset > 0) {
+                    const std::uint64_t bit = 1ULL << (offset - 1);
+                    if ((idle & bit) && probe_wl(ls, addr, pos - 1))
+                        idle &= ~bit;
+                } else if (has_left) {
+                    probe_edge(plan.left_, left, pos | 63);
+                }
+                if (offset < 63) {
+                    const std::uint64_t bit = 1ULL << (offset + 1);
+                    if ((idle & bit) && probe_wl(ls, addr, pos + 1))
+                        idle &= ~bit;
+                } else if (has_right) {
+                    probe_edge(plan.right_, right, w << 6);
+                }
             }
             if (upper)
-                plan.blHitsUpper += 1;
-            else
-                plan.blHitsLower += 1;
-        };
-
-        if (auto upper = map_.upperNeighbor(addr))
-            probe_bl(plan.upper_, *upper, true);
-        if (auto lower = map_.lowerNeighbor(addr))
-            probe_bl(plan.lower_, *lower, false);
+                probe_bl(plan.upper_, *upper, pos, plan.blHitsUpper);
+            if (lower)
+                probe_bl(plan.lower_, *lower, pos, plan.blHitsLower);
+        }
     }
+    rng_ = rng;
 }
 
 PcmDevice::RoundPeek
@@ -487,13 +528,9 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
     // Only RESET pulses disseminate enough heat to disturb (SET current is
     // about half, i.e. ~4x lower temperature rise; Section 2.2.1). The
     // whole round is programmed before any neighbour is probed.
-    {
+    if (is_reset) {
         PROF_SCOPE(obs_.prof, DeviceWdScan);
-        if (is_reset) {
-            forEachSetBit(round.mask, [&](unsigned pos) {
-                injectDisturbance(pos, plan, outcome);
-            });
-        }
+        injectDisturbance(round.mask, plan, outcome);
     }
     return true;
 }

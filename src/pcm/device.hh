@@ -520,8 +520,13 @@ class PcmDevice : public Observed
 
     bool isHardCell(const LineState& ls, unsigned pos) const;
 
-    /** Inject WD for one applied RESET at `pos` of the plan's line. */
-    void injectDisturbance(unsigned pos, WritePlan& plan,
+    /**
+     * Inject WD for an applied RESET round: the neighbours of every
+     * cell of `resets`, in cell order, each cell drawing left and right
+     * word-line chances (idle neighbours only), then upper and lower
+     * bit-line chances.
+     */
+    void injectDisturbance(const LineData& resets, WritePlan& plan,
                            RoundOutcome& outcome);
 
     /** Charge differential bit writes for an ECP entry update. */

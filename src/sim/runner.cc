@@ -100,7 +100,8 @@ schemeFromArgs(const ArgParser& args)
     } catch (const std::invalid_argument& e) {
         SDPCM_FATAL(e.what());
     }
-    scheme.ecpEntries = args.get<unsigned>("ecp", scheme.ecpEntries);
+    scheme.ecpEntries =
+        args.get<unsigned>("ecp", scheme.ecpEntries, 0, kMaxEcpEntries);
     scheme.writeQueueEntries = args.get<unsigned>(
         "wq", scheme.writeQueueEntries, kMinWriteQueueEntries);
     scheme.writeCancellation =

@@ -52,6 +52,9 @@ inline constexpr unsigned kMinCores = 1;
 inline constexpr unsigned kMaxCores = 64;
 inline constexpr std::uint64_t kMinRefsPerCore = 1;
 inline constexpr unsigned kMinWriteQueueEntries = 1;
+/** Every line materialises this many ECP slots; the benches sweep 0-10
+ *  and the fuzzer draws from 0-10. */
+inline constexpr unsigned kMaxEcpEntries = 10;
 inline constexpr double kMaxAgeFraction = 1.0; //!< age is in [0, this]
 
 /** One observer's outputs: files ("" = none), stderr table (0 = none). */

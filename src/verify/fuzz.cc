@@ -214,10 +214,11 @@ FuzzScenario::fromJson(const std::string& text)
     if (!(s.age >= 0.0 && s.age <= kMaxAgeFraction))
         throw std::runtime_error("fuzz spec: age must be in [0,1]");
     if (s.wq < kMinWriteQueueEntries || s.cores < kMinCores ||
-        s.cores > kMaxCores || s.refs < kMinRefsPerCore ||
-        !NmRatio{s.n, s.m}.valid())
+        s.cores > kMaxCores || s.ecp > kMaxEcpEntries ||
+        s.refs < kMinRefsPerCore || !NmRatio{s.n, s.m}.valid())
         throw std::runtime_error("fuzz spec: needs wq>0, 1<=cores<=" +
-                                 std::to_string(kMaxCores) +
+                                 std::to_string(kMaxCores) + ", ecp<=" +
+                                 std::to_string(kMaxEcpEntries) +
                                  ", refs>0 and 1<=n<=m");
     // Reuse the injector's own validation (finite, in-range).
     (void)FaultSpec::parse("stuck=" + std::to_string(s.stuck) +

@@ -82,6 +82,39 @@ TEST(Rng, ChanceEdgeCases)
     EXPECT_TRUE(rng.chance(2.0));
 }
 
+TEST(Rng, FixedChanceMatchesChanceDrawForDraw)
+{
+    // Same result and same number of draws as chance(p), at the edges
+    // (no draw at p <= 0 or p >= 1; NaN draws and never hits) and at
+    // the simulator's rates.
+    for (const double p :
+         {0.0, -1.0, 1.0, 2.0, std::nan(""), 1e-300, 0x1.0p-53, 0.0149,
+          0.099, 0.115, 0.5, std::nextafter(1.0, 0.0)}) {
+        const Rng::Chance chance(p);
+        Rng a(17);
+        Rng b(17);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(chance(a), b.chance(p)) << "p=" << p << " draw " << i;
+        EXPECT_EQ(a.next64(), b.next64()) << "p=" << p;
+    }
+
+    // Around the exact boundary of the next draw k: uniform() < p iff
+    // k < p * 2^53.
+    Rng rng(23);
+    for (int i = 0; i < 1000; ++i) {
+        Rng peek = rng;
+        const double at = static_cast<double>(peek.next64() >> 11) *
+            0x1.0p-53;
+        for (const double p : {at, std::nextafter(at, 0.0),
+                               std::nextafter(at, 1.0), at + 0x1.0p-53}) {
+            Rng a = rng;
+            Rng b = rng;
+            EXPECT_EQ(Rng::Chance(p)(a), b.chance(p)) << "p=" << p;
+        }
+        rng.next64();
+    }
+}
+
 TEST(Rng, GeometricMean)
 {
     Rng rng(5);

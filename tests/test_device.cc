@@ -527,13 +527,14 @@ struct ScriptResult
  * neighbours first materialise inside the WD scan), cancelled writes
  * that repair their in-row damage and resume, stand-alone corrections,
  * reads and ECP queries. All of it stays in a 2-bank x 24-row window
- * whose lines sit at the row edges, so word-line, bit-line and edge
- * neighbours keep interacting.
+ * (fewer rows when the geometry has fewer) whose lines sit at the row
+ * edges, so word-line, bit-line and edge neighbours keep interacting.
  */
 ScriptResult
 runDeviceScript(DeviceConfig dc, const FaultSpec& faults)
 {
-    dc.geometry.rowsPerBank = 24;
+    dc.geometry.rowsPerBank =
+        std::min<std::uint64_t>(dc.geometry.rowsPerBank, 24);
     PcmDevice dev(dc);
     std::unique_ptr<FaultInjector> inject;
     if (faults.any()) {
@@ -714,6 +715,10 @@ diffCases()
     DeviceConfig counted = sdpcm;
     counted.lineCounters = true;
 
+    // Rows 0 and 3 (half the script's rows) lack one bit-line neighbour.
+    DeviceConfig edge_rows = sdpcm;
+    edge_rows.geometry.rowsPerBank = 4;
+
     // Digests recorded with the per-bank std::unordered_map line store.
     return {
         {"sdpcm", sdpcm, FaultSpec{}, 0xd876b677d10d9e51ULL},
@@ -723,6 +728,8 @@ diffCases()
         {"injected", sdpcm, storm, 0xfe3cc4950f58b1e8ULL},
         {"pooled", pooled, FaultSpec{}, 0x4c23bf56eed6ee5fULL},
         {"lineCounters", counted, FaultSpec{}, 0x8bbd2b8b032a5cddULL},
+        // Recorded with the per-cell WD scan.
+        {"edgeRows", edge_rows, FaultSpec{}, 0x5fc3e1ddb4373301ULL},
     };
 }
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
+#include "common/bitops.hh"
 #include "common/rng.hh"
 #include "encoding/diffwrite.hh"
 #include "encoding/din.hh"
@@ -170,6 +174,169 @@ TEST_P(DinGroupSizes, RoundTripAllGroupSizes)
 
 INSTANTIATE_TEST_SUITE_P(GroupSizes, DinGroupSizes,
                          ::testing::Values(8u, 16u, 32u, 64u));
+
+/**
+ * The group-by-group DIN encoder and decoder that the word-width ones
+ * replaced, kept here as the reference those must match bit for bit.
+ * The encoder re-costs the whole 64-cell word for both choices of
+ * every group, on every sweep.
+ */
+std::uint64_t
+referenceGroupMask(unsigned group_bits, unsigned group_in_word)
+{
+    const std::uint64_t base = group_bits == 64
+        ? ~0ULL
+        : ((1ULL << group_bits) - 1);
+    return base << (group_in_word * group_bits);
+}
+
+int
+referenceWordCost(std::uint64_t target, std::uint64_t old)
+{
+    const std::uint64_t resets = old & ~target;
+    const std::uint64_t idle0 = ~old & ~target;
+    return popcount64(resets & (idle0 >> 1)) +
+           popcount64(resets & (idle0 << 1));
+}
+
+DinEncoder::Encoding
+referenceEncode(const DinConfig& config, const LineData& new_logical,
+                const LineData& old_physical)
+{
+    DinEncoder::Encoding out;
+    const unsigned groups_per_word = 64 / config.groupBits;
+    for (unsigned w = 0; w < kLineWords; ++w) {
+        const std::uint64_t logical = new_logical.words[w];
+        const std::uint64_t old = old_physical.words[w];
+        std::uint64_t flip_mask = 0;
+        std::uint64_t flip_flags = 0;
+        for (unsigned sweep = 0; sweep < config.sweeps; ++sweep) {
+            bool changed_any = false;
+            for (unsigned g = 0; g < groups_per_word; ++g) {
+                const std::uint64_t mask =
+                    referenceGroupMask(config.groupBits, g);
+                const std::uint64_t without = flip_mask & ~mask;
+                const std::uint64_t with = flip_mask | mask;
+                const std::uint64_t t0 = logical ^ without;
+                const std::uint64_t t1 = logical ^ with;
+                const int weight = static_cast<int>(config.vulnWeight);
+                const int cost0 = weight * referenceWordCost(t0, old) +
+                    popcount64(t0 ^ old);
+                const int cost1 = weight * referenceWordCost(t1, old) +
+                    popcount64(t1 ^ old);
+                const bool flip = cost1 < cost0;
+                const std::uint64_t next = flip ? with : without;
+                if (next != flip_mask) {
+                    flip_mask = next;
+                    changed_any = true;
+                }
+                if (flip)
+                    flip_flags |= 1ULL << g;
+                else
+                    flip_flags &= ~(1ULL << g);
+            }
+            if (!changed_any)
+                break;
+        }
+        out.physical.words[w] = logical ^ flip_mask;
+        out.flags |= flip_flags << (w * groups_per_word);
+    }
+    return out;
+}
+
+LineData
+referenceDecode(const DinConfig& config, const LineData& physical,
+                std::uint64_t flags)
+{
+    LineData out;
+    const unsigned groups_per_word = 64 / config.groupBits;
+    unsigned group_index = 0;
+    for (unsigned w = 0; w < kLineWords; ++w) {
+        std::uint64_t word = physical.words[w];
+        for (unsigned g = 0; g < groups_per_word; ++g, ++group_index) {
+            if ((flags >> group_index) & 1ULL)
+                word ^= referenceGroupMask(config.groupBits, g);
+        }
+        out.words[w] = word;
+    }
+    return out;
+}
+
+/** A line of about `ones`/8 density: sparse, half or dense content. */
+LineData
+randomLine(Rng& rng, unsigned ones)
+{
+    LineData line;
+    for (std::uint64_t& word : line.words) {
+        word = rng.next64();
+        if (ones < 4)
+            word &= rng.next64() & (ones < 2 ? rng.next64() : ~0ULL);
+        else if (ones > 4)
+            word |= rng.next64() | (ones > 6 ? rng.next64() : 0);
+    }
+    return line;
+}
+
+class DinWordWidth : public ::testing::TestWithParam<
+                         std::tuple<unsigned, unsigned, unsigned>>
+{};
+
+TEST_P(DinWordWidth, MatchesGroupByGroupReference)
+{
+    DinConfig cfg;
+    std::tie(cfg.groupBits, cfg.sweeps, cfg.vulnWeight) = GetParam();
+    const DinEncoder din(cfg);
+    const std::uint64_t flag_mask = din.numGroups() == 64
+        ? ~0ULL : (1ULL << din.numGroups()) - 1;
+    Rng rng(cfg.groupBits * 100 + cfg.sweeps * 10 + cfg.vulnWeight);
+    for (int trial = 0; trial < 3000; ++trial) {
+        // Old content of every density; new data a few cell flips away
+        // (the common write), fresh content, or the old data inverted.
+        const LineData old =
+            randomLine(rng, 1 + static_cast<unsigned>(rng.below(7)));
+        LineData logical = old;
+        switch (rng.below(3)) {
+          case 0:
+            for (unsigned f = 1 + static_cast<unsigned>(rng.below(100));
+                 f > 0; --f) {
+                logical.flipBit(static_cast<unsigned>(rng.below(kLineBits)));
+            }
+            break;
+          case 1:
+            logical =
+                randomLine(rng, 1 + static_cast<unsigned>(rng.below(7)));
+            break;
+          default:
+            for (std::uint64_t& word : logical.words)
+                word = ~word;
+        }
+        const DinEncoder::Encoding got = din.encode(logical, old);
+        const DinEncoder::Encoding want = referenceEncode(cfg, logical, old);
+        ASSERT_EQ(got.physical, want.physical) << "trial " << trial;
+        ASSERT_EQ(got.flags, want.flags) << "trial " << trial;
+
+        const std::uint64_t flags = rng.next64() & flag_mask;
+        ASSERT_EQ(din.decode(old, flags), referenceDecode(cfg, old, flags))
+            << "trial " << trial;
+        ASSERT_EQ(din.decode(got.physical, got.flags), logical)
+            << "trial " << trial;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, DinWordWidth,
+    ::testing::Combine(::testing::Values(8u, 16u, 32u, 64u),
+                       ::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(0u, 2u)),
+    [](const auto& info) {
+        std::string name = "g";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_s";
+        name += std::to_string(std::get<1>(info.param));
+        name += "_w";
+        name += std::to_string(std::get<2>(info.param));
+        return name;
+    });
 
 } // namespace
 } // namespace sdpcm
