@@ -83,12 +83,10 @@ MemoryController::MemoryController(EventQueue& events, PcmDevice& device,
 const NmPolicy&
 MemoryController::policyFor(const NmRatio& tag) const
 {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(tag.n) << 32) | tag.m;
-    auto it = policies_.find(key);
+    auto it = policies_.find(tag);
     if (it == policies_.end()) {
         it = policies_
-                 .emplace(key,
+                 .emplace(tag,
                           NmPolicy(tag,
                                    device_.config().geometry
                                        .stripsPer64MB()))

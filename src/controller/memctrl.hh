@@ -418,7 +418,7 @@ class MemoryController : public Observed, public EventTarget
     std::vector<Bank> banks_;
     /** Forwarded reads in delivery order (one event each). */
     Fifo<ForwardedRead> forwards_;
-    mutable std::map<std::uint64_t, NmPolicy> policies_;
+    mutable std::map<NmRatio, NmPolicy> policies_;
 
     /** Low bits of an event argument that hold the bank. */
     static constexpr unsigned kBankBits = 16;

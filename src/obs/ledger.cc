@@ -42,11 +42,6 @@ WdLedgerSummary::merge(const WdLedgerSummary& other)
 {
     if (!other.enabled)
         return;
-    if (!enabled)
-        linesPerRow = other.linesPerRow;
-    SDPCM_ASSERT(linesPerRow == other.linesPerRow,
-                 "merging ledgers of different geometries: ", linesPerRow,
-                 " vs ", other.linesPerRow, " lines per row");
     enabled = true;
     flipsWl += other.flipsWl;
     flipsBl += other.flipsBl;
@@ -65,29 +60,28 @@ WdLedgerSummary::merge(const WdLedgerSummary& other)
     absorbLatency.merge(other.absorbLatency);
     repairLatency.merge(other.repairLatency);
     correctLatency.merge(other.correctLatency);
-    for (const auto& [key, entry] : other.blame)
-        blame[key].merge(entry);
+    for (const auto& [line, entry] : other.blame)
+        blame[line].merge(entry);
 }
 
 WdLedger::WdLedger(const EventQueue& events, const DimmGeometry& geometry)
-    : events_(events), linesPerRow_(geometry.linesPerRow())
+    : events_(events), map_(geometry)
 {
     agg_.enabled = true;
-    agg_.linesPerRow = linesPerRow_;
 }
 
 void
 WdLedger::noteCancel(const LineAddr& aggressor)
 {
     agg_.cancels += 1;
-    blame_[keyOf(aggressor)].cancels += 1;
+    blame_[map_.encode(aggressor)].cancels += 1;
 }
 
 void
 WdLedger::recordFlip(const LineAddr& aggressor, bool from_correction,
                      const LineAddr& victim, unsigned pos, bool word_line)
 {
-    const std::uint64_t agg_key = keyOf(aggressor);
+    const std::uint64_t agg_key = map_.encode(aggressor);
     PendingFlip f;
     f.pos = static_cast<std::uint16_t>(pos);
     f.wordLine = word_line;
@@ -96,7 +90,7 @@ WdLedger::recordFlip(const LineAddr& aggressor, bool from_correction,
     f.core = curCore_;
     f.tick = events_.now();
     f.aggressorKey = agg_key;
-    pending_[keyOf(victim)].push_back(f);
+    pending_[map_.encode(victim)].push_back(f);
     pendingCount_ += 1;
 
     WdBlameEntry& b = blame_[agg_key];
@@ -144,15 +138,13 @@ void
 WdLedger::resolve(const LineAddr& victim, unsigned pos, WdOutcome outcome,
                   bool is_fix_event)
 {
-    const auto it = pending_.find(keyOf(victim));
-    if (it != pending_.end()) {
-        std::vector<PendingFlip>& vec = it->second;
-        for (std::size_t i = 0; i < vec.size(); ++i) {
-            if (vec[i].pos != pos)
+    if (std::vector<PendingFlip>* flips = pending_.find(map_.encode(victim))) {
+        for (PendingFlip& f : *flips) {
+            if (f.pos != pos)
                 continue;
-            account(vec[i], outcome);
-            vec[i] = vec.back();
-            vec.pop_back();
+            account(f, outcome);
+            f = flips->back();
+            flips->pop_back();
             pendingCount_ -= 1;
             return;
         }
@@ -187,13 +179,13 @@ WdLedger::flipCorrected(const LineAddr& victim, unsigned pos)
 void
 WdLedger::noteLineWritten(const LineAddr& line)
 {
-    const auto it = pending_.find(keyOf(line));
-    if (it == pending_.end() || it->second.empty())
+    std::vector<PendingFlip>* flips = pending_.find(map_.encode(line));
+    if (!flips)
         return;
-    for (const PendingFlip& f : it->second)
+    for (const PendingFlip& f : *flips)
         account(f, WdOutcome::Overwritten);
-    pendingCount_ -= it->second.size();
-    it->second.clear(); // keep the bucket: lines are rewritten often
+    pendingCount_ -= flips->size();
+    flips->clear(); // keep the capacity: lines are rewritten often
 }
 
 WdLedgerSummary
@@ -201,8 +193,8 @@ WdLedger::summarize() const
 {
     WdLedgerSummary s = agg_;
     s.outstanding = pendingCount_;
-    for (const auto& [key, entry] : blame_)
-        s.blame[key] = entry;
+    for (const auto& [line, entry] : blame_.sorted(map_))
+        s.blame.emplace_hint(s.blame.end(), line, *entry);
     SDPCM_ASSERT(s.outcomeTotal() + s.outstanding == s.flips(),
                  "ledger outcomes (", s.outcomeTotal(), ") + outstanding (",
                  s.outstanding, ") != flips (", s.flips(), ")");
@@ -211,15 +203,23 @@ WdLedger::summarize() const
 
 namespace {
 
-/** "b2/r123/l45" display form of a blame key. */
-std::string
-aggressorName(std::uint64_t key, unsigned lines_per_row)
+using Aggressor = std::pair<LineAddr, const WdBlameEntry*>;
+
+/** Blame entries by flips caused, heaviest first. Map order is address
+ *  order, so equal-flip aggressors stay address-sorted and the ranking
+ *  is deterministic. */
+std::vector<Aggressor>
+rankAggressors(const WdLedgerSummary& summary)
 {
-    const std::uint64_t bank = key >> 48;
-    const std::uint64_t rowline = key & ((std::uint64_t(1) << 48) - 1);
-    return "b" + std::to_string(bank) + "/r" +
-           std::to_string(rowline / lines_per_row) + "/l" +
-           std::to_string(rowline % lines_per_row);
+    std::vector<Aggressor> rows;
+    rows.reserve(summary.blame.size());
+    for (const auto& [line, entry] : summary.blame)
+        rows.emplace_back(line, &entry);
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const Aggressor& a, const Aggressor& b) {
+                         return a.second->flips() > b.second->flips();
+                     });
+    return rows;
 }
 
 } // namespace
@@ -228,17 +228,7 @@ void
 printWdTop(std::ostream& os, const std::string& label,
            const WdLedgerSummary& summary, unsigned top_n)
 {
-    using Row = std::pair<std::uint64_t, const WdBlameEntry*>;
-    std::vector<Row> rows;
-    rows.reserve(summary.blame.size());
-    for (const auto& [key, entry] : summary.blame)
-        rows.emplace_back(key, &entry);
-    // Map order is key order, so equal-flip aggressors stay address-
-    // sorted and the table is deterministic.
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Row& a, const Row& b) {
-                         return a.second->flips() > b.second->flips();
-                     });
+    std::vector<Aggressor> rows = rankAggressors(summary);
     if (rows.size() > top_n)
         rows.resize(top_n);
 
@@ -253,10 +243,11 @@ printWdTop(std::ostream& os, const std::string& label,
     const auto at = [](const WdBlameEntry& e, WdOutcome o) {
         return e.outcomes[static_cast<unsigned>(o)];
     };
-    for (const Row& row : rows) {
-        const WdBlameEntry& e = *row.second;
+    for (const auto& [line, entry] : rows) {
+        const WdBlameEntry& e = *entry;
         table.addRow(
-            {aggressorName(row.first, summary.linesPerRow),
+            {"b" + std::to_string(line.bank) + "/r" +
+                 std::to_string(line.row) + "/l" + std::to_string(line.line),
              std::to_string(e.flips()), std::to_string(e.flipsWl),
              std::to_string(e.flipsBl), std::to_string(e.fromCorrection),
              std::to_string(at(e, WdOutcome::Absorbed)),
@@ -326,27 +317,17 @@ wdLedgerToJson(JsonWriter& w, const WdLedgerSummary& summary)
     // the heaviest aggressors (deterministic order) plus the total so
     // consumers know what was truncated.
     constexpr std::size_t kMaxAggressors = 100;
-    using Row = std::pair<std::uint64_t, const WdBlameEntry*>;
-    std::vector<Row> rows;
-    rows.reserve(summary.blame.size());
-    for (const auto& [key, entry] : summary.blame)
-        rows.emplace_back(key, &entry);
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Row& a, const Row& b) {
-                         return a.second->flips() > b.second->flips();
-                     });
+    std::vector<Aggressor> rows = rankAggressors(summary);
     w.kv("aggressorsTotal", static_cast<std::uint64_t>(rows.size()));
     if (rows.size() > kMaxAggressors)
         rows.resize(kMaxAggressors);
     w.key("topAggressors").beginArray();
-    for (const Row& row : rows) {
-        const WdBlameEntry& e = *row.second;
+    for (const auto& [line, entry] : rows) {
+        const WdBlameEntry& e = *entry;
         w.beginObject();
-        w.kv("bank", row.first >> 48);
-        const std::uint64_t rowline =
-            row.first & ((std::uint64_t(1) << 48) - 1);
-        w.kv("row", rowline / summary.linesPerRow);
-        w.kv("line", rowline % summary.linesPerRow);
+        w.kv("bank", std::uint64_t{line.bank});
+        w.kv("row", line.row);
+        w.kv("line", std::uint64_t{line.line});
         w.kv("flipsWl", e.flipsWl);
         w.kv("flipsBl", e.flipsBl);
         w.kv("fromCorrection", e.fromCorrection);

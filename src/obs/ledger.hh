@@ -50,12 +50,12 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "obs/observers.hh"
 #include "pcm/address.hh"
+#include "pcm/line_table.hh"
 #include "sim/event_queue.hh"
 
 namespace sdpcm {
@@ -106,8 +106,6 @@ struct WdBlameEntry
 struct WdLedgerSummary
 {
     bool enabled = false;
-    /** linesPerRow of the geometry, to decode blame keys for display. */
-    unsigned linesPerRow = 64;
 
     std::uint64_t flipsWl = 0;
     std::uint64_t flipsBl = 0;
@@ -136,9 +134,9 @@ struct WdLedgerSummary
     LatencyStat repairLatency;
     LatencyStat correctLatency;
 
-    /** Per-aggressor blame, keyed (bank << 48) | (row * linesPerRow +
-     *  line); ordered so iteration is deterministic. */
-    std::map<std::uint64_t, WdBlameEntry> blame;
+    /** Per-aggressor blame in (bank, row, line) order, so iteration is
+     *  deterministic. */
+    std::map<LineAddr, WdBlameEntry> blame;
 
     std::uint64_t flips() const { return flipsWl + flipsBl; }
     std::uint64_t outcomeTotal() const;
@@ -149,8 +147,10 @@ struct WdLedgerSummary
 /**
  * Live event collector. The device emits flip / fix events; the
  * controller brackets them with service context (core, cascade depth,
- * cancel unwinding). All methods are O(1) amortised; the pending store
- * reuses buckets, so steady state is allocation-light.
+ * cancel unwinding). All methods are O(1) amortised. Pending flips and
+ * blame live in line tables keyed by the line's address; a line's
+ * pending list keeps its capacity once resolved, so steady state is
+ * allocation-light.
  */
 class WdLedger
 {
@@ -227,15 +227,8 @@ class WdLedger
         std::uint16_t depth = 0;
         std::uint32_t core = 0;
         Tick tick = 0;
-        std::uint64_t aggressorKey = 0;
+        std::uint64_t aggressorKey = 0; //!< map_.encode(aggressor)
     };
-
-    std::uint64_t
-    keyOf(const LineAddr& la) const
-    {
-        return (static_cast<std::uint64_t>(la.bank) << 48) |
-               (la.row * linesPerRow_ + la.line);
-    }
 
     /** Resolve the pending flip at (victim, pos) as `outcome`; a fix
      *  event with no pending flip books a late fix instead. */
@@ -245,16 +238,16 @@ class WdLedger
     void account(const PendingFlip& f, WdOutcome outcome);
 
     const EventQueue& events_;
-    unsigned linesPerRow_;
+    AddressMap map_; //!< line keys: the line's address
     unsigned curCore_ = 0;
     unsigned curDepth_ = 0;
     bool inCancelRepair_ = false;
 
-    std::unordered_map<std::uint64_t, std::vector<PendingFlip>> pending_;
+    LineTable<std::vector<PendingFlip>> pending_; //!< by victim line
     std::uint64_t pendingCount_ = 0;
     /** Blame accumulates unordered on the hot path; summarize() emits
      *  the ordered map. */
-    std::unordered_map<std::uint64_t, WdBlameEntry> blame_;
+    LineTable<WdBlameEntry> blame_;
     WdLedgerSummary agg_; //!< outcomes/latency/histogram accumulator
 };
 

@@ -298,19 +298,19 @@ PageAllocatorSystem::PageAllocatorSystem(const DimmGeometry& geometry)
     auto base = std::make_unique<NmBuddyAllocator>(
         NmRatio{1, 1}, frames_per_strip, strips_per_block, top_order);
     base->seedFree(FrameBlock{0, top_order}); // seed the whole memory
-    arrays_[key(NmRatio{1, 1})] = std::move(base);
+    arrays_[NmRatio{1, 1}] = std::move(base);
 }
 
 NmBuddyAllocator&
 PageAllocatorSystem::allocatorFor(const NmRatio& ratio)
 {
-    auto it = arrays_.find(key(ratio));
+    auto it = arrays_.find(ratio);
     if (it != arrays_.end())
         return *it->second;
     auto arr = std::make_unique<NmBuddyAllocator>(
         ratio, geometry_.framesPerStrip(), geometry_.stripsPer64MB(),
         blockOrder_);
-    auto [ins, ok] = arrays_.emplace(key(ratio), std::move(arr));
+    auto [ins, ok] = arrays_.emplace(ratio, std::move(arr));
     SDPCM_ASSERT(ok, "allocator array insert failed");
     return *ins->second;
 }

@@ -159,13 +159,7 @@ class PageAllocatorSystem
     DimmGeometry geometry_;
     std::uint64_t totalFrames_;
     unsigned blockOrder_;
-    std::map<std::uint64_t, std::unique_ptr<NmBuddyAllocator>> arrays_;
-
-    static std::uint64_t
-    key(const NmRatio& ratio)
-    {
-        return static_cast<std::uint64_t>(ratio.n) << 32 | ratio.m;
-    }
+    std::map<NmRatio, std::unique_ptr<NmBuddyAllocator>> arrays_;
 };
 
 } // namespace sdpcm

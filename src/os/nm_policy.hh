@@ -20,6 +20,7 @@
 #ifndef SDPCM_OS_NM_POLICY_HH
 #define SDPCM_OS_NM_POLICY_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -33,11 +34,8 @@ struct NmRatio
     unsigned n = 1;
     unsigned m = 1;
 
-    bool
-    operator==(const NmRatio& other) const
-    {
-        return n == other.n && m == other.m;
-    }
+    /** Ratios compare as (n, m). */
+    auto operator<=>(const NmRatio&) const = default;
 
     bool
     isFull() const

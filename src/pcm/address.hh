@@ -12,6 +12,7 @@
 #ifndef SDPCM_PCM_ADDRESS_HH
 #define SDPCM_PCM_ADDRESS_HH
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 
@@ -31,11 +32,8 @@ struct LineAddr
     std::uint64_t row = 0;   //!< device row within the bank
     unsigned line = 0;       //!< line index within the row [0, 64)
 
-    bool
-    operator==(const LineAddr& other) const
-    {
-        return bank == other.bank && row == other.row && line == other.line;
-    }
+    /** Members compare in declaration order: (bank, row, line). */
+    auto operator<=>(const LineAddr&) const = default;
 };
 
 /** Address mapping functions bound to a DIMM geometry. */

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <optional>
-#include <tuple>
 
 #include "common/logging.hh"
 #include "obs/ledger.hh"
@@ -58,19 +57,13 @@ PcmDevice::lineKey(const LineAddr& addr) const
     return addr.row * config_.geometry.linesPerRow() + addr.line;
 }
 
-std::uint64_t
-PcmDevice::storeKey(const LineAddr& addr) const
-{
-    return lineKey(addr) * config_.geometry.banks() + addr.bank;
-}
-
 PcmDevice::LineState&
 PcmDevice::state(const LineAddr& addr)
 {
     SDPCM_ASSERT(addr.bank < config_.geometry.banks(), "bank out of range");
     SDPCM_ASSERT(addr.line < config_.geometry.linesPerRow(),
                  "line out of range");
-    if (LineState* ls = lines_.find(storeKey(addr)))
+    if (LineState* ls = lines_.find(map_.encode(addr)))
         return *ls;
     return materialise(addr);
 }
@@ -80,7 +73,7 @@ PcmDevice::materialise(const LineAddr& addr)
 {
     // First touch: materialise deterministic content and, when modelling
     // an aged DIMM, a sampled population of stuck-at cells.
-    LineState& ls = lines_.insert(storeKey(addr));
+    LineState& ls = lines_.insert(map_.encode(addr));
     const std::uint64_t key = lineKey(addr);
     const std::uint64_t content_key =
         mix64(config_.seed ^ (static_cast<std::uint64_t>(addr.bank) << 58) ^
@@ -741,35 +734,13 @@ PcmDevice::touchedLines() const
     return lines_.size();
 }
 
-std::vector<std::pair<LineAddr, const PcmDevice::LineState*>>
-PcmDevice::sortedLines() const
-{
-    std::vector<std::pair<LineAddr, const LineState*>> lines;
-    lines.reserve(lines_.size());
-    const unsigned banks = config_.geometry.banks();
-    const unsigned lines_per_row = config_.geometry.linesPerRow();
-    lines_.forEach([&](std::uint64_t key, const LineState& ls) {
-        const std::uint64_t line_key = key / banks;
-        lines.emplace_back(
-            LineAddr{static_cast<unsigned>(key % banks),
-                     line_key / lines_per_row,
-                     static_cast<unsigned>(line_key % lines_per_row)},
-            &ls);
-    });
-    std::sort(lines.begin(), lines.end(), [](const auto& a, const auto& b) {
-        return std::tie(a.first.bank, a.first.row, a.first.line) <
-            std::tie(b.first.bank, b.first.row, b.first.line);
-    });
-    return lines;
-}
-
 std::vector<LineCounterSample>
 PcmDevice::lineCounterSamples() const
 {
     std::vector<LineCounterSample> samples;
     if (!config_.lineCounters)
         return samples;
-    const auto lines = sortedLines();
+    const auto lines = lines_.sorted(map_);
     samples.reserve(lines.size());
     for (const auto& [addr, ls] : lines)
         samples.push_back(LineCounterSample{addr, ls->counters});
@@ -780,7 +751,7 @@ std::uint64_t
 PcmDevice::lineStateDigest() const
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto& [addr, ls] : sortedLines()) {
+    for (const auto& [addr, ls] : lines_.sorted(map_)) {
         fnvMix(h, addr.bank);
         fnvMix(h, addr.row);
         fnvMix(h, addr.line);

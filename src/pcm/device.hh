@@ -21,7 +21,6 @@
 #define SDPCM_PCM_DEVICE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -35,6 +34,7 @@
 #include "pcm/ecp.hh"
 #include "pcm/geometry.hh"
 #include "pcm/line.hh"
+#include "pcm/line_table.hh"
 #include "pcm/timing.hh"
 
 namespace sdpcm {
@@ -107,116 +107,6 @@ struct DeviceConfig
     std::uint64_t seed = 1;
     /** Track per-line LineCounters for spatial heatmaps (see above). */
     bool lineCounters = false;
-};
-
-/**
- * The device's line store: a flat hash table from a 64-bit line key to
- * an entry of type T. Entries are never erased.
- *
- * Pointer-stability rule: entries live in fixed-capacity chunks that are
- * never moved or freed before the table is, so a pointer or reference to
- * an entry stays valid for the table's whole lifetime, however many
- * entries are inserted after it.
- *
- * Lookups go through one open-addressing index of {key, entry*} slots
- * with linear probing. A probe compares the key held in the slot, so it
- * reads one cache line and no entry. The index starts small and doubles
- * before its load passes 3/4.
- */
-template <typename T>
-class LineTable
-{
-  public:
-    /** The entry for `key`, or null when there is none. */
-    T*
-    find(std::uint64_t key)
-    {
-        if (slots_.empty())
-            return nullptr;
-        for (std::size_t i = home(key);; i = (i + 1) & mask_) {
-            const Slot& slot = slots_[i];
-            if (!slot.entry || slot.key == key)
-                return slot.entry;
-        }
-    }
-
-    /** Add a default-constructed entry for `key`, which must be absent. */
-    T&
-    insert(std::uint64_t key)
-    {
-        if ((size_ + 1) * 4 > slots_.size() * 3)
-            grow();
-        if (size_ % kChunkEntries == 0)
-            chunks_.push_back(std::make_unique<T[]>(kChunkEntries));
-        T* entry = &chunks_.back()[size_ % kChunkEntries];
-        place(key, entry);
-        size_ += 1;
-        return *entry;
-    }
-
-    std::size_t size() const { return size_; }
-
-    /** Call fn(key, entry) for every entry, in no particular order. */
-    template <typename Fn>
-    void
-    forEach(Fn&& fn) const
-    {
-        for (const Slot& slot : slots_) {
-            if (slot.entry)
-                fn(slot.key, static_cast<const T&>(*slot.entry));
-        }
-    }
-
-  private:
-    struct Slot
-    {
-        std::uint64_t key = 0;
-        T* entry = nullptr; //!< null marks an empty slot
-    };
-
-    static constexpr std::size_t kChunkEntries = 512;
-    static constexpr std::size_t kMinSlots = 64;
-
-    /**
-     * Fibonacci hashing: the top bits of key * 2^64/phi depend on every
-     * key bit, so keys differing only in their low bits still spread
-     * over the whole index.
-     */
-    std::size_t
-    home(std::uint64_t key) const
-    {
-        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
-                                        shift_);
-    }
-
-    void
-    place(std::uint64_t key, T* entry)
-    {
-        std::size_t i = home(key);
-        for (; slots_[i].entry; i = (i + 1) & mask_)
-            SDPCM_ASSERT(slots_[i].key != key, "line key inserted twice");
-        slots_[i] = Slot{key, entry};
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        const std::size_t n = old.empty() ? kMinSlots : 2 * old.size();
-        slots_.assign(n, Slot{});
-        mask_ = n - 1;
-        shift_ = 64 - log2Exact(n);
-        for (const Slot& slot : old) {
-            if (slot.entry)
-                place(slot.key, slot.entry);
-        }
-    }
-
-    std::vector<Slot> slots_;
-    std::vector<std::unique_ptr<T[]>> chunks_;
-    std::size_t size_ = 0;
-    std::size_t mask_ = 0;
-    unsigned shift_ = 64;
 };
 
 /** Aggregate device statistics. */
@@ -503,11 +393,6 @@ class PcmDevice : public Observed
 
     /** Key within the bank: row * linesPerRow + line (content seed). */
     std::uint64_t lineKey(const LineAddr& addr) const;
-    /** Line-store key: lineKey * banks + bank, unique per line. */
-    std::uint64_t storeKey(const LineAddr& addr) const;
-
-    /** Every materialised line, sorted by (bank, row, line). */
-    std::vector<std::pair<LineAddr, const LineState*>> sortedLines() const;
 
     /** Reset a plan for reuse, keeping its vectors' capacity. */
     static void resetPlan(WritePlan& plan, const LineAddr& addr);
@@ -548,7 +433,7 @@ class PcmDevice : public Observed
     /** Injected stuck-cell scratch for materialise() (reused per line). */
     std::vector<unsigned> injectScratch_;
 
-    /** Every materialised line, keyed by storeKey(). */
+    /** Every materialised line, keyed by its address (map_.encode). */
     LineTable<LineState> lines_;
 };
 

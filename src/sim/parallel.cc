@@ -1,8 +1,11 @@
 #include "sim/parallel.hh"
 
 #include <algorithm>
-
-#include "common/logging.hh"
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace sdpcm {
 
@@ -19,95 +22,36 @@ resolveJobs(unsigned jobs)
     return jobs ? jobs : defaultJobs();
 }
 
-ThreadPool::ThreadPool(unsigned jobs)
-{
-    const unsigned n = resolveJobs(jobs);
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    taskReady_.notify_all();
-    for (auto& worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    SDPCM_ASSERT(task, "null task submitted to pool");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        SDPCM_ASSERT(!stopping_, "submit on a stopping pool");
-        tasks_.push_back(std::move(task));
-        pending_ += 1;
-    }
-    taskReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return pending_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(err);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-        taskReady_.wait(lock,
-                        [this] { return stopping_ || !tasks_.empty(); });
-        if (tasks_.empty()) {
-            if (stopping_)
-                return;
-            continue;
-        }
-        std::function<void()> task = std::move(tasks_.front());
-        tasks_.pop_front();
-        lock.unlock();
-        try {
-            task();
-        } catch (...) {
-            lock.lock();
-            if (!firstError_)
-                firstError_ = std::current_exception();
-            lock.unlock();
-        }
-        lock.lock();
-        pending_ -= 1;
-        if (pending_ == 0)
-            allDone_.notify_all();
-    }
-}
-
 void
 parallelFor(unsigned jobs, std::size_t count,
             const std::function<void(std::size_t)>& body)
 {
-    const unsigned n = resolveJobs(jobs);
-    if (n <= 1 || count <= 1) {
-        // Degenerate path: an ordinary in-order loop on this thread.
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
-        return;
-    }
-    ThreadPool pool(std::min<std::size_t>(n, count));
-    for (std::size_t i = 0; i < count; ++i)
-        pool.submit([&body, i] { body(i); });
-    pool.wait();
+    std::atomic<std::size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr first_error;
+    const auto worker = [&] {
+        for (std::size_t i = next++; i < count; i = next++) {
+            try {
+                body(i);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        }
+    };
+    const std::size_t threads =
+        std::min<std::size_t>(resolveJobs(jobs), count);
+    if (threads <= 1) {
+        worker(); // an ordinary in-order loop on this thread
+    } else {
+        std::vector<std::jthread> workers;
+        workers.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t)
+            workers.emplace_back(worker);
+    } // the jthreads join here, before any rethrow
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace sdpcm

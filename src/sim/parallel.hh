@@ -6,22 +6,16 @@
  * controller and event queue, and the library keeps no mutable global
  * state (statics are const, initialised via thread-safe magic statics),
  * so independent runs are shared-nothing and can execute concurrently
- * with bit-identical results versus serial execution. The thread pool
- * here fans (scheme, workload) cells out across cores; `--jobs=1`
+ * with bit-identical results versus serial execution. `parallelFor`
+ * fans (scheme, workload) cells out across plain threads; `--jobs=1`
  * degenerates to a plain in-order loop on the calling thread.
  */
 
 #ifndef SDPCM_SIM_PARALLEL_HH
 #define SDPCM_SIM_PARALLEL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace sdpcm {
 
@@ -32,57 +26,12 @@ unsigned defaultJobs();
 unsigned resolveJobs(unsigned jobs);
 
 /**
- * A fixed-size worker pool over a FIFO task queue.
- *
- * Tasks are arbitrary callables; the first exception a task throws is
- * captured and rethrown from `wait()` (remaining tasks still run, so the
- * pool is always drained and destruction never blocks on lost work).
- */
-class ThreadPool
-{
-  public:
-    /** Spawn `jobs` workers (0 = `defaultJobs()`). */
-    explicit ThreadPool(unsigned jobs = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    unsigned
-    jobs() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-    /** Enqueue a task; runs as soon as a worker is free. */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until every submitted task has finished, then rethrow the
-     * first exception any task raised (if one did). The pool stays
-     * usable after wait(); more tasks may be submitted.
-     */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> tasks_;
-    std::mutex mutex_;
-    std::condition_variable taskReady_;
-    std::condition_variable allDone_;
-    std::size_t pending_ = 0; //!< queued + running tasks
-    bool stopping_ = false;
-    std::exception_ptr firstError_;
-};
-
-/**
- * Run `body(0) ... body(count-1)` across `jobs` workers and block until
- * all complete. With `jobs` resolving to 1 the calls happen in index
- * order on the calling thread (bit-identical to a plain loop). The first
- * exception thrown by any invocation is rethrown after all indices have
- * been attempted.
+ * Run `body(0) ... body(count-1)` on min(`jobs`, `count`) threads, each
+ * taking the next index from a shared counter, and block until all
+ * complete. With one thread the calls happen in index order on the
+ * calling thread (bit-identical to a plain loop). Every index is
+ * attempted; the first exception thrown by any invocation is rethrown
+ * after all of them have finished.
  */
 void parallelFor(unsigned jobs, std::size_t count,
                  const std::function<void(std::size_t)>& body);

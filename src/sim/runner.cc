@@ -55,7 +55,8 @@ parseRunFlags(const ArgParser& args, std::uint64_t default_refs)
     tel.promPath = args.getString("telemetry-prom", "");
     tel.monitorRules = args.getString("monitor", "");
     tel.watchdogTicks = args.get<Tick>("watchdog", 0);
-    tel.windowFrames = args.get<unsigned>("telemetry-window", 8, 1);
+    tel.windowFrames = args.get<unsigned>("telemetry-window", 8, 1,
+                                          kMaxTelemetryWindowFrames);
     tel.intervalTicks = args.get<Tick>("telemetry-interval", 0);
     if (tel.intervalTicks == 0 &&
         (!tel.path.empty() || !tel.promPath.empty() ||

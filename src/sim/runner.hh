@@ -6,7 +6,7 @@
  * workloads).
  *
  * The matrix executor fans the fully independent (scheme, workload)
- * cells out across a thread pool (see sim/parallel.hh); results are
+ * cells out across threads (see sim/parallel.hh); results are
  * bit-identical to serial execution because every run is shared-nothing.
  */
 
@@ -56,6 +56,10 @@ inline constexpr unsigned kMinWriteQueueEntries = 1;
  *  and the fuzzer draws from 0-10. */
 inline constexpr unsigned kMaxEcpEntries = 10;
 inline constexpr double kMaxAgeFraction = 1.0; //!< age is in [0, this]
+/** Each latency signal keeps one quantile sketch (about 7.8 KB) per
+ *  window frame and merges them all every frame: 1024 frames are 16 MB
+ *  over the two latency signals. The benches use 8 and 4. */
+inline constexpr unsigned kMaxTelemetryWindowFrames = 1024;
 
 /** One observer's outputs: files ("" = none), stderr table (0 = none). */
 struct ObserverOutputs

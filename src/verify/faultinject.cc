@@ -40,8 +40,11 @@ FaultSpec::parse(const std::string& text)
                 if (negative)
                     throw std::invalid_argument("ecp must be >= 0");
                 const unsigned long v = std::stoul(value, &used);
-                if (v > 0xffffffffUL)
-                    throw std::out_of_range("ecp");
+                // A steal is a stuck cell drawn from the line's cells.
+                if (v > kLineBits) {
+                    throw std::invalid_argument(
+                        "ecp must be <= " + std::to_string(kLineBits));
+                }
                 spec.ecpSteal = static_cast<unsigned>(v);
             } else if (key == "wd") {
                 spec.wdBoost = std::stod(value, &used);

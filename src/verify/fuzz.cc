@@ -220,9 +220,15 @@ FuzzScenario::fromJson(const std::string& text)
                                  std::to_string(kMaxCores) + ", ecp<=" +
                                  std::to_string(kMaxEcpEntries) +
                                  ", refs>0 and 1<=n<=m");
-    // Reuse the injector's own validation (finite, in-range).
-    (void)FaultSpec::parse("stuck=" + std::to_string(s.stuck) +
-                           ",wd=" + std::to_string(s.wd));
+    // Reuse the injector's own validation (finite, in-range), so a spec
+    // and an --inject flag accept the same values.
+    try {
+        (void)FaultSpec::parse("stuck=" + std::to_string(s.stuck) +
+                               ",ecp=" + std::to_string(s.ecpSteal) +
+                               ",wd=" + std::to_string(s.wd));
+    } catch (const std::invalid_argument& e) {
+        throw std::runtime_error(std::string("fuzz spec: ") + e.what());
+    }
     return s;
 }
 

@@ -14,36 +14,20 @@ ShadowOracle::ShadowOracle(EventQueue& events, PcmDevice& device)
     counts_.enabled = true;
 }
 
-std::uint64_t
-ShadowOracle::key(const LineAddr& la) const
-{
-    const auto& geom = device_.addressMap().geometry();
-    return (static_cast<std::uint64_t>(la.bank) << 56) |
-        (la.row * geom.linesPerRow() + la.line);
-}
-
-ShadowOracle::LineInfo&
-ShadowOracle::info(const LineAddr& la)
-{
-    LineInfo& li = lines_[key(la)];
-    li.addr = la;
-    return li;
-}
-
 bool
 ShadowOracle::isDirty(std::uint64_t k) const
 {
-    const auto it = dirtyBy_.find(k);
-    return it != dirtyBy_.end() && !it->second.empty();
+    const std::vector<std::uint64_t>* writers = dirtyBy_.find(k);
+    return writers && !writers->empty();
 }
 
 bool
 ShadowOracle::isDirtyByOther(std::uint64_t k, std::uint64_t writer) const
 {
-    const auto it = dirtyBy_.find(k);
-    if (it == dirtyBy_.end())
+    const std::vector<std::uint64_t>* writers = dirtyBy_.find(k);
+    if (!writers)
         return false;
-    for (const std::uint64_t w : it->second) {
+    for (const std::uint64_t w : *writers) {
         if (w != writer)
             return true;
     }
@@ -246,17 +230,8 @@ ShadowOracle::noteServiceEnd(std::uint64_t writer_id)
     const auto it = victimsOf_.find(writer_id);
     if (it == victimsOf_.end())
         return;
-    for (const std::uint64_t k : it->second) {
-        auto dit = dirtyBy_.find(k);
-        if (dit == dirtyBy_.end())
-            continue;
-        auto& writers = dit->second;
-        writers.erase(
-            std::remove(writers.begin(), writers.end(), writer_id),
-            writers.end());
-        if (writers.empty())
-            dirtyBy_.erase(dit);
-    }
+    for (const std::uint64_t k : it->second)
+        std::erase(dirtyBy_[k], writer_id);
     victimsOf_.erase(it);
 }
 
@@ -269,16 +244,8 @@ ShadowOracle::noteUncorrectedDrop(const LineAddr& la)
 void
 ShadowOracle::finalCheck()
 {
-    // Deterministic order for reporting: sort by key.
-    std::vector<const LineInfo*> order;
-    order.reserve(lines_.size());
-    for (const auto& [k, li] : lines_)
-        order.push_back(&li);
-    std::sort(order.begin(), order.end(),
-              [this](const LineInfo* a, const LineInfo* b) {
-                  return key(a->addr) < key(b->addr);
-              });
-    for (const LineInfo* li : order) {
+    // Deterministic order for reporting: (bank, row, line).
+    for (const auto& [la, li] : lines_.sorted(device_.addressMap())) {
         if (!li->haveExpected)
             continue;
         if (li->pending > 0) {
@@ -287,7 +254,7 @@ ShadowOracle::finalCheck()
             counts_.finalSkippedPending += 1;
             continue;
         }
-        if (isDirty(key(li->addr))) {
+        if (isDirty(key(la))) {
             counts_.finalSkippedDirty += 1;
             continue;
         }
@@ -296,7 +263,7 @@ ShadowOracle::finalCheck()
             continue;
         }
         counts_.finalLinesChecked += 1;
-        check("final", li->addr, li->expected, device_.peekLine(li->addr),
+        check("final", la, li->expected, device_.peekLine(la),
               /*mask_hard=*/true);
     }
 }

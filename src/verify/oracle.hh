@@ -124,7 +124,6 @@ class ShadowOracle : public Observed
   private:
     struct LineInfo
     {
-        LineAddr addr;
         LineData expected;  //!< newest submitted payload
         LineData committed; //!< last committed (or adopted) value
         bool haveExpected = false;
@@ -133,8 +132,14 @@ class ShadowOracle : public Observed
         bool tainted = false; //!< dropped correction left errors behind
     };
 
-    std::uint64_t key(const LineAddr& la) const;
-    LineInfo& info(const LineAddr& la);
+    /** A line's key in the oracle's tables: its address. */
+    std::uint64_t
+    key(const LineAddr& la) const
+    {
+        return device_.addressMap().encode(la);
+    }
+
+    LineInfo& info(const LineAddr& la) { return lines_[key(la)]; }
     bool isDirty(std::uint64_t k) const;
     bool isDirtyByOther(std::uint64_t k, std::uint64_t writer) const;
     void markVictim(std::uint64_t writer, const LineAddr& victim);
@@ -151,9 +156,10 @@ class ShadowOracle : public Observed
     EventQueue& events_;
     PcmDevice& device_;
 
-    std::unordered_map<std::uint64_t, LineInfo> lines_;
-    /** victim key -> writer ids with in-flight disturbance on it. */
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> dirtyBy_;
+    LineTable<LineInfo> lines_;
+    /** victim line -> writer ids with in-flight disturbance on it (an
+     *  empty list is clean). */
+    LineTable<std::vector<std::uint64_t>> dirtyBy_;
     /** writer id -> victim keys (for O(victims) clearing). */
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
         victimsOf_;

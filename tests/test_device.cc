@@ -400,6 +400,71 @@ TEST(LineStore, EntriesStayPutAcrossIndexDoublings)
     EXPECT_EQ(value_sum, n * (n - 1) / 2);
 }
 
+TEST(LineStore, SubscriptInsertsOnceThenFinds)
+{
+    LineTable<StoreProbe> table;
+    StoreProbe& first = table[42];
+    first.value = 7;
+    EXPECT_EQ(table.size(), 1u);
+    EXPECT_EQ(&table[42], &first);
+    EXPECT_EQ(table[42].value, 7u);
+    EXPECT_EQ(table.size(), 1u);
+
+    const LineTable<StoreProbe>& view = table;
+    EXPECT_EQ(view.find(42), &first);
+    EXPECT_EQ(view.find(43), nullptr);
+    EXPECT_EQ(table[43].value, 0u);
+    EXPECT_EQ(table.size(), 2u);
+    EXPECT_EQ(&table[42], &first);
+}
+
+/** Lines at the geometry's corners: first and last bank, row and line,
+ *  plus their inner neighbours. */
+std::vector<LineAddr>
+cornerLines(const DimmGeometry& g)
+{
+    std::vector<LineAddr> lines;
+    for (const unsigned bank : {0u, 1u, g.banks() - 1})
+        for (const std::uint64_t row : {std::uint64_t{0}, std::uint64_t{1},
+                                        g.rowsPerBank - 2,
+                                        g.rowsPerBank - 1})
+            for (const unsigned line : {0u, 1u, g.linesPerRow() - 1})
+                lines.push_back(LineAddr{bank, row, line});
+    return lines;
+}
+
+TEST(LineStore, EncodeDecodeRoundTripsCornerLines)
+{
+    const AddressMap map{DimmGeometry{}};
+    for (const LineAddr& la : cornerLines(map.geometry())) {
+        EXPECT_EQ(map.decode(map.encode(la)), la)
+            << la.bank << "/" << la.row << "/" << la.line;
+    }
+}
+
+TEST(LineStore, SortedVisitsBankRowLineOrder)
+{
+    const AddressMap map{DimmGeometry{}};
+    // cornerLines lists lines in (bank, row, line) order, which is not
+    // the order of their encoded addresses (row-major across banks).
+    const std::vector<LineAddr> lines = cornerLines(map.geometry());
+    ASSERT_TRUE(std::is_sorted(lines.begin(), lines.end()));
+    std::vector<LineAddr> shuffled = lines;
+    Rng rng(3);
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i)
+        std::swap(shuffled[i], shuffled[rng.below(i + 1)]);
+
+    LineTable<StoreProbe> table;
+    for (const LineAddr& la : shuffled)
+        table[map.encode(la)].value = la.line;
+    const auto sorted = table.sorted(map);
+    ASSERT_EQ(sorted.size(), lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(sorted[i].first, lines[i]) << i;
+        EXPECT_EQ(sorted[i].second, table.find(map.encode(lines[i]))) << i;
+    }
+}
+
 TEST(LineStore, TouchedLinesAndCounterSamplesAreExact)
 {
     DeviceConfig dc = quietConfig();

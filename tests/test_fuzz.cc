@@ -119,6 +119,13 @@ TEST(FuzzSpec, RejectsMalformedValues)
     EXPECT_THROW((void)FuzzScenario::fromJson(mutate("ecp", "11")),
                  std::runtime_error); // above kMaxEcpEntries
     EXPECT_EQ(FuzzScenario::fromJson(mutate("ecp", "10")).ecp, 10u);
+    // ecpSteal goes through FaultSpec::parse, like --inject=ecp=N.
+    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("ecpSteal", "513")),
+                 std::runtime_error); // above kLineBits
+    EXPECT_EQ(FuzzScenario::fromJson(mutate("ecpSteal", "512")).ecpSteal,
+              512u);
+    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("stuck", "-1")),
+                 std::runtime_error);
     EXPECT_THROW((void)FuzzScenario::fromJson("not json"),
                  std::runtime_error);
 }

@@ -66,10 +66,10 @@ TEST(WdLedgerUnit, FlipResolvesExactlyOnceThenBooksLateFixes)
     EXPECT_EQ(s.outcomeTotal(), 1u);
     EXPECT_EQ(s.outstanding, 0u);
     // Blame lands on the aggressor line, attributed to the issuing core.
-    const std::uint64_t agg_key = 10 * geom.linesPerRow() + 3;
-    ASSERT_TRUE(s.blame.count(agg_key));
-    EXPECT_EQ(s.blame.at(agg_key).flipsWl, 1u);
-    EXPECT_EQ(s.blame.at(agg_key).outcomes[idx(WdOutcome::Repaired)], 1u);
+    ASSERT_EQ(s.blame.size(), 1u);
+    ASSERT_TRUE(s.blame.count(agg));
+    EXPECT_EQ(s.blame.at(agg).flipsWl, 1u);
+    EXPECT_EQ(s.blame.at(agg).outcomes[idx(WdOutcome::Repaired)], 1u);
     ASSERT_GT(s.flipsByCore.size(), 2u);
     EXPECT_EQ(s.flipsByCore[2], 1u);
 }
@@ -138,12 +138,11 @@ TEST(WdLedgerUnit, OutcomeClassesAndTelescoping)
     EXPECT_EQ(s.cascadeDepth.bucket(1), 1u);
 
     // Blame all lands on the single aggressor, cancels included.
-    const std::uint64_t agg_key =
-        (std::uint64_t(1) << 48) | (20 * geom.linesPerRow() + 0);
-    ASSERT_TRUE(s.blame.count(agg_key));
-    EXPECT_EQ(s.blame.at(agg_key).flips(), s.flips());
-    EXPECT_EQ(s.blame.at(agg_key).cancels, 1u);
-    EXPECT_EQ(s.blame.at(agg_key).fromCorrection, 1u);
+    ASSERT_EQ(s.blame.size(), 1u);
+    ASSERT_TRUE(s.blame.count(agg));
+    EXPECT_EQ(s.blame.at(agg).flips(), s.flips());
+    EXPECT_EQ(s.blame.at(agg).cancels, 1u);
+    EXPECT_EQ(s.blame.at(agg).fromCorrection, 1u);
 }
 
 TEST(WdLedgerUnit, SummaryMergeAddsEverything)
@@ -171,10 +170,10 @@ TEST(WdLedgerUnit, SummaryMergeAddsEverything)
     EXPECT_EQ(merged.outcomes[idx(WdOutcome::Repaired)], 1u);
     EXPECT_EQ(merged.outcomes[idx(WdOutcome::Absorbed)], 1u);
     EXPECT_EQ(merged.outcomeTotal(), 2u);
-    // Both flips blame the same aggressor line: entries merge by key.
-    const std::uint64_t agg_key = 1 * geom.linesPerRow() + 0;
-    ASSERT_TRUE(merged.blame.count(agg_key));
-    EXPECT_EQ(merged.blame.at(agg_key).flips(), 2u);
+    // Both flips blame the same aggressor line: entries merge by line.
+    ASSERT_EQ(merged.blame.size(), 1u);
+    ASSERT_TRUE(merged.blame.count(agg));
+    EXPECT_EQ(merged.blame.at(agg).flips(), 2u);
     ASSERT_GT(merged.flipsByCore.size(), 1u);
     EXPECT_EQ(merged.flipsByCore[0] + merged.flipsByCore[1], 2u);
 }
@@ -350,6 +349,73 @@ TEST(WdLedgerStorm, LedgerIsObserveOnly)
         ASSERT_TRUE(observed.has(name)) << name;
         EXPECT_EQ(observed.get(name), value) << name;
     }
+}
+
+/** FNV-1a over the bytes of `text`. */
+std::uint64_t
+fnv1a(const std::string& text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Pins the ledger's exported bytes: the JSON document (per-run entries
+ * and per-scheme merged entries, as the CLI and the benches write them)
+ * and the top-20 aggressor tables, for one storm run and one 2 x 2
+ * matrix. Blame order, the aggressor names and the JSON line fields all
+ * come from the blame table's keys, so a change to how a line is keyed
+ * must reproduce these bytes exactly.
+ */
+TEST(LedgerExport, BytesMatchRecordedDigest)
+{
+    RunnerConfig storm_cfg;
+    storm_cfg.refsPerCore = 1200;
+    storm_cfg.cores = 4;
+    storm_cfg.seed = 5;
+    storm_cfg.wdLedger = true;
+    storm_cfg.faults = FaultSpec::parse("stuck=0.3,ecp=2,wd=0.02,seed=5");
+    SchemeConfig storm_scheme = SchemeConfig::sdpcm();
+    storm_scheme.writeCancellation = true;
+    const RunMetrics storm =
+        runOne(storm_scheme, workloadFromProfile("qstress"), storm_cfg);
+    ASSERT_GT(storm.wd.blame.size(), 20u);
+
+    RunnerConfig cfg;
+    cfg.refsPerCore = 600;
+    cfg.cores = 2;
+    cfg.seed = 7;
+    cfg.wdLedger = true;
+    const auto matrix = runMatrix(
+        {SchemeConfig::lazyCPreRead(), SchemeConfig::sdpcm()},
+        {workloadFromProfile("mcf"), workloadFromProfile("lbm")}, cfg);
+
+    std::vector<WdLedgerSummary> merged(matrix.size());
+    std::vector<WdLedgerEntry> entries{
+        {storm.scheme, storm.workload, &storm.wd}};
+    for (std::size_t s = 0; s < matrix.size(); ++s) {
+        for (const auto& [workload, m] : matrix[s].byWorkload) {
+            entries.push_back({m.scheme, workload, &m.wd});
+            merged[s].merge(m.wd);
+        }
+    }
+    for (std::size_t s = 0; s < matrix.size(); ++s)
+        entries.push_back({matrix[s].scheme, "all", &merged[s]});
+
+    std::ostringstream json;
+    writeWdLedgerJson(json, "ledger_export", entries);
+    std::ostringstream top;
+    printWdTop(top, "storm", storm.wd, 20);
+    for (std::size_t s = 0; s < matrix.size(); ++s)
+        printWdTop(top, matrix[s].scheme, merged[s], 20);
+
+    EXPECT_EQ(json.str().size(), 198273u);
+    EXPECT_EQ(fnv1a(json.str()), 0xbd2ae4cb979ce02eULL);
+    EXPECT_EQ(fnv1a(top.str()), 0x9d640647cdd29da1ULL) << top.str();
 }
 
 // ---------------------------------------------------------------------

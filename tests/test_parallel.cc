@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel run-matrix executor: pool mechanics, serial
- * degeneration, exception propagation, bit-identical matrix results at
+ * Tests for the parallel run-matrix executor: serial degeneration,
+ * index coverage, exception propagation, bit-identical matrix results at
  * any jobs value, and a determinism regression guard that runs the same
  * configuration twice concurrently.
  */
@@ -10,50 +10,13 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <thread>
+#include <vector>
 
 #include "sim/parallel.hh"
 #include "sim/runner.hh"
 
 namespace sdpcm {
 namespace {
-
-TEST(ThreadPool, RunsMoreTasksThanThreads)
-{
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.jobs(), 3u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 64);
-
-    // The pool stays usable after wait().
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 72);
-}
-
-TEST(ThreadPool, PropagatesTaskException)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 16; ++i) {
-        pool.submit([&count, i] {
-            if (i == 5)
-                throw std::runtime_error("task 5 failed");
-            count.fetch_add(1);
-        });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // Remaining tasks still ran: the pool drains despite the failure.
-    EXPECT_EQ(count.load(), 15);
-    // The error is consumed; a subsequent wait succeeds.
-    pool.submit([&count] { count.fetch_add(1); });
-    EXPECT_NO_THROW(pool.wait());
-    EXPECT_EQ(count.load(), 16);
-}
 
 TEST(ParallelFor, JobsOneDegeneratesToSerialOrder)
 {
@@ -72,12 +35,18 @@ TEST(ParallelFor, CoversAllIndicesAndPropagates)
     for (const auto& h : hits)
         EXPECT_EQ(h.load(), 1);
 
-    EXPECT_THROW(parallelFor(4, 8,
-                             [](std::size_t i) {
+    // Every index is attempted: the 7 that do not throw all run before
+    // the first exception is rethrown.
+    std::vector<std::atomic<int>> ran(8);
+    EXPECT_THROW(parallelFor(4, ran.size(),
+                             [&ran](std::size_t i) {
                                  if (i == 3)
                                      throw std::runtime_error("boom");
+                                 ran[i].fetch_add(1);
                              }),
                  std::runtime_error);
+    for (std::size_t i = 0; i < ran.size(); ++i)
+        EXPECT_EQ(ran[i].load(), i == 3 ? 0 : 1) << i;
 }
 
 TEST(ParallelMatrix, BitIdenticalToSerial)
@@ -156,13 +125,9 @@ TEST(ParallelDeterminism, ConcurrentIdenticalRunsMatch)
     cfg.seed = 42;
 
     std::vector<RunMetrics> runs(4);
-    ThreadPool pool(4);
-    for (auto& slot : runs) {
-        pool.submit([&slot, &scheme, &workload, &cfg] {
-            slot = runOne(scheme, workload, cfg);
-        });
-    }
-    pool.wait();
+    parallelFor(4, runs.size(), [&](std::size_t i) {
+        runs[i] = runOne(scheme, workload, cfg);
+    });
 
     const auto reference = runs.front().toSnapshot();
     EXPECT_GT(reference.get("ctrl.writesCompleted"), 0.0);

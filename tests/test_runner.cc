@@ -179,6 +179,16 @@ TEST(RunFlags, ParsesEverySharedFlag)
     EXPECT_EQ(out.report, std::optional<std::string>(""));
 }
 
+TEST(RunFlags, AcceptsEveryUpperBound)
+{
+    const auto [cfg, out] = parseRunFlags(
+        parserOf({"--cores=64", "--telemetry-window=1024",
+                  "--inject=ecp=512"}));
+    EXPECT_EQ(cfg.cores, kMaxCores);
+    EXPECT_EQ(cfg.telemetry.windowFrames, kMaxTelemetryWindowFrames);
+    EXPECT_EQ(cfg.faults.ecpSteal, kLineBits);
+}
+
 TEST(RunFlags, DefaultsLeaveEveryObserverOff)
 {
     const auto [cfg, out] =
@@ -209,6 +219,11 @@ TEST(RunFlagsDeath, RejectsOutOfRangeRunKnobs)
                 "--inject needs a value");
     EXPECT_EXIT(fails({"--inject=stuck=x"}), ::testing::ExitedWithCode(1),
                 "bad --inject spec: ");
+    EXPECT_EXIT(fails({"--inject=ecp=513"}), ::testing::ExitedWithCode(1),
+                "bad --inject spec: .*ecp must be <= 512");
+    EXPECT_EXIT(fails({"--telemetry-window=1025"}),
+                ::testing::ExitedWithCode(1),
+                "bad value for --telemetry-window=1025");
     EXPECT_EXIT(fails({"--report"}), ::testing::ExitedWithCode(1),
                 "--report needs a value");
     EXPECT_EXIT(fails({"--profile=0"}), ::testing::ExitedWithCode(1),

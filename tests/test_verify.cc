@@ -28,6 +28,8 @@ TEST(FaultSpec, ParsesFullSpec)
     EXPECT_EQ(s.seed, 9u);
     EXPECT_TRUE(s.any());
     EXPECT_FALSE(s.describe().empty());
+    // Every cell of a line may be stolen.
+    EXPECT_EQ(FaultSpec::parse("ecp=512").ecpSteal, kLineBits);
 }
 
 TEST(FaultSpec, DefaultsAreInert)
@@ -56,6 +58,9 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_THROW(FaultSpec::parse("stuck=nan"), std::invalid_argument);
     EXPECT_THROW(FaultSpec::parse("wd=nan"), std::invalid_argument);
     EXPECT_THROW(FaultSpec::parse("stuck=inf"), std::invalid_argument);
+    // A steal is a stuck cell drawn from the line's 512 cells.
+    EXPECT_THROW(FaultSpec::parse("ecp=513"), std::invalid_argument);
+    EXPECT_THROW(FaultSpec::parse("ecp=4294967295"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -242,7 +247,7 @@ TEST(ShadowOracle, DirtyVictimsAreSkippedUntilServiceEnd)
 
     oracle.noteServiceEnd(42);
     oracle.noteArrayRead(victim, disturbed); // now it must match again
-    EXPECT_FALSE(oracle.clean());
+    ASSERT_FALSE(oracle.clean());
     EXPECT_EQ(oracle.mismatches()[0].kind, "array_read");
 }
 
