@@ -186,11 +186,11 @@ BM_LineLookup(benchmark::State& state)
     DeviceConfig dc;
     dc.seed = 3;
     PcmDevice dev(dc);
-    constexpr unsigned kLines = 160000;
+    const auto warm = static_cast<unsigned>(state.range(0));
     Rng rng(7);
     std::vector<LineAddr> lines;
-    lines.reserve(kLines);
-    for (unsigned i = 0; i < kLines; ++i) {
+    lines.reserve(warm);
+    for (unsigned i = 0; i < warm; ++i) {
         // 16 banks x 64 lines per row, rows spread over the bank.
         const unsigned row_slot = i / (16 * 64);
         lines.push_back({i % 16, row_slot * 37, (i / 16) % 64});
@@ -198,11 +198,13 @@ BM_LineLookup(benchmark::State& state)
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            dev.readLine(lines[rng.below(kLines)]).words[0]);
+            dev.readLine(lines[rng.below(warm)]).words[0]);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_LineLookup);
+// Warm lines: a small working set, one a few MB deep, and write-mcf's
+// 160k touched lines.
+BENCHMARK(BM_LineLookup)->Arg(1024)->Arg(16384)->Arg(160000);
 
 static void
 BM_BuddyAllocFree(benchmark::State& state)

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <optional>
+#include <span>
 
 #include "common/logging.hh"
 #include "obs/ledger.hh"
@@ -18,8 +19,15 @@ std::uint16_t
 packEcpEntry(const EcpEntry& entry)
 {
     return static_cast<std::uint16_t>(0x8000u |
-                                      (entry.cell << 1) |
-                                      (entry.value ? 1u : 0u));
+                                      (entry.cell() << 1) |
+                                      (entry.value() ? 1u : 0u));
+}
+
+/** The ECP chip's image of `slot`: its packed entry, or 0 when free. */
+std::uint16_t
+slotImage(std::span<const EcpEntry> entries, unsigned slot)
+{
+    return slot < entries.size() ? packEcpEntry(entries[slot]) : 0;
 }
 
 /** Fold one integer (or bool) into an FNV-1a hash, as its 64-bit value. */
@@ -47,6 +55,10 @@ PcmDevice::PcmDevice(const DeviceConfig& config)
                  "age fraction must be in [0,1]");
     SDPCM_ASSERT(!(config_.dinEnabled && config_.fnwEnabled),
                  "DIN and FNW encoding are mutually exclusive");
+    if (config_.ecpEntries > kMaxEcpEntries) {
+        SDPCM_FATAL("ECP-", config_.ecpEntries, " exceeds the ",
+                    kMaxEcpEntries, " ECP entries a line holds");
+    }
     hardErrorMean_ = config_.aging.meanHardPerLineAtEol *
         std::pow(config_.aging.ageFraction, config_.aging.exponent);
 }
@@ -73,13 +85,29 @@ PcmDevice::materialise(const LineAddr& addr)
 {
     // First touch: materialise deterministic content and, when modelling
     // an aged DIMM, a sampled population of stuck-at cells.
-    LineState& ls = lines_.insert(map_.encode(addr));
+    const std::uint64_t table_key = map_.encode(addr);
+    LineState& ls = lines_.insert(table_key);
     const std::uint64_t key = lineKey(addr);
     const std::uint64_t content_key =
         mix64(config_.seed ^ (static_cast<std::uint64_t>(addr.bank) << 58) ^
               key);
     ls.physical = LineData::randomFromKey(content_key);
     ls.ecp = EcpLine(config_.ecpEntries);
+
+    // A new stuck cell takes a hard ECP entry while one is free; past
+    // that, the line is saturated and the cell goes to the overflow.
+    // False for a cell that is stuck already.
+    auto pin_stuck = [&](unsigned pos) {
+        if (isHardCell(ls, addr, pos))
+            return false;
+        const bool stuck = ls.physical.getBit(pos);
+        if (!ls.ecp.recordHard(pos, stuck)) {
+            stuckOverflow_[table_key].push_back(EcpEntry::hardAt(pos, stuck));
+            ls.saturated = true;
+            stats_.ecpSaturatedLines += 1;
+        }
+        return true;
+    };
 
     if (hardErrorMean_ > 0.0) {
         // Knuth Poisson sampling; the mean is small (<= a few errors).
@@ -91,16 +119,8 @@ PcmDevice::materialise(const LineAddr& addr)
             product *= rng_.uniform();
         }
         for (unsigned i = 0; i < count; ++i) {
-            const unsigned pos =
-                static_cast<unsigned>(rng_.below(kLineBits));
-            if (isHardCell(ls, pos))
-                continue;
-            const bool stuck = ls.physical.getBit(pos);
-            ls.hardCells.emplace_back(static_cast<std::uint16_t>(pos),
-                                      stuck);
-            stats_.hardErrors += 1;
-            if (!ls.ecp.recordHard(pos, stuck))
-                stats_.ecpSaturatedLines += 1;
+            if (pin_stuck(static_cast<unsigned>(rng_.below(kLineBits))))
+                stats_.hardErrors += 1;
         }
     }
 
@@ -112,32 +132,39 @@ PcmDevice::materialise(const LineAddr& addr)
         injectScratch_.clear();
         inject_->stuckCellsFor(addr.bank, key, injectScratch_);
         for (const unsigned pos : injectScratch_) {
-            if (isHardCell(ls, pos))
-                continue;
-            const bool stuck = ls.physical.getBit(pos);
-            ls.hardCells.emplace_back(static_cast<std::uint16_t>(pos),
-                                      stuck);
-            stats_.injectedStuckCells += 1;
-            if (!ls.ecp.recordHard(pos, stuck))
-                stats_.ecpSaturatedLines += 1;
+            if (pin_stuck(pos))
+                stats_.injectedStuckCells += 1;
         }
     }
 
-    if (config_.lineCounters) {
-        ls.counters.ecpHighWater = static_cast<std::uint32_t>(
-            ls.ecp.entries().size());
-    }
+    if (config_.lineCounters)
+        ls.counters.ecpHighWater = ls.ecp.size();
     return ls;
 }
 
-bool
-PcmDevice::isHardCell(const LineState& ls, unsigned pos) const
+template <typename Fn>
+void
+PcmDevice::forEachStuckCell(const LineState& ls, const LineAddr& addr,
+                            Fn&& fn) const
 {
-    for (const auto& [cell, value] : ls.hardCells) {
-        if (cell == pos)
-            return true;
+    for (const EcpEntry& e : ls.ecp.entries()) {
+        if (e.hard())
+            fn(e.cell(), e.stuck());
     }
-    return false;
+    if (ls.saturated) {
+        for (const EcpEntry& e : *stuckOverflow_.find(map_.encode(addr)))
+            fn(e.cell(), e.stuck());
+    }
+}
+
+bool
+PcmDevice::isHardCell(const LineState& ls, const LineAddr& addr,
+                      unsigned pos) const
+{
+    bool hard = false;
+    forEachStuckCell(ls, addr,
+                     [&](unsigned cell, bool) { hard |= cell == pos; });
+    return hard;
 }
 
 LineData
@@ -226,8 +253,9 @@ PcmDevice::planWriteInto(WritePlan& plan, const LineAddr& addr,
     // Stuck-at cells cannot be programmed; the intended value is kept in
     // the ECP entry instead (refreshed in finishWrite).
     plan.targetPhysical = plan.intendedPhysical;
-    for (const auto& [cell, stuck] : ls.hardCells)
+    forEachStuckCell(ls, addr, [&](unsigned cell, bool stuck) {
         plan.targetPhysical.setBit(cell, stuck);
+    });
 
     sealPlan(plan, ls);
 }
@@ -256,7 +284,7 @@ PcmDevice::planCorrectionInto(WritePlan& plan, const LineAddr& addr,
     plan.targetPhysical = ls.physical;
     for (const unsigned pos : cells) {
         SDPCM_ASSERT(pos < kLineBits, "correction cell out of range");
-        if (!isHardCell(ls, pos))
+        if (!isHardCell(ls, addr, pos))
             plan.targetPhysical.setBit(pos, false);
     }
     plan.intendedPhysical = plan.targetPhysical;
@@ -398,7 +426,7 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     auto probe_edge = [&](LineState*& slot, const LineAddr& n_addr,
                           unsigned n_pos) {
         LineState& ns = pin(slot, n_addr);
-        if (!ns.physical.getBit(n_pos) && !isHardCell(ns, n_pos))
+        if (!ns.physical.getBit(n_pos) && !isHardCell(ns, n_addr, n_pos))
             probe_wl(ns, n_addr, n_pos);
     };
     // Bit-line probe (adjacent device rows on the shared GST rail; always
@@ -410,7 +438,7 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
         if (!hit(bl_chance))
             return;
         LineState& ns = pin(slot, n_addr);
-        if (ns.physical.getBit(pos) || isHardCell(ns, pos))
+        if (ns.physical.getBit(pos) || isHardCell(ns, n_addr, pos))
             return;
         flip(ns, n_addr, pos, /*word_line=*/false);
         outcome.blErrors += 1;
@@ -419,8 +447,8 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     };
 
     LineData hard; // the written line's stuck cells
-    for (const auto& [cell, stuck] : ls.hardCells)
-        hard.setBit(cell, true);
+    forEachStuckCell(ls, addr,
+                     [&](unsigned cell, bool) { hard.setBit(cell, true); });
     const std::uint64_t edges =
         (has_left ? 1ULL : 0) | (has_right ? 1ULL << 63 : 0);
 
@@ -573,6 +601,7 @@ PcmDevice::finishWrite(WritePlan& plan)
     out.wlErrorsFixed = repairWlHits(plan);
 
     LineState& ls = *plan.line_;
+    const EcpLine ecp_before = ls.ecp;
 
     if (!plan.isCorrection) {
         ls.dinFlags = plan.targetFlags;
@@ -581,10 +610,7 @@ PcmDevice::finishWrite(WritePlan& plan)
         if (config_.lineCounters)
             ls.counters.writes += 1;
         // Refresh stuck-cell intended values held in ECP.
-        for (const auto& [cell, stuck] : ls.hardCells) {
-            (void)stuck;
-            ls.ecp.updateHardValue(cell, plan.intendedPhysical.getBit(cell));
-        }
+        ls.ecp.updateHardValues(plan.intendedPhysical);
         // Figure 4 bookkeeping (normal data writes only).
         stats_.wlErrorsPerWrite.record(
             static_cast<double>(plan.wlHits.size()));
@@ -622,12 +648,7 @@ PcmDevice::finishWrite(WritePlan& plan)
     stats_.ecpWdReleased += released;
 
     // Wear accounting for the (disturbance-free) ECP chip.
-    const auto& entries = ls.ecp.entries();
-    for (std::size_t slot = 0; slot < ls.ecp.capacity(); ++slot) {
-        const std::uint16_t image = slot < entries.size()
-            ? packEcpEntry(entries[slot]) : 0;
-        chargeEcpEntryWrite(ls, slot, image);
-    }
+    chargeEcp(ls, ecp_before);
     return out;
 }
 
@@ -654,6 +675,7 @@ PcmDevice::recordWdInEcp(const LineAddr& addr,
                          const std::vector<unsigned>& cells)
 {
     LineState& ls = state(addr);
+    const EcpLine ecp_before = ls.ecp;
     bool all_fit = true;
     for (const unsigned pos : cells) {
         SDPCM_ASSERT(pos < kLineBits, "ECP cell out of range");
@@ -670,24 +692,17 @@ PcmDevice::recordWdInEcp(const LineAddr& addr,
     if (!all_fit)
         stats_.ecpOverflows += 1;
     if (config_.lineCounters) {
-        ls.counters.ecpHighWater = std::max(
-            ls.counters.ecpHighWater,
-            static_cast<std::uint32_t>(ls.ecp.entries().size()));
+        ls.counters.ecpHighWater =
+            std::max<std::uint32_t>(ls.counters.ecpHighWater, ls.ecp.size());
     }
-    const auto& entries = ls.ecp.entries();
-    for (std::size_t slot = 0; slot < ls.ecp.capacity(); ++slot) {
-        const std::uint16_t image = slot < entries.size()
-            ? packEcpEntry(entries[slot]) : 0;
-        chargeEcpEntryWrite(ls, slot, image);
-    }
+    chargeEcp(ls, ecp_before);
     return all_fit;
 }
 
 unsigned
 PcmDevice::ecpUsed(const LineAddr& addr)
 {
-    LineState& ls = state(addr);
-    return static_cast<unsigned>(ls.ecp.entries().size());
+    return state(addr).ecp.size();
 }
 
 unsigned
@@ -699,19 +714,11 @@ PcmDevice::ecpFree(const LineAddr& addr)
 LineData
 PcmDevice::uncorrectableMask(const LineAddr& addr)
 {
+    // Every stuck cell but a saturated line's overflow has a hard entry.
     LineData mask;
-    LineState& ls = state(addr);
-    for (const auto& [cell, stuck] : ls.hardCells) {
-        (void)stuck;
-        bool covered = false;
-        for (const auto& e : ls.ecp.entries()) {
-            if (e.hard && e.cell == cell) {
-                covered = true;
-                break;
-            }
-        }
-        if (!covered)
-            mask.setBit(cell, true);
+    if (state(addr).saturated) {
+        for (const EcpEntry& e : *stuckOverflow_.find(map_.encode(addr)))
+            mask.setBit(e.cell(), true);
     }
     return mask;
 }
@@ -719,11 +726,10 @@ PcmDevice::uncorrectableMask(const LineAddr& addr)
 std::vector<unsigned>
 PcmDevice::ecpWdCells(const LineAddr& addr)
 {
-    LineState& ls = state(addr);
     std::vector<unsigned> cells;
-    for (const auto& e : ls.ecp.entries()) {
-        if (!e.hard)
-            cells.push_back(e.cell);
+    for (const EcpEntry& e : state(addr).ecp.entries()) {
+        if (!e.hard())
+            cells.push_back(e.cell());
     }
     return cells;
 }
@@ -758,20 +764,27 @@ PcmDevice::lineStateDigest() const
         for (const std::uint64_t word : ls->physical.words)
             fnvMix(h, word);
         fnvMix(h, ls->dinFlags);
-        fnvMix(h, ls->ecp.entries().size());
-        for (const EcpEntry& e : ls->ecp.entries()) {
-            fnvMix(h, e.cell);
-            fnvMix(h, e.value);
-            fnvMix(h, e.hard);
+        const auto entries = ls->ecp.entries();
+        fnvMix(h, entries.size());
+        for (const EcpEntry& e : entries) {
+            fnvMix(h, e.cell());
+            fnvMix(h, e.value());
+            fnvMix(h, e.hard());
         }
-        fnvMix(h, ls->hardCells.size());
-        for (const auto& [cell, stuck] : ls->hardCells) {
+        // The stuck cells as a counted list, in draw order.
+        std::size_t stuck_cells = 0;
+        forEachStuckCell(*ls, addr, [&](unsigned, bool) { ++stuck_cells; });
+        fnvMix(h, stuck_cells);
+        forEachStuckCell(*ls, addr, [&](unsigned cell, bool stuck) {
             fnvMix(h, cell);
             fnvMix(h, stuck);
-        }
-        fnvMix(h, ls->ecpSlotImage.size());
-        for (const std::uint16_t image : ls->ecpSlotImage)
-            fnvMix(h, image);
+        });
+        // The slot image: no slots before the first charge, then one per
+        // entry of capacity.
+        const unsigned slots = ls->ecpCharged ? ls->ecp.capacity() : 0;
+        fnvMix(h, slots);
+        for (unsigned slot = 0; slot < slots; ++slot)
+            fnvMix(h, slotImage(entries, slot));
         fnvMix(h, ls->writeCount);
         const LineCounters& c = ls->counters;
         for (const std::uint32_t v : {c.writes, c.wdFlips, c.wdAbsorbed,
@@ -784,17 +797,20 @@ PcmDevice::lineStateDigest() const
 }
 
 void
-PcmDevice::chargeEcpEntryWrite(LineState& ls, std::size_t slot,
-                               std::uint16_t new_image)
+PcmDevice::chargeEcp(LineState& ls, const EcpLine& before)
 {
-    if (ls.ecpSlotImage.size() < ls.ecp.capacity())
-        ls.ecpSlotImage.resize(ls.ecp.capacity(), 0);
-    const std::uint16_t old_image = ls.ecpSlotImage[slot];
-    if (old_image == new_image)
-        return;
-    stats_.ecpBitsWritten += static_cast<unsigned>(
-        popcount64(static_cast<std::uint64_t>(old_image ^ new_image)));
-    ls.ecpSlotImage[slot] = new_image;
+    // Every slot is rewritten with its entry's packed image. The chip
+    // holds what the last charge wrote, the entries as they stood when
+    // this call began; before the first charge it holds zeros.
+    const std::span<const EcpEntry> old_entries =
+        ls.ecpCharged ? before.entries() : std::span<const EcpEntry>{};
+    const std::span<const EcpEntry> new_entries = ls.ecp.entries();
+    for (unsigned slot = 0; slot < ls.ecp.capacity(); ++slot) {
+        const std::uint16_t diff = slotImage(old_entries, slot) ^
+            slotImage(new_entries, slot);
+        stats_.ecpBitsWritten += static_cast<unsigned>(popcount64(diff));
+    }
+    ls.ecpCharged = true;
 }
 
 } // namespace sdpcm

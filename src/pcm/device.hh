@@ -21,6 +21,7 @@
 #define SDPCM_PCM_DEVICE_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hh"
@@ -93,7 +94,7 @@ struct DeviceConfig
     DimmGeometry geometry;
     PcmTiming timing;
     WdRates rates;          //!< set bitLine = 0 for the 8F^2 DIN design
-    unsigned ecpEntries = 6;
+    unsigned ecpEntries = 6; //!< at most kMaxEcpEntries
     bool dinEnabled = true;
     /**
      * Use the Flip-N-Write group-inversion encoder on the data chip
@@ -374,18 +375,33 @@ class PcmDevice : public Observed
     std::uint64_t lineStateDigest() const;
 
   private:
-    struct LineState
+    /**
+     * One line's modelled state: a fixed record that never allocates.
+     * The 512 cells fill the first cache line; the DIN flags, the
+     * counters, the write count and the inline ECP table fill the
+     * second. Two things are derived instead of stored:
+     *  - the line's stuck cells, in draw order: its hard ECP entries
+     *    (pinned first at materialise, kept first by clearWd), then, on
+     *    a saturated line only, the rest in `stuckOverflow_`;
+     *  - the ECP chip's slot image (wear model): the packed live
+     *    entries once `ecpCharged` is set, all zeros before. Entries
+     *    change only in finishWrite and recordWdInEcp, which both end
+     *    with a charge.
+     */
+    struct alignas(64) LineState
     {
         LineData physical;
         std::uint64_t dinFlags = 0;
-        EcpLine ecp;
-        /** Stuck-at cells: (position, stuck value). */
-        std::vector<std::pair<std::uint16_t, bool>> hardCells;
-        /** Last content written to each ECP entry slot (wear model). */
-        std::vector<std::uint16_t> ecpSlotImage;
-        std::uint32_t writeCount = 0;
         LineCounters counters; //!< updated only when config_.lineCounters
+        std::uint32_t writeCount = 0;
+        EcpLine ecp;
+        bool ecpCharged = false; //!< the ECP slots were charged once
+        bool saturated = false;  //!< stuck cells beyond the ECP entries
     };
+    static_assert(sizeof(LineState) <= 128,
+                  "a line's state is two cache lines");
+    static_assert(std::is_trivially_copyable_v<LineState>,
+                  "a line's state owns no heap storage");
 
     /** The line's state, materialised on first touch. */
     LineState& state(const LineAddr& addr);
@@ -403,7 +419,14 @@ class PcmDevice : public Observed
     /** Decompose a plan's program masks into driver rounds. */
     void buildRounds(WritePlan& plan);
 
-    bool isHardCell(const LineState& ls, unsigned pos) const;
+    /** Call fn(cell, stuck value) for each of the line's stuck cells,
+     *  in draw order. */
+    template <typename Fn>
+    void forEachStuckCell(const LineState& ls, const LineAddr& addr,
+                          Fn&& fn) const;
+
+    bool isHardCell(const LineState& ls, const LineAddr& addr,
+                    unsigned pos) const;
 
     /**
      * Inject WD for an applied RESET round: the neighbours of every
@@ -414,9 +437,10 @@ class PcmDevice : public Observed
     void injectDisturbance(const LineData& resets, WritePlan& plan,
                            RoundOutcome& outcome);
 
-    /** Charge differential bit writes for an ECP entry update. */
-    void chargeEcpEntryWrite(LineState& ls, std::size_t slot,
-                             std::uint16_t new_image);
+    /** Charge the ECP chip's differential bit writes for the change of
+     *  the line's entries since `before`, its table when the call that
+     *  changed them began. */
+    void chargeEcp(LineState& ls, const EcpLine& before);
 
     DeviceConfig config_;
     AddressMap map_;
@@ -435,6 +459,10 @@ class PcmDevice : public Observed
 
     /** Every materialised line, keyed by its address (map_.encode). */
     LineTable<LineState> lines_;
+
+    /** Each saturated line's stuck cells beyond its ECP entries, as
+     *  hard entries in draw order, keyed like lines_. */
+    LineTable<std::vector<EcpEntry>> stuckOverflow_;
 };
 
 } // namespace sdpcm

@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "obs/monitor.hh"
 #include "obs/profiler.hh"
+#include "pcm/ecp.hh"
 #include "sim/parallel.hh"
 
 namespace sdpcm {

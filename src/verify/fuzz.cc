@@ -11,6 +11,7 @@
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "obs/profiler.hh"
+#include "pcm/ecp.hh"
 #include "sim/runner.hh"
 
 namespace sdpcm {

@@ -6,15 +6,21 @@
  * calls while a test has counting switched on, so it is built apart from
  * sdpcm_tests. Events are plain records (sim/event_queue.hh): scheduling
  * and dispatching one must not allocate, and a whole run must allocate
- * far less than once per event.
+ * far less than once per event. A line's device state is one fixed-size
+ * record (pcm/device.hh): touching a line must not allocate beyond the
+ * line table's own storage.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <vector>
 
+#include "pcm/device.hh"
 #include "sim/event_queue.hh"
 #include "sim/system.hh"
 
@@ -22,6 +28,7 @@ namespace {
 
 bool g_counting = false;
 std::uint64_t g_allocations = 0;
+std::uint64_t g_alignedAllocations = 0; //!< of g_allocations
 
 /** Counts the operator new calls made during its lifetime. */
 class AllocationCounter
@@ -30,17 +37,21 @@ class AllocationCounter
     AllocationCounter()
     {
         g_allocations = 0;
+        g_alignedAllocations = 0;
         g_counting = true;
     }
     ~AllocationCounter() { g_counting = false; }
 
     std::uint64_t count() const { return g_allocations; }
+    std::uint64_t aligned() const { return g_alignedAllocations; }
 };
 
 } // namespace
 
+namespace {
+
 void*
-operator new(std::size_t size)
+countedNew(std::size_t size)
 {
     if (g_counting)
         g_allocations += 1;
@@ -49,14 +60,55 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
+// The over-aligned form (an alignas(64) line record's table chunks)
+// bypasses the plain one, so it is counted apart as well.
+void*
+countedAlignedNew(std::size_t size, std::align_val_t align)
+{
+    const auto a = static_cast<std::size_t>(align);
+    if (g_counting) {
+        g_allocations += 1;
+        g_alignedAllocations += 1;
+    }
+    if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+// The array forms are replaced too: a sanitizer runtime supplies its
+// own, which would not reach the counting ones above.
+void* operator new(std::size_t size) { return countedNew(size); }
+void* operator new[](std::size_t size) { return countedNew(size); }
+
+void*
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAlignedNew(size, align);
+}
+
+void*
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return countedAlignedNew(size, align);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+
 void
-operator delete(void* p) noexcept
+operator delete(void* p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
 
 void
-operator delete(void* p, std::size_t) noexcept
+operator delete[](void* p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
@@ -132,8 +184,10 @@ TEST(Allocations, SystemRunAllocatesLessThanHalfOncePerEvent)
     // sdpcm/bwaves, 2 cores x 2000 refs, seed 7: 8,566 events. Counted
     // inside run() only, it made 16,347 allocations (1.91 per event)
     // when every event was a heap-allocated closure, and 2,970 (0.35
-    // per event) with event records. What remains is first-touch page
-    // allocation, TLB refills and device ECP state, none per event.
+    // per event) with event records. Fixed-size line records leave it
+    // at 2,970: this run writes no line to the device, and reading one
+    // never allocated ECP state. What remains is first-touch page
+    // allocation, TLB refills and line-table growth, none per event.
     SystemConfig sc;
     sc.scheme = SchemeConfig::sdpcm();
     sc.cores = 2;
@@ -150,6 +204,94 @@ TEST(Allocations, SystemRunAllocatesLessThanHalfOncePerEvent)
     EXPECT_EQ(events, 8566u);
     EXPECT_LT(2 * allocations, events)
         << allocations << " allocations for " << events << " events";
+}
+
+/** Reallocations of storage that doubles as it grows from `from` to
+ *  `to` entries, counting a first allocation at `from`. */
+std::uint64_t
+doublings(std::size_t from, std::size_t to)
+{
+    return std::bit_width(to) - std::bit_width(from) + 1;
+}
+
+TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
+{
+    // The sdpcm device: every write disturbs its bit-line neighbours,
+    // which the scan materialises, and VnC parks their errors in ECP.
+    DeviceConfig dc;
+    dc.seed = 11;
+    PcmDevice dev(dc);
+    const AddressMap& map = dev.addressMap();
+    PcmDevice::WritePlan plan;
+    PcmDevice::RoundOutcome round;
+    std::vector<unsigned> diffs;
+    Rng rng(5);
+
+    // Write a fresh line, verify its bit-line neighbours against their
+    // content before the write and park what the write disturbed.
+    auto touch = [&](const LineAddr& la) {
+        const std::optional<LineAddr> nbrs[] = {map.upperNeighbor(la),
+                                                map.lowerNeighbor(la)};
+        LineData before[2];
+        for (unsigned i = 0; i < 2; ++i) {
+            if (nbrs[i])
+                before[i] = dev.readLine(*nbrs[i]);
+        }
+        LineData data = dev.peekLine(la);
+        for (unsigned i = 0; i < 128; ++i)
+            data.flipBit(static_cast<unsigned>(rng.below(kLineBits)));
+        dev.planWriteInto(plan, la, data);
+        while (dev.applyNextRound(plan, round)) {
+        }
+        dev.finishWrite(plan);
+        for (unsigned i = 0; i < 2; ++i) {
+            if (!nbrs[i])
+                continue;
+            dev.verifyLineInto(*nbrs[i], before[i], diffs);
+            if (!diffs.empty())
+                dev.recordWdInEcp(*nbrs[i], diffs);
+        }
+    };
+    // Every 8th row, so each written line's neighbours are fresh too.
+    auto line = [](unsigned i) {
+        return LineAddr{i % 16, 8 * (i / 16 % 4096), i / 16 / 4096};
+    };
+
+    // Warm-up: the plan and scratch vectors reach their high-water marks.
+    plan.rounds.reserve(2 * kLineBits);
+    plan.wlHits.reserve(3 * kLineBits);
+    diffs.reserve(kLineBits);
+    for (unsigned i = 0; i < 64; ++i)
+        touch(line(i));
+
+    constexpr unsigned kLines = 2000;
+    constexpr std::size_t kChunk = 512; // LineTable entries per chunk
+    const std::size_t lines_before = dev.touchedLines();
+    const std::uint64_t parked_before = dev.stats().ecpWdRecorded;
+    std::uint64_t allocations = 0;
+    std::uint64_t chunks = 0;
+    {
+        const AllocationCounter counter;
+        for (unsigned i = 64; i < 64 + kLines; ++i)
+            touch(line(i));
+        allocations = counter.count();
+        chunks = counter.aligned();
+    }
+    const std::size_t lines_after = dev.touchedLines();
+    ASSERT_GE(lines_after - lines_before, kLines);
+    ASSERT_GT(dev.stats().ecpWdRecorded - parked_before, kLines / 2);
+
+    // The line table's chunks are the only over-aligned allocations.
+    const std::size_t chunks_before = (lines_before + kChunk - 1) / kChunk;
+    const std::size_t chunks_after = (lines_after + kChunk - 1) / kChunk;
+    EXPECT_EQ(chunks, chunks_after - chunks_before);
+    // Everything else is the table's growth: its index and its chunk
+    // list, each doubling.
+    EXPECT_LE(allocations - chunks,
+              doublings(lines_before, lines_after) +
+                  doublings(chunks_before, chunks_after))
+        << allocations << " allocations for "
+        << lines_after - lines_before << " fresh lines";
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <tuple>
 
 #include "obs/ledger.hh"
@@ -279,9 +280,10 @@ TEST(Device, AgedDeviceHasStuckCellsCoveredByEcp)
     DeviceConfig dc = quietConfig();
     dc.aging.ageFraction = 1.0;
     dc.aging.meanHardPerLineAtEol = 2.0;
-    // Generous ECP so no sampled line exceeds its hard-error capacity
-    // (an ECP-saturated line is legitimately unprotectable).
-    dc.ecpEntries = 16;
+    // Every ECP entry a line holds, so no sampled line exceeds its
+    // hard-error capacity (an ECP-saturated line is legitimately
+    // unprotectable).
+    dc.ecpEntries = kMaxEcpEntries;
     PcmDevice dev(dc);
 
     // Touch a population of lines and write fresh data over them; reads
@@ -298,6 +300,15 @@ TEST(Device, AgedDeviceHasStuckCellsCoveredByEcp)
     // Poisson(2) over 50 lines: expect a healthy population.
     EXPECT_GT(hard_before, 50u);
     EXPECT_LT(hard_before, 200u);
+    EXPECT_EQ(dev.stats().ecpSaturatedLines, 0u);
+}
+
+TEST(DeviceDeath, EcpBeyondTheInlineSlotsIsFatal)
+{
+    DeviceConfig dc = quietConfig();
+    dc.ecpEntries = kMaxEcpEntries + 1;
+    EXPECT_EXIT(PcmDevice{dc}, ::testing::ExitedWithCode(1),
+                "fatal: ECP-11 exceeds the 10 ECP entries a line holds");
 }
 
 TEST(Device, FreshDeviceHasNoHardErrors)
@@ -784,6 +795,20 @@ diffCases()
     DeviceConfig edge_rows = sdpcm;
     edge_rows.geometry.rowsPerBank = 4;
 
+    // Poisson(2) stuck cells against ECP-2: about a third of the lines
+    // hold more stuck cells than entries, the rest keep entries free
+    // for WD parking.
+    DeviceConfig saturated = sdpcm;
+    saturated.aging.ageFraction = 1.0;
+    saturated.ecpEntries = 2;
+
+    DeviceConfig ecp_max = sdpcm;
+    ecp_max.ecpEntries = kMaxEcpEntries;
+
+    // No ECP at all: every stuck cell is beyond its line's entries.
+    DeviceConfig ecp_none = aged;
+    ecp_none.ecpEntries = 0;
+
     // Digests recorded with the per-bank std::unordered_map line store.
     return {
         {"sdpcm", sdpcm, FaultSpec{}, 0xd876b677d10d9e51ULL},
@@ -795,6 +820,10 @@ diffCases()
         {"lineCounters", counted, FaultSpec{}, 0x8bbd2b8b032a5cddULL},
         // Recorded with the per-cell WD scan.
         {"edgeRows", edge_rows, FaultSpec{}, 0x5fc3e1ddb4373301ULL},
+        // Recorded with per-line ECP, stuck-cell and slot-image vectors.
+        {"saturated", saturated, FaultSpec{}, 0xefa9632a25ce70eeULL},
+        {"ecpMax", ecp_max, FaultSpec{}, 0x0bd895eb1a0f5a4dULL},
+        {"ecpNone", ecp_none, FaultSpec{}, 0xbab2c42998a1955bULL},
     };
 }
 
@@ -813,11 +842,17 @@ TEST_P(DeviceDifferential, ScriptMatchesRecordedDigest)
     EXPECT_GT(r.cancels, 0u);
     if (c.config.rates.bitLine > 0.0) {
         EXPECT_GT(r.stats.blDisturbances, 0u);
+    }
+    if (c.config.rates.bitLine > 0.0 && c.config.ecpEntries > 0) {
         EXPECT_GT(r.stats.ecpWdRecorded, 0u);
         EXPECT_GT(r.stats.ecpWdReleased, 0u);
     }
     if (c.config.aging.ageFraction > 0.0) {
         EXPECT_GT(r.stats.hardErrors, 0u);
+    }
+    if (std::string_view(c.name) == "saturated" ||
+        std::string_view(c.name) == "ecpNone") {
+        EXPECT_GT(r.stats.ecpSaturatedLines, 0u);
     }
     if (c.faults.any()) {
         EXPECT_GT(r.stats.injectedStuckCells, 0u);

@@ -198,10 +198,13 @@ TEST(Ecp, UpdateHardValue)
 {
     EcpLine ecp(2);
     ecp.recordHard(3, false);
-    ecp.updateHardValue(3, true);
+    LineData intended;
+    intended.setBit(3, true);
+    ecp.updateHardValues(intended);
     LineData data;
     ecp.apply(data);
     EXPECT_TRUE(data.getBit(3));
+    EXPECT_FALSE(ecp.entries()[0].stuck());
 }
 
 TEST(Ecp, ZeroCapacityRejectsEverything)

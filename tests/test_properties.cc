@@ -47,7 +47,10 @@ TEST_P(DeviceRoundTrip, RandomWritesAlwaysReadBack)
     dc.rates = WdRates{0.099, 0.115};
     dc.dinEnabled = p.din;
     dc.timing.windowed = p.windowed;
-    dc.ecpEntries = std::max(p.ecp, p.age > 0 ? 12u : p.ecp);
+    // Aged cases take every ECP entry a line holds, so that no sampled
+    // line has more stuck cells than entries (a saturated line cannot
+    // hold every value).
+    dc.ecpEntries = p.age > 0 ? kMaxEcpEntries : p.ecp;
     dc.aging.ageFraction = p.age;
     dc.seed = 17;
     PcmDevice dev(dc);
@@ -67,6 +70,7 @@ TEST_P(DeviceRoundTrip, RandomWritesAlwaysReadBack)
             << "din=" << p.din << " windowed=" << p.windowed
             << " iter=" << i;
     }
+    EXPECT_EQ(dev.stats().ecpSaturatedLines, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
