@@ -15,7 +15,6 @@
 #include "common/rng.hh"
 #include "cpu/cache.hh"
 #include "encoding/din.hh"
-#include "encoding/fnw.hh"
 #include "os/buddy.hh"
 #include "pcm/device.hh"
 #include "sim/event_queue.hh"
@@ -64,10 +63,11 @@ BM_DinDecode(benchmark::State& state)
 }
 BENCHMARK(BM_DinDecode);
 
+/** Flip-N-Write: DIN's weight-0 constant (the fnw scheme's encoder). */
 static void
 BM_FnwEncode(benchmark::State& state)
 {
-    FnwEncoder fnw;
+    const DinEncoder fnw(DinConfig::flipNWrite());
     Rng rng(1);
     LineData old = LineData::randomFromKey(1);
     for (auto _ : state) {

@@ -35,20 +35,6 @@ class RunningStat
             max_ = value;
     }
 
-    /** Record `value` occurring `weight` times. */
-    void
-    recordWeighted(double value, std::uint64_t weight)
-    {
-        if (weight == 0)
-            return;
-        count_ += weight;
-        sum_ += value * static_cast<double>(weight);
-        if (value < min_)
-            min_ = value;
-        if (value > max_)
-            max_ = value;
-    }
-
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }

@@ -11,15 +11,6 @@ namespace sdpcm {
 
 namespace {
 
-/** Positions where two logical line values differ, into a scratch. */
-void
-diffPositionsInto(const LineData& a, const LineData& b,
-                  std::vector<unsigned>& out)
-{
-    out.clear();
-    forEachSetBit(a.diff(b), [&](unsigned pos) { out.push_back(pos); });
-}
-
 /** Trace name and billed CtrlStats cycle counter of each bank-op kind,
  *  in MemoryController::OpKind order (completeOp() finishes each). A
  *  cancel refunds the same counter. */
@@ -522,14 +513,13 @@ MemoryController::completeOp(unsigned bank)
         PROF_SCOPE(obs_.prof, VerifyScan);
         ActiveWrite& a = *b.active;
         const Adjacent& n = a.w.adj[side];
-        const LineData post = device_.readLine(n.addr);
+        device_.verifyLineInto(n.addr, n.data, diffScratch_);
         stats_.verifyReads += 1;
         a.stage = nextStage(a.stage);
         if (obs_.oracle) {
             PROF_SCOPE(obs_.prof, OracleCheck);
             obs_.oracle->noteVerifyBuffer(n.addr, n.data, a.w.id);
         }
-        diffPositionsInto(post, n.data, diffScratch_);
         handleVerifyErrors(bank, n.addr, diffScratch_, 1);
         return;
       }
@@ -559,10 +549,9 @@ MemoryController::completeOp(unsigned bank)
         PROF_SCOPE(obs_.prof, Correction);
         ActiveCorrection& c = *b.active->corr;
         const Adjacent& n = c.adj[side];
-        const LineData post = device_.readLine(n.addr);
+        device_.verifyLineInto(n.addr, n.data, diffScratch_);
         stats_.cascadeVerifies += 1;
         c.stage = nextStage(c.stage);
-        diffPositionsInto(post, n.data, diffScratch_);
         handleVerifyErrors(bank, n.addr, diffScratch_, c.task.depth + 1);
         return;
       }

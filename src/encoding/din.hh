@@ -4,11 +4,12 @@
  *
  * DIN suppresses write disturbance along word-lines by re-encoding data so
  * that few cells being RESET sit next to idle amorphous ('0') cells. We
- * implement the scheme as group-wise optional inversion — like
- * Flip-N-Write, but the objective is the count of WD-vulnerable
- * (RESET cell -> idle '0' word-line neighbour) pairs rather than the
- * number of programmed cells, with programmed-cell count as tie-breaker.
- * A short iterative sweep handles interactions at group boundaries.
+ * implement the scheme as group-wise optional inversion whose objective
+ * weighs the count of WD-vulnerable (RESET cell -> idle '0' word-line
+ * neighbour) pairs against the number of programmed cells. A short
+ * iterative sweep handles interactions at group boundaries. At weight 0
+ * the objective is the programmed-cell count alone: that configuration,
+ * DinConfig::flipNWrite(), is Flip-N-Write (Cho & Lee, MICRO'09).
  *
  * Flag bits (one per group) are stored alongside the line in a
  * disturbance-free region, as in the DIN paper's layout; the simulator
@@ -47,6 +48,20 @@ struct DinConfig
      * (the ablation bench does).
      */
     double modeledResidualFactor = 0.15;
+
+    /**
+     * Flip-N-Write: a group is stored inverted iff that programs fewer
+     * cells. Weight 0 makes each group's choice independent of its
+     * neighbours, so one sweep settles it; FNW models no residual.
+     */
+    static DinConfig
+    flipNWrite()
+    {
+        return {.groupBits = 16,
+                .sweeps = 1,
+                .vulnWeight = 0,
+                .modeledResidualFactor = 1.0};
+    }
 };
 
 /** Word-line disturbance-aware encoder. */

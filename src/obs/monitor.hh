@@ -160,11 +160,6 @@ class Watchdog
 
     std::uint64_t stalls() const { return stalls_; }
     Tick window() const { return window_; }
-    /** Ticks since the last observed retirement (diagnostics). */
-    Tick idleTicks(Tick now) const
-    {
-        return primed_ ? now - lastProgress_ : 0;
-    }
 
   private:
     Tick window_;

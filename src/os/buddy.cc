@@ -283,17 +283,17 @@ NmBuddyAllocator::freeFrames() const
 }
 
 PageAllocatorSystem::PageAllocatorSystem(const DimmGeometry& geometry)
-    : geometry_(geometry),
-      totalFrames_(geometry.pageFrames())
+    : geometry_(geometry)
 {
     const unsigned frames_per_strip = geometry.framesPerStrip();
     const std::uint64_t strips_per_block = geometry.stripsPer64MB();
     blockOrder_ = log2Exact(frames_per_strip) +
                   log2Exact(strips_per_block);
 
-    SDPCM_ASSERT(isPowerOfTwo(totalFrames_),
+    const std::uint64_t total_frames = geometry.pageFrames();
+    SDPCM_ASSERT(isPowerOfTwo(total_frames),
                  "total frame count must be a power of two");
-    const unsigned top_order = log2Exact(totalFrames_);
+    const unsigned top_order = log2Exact(total_frames);
 
     auto base = std::make_unique<NmBuddyAllocator>(
         NmRatio{1, 1}, frames_per_strip, strips_per_block, top_order);

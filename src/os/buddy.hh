@@ -63,8 +63,6 @@ class NmBuddyAllocator
     const NmRatio& ratio() const { return policy_.ratio(); }
     const NmPolicy& policy() const { return policy_; }
 
-    /** Order of one strip (16 pages -> 4). */
-    unsigned stripOrder() const { return stripOrder_; }
     /** Order of one 64MB block. */
     unsigned blockOrder() const { return blockOrder_; }
 
@@ -153,11 +151,8 @@ class PageAllocatorSystem
     std::vector<std::uint64_t> usedFramesIn(const NmRatio& ratio,
                                             const FrameBlock& block);
 
-    std::uint64_t totalFrames() const { return totalFrames_; }
-
   private:
     DimmGeometry geometry_;
-    std::uint64_t totalFrames_;
     unsigned blockOrder_;
     std::map<NmRatio, std::unique_ptr<NmBuddyAllocator>> arrays_;
 };

@@ -70,7 +70,6 @@ class NmPolicy
     }
 
     const NmRatio& ratio() const { return ratio_; }
-    std::uint64_t stripsPerBlock() const { return stripsPerBlock_; }
 
     /** Whether a strip may hold data under this allocator. */
     bool

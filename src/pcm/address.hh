@@ -92,13 +92,6 @@ class AddressMap
         return row;
     }
 
-    /** Strip index of a page frame. */
-    std::uint64_t
-    stripOfFrame(std::uint64_t frame) const
-    {
-        return frame / geom_.banks();
-    }
-
     /** Bit-line neighbour above (row - 1), if any. */
     std::optional<LineAddr>
     upperNeighbor(const LineAddr& la) const

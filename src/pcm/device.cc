@@ -47,7 +47,7 @@ fnvMix(std::uint64_t& h, T value)
 PcmDevice::PcmDevice(const DeviceConfig& config)
     : config_(config),
       map_(config.geometry),
-      din_(config.din),
+      encoder_(config.fnwEnabled ? DinConfig::flipNWrite() : config.din),
       rng_(config.seed)
 {
     SDPCM_ASSERT(config_.aging.ageFraction >= 0.0 &&
@@ -181,10 +181,8 @@ PcmDevice::peekLine(const LineAddr& addr)
     LineState& ls = state(addr);
     LineData data = ls.physical;
     ls.ecp.apply(data);
-    if (config_.dinEnabled)
-        return din_.decode(data, ls.dinFlags);
-    if (config_.fnwEnabled)
-        return fnw_.decode(data, ls.dinFlags);
+    if (config_.dinEnabled || config_.fnwEnabled)
+        return encoder_.decode(data, ls.dinFlags);
     return data;
 }
 
@@ -237,12 +235,8 @@ PcmDevice::planWriteInto(WritePlan& plan, const LineAddr& addr,
     resetPlan(plan, addr);
     plan.line_ = &ls;
 
-    if (config_.dinEnabled) {
-        const auto enc = din_.encode(new_logical, ls.physical);
-        plan.intendedPhysical = enc.physical;
-        plan.targetFlags = enc.flags;
-    } else if (config_.fnwEnabled) {
-        const auto enc = fnw_.encode(new_logical, ls.physical);
+    if (config_.dinEnabled || config_.fnwEnabled) {
+        const auto enc = encoder_.encode(new_logical, ls.physical);
         plan.intendedPhysical = enc.physical;
         plan.targetFlags = enc.flags;
     } else {

@@ -30,7 +30,6 @@
 #include "obs/profiler.hh"
 #include "encoding/diffwrite.hh"
 #include "encoding/din.hh"
-#include "encoding/fnw.hh"
 #include "pcm/address.hh"
 #include "pcm/ecp.hh"
 #include "pcm/geometry.hh"
@@ -97,10 +96,10 @@ struct DeviceConfig
     unsigned ecpEntries = 6; //!< at most kMaxEcpEntries
     bool dinEnabled = true;
     /**
-     * Use the Flip-N-Write group-inversion encoder on the data chip
-     * instead of DIN (mutually exclusive with dinEnabled). FNW minimises
-     * programmed cells but, unlike DIN, gives no word-line disturbance
-     * suppression — the full Table 1 rate applies.
+     * Encode the data chip with Flip-N-Write, DinConfig::flipNWrite(),
+     * instead of `din` (mutually exclusive with dinEnabled). FNW
+     * minimises programmed cells but, unlike DIN, gives no word-line
+     * disturbance suppression — the full Table 1 rate applies.
      */
     bool fnwEnabled = false;
     DinConfig din;
@@ -295,7 +294,9 @@ class PcmDevice : public Observed
     RoundPeek peekNextRound(const WritePlan& plan) const;
 
     /**
-     * Apply the next pending round (RESET rounds first, then SET rounds).
+     * Apply the next pending round in buildRounds order: with windowed
+     * drivers, each window's RESET round and then its SET round; with
+     * pooled drivers, every RESET round before the SET rounds.
      * @return false if the plan is already complete.
      */
     bool applyNextRound(WritePlan& plan, RoundOutcome& outcome);
@@ -444,8 +445,9 @@ class PcmDevice : public Observed
 
     DeviceConfig config_;
     AddressMap map_;
-    DinEncoder din_;
-    FnwEncoder fnw_;
+    /** The data chip's encoder: `din`, or Flip-N-Write under
+     *  fnwEnabled; used only when one of the two is enabled. */
+    DinEncoder encoder_;
     Rng rng_;
     DeviceStats stats_;
     double hardErrorMean_;

@@ -4,18 +4,18 @@
  *
  * Latencies are expressed in CPU cycles at 4GHz: array read 100ns (400
  * cycles), SET 200ns (800), RESET 100ns (400). Power and write-driver
- * limits cap parallel programming at 128 SLC cells; a differential write
- * therefore issues ceil(RESETs/128) RESET rounds followed by
- * ceil(SETs/128) SET rounds, each round occupying the bank for the
- * corresponding pulse latency.
+ * limits cap parallel programming at 128 SLC cells, so a differential
+ * write issues program rounds, each occupying the bank for its pulse
+ * latency. With the default windowed drivers, each 128-cell window with
+ * changed cells pays a RESET round and then a SET round, window by
+ * window; pooled drivers issue ceil(RESETs/128) RESET rounds, then
+ * ceil(SETs/128) SET rounds (PcmDevice::buildRounds).
  */
 
 #ifndef SDPCM_PCM_TIMING_HH
 #define SDPCM_PCM_TIMING_HH
 
 #include <cstdint>
-
-#include "common/bitops.hh"
 
 namespace sdpcm {
 
@@ -40,29 +40,6 @@ struct PcmTiming
      * used by the ablation study).
      */
     bool windowed = true;
-
-    /** Number of RESET rounds for a given count of cells to RESET. */
-    unsigned
-    resetRounds(unsigned reset_cells) const
-    {
-        return static_cast<unsigned>(
-            ceilDiv(reset_cells, writeParallelism));
-    }
-
-    /** Number of SET rounds for a given count of cells to SET. */
-    unsigned
-    setRounds(unsigned set_cells) const
-    {
-        return static_cast<unsigned>(ceilDiv(set_cells, writeParallelism));
-    }
-
-    /** Total bank-occupancy of a differential write. */
-    Tick
-    writeLatency(unsigned reset_cells, unsigned set_cells) const
-    {
-        return resetRounds(reset_cells) * resetCycles +
-               setRounds(set_cells) * setCycles;
-    }
 };
 
 } // namespace sdpcm

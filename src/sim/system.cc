@@ -245,8 +245,7 @@ System::ratesFor(const SchemeConfig& scheme, const ThermalConfig& thermal)
 
 System::System(const SystemConfig& config, const WorkloadSpec& workload)
     : config_(config),
-      workload_(workload),
-      wdModel_(config.thermal)
+      workload_(workload)
 {
     DeviceConfig dc;
     dc.geometry = config_.geometry;

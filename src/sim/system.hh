@@ -86,9 +86,10 @@ struct RunOptions
     bool profile = false;
     /** Profiler sampling period (power of two): one root scope tree in
      *  `profileSample` is timed in full, the rest only counted, with
-     *  measurements scaled back to full-run estimates. The default
-     *  keeps the profiler inside its <=2% overhead budget; 1 times
-     *  every scope exactly (for tiny runs and debugging). */
+     *  measurements scaled back to full-run estimates; 1 times every
+     *  scope exactly (for tiny runs and debugging). The default's
+     *  overhead is not resolved: simbench's `obs.profiler_frac` read
+     *  0.035-0.34 on write-mcf, against a 2% budget (DESIGN §6.6). */
     std::uint32_t profileSample = 64;
     /** Per-cell endurance budget (writes a cell survives) for the
      *  wear.projectedLifetimeTicks estimate. 1e8 is the paper's PCM
@@ -173,7 +174,6 @@ class System
     MemoryController& controller() { return *ctrl_; }
     PageAllocatorSystem& allocator() { return *allocator_; }
     EventQueue& events() { return events_; }
-    const WdModel& wdModel() const { return wdModel_; }
     const std::vector<std::unique_ptr<TraceCore>>& cores() const
     {
         return cores_;
@@ -186,7 +186,6 @@ class System
   private:
     SystemConfig config_;
     WorkloadSpec workload_;
-    WdModel wdModel_;
     EventQueue events_;
     std::unique_ptr<PcmDevice> device_;
     std::unique_ptr<MemoryController> ctrl_;

@@ -17,7 +17,6 @@ TraceFileWriter::write(const TraceRecord& record)
 {
     out_ << (record.isWrite ? 'W' : 'R') << ' ' << record.vaddr << ' '
          << record.gap << ' ' << record.flipDensity << '\n';
-    records_ += 1;
 }
 
 std::uint64_t
@@ -59,7 +58,6 @@ TraceFileStream::next(TraceRecord& record)
             SDPCM_WARN("truncated trace record");
             return false;
         }
-        records_ += 1;
         return true;
     }
     return false;

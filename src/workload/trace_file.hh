@@ -32,11 +32,8 @@ class TraceFileWriter
     /** Capture `count` records from a stream. @return records written */
     std::uint64_t capture(TraceStream& source, std::uint64_t count);
 
-    std::uint64_t recordsWritten() const { return records_; }
-
   private:
     std::ofstream out_;
-    std::uint64_t records_ = 0;
 };
 
 /** Replay a trace file as a TraceStream. */
@@ -47,11 +44,8 @@ class TraceFileStream : public TraceStream
 
     bool next(TraceRecord& record) override;
 
-    std::uint64_t recordsRead() const { return records_; }
-
   private:
     std::ifstream in_;
-    std::uint64_t records_ = 0;
 };
 
 } // namespace sdpcm

@@ -1,18 +1,19 @@
 /**
  * @file
- * Tests for differential write, Flip-N-Write and the DIN encoder.
+ * Tests for differential write and the DIN encoder, Flip-N-Write
+ * included as its weight-0 constant.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/rng.hh"
 #include "encoding/diffwrite.hh"
 #include "encoding/din.hh"
-#include "encoding/fnw.hh"
 
 namespace sdpcm {
 namespace {
@@ -42,7 +43,7 @@ TEST(DiffWrite, IdenticalLinesNeedNothing)
 TEST(Fnw, DecodeInvertsEncode)
 {
     Rng rng(5);
-    FnwEncoder fnw(16);
+    const DinEncoder fnw(DinConfig::flipNWrite());
     for (int i = 0; i < 50; ++i) {
         const LineData logical = LineData::randomFromKey(rng.next64());
         const LineData old = LineData::randomFromKey(rng.next64());
@@ -54,7 +55,7 @@ TEST(Fnw, DecodeInvertsEncode)
 TEST(Fnw, NeverWorseThanPlainWrite)
 {
     Rng rng(6);
-    FnwEncoder fnw(16);
+    const DinEncoder fnw(DinConfig::flipNWrite());
     for (int i = 0; i < 50; ++i) {
         const LineData logical = LineData::randomFromKey(rng.next64());
         const LineData old = LineData::randomFromKey(rng.next64());
@@ -69,7 +70,7 @@ TEST(Fnw, NeverWorseThanPlainWrite)
 TEST(Fnw, HalvesCostOfInvertedData)
 {
     // Writing the bitwise complement should cost ~nothing under FNW.
-    FnwEncoder fnw(16);
+    const DinEncoder fnw(DinConfig::flipNWrite());
     const LineData old = LineData::randomFromKey(3);
     LineData inverted;
     for (unsigned w = 0; w < kLineWords; ++w)
@@ -277,6 +278,31 @@ randomLine(Rng& rng, unsigned ones)
     return line;
 }
 
+/**
+ * New data for `old`: a few cell flips away (the common write), fresh
+ * content of any density, or the old data inverted.
+ */
+LineData
+rewrite(Rng& rng, const LineData& old)
+{
+    LineData logical = old;
+    switch (rng.below(3)) {
+      case 0:
+        for (unsigned f = 1 + static_cast<unsigned>(rng.below(100)); f > 0;
+             --f) {
+            logical.flipBit(static_cast<unsigned>(rng.below(kLineBits)));
+        }
+        break;
+      case 1:
+        logical = randomLine(rng, 1 + static_cast<unsigned>(rng.below(7)));
+        break;
+      default:
+        for (std::uint64_t& word : logical.words)
+            word = ~word;
+    }
+    return logical;
+}
+
 class DinWordWidth : public ::testing::TestWithParam<
                          std::tuple<unsigned, unsigned, unsigned>>
 {};
@@ -290,26 +316,9 @@ TEST_P(DinWordWidth, MatchesGroupByGroupReference)
         ? ~0ULL : (1ULL << din.numGroups()) - 1;
     Rng rng(cfg.groupBits * 100 + cfg.sweeps * 10 + cfg.vulnWeight);
     for (int trial = 0; trial < 3000; ++trial) {
-        // Old content of every density; new data a few cell flips away
-        // (the common write), fresh content, or the old data inverted.
         const LineData old =
             randomLine(rng, 1 + static_cast<unsigned>(rng.below(7)));
-        LineData logical = old;
-        switch (rng.below(3)) {
-          case 0:
-            for (unsigned f = 1 + static_cast<unsigned>(rng.below(100));
-                 f > 0; --f) {
-                logical.flipBit(static_cast<unsigned>(rng.below(kLineBits)));
-            }
-            break;
-          case 1:
-            logical =
-                randomLine(rng, 1 + static_cast<unsigned>(rng.below(7)));
-            break;
-          default:
-            for (std::uint64_t& word : logical.words)
-                word = ~word;
-        }
+        const LineData logical = rewrite(rng, old);
         const DinEncoder::Encoding got = din.encode(logical, old);
         const DinEncoder::Encoding want = referenceEncode(cfg, logical, old);
         ASSERT_EQ(got.physical, want.physical) << "trial " << trial;
@@ -337,6 +346,77 @@ INSTANTIATE_TEST_SUITE_P(
         name += std::to_string(std::get<2>(info.param));
         return name;
     });
+
+/**
+ * The per-group Flip-N-Write encoder (Cho & Lee, MICRO'09) that
+ * DinConfig::flipNWrite() replaced, kept as that constant's reference:
+ * a group is stored inverted iff that programs strictly fewer cells.
+ * Its decoder was the per-group loop of referenceDecode.
+ */
+DinEncoder::Encoding
+referenceFlipNWrite(unsigned group_bits, const LineData& new_logical,
+                    const LineData& old_physical)
+{
+    DinEncoder::Encoding out;
+    const unsigned groups_per_word = 64 / group_bits;
+    unsigned group_index = 0;
+    for (unsigned w = 0; w < kLineWords; ++w) {
+        std::uint64_t word = 0;
+        for (unsigned g = 0; g < groups_per_word; ++g, ++group_index) {
+            const std::uint64_t mask = referenceGroupMask(group_bits, g);
+            const std::uint64_t plain = new_logical.words[w] & mask;
+            const std::uint64_t flipped = ~new_logical.words[w] & mask;
+            const std::uint64_t old_bits = old_physical.words[w] & mask;
+            const int cost_plain = popcount64(plain ^ old_bits);
+            const int cost_flip = popcount64(flipped ^ old_bits);
+            if (cost_flip < cost_plain) {
+                word |= flipped;
+                out.flags |= 1ULL << group_index;
+            } else {
+                word |= plain;
+            }
+        }
+        out.physical.words[w] = word;
+    }
+    return out;
+}
+
+TEST(FnwOnDin, MatchesPerGroupFlipNWrite)
+{
+    // At vulnerability weight 0, DIN costs inverting a group as the cells
+    // it programs inverted minus plain and inverts under the same strict
+    // <, so the constant and its group-size variants are Flip-N-Write.
+    std::vector<DinConfig> configs = {DinConfig::flipNWrite()};
+    for (const unsigned bits : {8u, 32u, 64u}) {
+        configs.push_back(DinConfig::flipNWrite());
+        configs.back().groupBits = bits;
+    }
+    for (const DinConfig& cfg : configs) {
+        const DinEncoder fnw(cfg);
+        const std::uint64_t flag_mask = fnw.numGroups() == 64
+            ? ~0ULL : (1ULL << fnw.numGroups()) - 1;
+        Rng rng(cfg.groupBits);
+        for (int trial = 0; trial < 3000; ++trial) {
+            const LineData old =
+                randomLine(rng, 1 + static_cast<unsigned>(rng.below(7)));
+            const LineData logical = rewrite(rng, old);
+            const DinEncoder::Encoding got = fnw.encode(logical, old);
+            const DinEncoder::Encoding want =
+                referenceFlipNWrite(cfg.groupBits, logical, old);
+            ASSERT_EQ(got.physical, want.physical)
+                << "g" << cfg.groupBits << " trial " << trial;
+            ASSERT_EQ(got.flags, want.flags)
+                << "g" << cfg.groupBits << " trial " << trial;
+
+            const std::uint64_t flags = rng.next64() & flag_mask;
+            ASSERT_EQ(fnw.decode(old, flags),
+                      referenceDecode(cfg, old, flags))
+                << "g" << cfg.groupBits << " trial " << trial;
+            ASSERT_EQ(fnw.decode(got.physical, got.flags), logical)
+                << "g" << cfg.groupBits << " trial " << trial;
+        }
+    }
+}
 
 } // namespace
 } // namespace sdpcm

@@ -12,7 +12,6 @@
 #include "pcm/ecp.hh"
 #include "pcm/geometry.hh"
 #include "pcm/line.hh"
-#include "pcm/timing.hh"
 
 namespace sdpcm {
 namespace {
@@ -212,17 +211,6 @@ TEST(Ecp, ZeroCapacityRejectsEverything)
     EcpLine ecp(0);
     EXPECT_FALSE(ecp.recordWd(0));
     EXPECT_FALSE(ecp.recordHard(0, true));
-}
-
-TEST(Timing, PooledRoundCounts)
-{
-    PcmTiming t;
-    EXPECT_EQ(t.resetRounds(0), 0u);
-    EXPECT_EQ(t.resetRounds(1), 1u);
-    EXPECT_EQ(t.resetRounds(128), 1u);
-    EXPECT_EQ(t.resetRounds(129), 2u);
-    EXPECT_EQ(t.writeLatency(128, 128), 400u + 800u);
-    EXPECT_EQ(t.writeLatency(0, 1), 800u);
 }
 
 } // namespace
