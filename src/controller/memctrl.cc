@@ -59,6 +59,11 @@ MemoryController::MemoryController(EventQueue& events, PcmDevice& device,
       rng_(seed ^ 0xc0117011e5ULL)
 {
     SDPCM_ASSERT(scheme_.writeQueueEntries >= 1, "write queue too small");
+    if (scheme_.writeQueueEntries > kMaxWriteQueueEntries) {
+        SDPCM_FATAL("a write queue of ", scheme_.writeQueueEntries,
+                    " entries exceeds the ", kMaxWriteQueueEntries,
+                    " entries a bank queues");
+    }
     // A drain burst never exceeds half the queue: small queues must not
     // block reads for a whole-queue flush. The lower bound matters too:
     // a zero burst would start a drain that can never retire a write,
@@ -116,6 +121,8 @@ const LineData*
 MemoryController::pendingPayload(unsigned bank, const LineAddr& la) const
 {
     const Bank& b = banks_[bank];
+    if (b.pendingByBucket[pendingBucket(la)] == 0)
+        return nullptr;
     for (auto it = b.writeQueue.rbegin(); it != b.writeQueue.rend();
          ++it) {
         if (it->la == la)
@@ -264,6 +271,8 @@ MemoryController::submitWriteData(PhysAddr addr, const NmRatio& tag,
     if (obs_.spans)
         w.span = obs_.spans->open(/*is_write=*/true, events_.now());
     b.writeQueue.push_back(std::move(w));
+    b.pendingByBucket[pendingBucket(la)] += 1;
+    b.capturesSettled = false; // the new entry may need captures
     stats_.writesAccepted += 1;
     if (obs_.oracle)
         obs_.oracle->noteWriteSubmitted(la, payload, /*new_entry=*/true);
@@ -658,6 +667,12 @@ MemoryController::tryIssuePreRead(unsigned bank)
     // keeps the rule simple.
     if (!b.writeQueue.empty() && b.writeQueue.front().cancels > 0)
         return;
+    // A scan that issued nothing left every queued entry's neighbours
+    // captured or forwarded. An entry's `need` is fixed when it is
+    // queued and its `have` only ever turns true, so until another
+    // entry is queued a new scan would find nothing either.
+    if (b.capturesSettled)
+        return;
     const Tick read_lat = device_.config().timing.readCycles;
     for (std::size_t i = 0; i < b.writeQueue.size(); ++i) {
         QueuedWrite& w = b.writeQueue[i];
@@ -693,6 +708,7 @@ MemoryController::tryIssuePreRead(unsigned bank)
             return;
         }
     }
+    b.capturesSettled = true;
 }
 
 void
@@ -752,6 +768,10 @@ MemoryController::cancelActive(unsigned bank)
     stats_.cancelStallCycles += events_.now() - serviceStart;
     if (obs_.spans && w.span != SpanRecorder::kNull)
         obs_.spans->cancelAttempt(w.span, events_.now());
+    // The write still pends, so its bucket count stays. Nor does the
+    // requeue unsettle captures: the entry waits at the queue front
+    // with cancels > 0, which holds every capture until it leaves the
+    // queue again for service.
     b.writeQueue.push_front(std::move(w));
 }
 
@@ -773,6 +793,10 @@ MemoryController::completeWrite(unsigned bank)
         obs_.spans->close(b.active->w.span, events_.now());
     if (b.active->planned)
         b.planPool = std::move(b.active->plan);
+    std::uint16_t& pending =
+        b.pendingByBucket[pendingBucket(b.active->w.la)];
+    SDPCM_ASSERT(pending > 0, "pending-write count out of sync");
+    pending -= 1;
     b.active.reset();
 }
 

@@ -302,15 +302,29 @@ class MemoryController : public Observed, public EventTarget
         LineData data;
     };
 
+    /** Buckets of a bank's pending-write counts (see Bank). */
+    static constexpr unsigned kPendingBuckets = 256;
+
     struct Bank
     {
         bool busy = false;
         bool draining = false;
+        /** A full tryIssuePreRead scan found nothing left to capture and
+         *  no entry has been queued since (see tryIssuePreRead). */
+        bool capturesSettled = false;
         unsigned drainRemaining = 0;
         unsigned wcReadGrace = 0; //!< reads admitted by a cancellation
         Fifo<PendingRead> readQueue;
         Fifo<QueuedWrite> writeQueue;
         std::optional<ActiveWrite> active;
+        /**
+         * The bank's pending writes, queued or in service, counted by
+         * pendingBucket() of their line: raised when an entry is
+         * queued, lowered when its write completes. A zero count means
+         * no pending write to any line of the bucket. At most
+         * kMaxWriteQueueEntries + 1 writes pend, so no count wraps.
+         */
+        std::array<std::uint16_t, kPendingBuckets> pendingByBucket{};
         std::vector<SpaceWaiter> spaceWaiters;
         // Retired plan objects recycled into the next service so the
         // per-write rounds/wlHits vectors stop reallocating (hot path).
@@ -397,6 +411,17 @@ class MemoryController : public Observed, public EventTarget
     /** Newest payload of `la` the bank still has to commit (the write
      *  queue back to front, then the write in service), or null. */
     const LineData* pendingPayload(unsigned bank, const LineAddr& la) const;
+
+    /** The Bank::pendingByBucket bucket of `la`: the top bits of a
+     *  Fibonacci hash of its line index. */
+    unsigned
+    pendingBucket(const LineAddr& la) const
+    {
+        static_assert(kPendingBuckets == 256, "8 hash bits pick a bucket");
+        return static_cast<unsigned>(
+            (device_.addressMap().lineIndex(la) * 0x9e3779b97f4a7c15ULL) >>
+            56);
+    }
 
     /** Overwrite the buffered copies of `la` that queue entries `first`
      *  onward hold with `data`, its new pending or committed value. */

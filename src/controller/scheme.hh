@@ -20,6 +20,10 @@
 
 namespace sdpcm {
 
+/** Most write queue entries a bank may have (`--wq`). Figure 15 sweeps
+ *  8 to 64; the bound keeps each bank's pending-write counts 16-bit. */
+inline constexpr unsigned kMaxWriteQueueEntries = 1024;
+
 /** Memory-controller / device mechanism selection. */
 struct SchemeConfig
 {
@@ -57,7 +61,8 @@ struct SchemeConfig
     /** Default (n:m) allocator tag for every application. */
     NmRatio defaultTag{1, 1};
 
-    /** Write queue entries per bank (Table 2: 32). */
+    /** Write queue entries per bank (Table 2: 32), at most
+     *  kMaxWriteQueueEntries. */
     unsigned writeQueueEntries = 32;
 
     /**

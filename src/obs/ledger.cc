@@ -74,14 +74,14 @@ void
 WdLedger::noteCancel(const LineAddr& aggressor)
 {
     agg_.cancels += 1;
-    blame_[map_.encode(aggressor)].cancels += 1;
+    blame_[map_.lineIndex(aggressor)].cancels += 1;
 }
 
 void
 WdLedger::recordFlip(const LineAddr& aggressor, bool from_correction,
                      const LineAddr& victim, unsigned pos, bool word_line)
 {
-    const std::uint64_t agg_key = map_.encode(aggressor);
+    const LineIndex agg_key = map_.lineIndex(aggressor);
     PendingFlip f;
     f.pos = static_cast<std::uint16_t>(pos);
     f.wordLine = word_line;
@@ -89,8 +89,8 @@ WdLedger::recordFlip(const LineAddr& aggressor, bool from_correction,
     f.depth = static_cast<std::uint16_t>(curDepth_);
     f.core = curCore_;
     f.tick = events_.now();
-    f.aggressorKey = agg_key;
-    pending_[map_.encode(victim)].push_back(f);
+    f.aggressor = agg_key;
+    pending_[map_.lineIndex(victim)].push_back(f);
     pendingCount_ += 1;
 
     WdBlameEntry& b = blame_[agg_key];
@@ -116,7 +116,7 @@ WdLedger::account(const PendingFlip& f, WdOutcome outcome)
 {
     const unsigned o = static_cast<unsigned>(outcome);
     agg_.outcomes[o] += 1;
-    blame_[f.aggressorKey].outcomes[o] += 1;
+    blame_[f.aggressor].outcomes[o] += 1;
     const double wait = static_cast<double>(events_.now() - f.tick);
     switch (outcome) {
       case WdOutcome::Absorbed:
@@ -138,7 +138,8 @@ void
 WdLedger::resolve(const LineAddr& victim, unsigned pos, WdOutcome outcome,
                   bool is_fix_event)
 {
-    if (std::vector<PendingFlip>* flips = pending_.find(map_.encode(victim))) {
+    if (std::vector<PendingFlip>* flips =
+            pending_.find(map_.lineIndex(victim))) {
         for (PendingFlip& f : *flips) {
             if (f.pos != pos)
                 continue;
@@ -179,7 +180,7 @@ WdLedger::flipCorrected(const LineAddr& victim, unsigned pos)
 void
 WdLedger::noteLineWritten(const LineAddr& line)
 {
-    std::vector<PendingFlip>* flips = pending_.find(map_.encode(line));
+    std::vector<PendingFlip>* flips = pending_.find(map_.lineIndex(line));
     if (!flips)
         return;
     for (const PendingFlip& f : *flips)

@@ -148,7 +148,7 @@ struct WdLedgerSummary
  * Live event collector. The device emits flip / fix events; the
  * controller brackets them with service context (core, cascade depth,
  * cancel unwinding). All methods are O(1) amortised. Pending flips and
- * blame live in line tables keyed by the line's address; a line's
+ * blame live in line tables keyed by the line's index; a line's
  * pending list keeps its capacity once resolved, so steady state is
  * allocation-light.
  */
@@ -226,8 +226,8 @@ class WdLedger
         bool fromCorrection = false;
         std::uint16_t depth = 0;
         std::uint32_t core = 0;
+        LineIndex aggressor = 0; //!< map_.lineIndex(aggressor)
         Tick tick = 0;
-        std::uint64_t aggressorKey = 0; //!< map_.encode(aggressor)
     };
 
     /** Resolve the pending flip at (victim, pos) as `outcome`; a fix
@@ -238,7 +238,7 @@ class WdLedger
     void account(const PendingFlip& f, WdOutcome outcome);
 
     const EventQueue& events_;
-    AddressMap map_; //!< line keys: the line's address
+    AddressMap map_; //!< line keys: the line's index
     unsigned curCore_ = 0;
     unsigned curDepth_ = 0;
     bool inCancelRepair_ = false;

@@ -25,6 +25,14 @@ namespace sdpcm {
 /** Physical byte address. */
 using PhysAddr = std::uint64_t;
 
+/**
+ * A line's index within the DIMM: its physical address over the line
+ * size. A geometry must have fewer than 2^32 lines, so an index fits in
+ * 32 bits and the all-ones value names no line.
+ */
+using LineIndex = std::uint32_t;
+inline constexpr LineIndex kNoLine = ~LineIndex{0};
+
 /** Fully decoded location of one 64B line. */
 struct LineAddr
 {
@@ -46,6 +54,16 @@ class AddressMap
         SDPCM_ASSERT(isPowerOfTwo(geom_.rowBytes), "rowBytes must be 2^k");
         SDPCM_ASSERT(isPowerOfTwo(geom_.lineBytes), "lineBytes must be 2^k");
         SDPCM_ASSERT(isPowerOfTwo(geom_.banks()), "bank count must be 2^k");
+        SDPCM_ASSERT(geom_.rowBytes >= geom_.lineBytes,
+                     "a row holds at least one line");
+        const std::uint64_t lines_per_strip =
+            std::uint64_t{geom_.banks()} * geom_.linesPerRow();
+        if (geom_.rowsPerBank > kNoLine / lines_per_strip) {
+            SDPCM_FATAL("a DIMM of ", geom_.banks(), " banks x ",
+                        geom_.rowsPerBank, " rows x ", geom_.linesPerRow(),
+                        " lines has 2^32 or more lines; a line index is "
+                        "32-bit");
+        }
     }
 
     const DimmGeometry& geometry() const { return geom_; }
@@ -82,6 +100,25 @@ class AddressMap
             static_cast<PhysAddr>(la.line) * geom_.lineBytes;
     }
 
+    /** The line's index: encode(la) / lineBytes, row-major across banks
+     *  like the address. */
+    LineIndex
+    lineIndex(const LineAddr& la) const
+    {
+        const std::uint64_t index =
+            (la.row * geom_.banks() + la.bank) * linesPerRow_ + la.line;
+        SDPCM_ASSERT(index < kNoLine, "line beyond DIMM capacity: row ",
+                     la.row);
+        return static_cast<LineIndex>(index);
+    }
+
+    /** The line at `index`, inverting lineIndex. */
+    LineAddr
+    lineAt(LineIndex index) const
+    {
+        return decode(static_cast<PhysAddr>(index) * geom_.lineBytes);
+    }
+
     /**
      * Strip index of a row. Rows with equal index across all banks hold
      * 16 consecutive page frames; the strip index equals the row index.
@@ -112,6 +149,7 @@ class AddressMap
 
   private:
     DimmGeometry geom_;
+    unsigned linesPerRow_ = geom_.linesPerRow();
 };
 
 } // namespace sdpcm

@@ -75,18 +75,17 @@ PcmDevice::state(const LineAddr& addr)
     SDPCM_ASSERT(addr.bank < config_.geometry.banks(), "bank out of range");
     SDPCM_ASSERT(addr.line < config_.geometry.linesPerRow(),
                  "line out of range");
-    if (LineState* ls = lines_.find(map_.encode(addr)))
-        return *ls;
-    return materialise(addr);
+    const auto [ls, fresh] = lines_.findOrInsert(map_.lineIndex(addr));
+    if (fresh)
+        materialise(ls, addr);
+    return ls;
 }
 
-PcmDevice::LineState&
-PcmDevice::materialise(const LineAddr& addr)
+void
+PcmDevice::materialise(LineState& ls, const LineAddr& addr)
 {
     // First touch: materialise deterministic content and, when modelling
     // an aged DIMM, a sampled population of stuck-at cells.
-    const std::uint64_t table_key = map_.encode(addr);
-    LineState& ls = lines_.insert(table_key);
     const std::uint64_t key = lineKey(addr);
     const std::uint64_t content_key =
         mix64(config_.seed ^ (static_cast<std::uint64_t>(addr.bank) << 58) ^
@@ -102,7 +101,8 @@ PcmDevice::materialise(const LineAddr& addr)
             return false;
         const bool stuck = ls.physical.getBit(pos);
         if (!ls.ecp.recordHard(pos, stuck)) {
-            stuckOverflow_[table_key].push_back(EcpEntry::hardAt(pos, stuck));
+            stuckOverflow_[map_.lineIndex(addr)].push_back(
+                EcpEntry::hardAt(pos, stuck));
             ls.saturated = true;
             stats_.ecpSaturatedLines += 1;
         }
@@ -139,7 +139,6 @@ PcmDevice::materialise(const LineAddr& addr)
 
     if (config_.lineCounters)
         ls.counters.ecpHighWater = ls.ecp.size();
-    return ls;
 }
 
 template <typename Fn>
@@ -152,7 +151,7 @@ PcmDevice::forEachStuckCell(const LineState& ls, const LineAddr& addr,
             fn(e.cell(), e.stuck());
     }
     if (ls.saturated) {
-        for (const EcpEntry& e : *stuckOverflow_.find(map_.encode(addr)))
+        for (const EcpEntry& e : *stuckOverflow_.find(map_.lineIndex(addr)))
             fn(e.cell(), e.stuck());
     }
 }
@@ -711,7 +710,7 @@ PcmDevice::uncorrectableMask(const LineAddr& addr)
     // Every stuck cell but a saturated line's overflow has a hard entry.
     LineData mask;
     if (state(addr).saturated) {
-        for (const EcpEntry& e : *stuckOverflow_.find(map_.encode(addr)))
+        for (const EcpEntry& e : *stuckOverflow_.find(map_.lineIndex(addr)))
             mask.setBit(e.cell(), true);
     }
     return mask;

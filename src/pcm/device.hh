@@ -406,7 +406,8 @@ class PcmDevice : public Observed
 
     /** The line's state, materialised on first touch. */
     LineState& state(const LineAddr& addr);
-    LineState& materialise(const LineAddr& addr);
+    /** Fill the fresh record `ls` of a line's first touch. */
+    void materialise(LineState& ls, const LineAddr& addr);
 
     /** Key within the bank: row * linesPerRow + line (content seed). */
     std::uint64_t lineKey(const LineAddr& addr) const;
@@ -459,7 +460,7 @@ class PcmDevice : public Observed
     /** Injected stuck-cell scratch for materialise() (reused per line). */
     std::vector<unsigned> injectScratch_;
 
-    /** Every materialised line, keyed by its address (map_.encode). */
+    /** Every materialised line, keyed by its index (map_.lineIndex). */
     LineTable<LineState> lines_;
 
     /** Each saturated line's stuck cells beyond its ECP entries, as

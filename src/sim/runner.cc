@@ -104,8 +104,9 @@ schemeFromArgs(const ArgParser& args)
     }
     scheme.ecpEntries =
         args.get<unsigned>("ecp", scheme.ecpEntries, 0, kMaxEcpEntries);
-    scheme.writeQueueEntries = args.get<unsigned>(
-        "wq", scheme.writeQueueEntries, kMinWriteQueueEntries);
+    scheme.writeQueueEntries =
+        args.get<unsigned>("wq", scheme.writeQueueEntries,
+                           kMinWriteQueueEntries, kMaxWriteQueueEntries);
     scheme.writeCancellation =
         args.getBool("wc", scheme.writeCancellation);
     scheme.idleWriteDrain =

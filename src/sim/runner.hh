@@ -52,7 +52,8 @@ inline constexpr unsigned kMinCores = 1;
 inline constexpr unsigned kMaxCores = 64;
 inline constexpr std::uint64_t kMinRefsPerCore = 1;
 inline constexpr unsigned kMinWriteQueueEntries = 1;
-// kMaxEcpEntries (pcm/ecp.hh) bounds the ECP entries per line.
+// kMaxWriteQueueEntries (controller/scheme.hh) bounds the write queue,
+// kMaxEcpEntries (pcm/ecp.hh) the ECP entries per line.
 inline constexpr double kMaxAgeFraction = 1.0; //!< age is in [0, this]
 /** Each latency signal keeps one quantile sketch (about 7.8 KB) per
  *  window frame and merges them all every frame: 1024 frames are 16 MB

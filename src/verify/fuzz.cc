@@ -214,10 +214,13 @@ FuzzScenario::fromJson(const std::string& text)
     }
     if (!(s.age >= 0.0 && s.age <= kMaxAgeFraction))
         throw std::runtime_error("fuzz spec: age must be in [0,1]");
-    if (s.wq < kMinWriteQueueEntries || s.cores < kMinCores ||
-        s.cores > kMaxCores || s.ecp > kMaxEcpEntries ||
-        s.refs < kMinRefsPerCore || !NmRatio{s.n, s.m}.valid())
-        throw std::runtime_error("fuzz spec: needs wq>0, 1<=cores<=" +
+    if (s.wq < kMinWriteQueueEntries || s.wq > kMaxWriteQueueEntries ||
+        s.cores < kMinCores || s.cores > kMaxCores ||
+        s.ecp > kMaxEcpEntries || s.refs < kMinRefsPerCore ||
+        !NmRatio{s.n, s.m}.valid())
+        throw std::runtime_error("fuzz spec: needs 1<=wq<=" +
+                                 std::to_string(kMaxWriteQueueEntries) +
+                                 ", 1<=cores<=" +
                                  std::to_string(kMaxCores) + ", ecp<=" +
                                  std::to_string(kMaxEcpEntries) +
                                  ", refs>0 and 1<=n<=m");

@@ -15,14 +15,14 @@ ShadowOracle::ShadowOracle(EventQueue& events, PcmDevice& device)
 }
 
 bool
-ShadowOracle::isDirty(std::uint64_t k) const
+ShadowOracle::isDirty(LineIndex k) const
 {
     const std::vector<std::uint64_t>* writers = dirtyBy_.find(k);
     return writers && !writers->empty();
 }
 
 bool
-ShadowOracle::isDirtyByOther(std::uint64_t k, std::uint64_t writer) const
+ShadowOracle::isDirtyByOther(LineIndex k, std::uint64_t writer) const
 {
     const std::vector<std::uint64_t>* writers = dirtyBy_.find(k);
     if (!writers)
@@ -37,7 +37,7 @@ ShadowOracle::isDirtyByOther(std::uint64_t k, std::uint64_t writer) const
 void
 ShadowOracle::markVictim(std::uint64_t writer, const LineAddr& victim)
 {
-    const std::uint64_t k = key(victim);
+    const LineIndex k = key(victim);
     auto& writers = dirtyBy_[k];
     if (std::find(writers.begin(), writers.end(), writer) != writers.end())
         return;
@@ -130,7 +130,7 @@ ShadowOracle::noteArrayRead(const LineAddr& la, const LineData& data)
 {
     LineInfo& li = info(la);
     counts_.readsChecked += 1;
-    const std::uint64_t k = key(la);
+    const LineIndex k = key(la);
     if (isDirty(k)) {
         counts_.skippedDirty += 1;
         return;
@@ -155,7 +155,7 @@ ShadowOracle::notePreReadCapture(const LineAddr& la, const LineData& data)
 {
     LineInfo& li = info(la);
     counts_.preReadsChecked += 1;
-    const std::uint64_t k = key(la);
+    const LineIndex k = key(la);
     if (isDirty(k)) {
         counts_.skippedDirty += 1;
         return;
@@ -178,7 +178,7 @@ ShadowOracle::noteVerifyBuffer(const LineAddr& la, const LineData& buffer,
 {
     LineInfo& li = info(la);
     counts_.buffersChecked += 1;
-    const std::uint64_t k = key(la);
+    const LineIndex k = key(la);
     // The adjacent line may legitimately carry another in-flight write's
     // disturbance; only this writer's own damage is expected to be absent
     // from the baseline buffer.
@@ -230,7 +230,7 @@ ShadowOracle::noteServiceEnd(std::uint64_t writer_id)
     const auto it = victimsOf_.find(writer_id);
     if (it == victimsOf_.end())
         return;
-    for (const std::uint64_t k : it->second)
+    for (const LineIndex k : it->second)
         std::erase(dirtyBy_[k], writer_id);
     victimsOf_.erase(it);
 }

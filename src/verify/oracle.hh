@@ -132,16 +132,16 @@ class ShadowOracle : public Observed
         bool tainted = false; //!< dropped correction left errors behind
     };
 
-    /** A line's key in the oracle's tables: its address. */
-    std::uint64_t
+    /** A line's key in the oracle's tables: its index. */
+    LineIndex
     key(const LineAddr& la) const
     {
-        return device_.addressMap().encode(la);
+        return device_.addressMap().lineIndex(la);
     }
 
     LineInfo& info(const LineAddr& la) { return lines_[key(la)]; }
-    bool isDirty(std::uint64_t k) const;
-    bool isDirtyByOther(std::uint64_t k, std::uint64_t writer) const;
+    bool isDirty(LineIndex k) const;
+    bool isDirtyByOther(LineIndex k, std::uint64_t writer) const;
     void markVictim(std::uint64_t writer, const LineAddr& victim);
 
     /**
@@ -161,8 +161,7 @@ class ShadowOracle : public Observed
      *  empty list is clean). */
     LineTable<std::vector<std::uint64_t>> dirtyBy_;
     /** writer id -> victim keys (for O(victims) clearing). */
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-        victimsOf_;
+    std::unordered_map<std::uint64_t, std::vector<LineIndex>> victimsOf_;
 
     OracleSummary counts_;
     std::vector<OracleMismatch> mismatches_;

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <set>
 
 #include "controller/memctrl.hh"
 #include "event_adapters.hh"
@@ -533,6 +534,58 @@ TEST(Controller, CancellationStressStaysClean)
         oracle.report(std::cerr);
         ADD_FAILURE() << "oracle reported mismatches";
     }
+}
+
+TEST(Controller, PendingCountsForwardExactlyThePendingLines)
+{
+    // One bank queues more distinct lines than it has pending-count
+    // buckets, so lines share buckets; then a drain retires half of them.
+    SchemeConfig scheme = SchemeConfig::lazyCPreRead(); // no idle drain
+    scheme.writeQueueEntries = 600;
+    scheme.drainBurstWrites = 300;
+    Harness h(scheme);
+    const unsigned bank = 3;
+    const auto addr_of = [&](unsigned i) {
+        return h.addrOf(bank, 100 + i / 64, i % 64);
+    };
+    for (unsigned i = 0; i < 600; ++i) {
+        ASSERT_TRUE(h.ctrl->submitWriteData(addr_of(i), NmRatio{1, 1}, 0,
+                                            LineData::randomFromKey(i)));
+    }
+    // The 600th entry filled the queue: one burst retires the first 300
+    // in queue order, and nothing else services a write.
+    h.drain();
+    ASSERT_EQ(h.ctrl->stats().writesCompleted, 300u);
+    std::set<PhysAddr> pending; // the brute-force list
+    for (unsigned i = 300; i < 600; ++i)
+        pending.insert(addr_of(i));
+
+    // Read every written line and as many never-written ones.
+    unsigned delivered = 0;
+    ReadCallback count([&](const LineData&) { delivered += 1; });
+    for (unsigned i = 0; i < 1200; ++i) {
+        const std::uint64_t before = h.ctrl->stats().readsForwarded;
+        h.ctrl->submitRead(addr_of(i), 0, count);
+        EXPECT_EQ(h.ctrl->stats().readsForwarded - before,
+                  pending.count(addr_of(i)))
+            << "line " << i;
+    }
+    h.drain();
+    EXPECT_EQ(delivered, 1200u);
+    EXPECT_EQ(h.ctrl->stats().readsForwardedAtService, 0u);
+    EXPECT_EQ(h.ctrl->stats().writesCompleted, 300u);
+    EXPECT_EQ(h.ctrl->pendingWrites(), 300u);
+}
+
+TEST(ControllerDeath, WriteQueueBeyondTheBoundIsFatal)
+{
+    SchemeConfig scheme = SchemeConfig::baselineVnc();
+    scheme.writeQueueEntries = kMaxWriteQueueEntries;
+    const Harness at_bound(scheme);
+    scheme.writeQueueEntries = kMaxWriteQueueEntries + 1;
+    EXPECT_EXIT(Harness{scheme}, ::testing::ExitedWithCode(1),
+                "fatal: a write queue of 1025 entries exceeds the 1024 "
+                "entries a bank queues");
 }
 
 

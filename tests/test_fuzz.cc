@@ -116,6 +116,9 @@ TEST(FuzzSpec, RejectsMalformedValues)
     EXPECT_THROW((void)FuzzScenario::fromJson(mutate("cores", "65")),
                  std::runtime_error); // above kMaxCores
     EXPECT_EQ(FuzzScenario::fromJson(mutate("cores", "64")).cores, 64u);
+    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("wq", "1025")),
+                 std::runtime_error); // above kMaxWriteQueueEntries
+    EXPECT_EQ(FuzzScenario::fromJson(mutate("wq", "1024")).wq, 1024u);
     EXPECT_THROW((void)FuzzScenario::fromJson(mutate("ecp", "11")),
                  std::runtime_error); // above kMaxEcpEntries
     EXPECT_EQ(FuzzScenario::fromJson(mutate("ecp", "10")).ecp, 10u);

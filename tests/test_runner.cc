@@ -139,6 +139,8 @@ TEST(RunFlagsDeath, SchemeFlagsRejectWhatFuzzSpecsReject)
                 "needs 1 <= n <= m");
     EXPECT_EXIT(fails({"--wq=0"}), ::testing::ExitedWithCode(1),
                 "bad value for --wq=0");
+    EXPECT_EXIT(fails({"--wq=1025"}), ::testing::ExitedWithCode(1),
+                "bad value for --wq=1025");
     EXPECT_EXIT(fails({"--ecp=-1"}), ::testing::ExitedWithCode(1),
                 "bad value for --ecp=-1");
     EXPECT_EXIT(fails({"--scheme=dinn"}), ::testing::ExitedWithCode(1),
@@ -181,12 +183,14 @@ TEST(RunFlags, ParsesEverySharedFlag)
 
 TEST(RunFlags, AcceptsEveryUpperBound)
 {
-    const auto [cfg, out] = parseRunFlags(
+    const ArgParser args =
         parserOf({"--cores=64", "--telemetry-window=1024",
-                  "--inject=ecp=512"}));
+                  "--inject=ecp=512", "--wq=1024"});
+    const auto [cfg, out] = parseRunFlags(args);
     EXPECT_EQ(cfg.cores, kMaxCores);
     EXPECT_EQ(cfg.telemetry.windowFrames, kMaxTelemetryWindowFrames);
     EXPECT_EQ(cfg.faults.ecpSteal, kLineBits);
+    EXPECT_EQ(schemeFromArgs(args).writeQueueEntries, kMaxWriteQueueEntries);
 }
 
 TEST(RunFlags, DefaultsLeaveEveryObserverOff)
