@@ -72,8 +72,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -249,6 +251,54 @@ workloadNames()
     for (const auto& w : standardWorkloads())
         names.push_back(w.name);
     return names;
+}
+
+/** A column a speedup table adds after its schemes: the header and
+ *  each workload's cell ("-" on the gmean row). */
+struct ExtraColumn
+{
+    std::string header;
+    std::function<std::string(const std::string& workload)> cell;
+};
+
+/**
+ * The figure benches' speedup table: one column per entry of `columns`,
+ * headed by `headers` (the scheme names when empty), with one row per
+ * Table 3 workload of `ref`'s CPI over the column's and a last row of
+ * the speedups() gmean; then the `extra` column, when it has a cell.
+ * Returned unprinted, so a bench can add rows.
+ */
+inline TablePrinter
+speedupTable(const SchemeResults& ref,
+             std::span<const SchemeResults> columns,
+             std::vector<std::string> headers = {},
+             const ExtraColumn& extra = {})
+{
+    if (headers.empty()) {
+        for (const SchemeResults& c : columns)
+            headers.push_back(c.scheme);
+    }
+    headers.insert(headers.begin(), "workload");
+    if (extra.cell)
+        headers.push_back(extra.header);
+    TablePrinter t(headers);
+    for (const std::string& name : workloadNames()) {
+        std::vector<std::string> row = {name};
+        for (const SchemeResults& c : columns) {
+            row.push_back(TablePrinter::fmt(
+                ref.at(name).meanCpi / c.at(name).meanCpi, 3));
+        }
+        if (extra.cell)
+            row.push_back(extra.cell(name));
+        t.addRow(row);
+    }
+    std::vector<std::string> gmean = {"gmean"};
+    for (const SchemeResults& c : columns)
+        gmean.push_back(TablePrinter::fmt(speedups(ref, c).at("gmean"), 3));
+    if (extra.cell)
+        gmean.push_back("-");
+    t.addRow(gmean);
+    return t;
 }
 
 } // namespace bench

@@ -40,25 +40,7 @@ main(int argc, char** argv)
                           ? "\n--- normalised to DIN (8F^2 comparator) ---"
                           : "--- normalised to baseline (basic VnC) ---")
                   << "\n\n";
-        std::vector<std::string> headers = {"workload"};
-        for (const auto& s : schemes)
-            headers.push_back(s.name);
-        TablePrinter t(headers);
-        for (const auto& name : workloadNames()) {
-            std::vector<std::string> row = {name};
-            for (const auto& r : results) {
-                row.push_back(TablePrinter::fmt(
-                    ref.at(name).meanCpi / r.at(name).meanCpi, 3));
-            }
-            t.addRow(row);
-        }
-        std::vector<std::string> grow = {"gmean"};
-        for (const auto& r : results) {
-            const auto s = speedups(ref, r);
-            grow.push_back(TablePrinter::fmt(s.at("gmean"), 3));
-        }
-        t.addRow(grow);
-        t.print(std::cout);
+        speedupTable(ref, results).print(std::cout);
     }
 
     // Tail latency view: the mean hides how much of VnC's cost lands on

@@ -27,27 +27,8 @@ main(int argc, char** argv)
         schemes.push_back(s);
     }
     const auto results = runMatrix(schemes, cfg);
-    const auto& baseline = results[0];
-
-    std::vector<std::string> headers = {"workload"};
-    for (std::size_t i = 1; i < schemes.size(); ++i)
-        headers.push_back(schemes[i].name);
-    TablePrinter t(headers);
-    for (const auto& name : workloadNames()) {
-        std::vector<std::string> row = {name};
-        for (std::size_t i = 1; i < results.size(); ++i) {
-            row.push_back(TablePrinter::fmt(
-                baseline.at(name).meanCpi / results[i].at(name).meanCpi,
-                3));
-        }
-        t.addRow(row);
-    }
-    std::vector<std::string> grow = {"gmean"};
-    for (std::size_t i = 1; i < results.size(); ++i)
-        grow.push_back(TablePrinter::fmt(
-            speedups(baseline, results[i]).at("gmean"), 3));
-    t.addRow(grow);
-    t.print(std::cout);
+    speedupTable(results[0], std::span(results).subspan(1))
+        .print(std::cout);
 
     std::cout << "\n(speedup over baseline VnC; paper: +21% at ECP-6, "
                  "flat beyond)\n";

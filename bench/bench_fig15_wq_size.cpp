@@ -28,34 +28,19 @@ main(int argc, char** argv)
         schemes.push_back(s);
     }
     const auto results = runMatrix(schemes, cfg);
-    const auto& din = results[0];
-
-    std::vector<std::string> headers = {"workload"};
-    for (std::size_t i = 1; i < schemes.size(); ++i)
-        headers.push_back(schemes[i].name);
-    headers.push_back("preReads useful @32");
-    TablePrinter t(headers);
-    for (const auto& name : workloadNames()) {
-        std::vector<std::string> row = {name};
-        for (std::size_t i = 1; i < results.size(); ++i) {
-            row.push_back(TablePrinter::fmt(
-                din.at(name).meanCpi / results[i].at(name).meanCpi, 3));
-        }
-        const auto& m32 = results[3].at(name); // WQ-32
-        const double useful = m32.ctrl.verifyReads + m32.ctrl.preReadsUseful
-            ? static_cast<double>(m32.ctrl.preReadsUseful) /
-                  (m32.ctrl.preReadsUseful + m32.ctrl.verifyReads)
-            : 0.0;
-        row.push_back(TablePrinter::pct(useful));
-        t.addRow(row);
-    }
-    std::vector<std::string> grow = {"gmean"};
-    for (std::size_t i = 1; i < results.size(); ++i)
-        grow.push_back(TablePrinter::fmt(
-            speedups(din, results[i]).at("gmean"), 3));
-    grow.push_back("-");
-    t.addRow(grow);
-    t.print(std::cout);
+    const ExtraColumn useful_at_32{
+        "preReads useful @32", [&](const std::string& name) {
+            const auto& m32 = results[3].at(name); // WQ-32
+            const double useful =
+                m32.ctrl.verifyReads + m32.ctrl.preReadsUseful
+                ? static_cast<double>(m32.ctrl.preReadsUseful) /
+                      (m32.ctrl.preReadsUseful + m32.ctrl.verifyReads)
+                : 0.0;
+            return TablePrinter::pct(useful);
+        }};
+    speedupTable(results[0], std::span(results).subspan(1), {},
+                 useful_at_32)
+        .print(std::cout);
 
     std::cout << "\n(performance normalised to DIN; paper: 32 entries "
                  "keep LazyC+PreRead within ~10% of DIN)\n";

@@ -28,25 +28,11 @@ main(int argc, char** argv)
         schemes.push_back(r.isFull() ? SchemeConfig::baselineVnc()
                                      : SchemeConfig::nmOnly(r));
     const auto results = runMatrix(schemes, cfg);
-    const auto& din = results[0];
-
-    std::vector<std::string> headers = {"workload"};
+    std::vector<std::string> headers;
     for (const auto& r : ratios)
         headers.push_back(r.toString());
-    TablePrinter t(headers);
-    for (const auto& name : workloadNames()) {
-        std::vector<std::string> row = {name};
-        for (std::size_t i = 1; i < results.size(); ++i) {
-            row.push_back(TablePrinter::fmt(
-                din.at(name).meanCpi / results[i].at(name).meanCpi, 3));
-        }
-        t.addRow(row);
-    }
-    std::vector<std::string> grow = {"gmean"};
-    for (std::size_t i = 1; i < results.size(); ++i)
-        grow.push_back(TablePrinter::fmt(
-            speedups(din, results[i]).at("gmean"), 3));
-    t.addRow(grow);
+    TablePrinter t =
+        speedupTable(results[0], std::span(results).subspan(1), headers);
 
     std::vector<std::string> crow = {"usable capacity"};
     std::vector<std::string> vrow = {"verified adjacents"};

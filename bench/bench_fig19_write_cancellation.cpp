@@ -32,30 +32,12 @@ main(int argc, char** argv)
     const std::vector<SchemeConfig> schemes = {
         SchemeConfig::baselineVnc(), wc, SchemeConfig::lazyC(), wc_lazy};
     const auto results = runMatrix(schemes, cfg);
-    const auto& baseline = results[0];
-
-    std::vector<std::string> headers = {"workload"};
-    for (const auto& s : schemes)
-        headers.push_back(s.name);
-    headers.push_back("cancels (WC+LazyC)");
-    TablePrinter t(headers);
-    for (const auto& name : workloadNames()) {
-        std::vector<std::string> row = {name};
-        for (const auto& r : results) {
-            row.push_back(TablePrinter::fmt(
-                baseline.at(name).meanCpi / r.at(name).meanCpi, 3));
-        }
-        row.push_back(std::to_string(
-            results[3].at(name).ctrl.writeCancellations));
-        t.addRow(row);
-    }
-    std::vector<std::string> grow = {"gmean"};
-    for (const auto& r : results)
-        grow.push_back(TablePrinter::fmt(
-            speedups(baseline, r).at("gmean"), 3));
-    grow.push_back("-");
-    t.addRow(grow);
-    t.print(std::cout);
+    const ExtraColumn cancels{
+        "cancels (WC+LazyC)", [&](const std::string& name) {
+            return std::to_string(
+                results[3].at(name).ctrl.writeCancellations);
+        }};
+    speedupTable(results[0], results, {}, cancels).print(std::cout);
 
     std::cout << "\n(normalised to basic VnC; paper: VnC 1.0, WC a bit "
                  "above, LazyC ~1.21, WC+LazyC ~1.31)\n";

@@ -16,22 +16,22 @@ int
 main()
 {
     WdModel model;
-    const auto& cfg = model.config();
+    constexpr double feature_nm = ThermalConfig::featureNm;
 
     std::cout << "=== Table 1: Disturbance probability for 4F^2 cells"
-                 " (F = " << cfg.featureNm << "nm) ===\n\n";
+                 " (F = " << feature_nm << "nm) ===\n\n";
 
     TablePrinter t1({"Between two cells along", "Temp rise",
                      "Error rate (SLC)"});
     t1.addRow({"Word-line",
                TablePrinter::fmt(
-                   model.neighborElevation(2 * cfg.featureNm,
+                   model.neighborElevation(2 * feature_nm,
                                            Material::Oxide), 0) + " C",
                TablePrinter::pct(model.wordLineErrorRate(
                    kLayoutSuperDense))});
     t1.addRow({"Bit-line",
                TablePrinter::fmt(
-                   model.neighborElevation(2 * cfg.featureNm,
+                   model.neighborElevation(2 * feature_nm,
                                            Material::GST), 0) + " C",
                TablePrinter::pct(model.bitLineErrorRate(
                    kLayoutSuperDense))});

@@ -28,19 +28,16 @@ double
 runMixed(const NmRatio& priority_tag, std::uint64_t refs,
          std::uint64_t seed, double& background_cpi)
 {
-    SystemConfig sc;
-    sc.scheme = SchemeConfig::lazyC();
-    sc.scheme.name = "mixed";
-    sc.refsPerCore = refs;
-    sc.seed = seed;
+    SchemeConfig scheme = SchemeConfig::lazyC();
+    scheme.name = "mixed";
 
     EventQueue events;
     DeviceConfig dc;
-    dc.rates = System::ratesFor(sc.scheme, sc.thermal);
-    dc.ecpEntries = sc.scheme.ecpEntries;
+    dc.rates = System::ratesFor(scheme);
+    dc.ecpEntries = scheme.ecpEntries;
     dc.seed = seed;
     PcmDevice device(dc);
-    MemoryController ctrl(events, device, sc.scheme, seed);
+    MemoryController ctrl(events, device, scheme, seed);
     PageAllocatorSystem allocator(dc.geometry);
 
     std::vector<std::unique_ptr<Mmu>> mmus;
@@ -49,7 +46,7 @@ runMixed(const NmRatio& priority_tag, std::uint64_t refs,
     for (unsigned c = 0; c < 8; ++c) {
         const bool high_priority = c < 4;
         const NmRatio tag = high_priority ? priority_tag : NmRatio{1, 1};
-        mmus.push_back(std::make_unique<Mmu>(allocator, tag, 4096));
+        mmus.push_back(std::make_unique<Mmu>(allocator, tag));
         // A light background keeps the priority group's own writes on
         // its critical path (with heavy co-runners the shared banks
         // dominate and no per-application knob can help).
@@ -57,8 +54,7 @@ runMixed(const NmRatio& priority_tag, std::uint64_t refs,
             profileByName(high_priority ? "mcf" : "leslie3d"),
             seed ^ (0x9e3779b9ULL * (c + 1))));
         cores.push_back(std::make_unique<TraceCore>(
-            c, events, ctrl, *mmus[c], *streams[c], refs,
-            sc.scheme.tlbMissCycles));
+            c, events, ctrl, *mmus[c], *streams[c], refs));
     }
     for (auto& core : cores)
         core->start();

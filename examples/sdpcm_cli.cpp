@@ -48,6 +48,9 @@ main(int argc, char** argv)
             "'all' to run\n"
             "                    every Table 3 workload as a parallel "
             "matrix\n"
+            "                    (--epoch-csv, --epoch-json and "
+            "--heatmap* are\n"
+            "                    for one run only)\n"
             "  --refs=N --seed=N --cores=N\n"
             "  --jobs=N          concurrent runs for --workload=all "
             "(0 = all\n"
@@ -219,9 +222,30 @@ main(int argc, char** argv)
         return 0;
     }
 
+    // --report=FILE: one run per workload, as the benches write it.
+    const auto write_report = [&](const OutputGroup& group) {
+        if (out.report.value_or("").empty())
+            return;
+        RunReport report;
+        report.bench = "sdpcm_cli";
+        report.config = cfg;
+        for (const RunMetrics* m : group.runs)
+            report.addRun(*m);
+        writeOutputFile(*out.report, "report",
+                        [&](std::ostream& os) { report.write(os); });
+    };
+
     if (workload_name == "all" && !args.has("replay")) {
         // Matrix mode: the scheme over every Table 3 workload, fanned
         // out across --jobs workers with ordered progress on stderr.
+        for (const char* flag : {"epoch-csv", "epoch-json", "heatmap",
+                                 "heatmap-csv", "heatmap-pgm",
+                                 "heatmap-bins"}) {
+            if (args.has(flag)) {
+                SDPCM_FATAL("--", flag, " is for one run; --workload=all "
+                            "runs one per workload");
+            }
+        }
         const auto workloads = standardWorkloads();
         if (logEnabled(LogLevel::Info)) {
             std::cout << "scheme " << scheme.name << ", "
@@ -258,6 +282,7 @@ main(int argc, char** argv)
         for (const auto& w : workloads)
             all.runs.push_back(&results.front().at(w.name));
         writeObserverOutputs(out, cfg, "sdpcm_cli", label, {all}, true);
+        write_report(all);
         if (cfg.verifyOracle) {
             std::cout << "\noracle: " << oracle_mismatches
                       << " mismatch(es) across " << workloads.size()
@@ -321,10 +346,9 @@ main(int argc, char** argv)
         }
     }
     if (want_heatmap) {
-        const DimmGeometry geom; // runOne uses the default Table 2 DIMM
         const Heatmap map = buildHeatmap(
-            m.lines, heatmap_kind, geom.banks(), geom.linesPerRow(),
-            heatmap_bins);
+            m.lines, heatmap_kind, DimmGeometry::banks(),
+            DimmGeometry::linesPerRow(), heatmap_bins);
         std::ostringstream what;
         what << "heatmap (" << heatmapKindName(heatmap_kind) << ", "
              << map.banks << " banks x " << map.rowBins << " row bins x "
@@ -337,8 +361,8 @@ main(int argc, char** argv)
         });
     }
     const std::string label = scheme.name + "/" + spec.name;
-    writeObserverOutputs(out, cfg, "sdpcm_cli", label,
-                         {{label, scheme.name, {&m}}}, true);
+    const OutputGroup run{label, scheme.name, {&m}};
+    writeObserverOutputs(out, cfg, "sdpcm_cli", label, {run}, true);
     if (cfg.wdLedger) {
         std::cout << "\nwd ledger: " << m.wd.flips() << " flips ("
                   << m.wd.flipsWl << " wl / " << m.wd.flipsBl
@@ -347,14 +371,7 @@ main(int argc, char** argv)
                   << " outstanding, " << m.wd.blame.size()
                   << " aggressor line(s)\n";
     }
-    if (!out.report.value_or("").empty()) {
-        RunReport report;
-        report.bench = "sdpcm_cli";
-        report.config = cfg;
-        report.addRun(m);
-        writeOutputFile(*out.report, "report",
-                        [&](std::ostream& os) { report.write(os); });
-    }
+    write_report(run);
     if (m.oracle.enabled) {
         std::cout << "\noracle: " << m.oracle.mismatches
                   << " mismatch(es); checked " << m.oracle.readsChecked

@@ -46,21 +46,16 @@ main(int argc, char** argv)
          {SchemeConfig::din8F2(), SchemeConfig::baselineVnc(),
           SchemeConfig::lazyCPreRead(),
           SchemeConfig::lazyCPreReadNm(NmRatio{2, 3})}) {
-        SystemConfig sc;
-        sc.scheme = scheme;
-        sc.cores = 1;
-        sc.refsPerCore = 0; // cores unused; we drive the controller
-
-        // Assemble the memory side only.
+        // Assemble the memory side only: this drives the controller.
         EventQueue events;
         DeviceConfig dc;
-        dc.rates = System::ratesFor(scheme, sc.thermal);
+        dc.rates = System::ratesFor(scheme);
         dc.ecpEntries = scheme.ecpEntries;
         dc.seed = 42;
         PcmDevice device(dc);
         MemoryController ctrl(events, device, scheme, 42);
         PageAllocatorSystem allocator(dc.geometry);
-        Mmu mmu(allocator, scheme.defaultTag, 4096);
+        Mmu mmu(allocator, scheme.defaultTag);
         auto hierarchy = CacheHierarchy::makeTable2();
 
         std::uint64_t reads = 0, writes = 0;

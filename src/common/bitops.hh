@@ -26,7 +26,7 @@ popcount64(std::uint64_t x)
 }
 
 /** True if x is a power of two (and nonzero). */
-inline bool
+constexpr bool
 isPowerOfTwo(std::uint64_t x)
 {
     return x != 0 && (x & (x - 1)) == 0;

@@ -71,9 +71,9 @@ MemoryController::MemoryController(EventQueue& events, PcmDevice& device,
     scheme_.drainBurstWrites = std::clamp(
         scheme_.drainBurstWrites, 1u,
         std::max(1u, scheme_.writeQueueEntries / 2));
-    banks_.resize(device_.config().geometry.banks());
-    SDPCM_ASSERT(banks_.size() <= kBankMask, "too many banks for a ",
-                 kBankBits, "-bit event bank field");
+    static_assert(DimmGeometry::banks() <= kBankMask,
+                  "too many banks for the event bank field");
+    banks_.resize(DimmGeometry::banks());
 }
 
 const NmPolicy&
@@ -514,7 +514,7 @@ MemoryController::completeOp(unsigned bank)
         if (obs_.ledger)
             obs_.ledger->beginOp(a.w.coreId, 0);
         PcmDevice::RoundOutcome outcome;
-        const bool applied = device_.applyNextRound(a.plan, outcome);
+        const bool applied = device_.applyNextRound(b.writePlan, outcome);
         SDPCM_ASSERT(applied, "round vanished");
         return;
       }
@@ -550,7 +550,7 @@ MemoryController::completeOp(unsigned bank)
         if (obs_.ledger)
             obs_.ledger->beginOp(a.w.coreId, c.task.depth);
         PcmDevice::RoundOutcome outcome;
-        const bool applied = device_.applyNextRound(c.plan, outcome);
+        const bool applied = device_.applyNextRound(b.corrPlan, outcome);
         SDPCM_ASSERT(applied, "round vanished");
         return;
       }
@@ -753,10 +753,9 @@ MemoryController::cancelActive(unsigned bank)
         // aborted attempt's damage.
         if (obs_.ledger)
             obs_.ledger->beginCancelRepair();
-        device_.repairWlHits(b.active->plan);
+        device_.repairWlHits(b.writePlan);
         if (obs_.ledger)
             obs_.ledger->endCancelRepair();
-        b.planPool = std::move(b.active->plan);
     }
     b.active.reset();
     w.cancels += 1;
@@ -791,8 +790,6 @@ MemoryController::completeWrite(unsigned bank)
         obs_.oracle->noteServiceEnd(b.active->w.id);
     if (obs_.spans && b.active->w.span != SpanRecorder::kNull)
         obs_.spans->close(b.active->w.span, events_.now());
-    if (b.active->planned)
-        b.planPool = std::move(b.active->plan);
     std::uint16_t& pending =
         b.pendingByBucket[pendingBucket(b.active->w.la)];
     SDPCM_ASSERT(pending > 0, "pending-write count out of sync");
@@ -893,17 +890,14 @@ MemoryController::advanceWrite(unsigned bank)
           case ActiveWrite::Stage::Rounds: {
             if (!a.planned) {
                 PROF_SCOPE(obs_.prof, WriteRound);
-                // Recycle the bank's retired plan: planWriteInto reuses
-                // its rounds/wlHits buffers instead of reallocating.
-                a.plan = std::move(b.planPool);
-                device_.planWriteInto(a.plan, a.w.la, a.w.payload);
+                device_.planWriteInto(b.writePlan, a.w.la, a.w.payload);
                 a.planned = true;
                 if (obs_.oracle) {
                     PROF_SCOPE(obs_.prof, OracleCheck);
                     obs_.oracle->noteRoundsStart(a.w.id, a.w.la);
                 }
             }
-            const auto peek = device_.peekNextRound(a.plan);
+            const auto peek = device_.peekNextRound(b.writePlan);
             if (peek.valid) {
                 occupy(bank, peek.latency, OpKind::WriteRound,
                        /*cancellable=*/true, a.w.span,
@@ -912,7 +906,7 @@ MemoryController::advanceWrite(unsigned bank)
             }
             {
                 PROF_SCOPE(obs_.prof, WriteRound);
-                device_.finishWrite(a.plan);
+                device_.finishWrite(b.writePlan);
                 refreshBuffers(bank, 0, a.w.la, a.w.payload);
                 if (obs_.oracle) {
                     PROF_SCOPE(obs_.prof, OracleCheck);
@@ -1000,8 +994,7 @@ MemoryController::advanceCorrection(unsigned bank)
           case ActiveCorrection::Stage::Rounds: {
             if (!c.planned) {
                 PROF_SCOPE(obs_.prof, Correction);
-                c.plan = std::move(b.corrPlanPool);
-                device_.planCorrectionInto(c.plan, c.task.addr,
+                device_.planCorrectionInto(b.corrPlan, c.task.addr,
                                            c.task.cells);
                 c.planned = true;
                 stats_.correctionWrites += 1;
@@ -1012,7 +1005,7 @@ MemoryController::advanceCorrection(unsigned bank)
                     obs_.oracle->noteRoundsStart(a.w.id, c.task.addr);
                 }
             }
-            const auto peek = device_.peekNextRound(c.plan);
+            const auto peek = device_.peekNextRound(b.corrPlan);
             if (peek.valid) {
                 const Tick lat = scheme_.chargeCorrectionOps
                     ? peek.latency : 0;
@@ -1023,7 +1016,7 @@ MemoryController::advanceCorrection(unsigned bank)
             }
             {
                 PROF_SCOPE(obs_.prof, Correction);
-                device_.finishWrite(c.plan);
+                device_.finishWrite(b.corrPlan);
             }
             c.stage = ActiveCorrection::Stage::VerUp;
             break;
@@ -1041,8 +1034,6 @@ MemoryController::advanceCorrection(unsigned bank)
             return;
           }
           case ActiveCorrection::Stage::Done: {
-            if (c.planned)
-                b.corrPlanPool = std::move(c.plan);
             a.corr.reset();
             advanceWrite(bank);
             return;

@@ -255,11 +255,10 @@ class MemoryController : public Observed, public EventTarget
         unsigned depth = 1;
     };
 
-    /** Correction sub-state while a task executes. */
+    /** Correction sub-state while a task executes (plan: Bank::corrPlan). */
     struct ActiveCorrection
     {
         CorrectionTask task;
-        PcmDevice::WritePlan plan;
         bool planned = false;
         Adjacents adj;
 
@@ -271,7 +270,6 @@ class MemoryController : public Observed, public EventTarget
     struct ActiveWrite
     {
         QueuedWrite w;
-        PcmDevice::WritePlan plan;
         bool planned = false;
         Fifo<CorrectionTask> tasks;
         std::optional<ActiveCorrection> corr;
@@ -326,10 +324,10 @@ class MemoryController : public Observed, public EventTarget
          */
         std::array<std::uint16_t, kPendingBuckets> pendingByBucket{};
         std::vector<SpaceWaiter> spaceWaiters;
-        // Retired plan objects recycled into the next service so the
-        // per-write rounds/wlHits vectors stop reallocating (hot path).
-        PcmDevice::WritePlan planPool;
-        PcmDevice::WritePlan corrPlanPool;
+        // The plans of the write in service and of its correction, each
+        // replanned in place so its vectors stop reallocating (hot path).
+        PcmDevice::WritePlan writePlan;
+        PcmDevice::WritePlan corrPlan;
         // The in-flight op: what completeOp() needs to finish it, and
         // what write cancellation needs to abort it.
         std::uint64_t opGen = 0;       //!< bumped to invalidate completions

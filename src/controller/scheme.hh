@@ -99,9 +99,6 @@ struct SchemeConfig
      */
     bool chargeCorrectionOps = true;
 
-    /** TLB miss penalty in cycles (page-table walk). */
-    unsigned tlbMissCycles = 30;
-
     // --- Named configurations from Section 5.3. ---
     static SchemeConfig din8F2();
     static SchemeConfig baselineVnc();

@@ -2,16 +2,18 @@
 
 namespace sdpcm {
 
+/** TLB miss penalty in cycles (page-table walk). */
+constexpr Tick kTlbMissCycles = 30;
+
 TraceCore::TraceCore(unsigned id, EventQueue& events,
                      MemoryController& ctrl, Mmu& mmu, TraceStream& stream,
-                     std::uint64_t max_refs, unsigned tlb_miss_cycles)
+                     std::uint64_t max_refs)
     : id_(id),
       events_(events),
       ctrl_(ctrl),
       mmu_(mmu),
       stream_(stream),
-      maxRefs_(max_refs),
-      tlbMissCycles_(tlb_miss_cycles)
+      maxRefs_(max_refs)
 {}
 
 void
@@ -73,9 +75,9 @@ void
 TraceCore::perform()
 {
     const Translation tr = mmu_.translate(record_.vaddr);
-    if (!tr.tlbHit && tlbMissCycles_ > 0) {
+    if (!tr.tlbHit) {
         // Charge the page-table walk, then retry with a warm TLB.
-        events_.scheduleAfter(tlbMissCycles_, *this, kTlbRetry);
+        events_.scheduleAfter(kTlbMissCycles, *this, kTlbRetry);
         return;
     }
     paddr_ = tr.paddr;

@@ -43,8 +43,7 @@ class TraceCore : public EventTarget, public ReadClient
 {
   public:
     TraceCore(unsigned id, EventQueue& events, MemoryController& ctrl,
-              Mmu& mmu, TraceStream& stream, std::uint64_t max_refs,
-              unsigned tlb_miss_cycles);
+              Mmu& mmu, TraceStream& stream, std::uint64_t max_refs);
 
     /** Begin replaying the trace. */
     void start();
@@ -85,7 +84,6 @@ class TraceCore : public EventTarget, public ReadClient
     Mmu& mmu_;
     TraceStream& stream_;
     std::uint64_t maxRefs_;
-    unsigned tlbMissCycles_;
     std::uint64_t refsIssued_ = 0;
     TraceRecord record_; //!< the reference in flight
     PhysAddr paddr_ = 0; //!< its physical address, once translated

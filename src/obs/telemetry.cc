@@ -128,6 +128,11 @@ TelemetrySampler::TelemetrySampler(EventQueue& events,
         if (!stream_)
             SDPCM_FATAL("cannot open telemetry file: ", cfg_.path);
     }
+    if (!cfg_.promPath.empty()) {
+        prom_.open(cfg_.promPath);
+        if (!prom_)
+            SDPCM_FATAL("cannot open prometheus file: ", cfg_.promPath);
+    }
     if (!cfg_.monitorRules.empty()) {
         monitors_ = std::make_unique<MonitorSet>(
             MonitorRule::parseList(cfg_.monitorRules));
@@ -225,8 +230,8 @@ TelemetrySampler::finalize()
     writeSummaryLine(events_.now());
     if (stream_.is_open()) {
         stream_.flush();
-        SDPCM_ASSERT(stream_.good(), "error writing telemetry file: ",
-                     cfg_.path);
+        if (!stream_)
+            SDPCM_FATAL("error writing telemetry file: ", cfg_.path);
     }
     writePromFile();
 }
@@ -452,11 +457,9 @@ TelemetrySampler::writeSummaryLine(Tick now)
 void
 TelemetrySampler::writePromFile()
 {
-    if (cfg_.promPath.empty())
+    if (!prom_.is_open())
         return;
-    std::ofstream os(cfg_.promPath);
-    SDPCM_ASSERT(os.good(), "cannot open prometheus file: ",
-                 cfg_.promPath);
+    std::ofstream& os = prom_;
     const std::string labels = "{scheme=\"" + promLabelValue(scheme_) +
                                "\",workload=\"" +
                                promLabelValue(workload_) + "\"}";
@@ -493,8 +496,8 @@ TelemetrySampler::writePromFile()
         }
     }
     os.flush();
-    SDPCM_ASSERT(os.good(), "error writing prometheus file: ",
-                 cfg_.promPath);
+    if (!os)
+        SDPCM_FATAL("error writing prometheus file: ", cfg_.promPath);
 }
 
 namespace {

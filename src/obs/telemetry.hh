@@ -193,7 +193,8 @@ class TelemetrySampler : public Observed
      * @param scheme / @param workload label the stream (meta line,
      *        Prometheus labels).
      * @param on_frame optional frame consumer (the epoch series).
-     * Throws std::invalid_argument on a malformed monitor rule spec.
+     * Throws std::invalid_argument on a malformed monitor rule spec;
+     * fatal when an output file cannot be opened, before the run.
      */
     TelemetrySampler(EventQueue& events, MetricRegistry registry,
                      const TelemetryConfig& cfg,
@@ -247,6 +248,7 @@ class TelemetrySampler : public Observed
     FrameFn onFrame_; //!< null unless a projection consumes frames
 
     std::ofstream stream_;           //!< open iff cfg_.path non-empty
+    std::ofstream prom_;             //!< open iff cfg_.promPath non-empty
     std::vector<std::uint64_t> prevCounters_;
     std::vector<std::uint64_t> counterTotals_; //!< wrap-sum of deltas
     std::vector<LatencyWindow> windows_;

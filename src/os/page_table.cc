@@ -41,14 +41,14 @@ Tlb::insert(std::uint64_t vpage, std::uint64_t frame)
     map_[vpage] = Entry{frame, lru_.begin()};
 }
 
-Mmu::Mmu(PageAllocatorSystem& allocator, const NmRatio& tag,
-         unsigned page_bytes, unsigned tlb_entries)
+/** A page is one bank row. */
+constexpr unsigned kPageBytes = DimmGeometry::rowBytes;
+
+Mmu::Mmu(PageAllocatorSystem& allocator, const NmRatio& tag)
     : allocator_(allocator),
-      tag_(tag),
-      pageBytes_(page_bytes),
-      tlb_(tlb_entries)
+      tag_(tag)
 {
-    SDPCM_ASSERT(isPowerOfTwo(page_bytes), "page size must be 2^k");
+    static_assert(isPowerOfTwo(kPageBytes), "page size must be 2^k");
 }
 
 Translation
@@ -56,12 +56,12 @@ Mmu::translate(std::uint64_t vaddr)
 {
     Translation tr;
     tr.tag = tag_;
-    const std::uint64_t vpage = vaddr / pageBytes_;
-    const std::uint64_t offset = vaddr % pageBytes_;
+    const std::uint64_t vpage = vaddr / kPageBytes;
+    const std::uint64_t offset = vaddr % kPageBytes;
 
     if (auto frame = tlb_.lookup(vpage)) {
         tr.tlbHit = true;
-        tr.paddr = *frame * pageBytes_ + offset;
+        tr.paddr = *frame * kPageBytes + offset;
         return tr;
     }
 
@@ -81,7 +81,7 @@ Mmu::translate(std::uint64_t vaddr)
         tr.pageFault = true;
     }
     tlb_.insert(vpage, frame);
-    tr.paddr = frame * pageBytes_ + offset;
+    tr.paddr = frame * kPageBytes + offset;
     return tr;
 }
 

@@ -35,7 +35,7 @@ struct Translation
     bool pageFault = false; //!< first touch: a frame was allocated
 };
 
-/** Small fully-associative LRU TLB. */
+/** Small fully-associative LRU TLB (an Mmu's has 64 entries). */
 class Tlb
 {
   public:
@@ -71,8 +71,7 @@ class Tlb
 class Mmu
 {
   public:
-    Mmu(PageAllocatorSystem& allocator, const NmRatio& tag,
-        unsigned page_bytes, unsigned tlb_entries = 64);
+    Mmu(PageAllocatorSystem& allocator, const NmRatio& tag);
 
     const NmRatio& tag() const { return tag_; }
 
@@ -89,7 +88,6 @@ class Mmu
   private:
     PageAllocatorSystem& allocator_;
     NmRatio tag_;
-    unsigned pageBytes_;
     Tlb tlb_;
     std::unordered_map<std::uint64_t, std::uint64_t> table_;
     std::uint64_t pageFaults_ = 0;

@@ -51,11 +51,12 @@ class AddressMap
     explicit AddressMap(const DimmGeometry& geometry)
         : geom_(geometry)
     {
-        SDPCM_ASSERT(isPowerOfTwo(geom_.rowBytes), "rowBytes must be 2^k");
-        SDPCM_ASSERT(isPowerOfTwo(geom_.lineBytes), "lineBytes must be 2^k");
-        SDPCM_ASSERT(isPowerOfTwo(geom_.banks()), "bank count must be 2^k");
-        SDPCM_ASSERT(geom_.rowBytes >= geom_.lineBytes,
-                     "a row holds at least one line");
+        static_assert(isPowerOfTwo(DimmGeometry::rowBytes) &&
+                          isPowerOfTwo(DimmGeometry::lineBytes) &&
+                          isPowerOfTwo(DimmGeometry::banks()),
+                      "row, line and bank counts must be 2^k");
+        static_assert(DimmGeometry::rowBytes >= DimmGeometry::lineBytes,
+                      "a row holds at least one line");
         const std::uint64_t lines_per_strip =
             std::uint64_t{geom_.banks()} * geom_.linesPerRow();
         if (geom_.rowsPerBank > kNoLine / lines_per_strip) {
@@ -106,7 +107,7 @@ class AddressMap
     lineIndex(const LineAddr& la) const
     {
         const std::uint64_t index =
-            (la.row * geom_.banks() + la.bank) * linesPerRow_ + la.line;
+            (la.row * geom_.banks() + la.bank) * geom_.linesPerRow() + la.line;
         SDPCM_ASSERT(index < kNoLine, "line beyond DIMM capacity: row ",
                      la.row);
         return static_cast<LineIndex>(index);
@@ -149,7 +150,6 @@ class AddressMap
 
   private:
     DimmGeometry geom_;
-    unsigned linesPerRow_ = geom_.linesPerRow();
 };
 
 } // namespace sdpcm

@@ -291,15 +291,14 @@ PcmDevice::buildRounds(WritePlan& plan)
 {
     plan.rounds.clear();
     plan.nextRound = 0;
-    const unsigned par = config_.timing.writeParallelism;
-    SDPCM_ASSERT(par > 0, "zero write parallelism");
+    constexpr unsigned par = PcmTiming::writeParallelism;
+    static_assert(par > 0 && par % 64 == 0 && kLineBits % par == 0,
+                  "windowed mode needs word-aligned windows");
 
     if (config_.timing.windowed) {
         // Fixed per-position drivers: the line divides into contiguous
         // windows of `par` cells; each window with changed cells pays its
         // own RESET and/or SET pulse.
-        SDPCM_ASSERT(par % 64 == 0 && kLineBits % par == 0,
-                     "windowed mode needs word-aligned windows");
         const unsigned words_per_window = par / 64;
         for (unsigned base = 0; base < kLineWords;
              base += words_per_window) {

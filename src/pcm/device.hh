@@ -54,9 +54,9 @@ struct AgingConfig
     /** Fraction of DIMM lifetime already consumed, in [0, 1]. */
     double ageFraction = 0.0;
     /** Mean hard errors per line when the DIMM reaches end of life. */
-    double meanHardPerLineAtEol = 2.0;
+    static constexpr double meanHardPerLineAtEol = 2.0;
     /** Wear-out acceleration exponent (errors ~ mean * age^exponent). */
-    double exponent = 3.0;
+    static constexpr double exponent = 3.0;
 };
 
 /**

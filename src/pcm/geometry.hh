@@ -19,43 +19,41 @@
 
 #include <cstdint>
 
-#include "thermal/wd_model.hh"
-
 namespace sdpcm {
 
-/** Static DIMM organisation parameters (Table 2 / Figure 6). */
+/** DIMM organisation (Table 2 / Figure 6); tests shrink the rows. */
 struct DimmGeometry
 {
-    unsigned ranks = 2;
-    unsigned banksPerRank = 8;
-    unsigned dataChips = 8;
-    unsigned ecpChips = 1;
-    unsigned rowBytes = 4096;       //!< one logical page per bank row
-    unsigned lineBytes = 64;        //!< cache-line granularity
+    static constexpr unsigned ranks = 2;
+    static constexpr unsigned banksPerRank = 8;
+    static constexpr unsigned dataChips = 8;
+    static constexpr unsigned ecpChips = 1;
+    static constexpr unsigned rowBytes = 4096; //!< one page per bank row
+    static constexpr unsigned lineBytes = 64;  //!< cache-line granularity
     std::uint64_t rowsPerBank = 131072; //!< 8GB total with the above
 
-    unsigned
-    banks() const
+    static constexpr unsigned
+    banks()
     {
         return ranks * banksPerRank;
     }
 
-    unsigned
-    linesPerRow() const
+    static constexpr unsigned
+    linesPerRow()
     {
         return rowBytes / lineBytes;
     }
 
     /** Cells contributed by one chip to one row. */
-    unsigned
-    cellsPerChipRow() const
+    static constexpr unsigned
+    cellsPerChipRow()
     {
         return rowBytes * 8 / dataChips;
     }
 
     /** Data bits per chip per line. */
-    unsigned
-    lineBitsPerChip() const
+    static constexpr unsigned
+    lineBitsPerChip()
     {
         return lineBytes * 8 / dataChips;
     }
@@ -73,15 +71,15 @@ struct DimmGeometry
     }
 
     /** Page frames per strip (= number of banks). */
-    unsigned
-    framesPerStrip() const
+    static constexpr unsigned
+    framesPerStrip()
     {
         return banks();
     }
 
     /** Strips per 64MB allocation block. */
-    std::uint64_t
-    stripsPer64MB() const
+    static constexpr std::uint64_t
+    stripsPer64MB()
     {
         return (64ULL << 20) / (static_cast<std::uint64_t>(rowBytes) *
                                 framesPerStrip());
@@ -98,7 +96,7 @@ struct DimmGeometry
 struct DensityAnalysis
 {
     /** Fraction of chip area occupied by the cell array (prototype). */
-    double cellArrayAreaFraction = 0.466;
+    static constexpr double cellArrayAreaFraction = 0.466;
 
     /**
      * Cell-array capacity of each design when both are given the same
@@ -123,13 +121,6 @@ struct DensityAnalysis
      * smaller because the array is 46.6% of chip area).
      */
     double chipSizeReductionBigChips() const;
-
-    /** Area of one cell in F^2 for a layout. */
-    static double
-    cellAreaF2(const CellLayout& layout)
-    {
-        return layout.cellAreaF2();
-    }
 };
 
 } // namespace sdpcm

@@ -22,13 +22,13 @@ namespace sdpcm {
 /** Simulation time in CPU cycles. */
 using Tick = std::uint64_t;
 
-/** PCM device timing parameters. */
+/** PCM device timing: the Table 2 latencies and the round layout. */
 struct PcmTiming
 {
-    Tick readCycles = 400;   //!< 100ns array read
-    Tick setCycles = 800;    //!< 200ns SET pulse
-    Tick resetCycles = 400;  //!< 100ns RESET pulse
-    unsigned writeParallelism = 128; //!< cells programmed per round
+    static constexpr Tick readCycles = 400;  //!< 100ns array read
+    static constexpr Tick setCycles = 800;   //!< 200ns SET pulse
+    static constexpr Tick resetCycles = 400; //!< 100ns RESET pulse
+    static constexpr unsigned writeParallelism = 128; //!< cells per round
 
     /**
      * Write-driver organisation. `windowed` models fixed per-position

@@ -57,7 +57,7 @@ inline constexpr unsigned kMinWriteQueueEntries = 1;
 inline constexpr double kMaxAgeFraction = 1.0; //!< age is in [0, this]
 /** Each latency signal keeps one quantile sketch (about 7.8 KB) per
  *  window frame and merges them all every frame: 1024 frames are 16 MB
- *  over the two latency signals. The benches use 8 and 4. */
+ *  over the two latency signals. The default is 8; no bench sets it. */
 inline constexpr unsigned kMaxTelemetryWindowFrames = 1024;
 
 /** One observer's outputs: files ("" = none), stderr table (0 = none). */

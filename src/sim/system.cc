@@ -232,9 +232,9 @@ standardWorkloads()
 }
 
 WdRates
-System::ratesFor(const SchemeConfig& scheme, const ThermalConfig& thermal)
+System::ratesFor(const SchemeConfig& scheme, const ThermalConfig&)
 {
-    const WdModel model(thermal);
+    const WdModel model;
     const CellLayout layout =
         scheme.superDense ? kLayoutSuperDense : kLayoutDin;
     WdRates rates;
@@ -248,9 +248,8 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
       workload_(workload)
 {
     DeviceConfig dc;
-    dc.geometry = config_.geometry;
     dc.timing = config_.timing;
-    dc.rates = ratesFor(config_.scheme, config_.thermal);
+    dc.rates = ratesFor(config_.scheme);
     dc.ecpEntries = config_.scheme.ecpEntries;
     // DIN is the encoder of all paper-compared schemes; FNW replaces it
     // only in the explicit fnw ablation scheme.
@@ -270,7 +269,7 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
     ctrl_ = std::make_unique<MemoryController>(events_, *device_,
                                                config_.scheme,
                                                config_.seed);
-    allocator_ = std::make_unique<PageAllocatorSystem>(config_.geometry);
+    allocator_ = std::make_unique<PageAllocatorSystem>(dc.geometry);
 
     if (!config_.tracePath.empty()) {
         traceSink_ = std::make_unique<ChromeTraceSink>(config_.tracePath);
@@ -282,7 +281,7 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
     if (config_.spans)
         spanRecorder_ = std::make_unique<SpanRecorder>();
     if (config_.wdLedger)
-        ledger_ = std::make_unique<WdLedger>(events_, config_.geometry);
+        ledger_ = std::make_unique<WdLedger>(events_, dc.geometry);
     // The profiler only reads the host clock — it cannot perturb RNG
     // streams or simulated state.
     if (config_.profile) {
@@ -341,13 +340,12 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
     }
 
     for (unsigned c = 0; c < config_.cores; ++c) {
-        mmus_.push_back(std::make_unique<Mmu>(
-            *allocator_, config_.scheme.defaultTag,
-            config_.geometry.rowBytes, config_.tlbEntries));
+        mmus_.push_back(std::make_unique<Mmu>(*allocator_,
+                                              config_.scheme.defaultTag));
         streams_.push_back(workload_.makeStream(c, config_.seed));
         cores_.push_back(std::make_unique<TraceCore>(
             c, events_, *ctrl_, *mmus_[c], *streams_[c],
-            config_.refsPerCore, config_.scheme.tlbMissCycles));
+            config_.refsPerCore));
     }
 }
 
@@ -381,7 +379,7 @@ System::run()
     // retains buffered writes at the end of the run; anything beyond one
     // queue's worth per bank indicates a stall.
     const std::uint64_t benign = static_cast<std::uint64_t>(
-        config_.scheme.writeQueueEntries) * config_.geometry.banks();
+        config_.scheme.writeQueueEntries) * DimmGeometry::banks();
     if (ctrl_->pendingWrites() > benign) {
         SDPCM_WARN("simulation ended with ", ctrl_->pendingWrites(),
                    " writes pending");

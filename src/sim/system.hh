@@ -103,13 +103,10 @@ struct RunOptions
     FaultSpec faults;
 };
 
-/** Top-level simulation parameters. */
+/** What a run varies; the Table 1/2 facts are constants (DESIGN §5). */
 struct SystemConfig : RunOptions
 {
-    DimmGeometry geometry;
     SchemeConfig scheme;
-    ThermalConfig thermal;
-    unsigned tlbEntries = 64;
 };
 
 /** Extracted results of one run. */
@@ -179,9 +176,10 @@ class System
         return cores_;
     }
 
-    /** Disturbance rates the thermal model yields for this scheme. */
+    /** Disturbance rates the thermal model yields for this scheme (the
+     *  ThermalConfig, all constants, changes nothing). */
     static WdRates ratesFor(const SchemeConfig& scheme,
-                            const ThermalConfig& thermal);
+                            const ThermalConfig& = {});
 
   private:
     SystemConfig config_;

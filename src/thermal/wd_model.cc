@@ -9,33 +9,33 @@ namespace sdpcm {
 namespace {
 
 constexpr double kKelvinOffset = 273.15;
+using Thermal = ThermalConfig;
 
 } // namespace
 
-WdModel::WdModel(const ThermalConfig& config)
-    : config_(config)
+WdModel::WdModel()
 {
-    SDPCM_ASSERT(config_.resetElevationC > config_.calibElevationGstC,
-                 "peak elevation must exceed calibration elevations");
-    SDPCM_ASSERT(config_.calibRateGst > config_.calibRateOxide,
-                 "bit-line calibration rate must exceed word-line rate");
+    static_assert(Thermal::resetElevationC > Thermal::calibElevationGstC,
+                  "peak elevation must exceed calibration elevations");
+    static_assert(Thermal::calibRateGst > Thermal::calibRateOxide,
+                  "bit-line calibration rate must exceed word-line rate");
 
     // Fit the exponential decay so that a neighbour at the calibration
     // distance sees exactly the published elevation for each material.
-    lambdaGstNm_ = config_.calibDistanceNm /
-        std::log(config_.resetElevationC / config_.calibElevationGstC);
-    lambdaOxideNm_ = config_.calibDistanceNm /
-        std::log(config_.resetElevationC / config_.calibElevationOxideC);
+    lambdaGstNm_ = Thermal::calibDistanceNm /
+        std::log(Thermal::resetElevationC / Thermal::calibElevationGstC);
+    lambdaOxideNm_ = Thermal::calibDistanceNm /
+        std::log(Thermal::resetElevationC / Thermal::calibElevationOxideC);
 
     // Fit the Arrhenius law P(T) = A * exp(-B / T_K) through the two
     // published (elevation, rate) points.
     const double t1k =
-        config_.calibElevationOxideC + config_.ambientC + kKelvinOffset;
+        Thermal::calibElevationOxideC + Thermal::ambientC + kKelvinOffset;
     const double t2k =
-        config_.calibElevationGstC + config_.ambientC + kKelvinOffset;
-    arrheniusB_ = std::log(config_.calibRateGst / config_.calibRateOxide) /
+        Thermal::calibElevationGstC + Thermal::ambientC + kKelvinOffset;
+    arrheniusB_ = std::log(Thermal::calibRateGst / Thermal::calibRateOxide) /
         (1.0 / t1k - 1.0 / t2k);
-    arrheniusA_ = config_.calibRateOxide * std::exp(arrheniusB_ / t1k);
+    arrheniusA_ = Thermal::calibRateOxide * std::exp(arrheniusB_ / t1k);
 }
 
 double
@@ -43,16 +43,16 @@ WdModel::neighborElevation(double distance_nm, Material material) const
 {
     SDPCM_ASSERT(distance_nm >= 0.0, "negative inter-cell distance");
     const double lambda = decayLengthNm(material);
-    return config_.resetElevationC * std::exp(-distance_nm / lambda);
+    return Thermal::resetElevationC * std::exp(-distance_nm / lambda);
 }
 
 double
 WdModel::errorRate(double elevation_c) const
 {
-    const double absolute_c = elevation_c + config_.ambientC;
-    if (absolute_c < config_.crystallizationC)
+    const double absolute_c = elevation_c + Thermal::ambientC;
+    if (absolute_c < Thermal::crystallizationC)
         return 0.0;
-    if (absolute_c >= config_.meltingC)
+    if (absolute_c >= Thermal::meltingC)
         return 1.0;
     const double tk = absolute_c + kKelvinOffset;
     const double rate = arrheniusA_ * std::exp(-arrheniusB_ / tk);
@@ -62,13 +62,13 @@ WdModel::errorRate(double elevation_c) const
 double
 WdModel::wordLineErrorRate(const CellLayout& layout) const
 {
-    return wordLineErrorRateAt(layout, config_.featureNm);
+    return wordLineErrorRateAt(layout, Thermal::featureNm);
 }
 
 double
 WdModel::bitLineErrorRate(const CellLayout& layout) const
 {
-    return bitLineErrorRateAt(layout, config_.featureNm);
+    return bitLineErrorRateAt(layout, Thermal::featureNm);
 }
 
 double

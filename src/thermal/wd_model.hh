@@ -64,23 +64,23 @@ inline constexpr CellLayout kLayoutDin{2.0, 4.0};
 /** WD-free prototype chip, Figure 1(b): 12F^2/cell. */
 inline constexpr CellLayout kLayoutPrototype{3.0, 4.0};
 
-/** Calibration and physical constants for the disturbance model. */
+/** Calibration and physical constants of the disturbance model. */
 struct ThermalConfig
 {
-    double featureNm = 20.0;        //!< technology node F
-    double ambientC = 30.0;         //!< die ambient temperature
-    double crystallizationC = 300.0; //!< crystallisation threshold
-    double meltingC = 600.0;        //!< GST melting point
+    static constexpr double featureNm = 20.0;        //!< technology node F
+    static constexpr double ambientC = 30.0;         //!< die ambient
+    static constexpr double crystallizationC = 300.0; //!< threshold
+    static constexpr double meltingC = 600.0;        //!< GST melting point
 
     // Calibration points from Table 1 (40nm cell-to-cell distance).
-    double calibDistanceNm = 40.0;
-    double calibElevationOxideC = 310.0; //!< word-line direction
-    double calibElevationGstC = 320.0;   //!< bit-line direction
-    double calibRateOxide = 0.099;       //!< SLC error rate at 310C
-    double calibRateGst = 0.115;         //!< SLC error rate at 320C
+    static constexpr double calibDistanceNm = 40.0;
+    static constexpr double calibElevationOxideC = 310.0; //!< word-line
+    static constexpr double calibElevationGstC = 320.0;   //!< bit-line
+    static constexpr double calibRateOxide = 0.099; //!< SLC rate at 310C
+    static constexpr double calibRateGst = 0.115;   //!< SLC rate at 320C
 
     /** Peak temperature elevation at the disturbing cell during RESET. */
-    double resetElevationC = 620.0;
+    static constexpr double resetElevationC = 620.0;
 };
 
 /**
@@ -93,9 +93,7 @@ struct ThermalConfig
 class WdModel
 {
   public:
-    explicit WdModel(const ThermalConfig& config = ThermalConfig());
-
-    const ThermalConfig& config() const { return config_; }
+    WdModel();
 
     /**
      * Temperature elevation (C above ambient) experienced by a neighbour
@@ -130,7 +128,6 @@ class WdModel
     double rateAtPitch(double pitch_f, double feature_nm,
                        Material material) const;
 
-    ThermalConfig config_;
     double lambdaGstNm_;   //!< decay length through GST
     double lambdaOxideNm_; //!< decay length through oxide
     double arrheniusA_;    //!< pre-exponential factor

@@ -279,7 +279,6 @@ TEST(Device, AgedDeviceHasStuckCellsCoveredByEcp)
 {
     DeviceConfig dc = quietConfig();
     dc.aging.ageFraction = 1.0;
-    dc.aging.meanHardPerLineAtEol = 2.0;
     // Every ECP entry a line holds, so no sampled line exceeds its
     // hard-error capacity (an ECP-saturated line is legitimately
     // unprotectable).

@@ -57,7 +57,7 @@ TEST(Tlb, ReinsertUpdatesFrame)
 TEST(Mmu, DemandPagingAllocatesOnFirstTouch)
 {
     PageAllocatorSystem sys(smallGeometry());
-    Mmu mmu(sys, NmRatio{1, 1}, 4096);
+    Mmu mmu(sys, NmRatio{1, 1});
     const Translation t1 = mmu.translate(0x1234);
     EXPECT_TRUE(t1.pageFault);
     EXPECT_FALSE(t1.tlbHit);
@@ -72,7 +72,7 @@ TEST(Mmu, DemandPagingAllocatesOnFirstTouch)
 TEST(Mmu, OffsetPreserved)
 {
     PageAllocatorSystem sys(smallGeometry());
-    Mmu mmu(sys, NmRatio{1, 1}, 4096);
+    Mmu mmu(sys, NmRatio{1, 1});
     const Translation t = mmu.translate(7 * 4096 + 321);
     EXPECT_EQ(t.paddr % 4096, 321u);
 }
@@ -80,7 +80,7 @@ TEST(Mmu, OffsetPreserved)
 TEST(Mmu, TagTravelsWithTranslation)
 {
     PageAllocatorSystem sys(smallGeometry());
-    Mmu mmu(sys, NmRatio{2, 3}, 4096);
+    Mmu mmu(sys, NmRatio{2, 3});
     const Translation t = mmu.translate(0);
     EXPECT_EQ(t.tag, (NmRatio{2, 3}));
 }
@@ -88,7 +88,7 @@ TEST(Mmu, TagTravelsWithTranslation)
 TEST(Mmu, PartialTagAllocatesUsedStripsOnly)
 {
     PageAllocatorSystem sys(smallGeometry());
-    Mmu mmu(sys, NmRatio{1, 2}, 4096);
+    Mmu mmu(sys, NmRatio{1, 2});
     const NmPolicy policy(NmRatio{1, 2},
                           smallGeometry().stripsPer64MB());
     for (std::uint64_t page = 0; page < 300; ++page) {
@@ -100,8 +100,8 @@ TEST(Mmu, PartialTagAllocatesUsedStripsOnly)
 TEST(Mmu, DistinctSpacesGetDistinctFrames)
 {
     PageAllocatorSystem sys(smallGeometry());
-    Mmu a(sys, NmRatio{1, 1}, 4096);
-    Mmu b(sys, NmRatio{1, 1}, 4096);
+    Mmu a(sys, NmRatio{1, 1});
+    Mmu b(sys, NmRatio{1, 1});
     std::set<std::uint64_t> frames;
     for (std::uint64_t page = 0; page < 50; ++page) {
         frames.insert(a.translate(page * 4096).paddr / 4096);
@@ -116,7 +116,7 @@ TEST(Mmu, ReleaseAllReturnsFrames)
     auto& base = sys.allocatorFor(NmRatio{1, 1});
     const std::uint64_t before = base.freeFrames();
     {
-        Mmu mmu(sys, NmRatio{1, 1}, 4096);
+        Mmu mmu(sys, NmRatio{1, 1});
         for (std::uint64_t page = 0; page < 64; ++page)
             mmu.translate(page * 4096);
         EXPECT_EQ(base.freeFrames(), before - 64);

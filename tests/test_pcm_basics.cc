@@ -1,17 +1,21 @@
 /**
  * @file
- * Tests for line data, address mapping, geometry analytics and ECP
- * metadata.
+ * Tests for line data, address mapping, geometry analytics, the fixed
+ * configuration values and ECP metadata.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "pcm/address.hh"
+#include "pcm/device.hh"
 #include "pcm/ecp.hh"
 #include "pcm/geometry.hh"
 #include "pcm/line.hh"
+#include "pcm/timing.hh"
+#include "thermal/wd_model.hh"
 
 namespace sdpcm {
 namespace {
@@ -71,6 +75,18 @@ TEST(Geometry, Table2Defaults)
     EXPECT_EQ(g.pageFrames(), 2097152u);
     EXPECT_EQ(g.framesPerStrip(), 16u);
     EXPECT_EQ(g.stripsPer64MB(), 1024u);
+}
+
+TEST(ConfigSurface, FixedFactsAreConstants)
+{
+    // A run may vary the row count (tests shrink the DIMM), the program
+    // rounds' layout (the ablation bench) and the DIMM's age; the rest
+    // of Tables 1 and 2 is constant, so a settable field that came back
+    // would grow one of these types.
+    EXPECT_EQ(sizeof(DimmGeometry), sizeof(std::uint64_t));
+    EXPECT_TRUE(std::is_empty_v<ThermalConfig>);
+    EXPECT_EQ(sizeof(PcmTiming), sizeof(bool));
+    EXPECT_EQ(sizeof(AgingConfig), sizeof(double));
 }
 
 TEST(Geometry, CapacityAnalysisMatchesSection61)

@@ -125,7 +125,6 @@ TEST(FailureInjection, SaturatedEcpFallsBackToCorrection)
     dc.rates = WdRates{0.0, 0.115};
     dc.ecpEntries = 2;
     dc.aging.ageFraction = 1.0;
-    dc.aging.meanHardPerLineAtEol = 2.0;
     dc.seed = 23;
     PcmDevice device(dc);
 
