@@ -48,7 +48,9 @@ main(int argc, char** argv)
             "'all' to run\n"
             "                    every Table 3 workload as a parallel "
             "matrix\n"
-            "                    (--epoch-csv, --epoch-json and "
+            "                    (--trace, --telemetry, "
+            "--telemetry-prom,\n"
+            "                    --epoch-csv, --epoch-json and "
             "--heatmap* are\n"
             "                    for one run only)\n"
             "  --refs=N --seed=N --cores=N\n"
@@ -238,9 +240,10 @@ main(int argc, char** argv)
     if (workload_name == "all" && !args.has("replay")) {
         // Matrix mode: the scheme over every Table 3 workload, fanned
         // out across --jobs workers with ordered progress on stderr.
-        for (const char* flag : {"epoch-csv", "epoch-json", "heatmap",
-                                 "heatmap-csv", "heatmap-pgm",
-                                 "heatmap-bins"}) {
+        for (const char* flag :
+             {"trace", "telemetry", "telemetry-prom", "epoch-csv",
+              "epoch-json", "heatmap", "heatmap-csv", "heatmap-pgm",
+              "heatmap-bins"}) {
             if (args.has(flag)) {
                 SDPCM_FATAL("--", flag, " is for one run; --workload=all "
                             "runs one per workload");

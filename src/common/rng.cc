@@ -4,20 +4,6 @@
 
 namespace sdpcm {
 
-std::uint64_t
-Rng::geometric(double p)
-{
-    if (p >= 1.0)
-        return 0;
-    if (p <= 0.0)
-        return ~0ULL;
-    // Inverse-CDF sampling: floor(ln(u) / ln(1-p)).
-    double u = uniform();
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
-}
-
 double
 Rng::gaussian()
 {

@@ -129,7 +129,40 @@ class Rng
 
     /** Geometric draw: number of failures before first success, prob p. */
     std::uint64_t
-    geometric(double p);
+    geometric(double p)
+    {
+        if (p >= 1.0)
+            return 0;
+        if (p <= 0.0)
+            return ~0ULL;
+        return geometricLog(std::log1p(-p));
+    }
+
+    /**
+     * geometric(p) for a fixed p with log1p(-p) taken once: it draws
+     * exactly when geometric(p) would and returns the same value, since
+     * every draw divides by the same double.
+     */
+    class Geometric
+    {
+      public:
+        explicit Geometric(double p)
+            : draws_(!(p >= 1.0) && !(p <= 0.0)),
+              fixed_(p >= 1.0 ? 0 : ~0ULL),
+              logQ_(draws_ ? std::log1p(-p) : 0.0)
+        {}
+
+        std::uint64_t
+        operator()(Rng& rng) const
+        {
+            return draws_ ? rng.geometricLog(logQ_) : fixed_;
+        }
+
+      private:
+        bool draws_;
+        std::uint64_t fixed_; //!< the result when nothing is drawn
+        double logQ_;         //!< log1p(-p)
+    };
 
     /** Standard normal draw (Box-Muller). */
     double gaussian();
@@ -145,6 +178,17 @@ class Rng
     double lognormal(double mu, double sigma);
 
   private:
+    /** A geometric draw given log_q = log1p(-p), for 0 < p < 1. */
+    std::uint64_t
+    geometricLog(double log_q)
+    {
+        // Inverse-CDF sampling: floor(ln(u) / ln(1-p)).
+        double u = uniform();
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        return static_cast<std::uint64_t>(std::log(u) / log_q);
+    }
+
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {

@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include "obs/profiler.hh"
+
 namespace sdpcm {
 
 /** TLB miss penalty in cycles (page-table walk). */
@@ -38,9 +40,6 @@ TraceCore::fire(std::uint64_t step)
         perform();
         return;
       case kTlbRetry:
-        paddr_ = mmu_.translate(record_.vaddr).paddr;
-        performTranslated();
-        return;
       case kWriteRetry:
         performTranslated();
         return;
@@ -61,7 +60,7 @@ TraceCore::issueNext()
         finish();
         return;
     }
-    if (!stream_.next(record_)) {
+    if (!draw()) {
         finish();
         return;
     }
@@ -71,16 +70,31 @@ TraceCore::issueNext()
     events_.scheduleAfter(record_.gap, *this, kPerform);
 }
 
+bool
+TraceCore::draw()
+{
+    PROF_SCOPE(obs_.prof, TraceNext);
+    return stream_.next(record_);
+}
+
+bool
+TraceCore::translate()
+{
+    PROF_SCOPE(obs_.prof, Translate);
+    const Translation tr = mmu_.translate(record_.vaddr);
+    paddr_ = tr.paddr;
+    return tr.tlbHit;
+}
+
 void
 TraceCore::perform()
 {
-    const Translation tr = mmu_.translate(record_.vaddr);
-    if (!tr.tlbHit) {
-        // Charge the page-table walk, then retry with a warm TLB.
+    if (!translate()) {
+        // Charge the page-table walk, then access memory with the
+        // translation it produced.
         events_.scheduleAfter(kTlbMissCycles, *this, kTlbRetry);
         return;
     }
-    paddr_ = tr.paddr;
     performTranslated();
 }
 

@@ -21,6 +21,7 @@
 #include <memory>
 
 #include "controller/memctrl.hh"
+#include "obs/observers.hh"
 #include "os/page_table.hh"
 #include "sim/event_queue.hh"
 #include "workload/trace.hh"
@@ -38,8 +39,9 @@ struct CoreStats
     Tick finishTick = 0;
 };
 
-/** One trace-driven in-order core. */
-class TraceCore : public EventTarget, public ReadClient
+/** One trace-driven in-order core (bills its translations and trace
+ *  draws to the bundle's profiler). */
+class TraceCore : public EventTarget, public ReadClient, public Observed
 {
   public:
     TraceCore(unsigned id, EventQueue& events, MemoryController& ctrl,
@@ -69,11 +71,17 @@ class TraceCore : public EventTarget, public ReadClient
     enum Step : std::uint64_t
     {
         kPerform,   //!< the gap has retired: translate and access memory
-        kTlbRetry,  //!< the page-table walk is done: translate again
+        kTlbRetry,  //!< the page-table walk is done: access memory with
+                    //!< the translation the miss produced (the core's
+                    //!< TLB cannot change while it waits)
         kWriteRetry //!< the write queue has space: submit the write again
     };
 
     void issueNext();
+    /** Draw the next record into record_; false when the trace ends. */
+    bool draw();
+    /** Translate record_ into paddr_; false on a TLB miss. */
+    bool translate();
     void perform();
     void performTranslated();
     void finish();

@@ -46,6 +46,10 @@ profPhaseName(ProfPhase phase)
         return "TraceWrite";
       case ProfPhase::ReportWrite:
         return "ReportWrite";
+      case ProfPhase::Translate:
+        return "Translate";
+      case ProfPhase::TraceNext:
+        return "TraceNext";
     }
     return "?";
 }

@@ -77,9 +77,14 @@ enum class ProfPhase : std::uint8_t
     TelemetryPoll, //!< telemetry and epoch frames + monitors + streaming
     TraceWrite,    //!< trace sink event serialisation
     ReportWrite,   //!< in-run metrics/report assembly
+    Translate,     //!< a core's MMU translation (TLB, page table, fault)
+    TraceNext,     //!< a core drawing its next trace record
 };
 
-constexpr unsigned kNumProfPhases = 15;
+constexpr unsigned kNumProfPhases = 17;
+static_assert(kNumProfPhases ==
+                  static_cast<unsigned>(ProfPhase::TraceNext) + 1,
+              "kNumProfPhases counts every phase");
 
 const char* profPhaseName(ProfPhase phase);
 

@@ -183,7 +183,7 @@ NmBuddyAllocator::allocate(unsigned order)
     }
 
     SDPCM_ASSERT(hasUsablePages(cur), "allocated a no-use block");
-    live_[cur.start] = cur.order;
+    live_.findOrInsert(cur.start).value = cur.order;
     return cur;
 }
 
@@ -199,11 +199,11 @@ NmBuddyAllocator::allocatePage()
 void
 NmBuddyAllocator::free(const FrameBlock& block)
 {
-    auto live = live_.find(block.start);
-    SDPCM_ASSERT(live != live_.end() && live->second == block.order,
+    const std::uint64_t* live = live_.find(block.start);
+    SDPCM_ASSERT(live && *live == block.order,
                  "double free or bad block at frame ", block.start,
                  " order ", block.order);
-    live_.erase(live);
+    live_.erase(block.start);
 
     // Transactionally check whether a buddy region is entirely available
     // (free-listed blocks and/or parked no-use strips), then consume it.

@@ -29,6 +29,7 @@
 #include <set>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "os/nm_policy.hh"
 #include "pcm/geometry.hh"
 
@@ -122,7 +123,7 @@ class NmBuddyAllocator
     std::vector<std::set<std::uint64_t>> freeLists_;
     std::set<std::uint64_t> parkedNoUse_; //!< strip-order block starts
     /** Outstanding allocations (start -> order): double-free detection. */
-    std::map<std::uint64_t, unsigned> live_;
+    FlatMap live_;
 };
 
 /**

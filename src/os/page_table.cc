@@ -7,38 +7,65 @@ namespace sdpcm {
 Tlb::Tlb(unsigned entries)
     : capacity_(entries)
 {
-    SDPCM_ASSERT(entries > 0, "TLB needs at least one entry");
+    SDPCM_ASSERT(entries > 0 && entries <= kMaxTlbEntries,
+                 "a TLB holds 1 to ", kMaxTlbEntries, " entries, not ",
+                 entries);
+}
+
+unsigned
+Tlb::slotOf(std::uint64_t vpage) const
+{
+    unsigned i = 0;
+    while (i < size_ && vpages_[i] != vpage)
+        ++i;
+    return i;
+}
+
+void
+Tlb::touch(unsigned i)
+{
+    stamps_[i] = ++clock_;
+    mru_ = i;
 }
 
 std::optional<std::uint64_t>
 Tlb::lookup(std::uint64_t vpage)
 {
-    auto it = map_.find(vpage);
-    if (it == map_.end()) {
+    // The entry used last is already the most recent: a hit on it
+    // changes no stamp.
+    if (size_ > 0 && vpages_[mru_] == vpage) {
+        hits_ += 1;
+        return frames_[mru_];
+    }
+    const unsigned i = slotOf(vpage);
+    if (i == size_) {
         misses_ += 1;
         return std::nullopt;
     }
     hits_ += 1;
-    lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-    return it->second.frame;
+    touch(i);
+    return frames_[i];
 }
 
 void
 Tlb::insert(std::uint64_t vpage, std::uint64_t frame)
 {
-    auto it = map_.find(vpage);
-    if (it != map_.end()) {
-        it->second.frame = frame;
-        lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-        return;
+    unsigned i = slotOf(vpage);
+    if (i == size_) {
+        if (size_ < capacity_) {
+            size_ += 1;
+        } else {
+            // Evict the least recently used entry: the smallest stamp.
+            i = 0;
+            for (unsigned j = 1; j < size_; ++j) {
+                if (stamps_[j] < stamps_[i])
+                    i = j;
+            }
+        }
+        vpages_[i] = vpage;
     }
-    if (map_.size() >= capacity_) {
-        const std::uint64_t victim = lru_.back();
-        lru_.pop_back();
-        map_.erase(victim);
-    }
-    lru_.push_front(vpage);
-    map_[vpage] = Entry{frame, lru_.begin()};
+    frames_[i] = frame;
+    touch(i);
 }
 
 /** A page is one bank row. */
@@ -65,18 +92,14 @@ Mmu::translate(std::uint64_t vaddr)
         return tr;
     }
 
-    auto it = table_.find(vpage);
-    std::uint64_t frame;
-    if (it != table_.end()) {
-        frame = it->second;
-    } else {
+    auto [frame, inserted] = table_.findOrInsert(vpage);
+    if (inserted) {
         auto allocated = allocator_.allocatePage(tag_);
         if (!allocated) {
             SDPCM_FATAL("out of physical memory under allocator ",
                         tag_.toString());
         }
         frame = *allocated;
-        table_[vpage] = frame;
         pageFaults_ += 1;
         tr.pageFault = true;
     }
@@ -88,8 +111,9 @@ Mmu::translate(std::uint64_t vaddr)
 void
 Mmu::releaseAll()
 {
-    for (const auto& [vpage, frame] : table_)
+    table_.forEach([&](std::uint64_t, std::uint64_t frame) {
         allocator_.free(tag_, FrameBlock{frame, 0});
+    });
     table_.clear();
 }
 

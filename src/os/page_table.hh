@@ -14,12 +14,11 @@
 #ifndef SDPCM_OS_PAGE_TABLE_HH
 #define SDPCM_OS_PAGE_TABLE_HH
 
+#include <array>
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
+#include "common/flat_map.hh"
 #include "os/buddy.hh"
 #include "os/nm_policy.hh"
 #include "pcm/address.hh"
@@ -35,11 +34,19 @@ struct Translation
     bool pageFault = false; //!< first touch: a frame was allocated
 };
 
-/** Small fully-associative LRU TLB (an Mmu's has 64 entries). */
+/** The most entries a Tlb holds (an Mmu's has this many). */
+constexpr unsigned kMaxTlbEntries = 64;
+
+/**
+ * Small fully-associative LRU TLB in fixed arrays: it never allocates.
+ * Each entry carries the stamp of its last use, so the least recently
+ * used entry is the one with the smallest stamp, and the entry used
+ * last is checked before the others.
+ */
 class Tlb
 {
   public:
-    explicit Tlb(unsigned entries = 64);
+    explicit Tlb(unsigned entries = kMaxTlbEntries);
 
     /** Look up a virtual page; returns the frame on a hit. */
     std::optional<std::uint64_t> lookup(std::uint64_t vpage);
@@ -51,14 +58,18 @@ class Tlb
     std::uint64_t misses() const { return misses_; }
 
   private:
+    /** The slot holding `vpage`, or size_ when none does. */
+    unsigned slotOf(std::uint64_t vpage) const;
+    /** Make slot `i` the most recently used. */
+    void touch(unsigned i);
+
     unsigned capacity_;
-    std::list<std::uint64_t> lru_; //!< most recent at front
-    struct Entry
-    {
-        std::uint64_t frame;
-        std::list<std::uint64_t>::iterator lruPos;
-    };
-    std::unordered_map<std::uint64_t, Entry> map_;
+    unsigned size_ = 0;      //!< slots [0, size_) hold entries
+    unsigned mru_ = 0;       //!< slot used last (when size_ > 0)
+    std::uint64_t clock_ = 0; //!< stamp of the latest use
+    std::array<std::uint64_t, kMaxTlbEntries> vpages_{};
+    std::array<std::uint64_t, kMaxTlbEntries> frames_{};
+    std::array<std::uint64_t, kMaxTlbEntries> stamps_{};
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
@@ -89,7 +100,7 @@ class Mmu
     PageAllocatorSystem& allocator_;
     NmRatio tag_;
     Tlb tlb_;
-    std::unordered_map<std::uint64_t, std::uint64_t> table_;
+    FlatMap table_; //!< virtual page -> frame
     std::uint64_t pageFaults_ = 0;
 };
 

@@ -329,6 +329,15 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
         }
     }
 
+    for (unsigned c = 0; c < config_.cores; ++c) {
+        mmus_.push_back(std::make_unique<Mmu>(*allocator_,
+                                              config_.scheme.defaultTag));
+        streams_.push_back(workload_.makeStream(c, config_.seed));
+        cores_.push_back(std::make_unique<TraceCore>(
+            c, events_, *ctrl_, *mmus_[c], *streams_[c],
+            config_.refsPerCore));
+    }
+
     // One attach pass: every component that emits into an observer
     // holds the bundle (null members stay off).
     const std::initializer_list<Observed*> emitters = {
@@ -338,15 +347,8 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
         if (c)
             c->observe(obs_);
     }
-
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        mmus_.push_back(std::make_unique<Mmu>(*allocator_,
-                                              config_.scheme.defaultTag));
-        streams_.push_back(workload_.makeStream(c, config_.seed));
-        cores_.push_back(std::make_unique<TraceCore>(
-            c, events_, *ctrl_, *mmus_[c], *streams_[c],
-            config_.refsPerCore));
-    }
+    for (auto& core : cores_)
+        core->observe(obs_);
 }
 
 void

@@ -9,6 +9,14 @@ namespace {
 constexpr std::uint64_t kLineBytes = 64;
 constexpr std::uint64_t kMB = 1ULL << 20;
 
+/** Success probability of the geometric instruction gap whose mean,
+ *  1000 / apki, matches `apki` accesses per 1000 instructions. */
+double
+gapProbability(double apki)
+{
+    return 1.0 / (1000.0 / apki + 1.0);
+}
+
 } // namespace
 
 const std::vector<WorkloadProfile>&
@@ -45,10 +53,13 @@ profileByName(const std::string& name)
 SyntheticTraceGenerator::SyntheticTraceGenerator(
     const WorkloadProfile& profile, std::uint64_t seed)
     : profile_(profile),
-      rng_(seed)
+      rng_(seed),
+      hot_(profile.hotFraction),
+      runLength_(1.0 / profile.seqRunMean),
+      write_(profile.wpki / profile.apki()),
+      gap_(gapProbability(profile.apki()))
 {
     SDPCM_ASSERT(profile.apki() > 0.0, "profile with zero access rate");
-    gapMean_ = 1000.0 / profile.apki();
     footprintLines_ = profile.footprintBytes / kLineBytes;
     hotLines_ = static_cast<std::uint64_t>(
         static_cast<double>(footprintLines_) * profile.hotSetFraction);
@@ -59,7 +70,7 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
 std::uint64_t
 SyntheticTraceGenerator::pickRunStart()
 {
-    if (profile_.hotFraction > 0.0 && rng_.chance(profile_.hotFraction))
+    if (hot_(rng_))
         return rng_.below(hotLines_);
     return rng_.below(footprintLines_);
 }
@@ -69,19 +80,15 @@ SyntheticTraceGenerator::next(TraceRecord& record)
 {
     if (runRemaining_ == 0) {
         runLine_ = pickRunStart();
-        const double p = 1.0 / profile_.seqRunMean;
-        runRemaining_ = 1 + rng_.geometric(p < 1.0 ? p : 1.0);
+        runRemaining_ = 1 + runLength_(rng_);
     } else {
         runLine_ = (runLine_ + 1) % footprintLines_;
     }
     runRemaining_ -= 1;
 
     record.vaddr = runLine_ * kLineBytes;
-    record.isWrite =
-        rng_.chance(profile_.wpki / profile_.apki());
-    // Geometric gap with the calibrated mean.
-    record.gap = static_cast<std::uint32_t>(
-        rng_.geometric(1.0 / (gapMean_ + 1.0)));
+    record.isWrite = write_(rng_);
+    record.gap = static_cast<std::uint32_t>(gap_(rng_));
     record.flipDensity = record.isWrite
         ? profile_.flipDensity * (0.5 + rng_.uniform())
         : 0.0;
@@ -141,11 +148,11 @@ QueueStressGenerator::next(TraceRecord& record)
 StreamTraceGenerator::StreamTraceGenerator(std::uint64_t array_bytes,
                                            double apki, std::uint64_t seed)
     : arrayLines_(array_bytes / kLineBytes),
-      rng_(seed)
+      rng_(seed),
+      gap_(gapProbability(apki))
 {
     SDPCM_ASSERT(arrayLines_ > 0, "empty STREAM array");
     SDPCM_ASSERT(apki > 0.0, "STREAM with zero access rate");
-    gapMean_ = 1000.0 / apki;
 }
 
 bool
@@ -179,8 +186,7 @@ StreamTraceGenerator::next(TraceRecord& record)
 
     record.vaddr = line * kLineBytes;
     record.isWrite = (step_ + 1 == k.count);
-    record.gap = static_cast<std::uint32_t>(
-        rng_.geometric(1.0 / (gapMean_ + 1.0)));
+    record.gap = static_cast<std::uint32_t>(gap_(rng_));
     // STREAM stores freshly computed doubles; with mostly-similar
     // magnitudes the mantissa tails dominate the changed bits.
     record.flipDensity = record.isWrite ? 0.15 + 0.1 * rng_.uniform()

@@ -63,9 +63,13 @@ class SyntheticTraceGenerator : public TraceStream
 
     WorkloadProfile profile_;
     Rng rng_;
-    double gapMean_;
     std::uint64_t footprintLines_;
     std::uint64_t hotLines_;
+    // Each record's fixed-probability draws.
+    Rng::Chance hot_;          //!< a run starts in the hot set
+    Rng::Geometric runLength_; //!< a run's lines beyond its first
+    Rng::Chance write_;        //!< a reference is a write
+    Rng::Geometric gap_;       //!< instructions before a reference
     // Current sequential run.
     std::uint64_t runLine_ = 0;
     std::uint64_t runRemaining_ = 0;
@@ -110,7 +114,7 @@ class StreamTraceGenerator : public TraceStream
   private:
     std::uint64_t arrayLines_;
     Rng rng_;
-    double gapMean_;
+    Rng::Geometric gap_; //!< instructions before a reference
     unsigned kernel_ = 0;     //!< 0 copy, 1 scale, 2 add, 3 triad
     std::uint64_t index_ = 0; //!< line index within the pass
     unsigned step_ = 0;       //!< position within the kernel's R/W pattern

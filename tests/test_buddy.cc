@@ -206,6 +206,17 @@ TEST(Buddy, DoubleFreePanics)
     EXPECT_DEATH(base.free(*blk), "double free|linking");
 }
 
+TEST(Buddy, FreeAtWrongOrderPanics)
+{
+    PageAllocatorSystem sys(smallGeometry());
+    auto& base = sys.allocatorFor(NmRatio{1, 1});
+    auto blk = base.allocate(0);
+    ASSERT_TRUE(blk.has_value());
+    EXPECT_DEATH(base.free(FrameBlock{blk->start, 1}),
+                 "double free or bad block");
+    base.free(*blk);
+}
+
 class BuddyRatioSweep
     : public ::testing::TestWithParam<std::pair<unsigned, unsigned>>
 {};

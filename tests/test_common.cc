@@ -11,10 +11,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/args.hh"
 #include "common/bitops.hh"
+#include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -115,6 +117,33 @@ TEST(Rng, FixedChanceMatchesChanceDrawForDraw)
     }
 }
 
+TEST(Rng, FixedGeometricMatchesGeometricDrawForDraw)
+{
+    // Same value and same number of draws as geometric(p): no draw at
+    // p <= 0 or p >= 1, tiny p, the generators' run-length rates (one
+    // over a mean run of 2 to 64 lines) and their gap rates (one over
+    // 1000 / apki + 1, apki from Table 3: wrf's 0.16 to mcf's 42.85).
+    std::vector<double> rates = {0.0, -1.0, 1.0, 2.0, 0x1.0p-53, 1e-12,
+                                 0.5, 0.25, 0.125, 0.0625, 1.0 / 64,
+                                 std::nextafter(1.0, 0.0)};
+    for (const double apki : {0.16, 0.26, 2.43, 4.64, 7.47, 16.29, 17.92,
+                              21.88, 42.85})
+        rates.push_back(1.0 / (1000.0 / apki + 1.0));
+    for (const double p : rates) {
+        const Rng::Geometric geometric(p);
+        Rng a(19);
+        Rng b(19);
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(geometric(a), b.geometric(p))
+                << "p=" << p << " draw " << i;
+        }
+        EXPECT_EQ(a.next64(), b.next64()) << "p=" << p;
+    }
+    Rng rng(1);
+    EXPECT_EQ(Rng::Geometric(0.0)(rng), ~0ULL);
+    EXPECT_EQ(Rng::Geometric(1.0)(rng), 0u);
+}
+
 TEST(Rng, GeometricMean)
 {
     Rng rng(5);
@@ -168,6 +197,81 @@ TEST(Bitops, GetSetBit)
     x = setBit(x, 5, false);
     EXPECT_FALSE(getBit(x, 5));
     EXPECT_EQ(x, 0u);
+}
+
+/** Every entry of `map` and of `ref`, and their sizes, agree. */
+void
+expectSameEntries(const FlatMap& map,
+                  const std::unordered_map<std::uint64_t, std::uint64_t>& ref)
+{
+    ASSERT_EQ(map.size(), ref.size());
+    std::size_t seen = 0;
+    map.forEach([&](std::uint64_t key, std::uint64_t value) {
+        const auto it = ref.find(key);
+        ASSERT_NE(it, ref.end()) << "stray key " << key;
+        EXPECT_EQ(value, it->second) << "key " << key;
+        seen += 1;
+    });
+    EXPECT_EQ(seen, ref.size());
+}
+
+TEST(FlatMap, MatchesUnorderedMap)
+{
+    // Three key shapes: consecutive pages (long probe runs), sparse
+    // keys near the reserved one, and keys beyond 32 bits. Each runs an
+    // insert-heavy mix through many doublings, then an erase-heavy mix.
+    Rng rng(29);
+    for (int shape = 0; shape < 3; ++shape) {
+        const auto keyOf = [shape](std::uint64_t i) -> std::uint64_t {
+            switch (shape) {
+              case 0:
+                return 4096 + i;
+              case 1:
+                return FlatMap::kNoKey - 1 - i * 0x10001ULL;
+              default:
+                return i << 32;
+            }
+        };
+        FlatMap map;
+        std::unordered_map<std::uint64_t, std::uint64_t> ref;
+        EXPECT_EQ(map.find(keyOf(0)), nullptr);
+        EXPECT_FALSE(map.erase(keyOf(0)));
+        for (const double erase_share : {0.2, 0.7}) {
+            for (int i = 0; i < 40000; ++i) {
+                const std::uint64_t key = keyOf(rng.below(20000));
+                if (rng.chance(erase_share)) {
+                    ASSERT_EQ(map.erase(key), ref.erase(key) == 1)
+                        << "erase " << key;
+                    continue;
+                }
+                const std::uint64_t value = rng.next64();
+                const auto [slot, inserted] = map.findOrInsert(key);
+                ASSERT_EQ(inserted, ref.count(key) == 0) << "key " << key;
+                if (inserted) {
+                    EXPECT_EQ(slot, 0u);
+                }
+                slot = value;
+                ref[key] = value;
+                const std::uint64_t probe = keyOf(rng.below(20000));
+                const std::uint64_t* found = map.find(probe);
+                const auto it = ref.find(probe);
+                ASSERT_EQ(found != nullptr, it != ref.end()) << probe;
+                if (found) {
+                    EXPECT_EQ(*found, it->second);
+                }
+            }
+            expectSameEntries(map, ref);
+        }
+        map.clear();
+        EXPECT_EQ(map.size(), 0u);
+        EXPECT_EQ(map.find(keyOf(1)), nullptr);
+    }
+}
+
+TEST(FlatMapDeath, ReservedKeyNamesNoEntry)
+{
+    FlatMap map;
+    EXPECT_DEATH(map.findOrInsert(FlatMap::kNoKey), "kNoKey");
 }
 
 TEST(RunningStat, Accumulates)

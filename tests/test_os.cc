@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
 #include <set>
+#include <unordered_map>
 
+#include "common/rng.hh"
 #include "os/dma.hh"
 #include "os/page_table.hh"
 
@@ -52,6 +55,91 @@ TEST(Tlb, ReinsertUpdatesFrame)
     tlb.insert(1, 10);
     tlb.insert(1, 11);
     EXPECT_EQ(*tlb.lookup(1), 11u);
+}
+
+TEST(Tlb, RejectsMoreEntriesThanItHolds)
+{
+    EXPECT_DEATH(Tlb(0), "1 to 64 entries");
+    EXPECT_DEATH(Tlb(kMaxTlbEntries + 1), "1 to 64 entries");
+}
+
+/** The list-and-map LRU a Tlb replaced: the reference it must match. */
+class ListLru
+{
+  public:
+    explicit ListLru(unsigned capacity) : capacity_(capacity) {}
+
+    std::optional<std::uint64_t>
+    lookup(std::uint64_t vpage)
+    {
+        auto it = map_.find(vpage);
+        if (it == map_.end())
+            return std::nullopt;
+        lru_.splice(lru_.begin(), lru_, it->second.lruPos);
+        return it->second.frame;
+    }
+
+    void
+    insert(std::uint64_t vpage, std::uint64_t frame)
+    {
+        auto it = map_.find(vpage);
+        if (it != map_.end()) {
+            it->second.frame = frame;
+            lru_.splice(lru_.begin(), lru_, it->second.lruPos);
+            return;
+        }
+        if (map_.size() >= capacity_) {
+            map_.erase(lru_.back());
+            lru_.pop_back();
+        }
+        lru_.push_front(vpage);
+        map_[vpage] = Entry{frame, lru_.begin()};
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t frame;
+        std::list<std::uint64_t>::iterator lruPos;
+    };
+    unsigned capacity_;
+    std::list<std::uint64_t> lru_; //!< most recent at front
+    std::unordered_map<std::uint64_t, Entry> map_;
+};
+
+TEST(Tlb, MatchesListLruReference)
+{
+    // Pages from a set 1.5x the capacity (so hits, misses and
+    // evictions all happen), refilled on a miss as an Mmu does, with
+    // reinserts of present and absent pages under fresh frames.
+    for (const unsigned capacity : {1u, 2u, 7u, kMaxTlbEntries}) {
+        Tlb tlb(capacity);
+        ListLru ref(capacity);
+        Rng rng(capacity);
+        const std::uint64_t pages = capacity + capacity / 2 + 2;
+        std::uint64_t hits = 0;
+        for (int i = 0; i < 100000; ++i) {
+            const std::uint64_t vpage = rng.below(pages) << 20;
+            const std::uint64_t frame = rng.next64();
+            if (rng.chance(0.1)) {
+                tlb.insert(vpage, frame);
+                ref.insert(vpage, frame);
+                continue;
+            }
+            const auto got = tlb.lookup(vpage);
+            ASSERT_EQ(got, ref.lookup(vpage))
+                << "capacity " << capacity << " step " << i;
+            if (got) {
+                hits += 1;
+            } else {
+                tlb.insert(vpage, frame);
+                ref.insert(vpage, frame);
+            }
+        }
+        EXPECT_EQ(tlb.hits(), hits) << "capacity " << capacity;
+        EXPECT_GT(tlb.hits(), 0u);
+        EXPECT_GT(tlb.misses(), 0u);
+    }
 }
 
 TEST(Mmu, DemandPagingAllocatesOnFirstTouch)
