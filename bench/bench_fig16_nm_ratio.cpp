@@ -37,7 +37,7 @@ main(int argc, char** argv)
     std::vector<std::string> crow = {"usable capacity"};
     std::vector<std::string> vrow = {"verified adjacents"};
     for (const auto& r : ratios) {
-        const NmPolicy p(r, DimmGeometry().stripsPer64MB());
+        const NmPolicy p(r);
         crow.push_back(TablePrinter::pct(p.usableFraction(), 1));
         vrow.push_back(TablePrinter::fmt(p.averageVerifiedNeighbors(),
                                          2));

@@ -33,7 +33,7 @@ isPowerOfTwo(std::uint64_t x)
 }
 
 /** log2 of a power of two. */
-inline unsigned
+constexpr unsigned
 log2Exact(std::uint64_t x)
 {
     return static_cast<unsigned>(std::countr_zero(x));

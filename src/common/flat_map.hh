@@ -1,8 +1,9 @@
 /**
  * @file
- * A flat hash map from a 64-bit key to a 64-bit value: an MMU's page
- * table (virtual page -> frame) and a buddy array's live blocks (start
- * frame -> order).
+ * The one open-addressing hash table of the simulator: an MMU's page
+ * table (virtual page -> frame), a buddy array's live blocks (start
+ * frame -> order) and the index of every LineTable (line index -> entry
+ * index, pcm/line_table.hh).
  *
  * Node containers pay an allocation per insertion and a pointer chase
  * per lookup. A FlatMap keeps {key, value} pairs in one vector with
@@ -10,10 +11,8 @@
  * linear probing walks on from there. Erasing shifts the entries behind
  * the hole back, so no tombstone ever lengthens a probe. The vector is
  * allocated at the first insertion and doubles before its load passes
- * 3/4, as LineTable's index does. LineTable (pcm/line_table.hh) fits
- * neither user: its keys are 32-bit, it never erases, and it keeps its
- * entries in pointer-stable chunks, while a replayed trace's pages can
- * exceed 32 bits.
+ * 3/4. Slot placement follows from the sequence of insertions and
+ * erasures alone, so forEach's slot order is the same on every run.
  */
 
 #ifndef SDPCM_COMMON_FLAT_MAP_HH
@@ -21,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,19 +30,28 @@
 namespace sdpcm {
 
 /**
- * An open-addressing u64 -> u64 hash map. Every key but kNoKey may be
- * stored. A reference or pointer to a value stays valid only until the
- * next insertion or erasure.
+ * An open-addressing Key -> Value hash map, Key an unsigned integer and
+ * Value trivially copyable. Every key but kNoKey may be stored. A
+ * reference or pointer to a value stays valid only until the next
+ * insertion or erasure.
  */
+template <typename Key, typename Value = Key>
 class FlatMap
 {
+    static_assert(std::is_unsigned_v<Key>, "a key is an unsigned integer");
+    static_assert(std::is_trivially_copyable_v<Value>,
+                  "a value is trivially copyable");
+
   public:
     /** The one key that names no entry (it marks an empty slot). */
-    static constexpr std::uint64_t kNoKey = ~0ULL;
+    static constexpr Key kNoKey = ~Key{0};
+
+    /** Bytes per slot: one key and one value. */
+    static constexpr std::size_t slotBytes() { return sizeof(Slot); }
 
     /** The value stored under `key`, or null when there is none. */
-    const std::uint64_t*
-    find(std::uint64_t key) const
+    const Value*
+    find(Key key) const
     {
         if (slots_.empty())
             return nullptr;
@@ -51,20 +60,20 @@ class FlatMap
     }
 
     /** findOrInsert's result: the key's value, and whether this call
-     *  inserted it as 0. */
+     *  inserted it value-initialised. */
     struct Found
     {
-        std::uint64_t& value;
+        Value& value;
         bool inserted;
     };
 
     /**
-     * The value under `key`, inserted as 0 if absent. One probe either
-     * finds the key or ends at the empty slot it claims; only a
-     * doubling probes again.
+     * The value under `key`, inserted value-initialised if absent. One
+     * probe either finds the key or ends at the empty slot it claims;
+     * only a doubling probes again.
      */
     Found
-    findOrInsert(std::uint64_t key)
+    findOrInsert(Key key)
     {
         if (!slots_.empty()) {
             const std::size_t i = probe(key);
@@ -79,7 +88,7 @@ class FlatMap
 
     /** Remove `key`; false when it was not stored. */
     bool
-    erase(std::uint64_t key)
+    erase(Key key)
     {
         if (slots_.empty())
             return false;
@@ -112,7 +121,7 @@ class FlatMap
         size_ = 0;
     }
 
-    /** Call fn(key, value) for every entry, in no particular order. */
+    /** Call fn(key, value) for every entry, in slot order. */
     template <typename Fn>
     void
     forEach(Fn&& fn) const
@@ -126,24 +135,26 @@ class FlatMap
   private:
     struct Slot
     {
-        std::uint64_t key = kNoKey;
-        std::uint64_t value = 0;
+        Key key = kNoKey;
+        Value value{};
     };
 
     static constexpr std::size_t kMinSlots = 64;
 
     /** Fibonacci hashing: the top bits of key * 2^64/phi depend on every
-     *  bit of the key, so consecutive pages spread over the table. */
+     *  bit of the key (widened to 64 bits), so keys differing only in
+     *  their low bits still spread over the whole table. */
     std::size_t
-    home(std::uint64_t key) const
+    home(Key key) const
     {
-        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
-                                        shift_);
+        return static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >>
+            shift_);
     }
 
     /** The slot holding `key`, or the empty slot its probe ends at. */
     std::size_t
-    probe(std::uint64_t key) const
+    probe(Key key) const
     {
         SDPCM_ASSERT(key != kNoKey, "FlatMap::kNoKey names no entry");
         std::size_t i = home(key);
@@ -159,10 +170,10 @@ class FlatMap
         return (size_ + 1) * 4 > (mask_ + 1) * 3;
     }
 
-    std::uint64_t&
-    claim(std::size_t i, std::uint64_t key)
+    Value&
+    claim(std::size_t i, Key key)
     {
-        slots_[i] = Slot{key, 0};
+        slots_[i] = Slot{key, Value{}};
         size_ += 1;
         return slots_[i].value;
     }

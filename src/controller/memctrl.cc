@@ -76,21 +76,6 @@ MemoryController::MemoryController(EventQueue& events, PcmDevice& device,
     banks_.resize(DimmGeometry::banks());
 }
 
-const NmPolicy&
-MemoryController::policyFor(const NmRatio& tag) const
-{
-    auto it = policies_.find(tag);
-    if (it == policies_.end()) {
-        it = policies_
-                 .emplace(tag,
-                          NmPolicy(tag,
-                                   device_.config().geometry
-                                       .stripsPer64MB()))
-                 .first;
-    }
-    return it->second;
-}
-
 MemoryController::Adjacents
 MemoryController::adjacentsOf(const LineAddr& la, const NmRatio& tag,
                               std::uint64_t* skipped) const
@@ -99,7 +84,7 @@ MemoryController::adjacentsOf(const LineAddr& la, const NmRatio& tag,
     if (!scheme_.superDense)
         return adj;
     const AddressMap& map = device_.addressMap();
-    const NmPolicy& pol = policyFor(tag);
+    const NmPolicy pol(tag);
     const std::uint64_t strip = map.stripOfRow(la.row);
     const std::optional<LineAddr> lines[] = {map.upperNeighbor(la),
                                              map.lowerNeighbor(la)};

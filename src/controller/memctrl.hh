@@ -34,7 +34,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -404,7 +403,6 @@ class MemoryController : public Observed, public EventTarget
      */
     Adjacents adjacentsOf(const LineAddr& la, const NmRatio& tag,
                           std::uint64_t* skipped = nullptr) const;
-    const NmPolicy& policyFor(const NmRatio& tag) const;
 
     /** Newest payload of `la` the bank still has to commit (the write
      *  queue back to front, then the write in service), or null. */
@@ -441,7 +439,6 @@ class MemoryController : public Observed, public EventTarget
     std::vector<Bank> banks_;
     /** Forwarded reads in delivery order (one event each). */
     Fifo<ForwardedRead> forwards_;
-    mutable std::map<NmRatio, NmPolicy> policies_;
 
     /** Low bits of an event argument that hold the bank. */
     static constexpr unsigned kBankBits = 16;

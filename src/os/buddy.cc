@@ -2,32 +2,20 @@
 
 #include <algorithm>
 
-#include "common/bitops.hh"
-
 namespace sdpcm {
 
-NmBuddyAllocator::NmBuddyAllocator(const NmRatio& ratio,
-                                   unsigned frames_per_strip,
-                                   std::uint64_t strips_per_block,
-                                   unsigned max_order)
-    : policy_(ratio, strips_per_block),
-      framesPerStrip_(frames_per_strip),
+NmBuddyAllocator::NmBuddyAllocator(const NmRatio& ratio, unsigned max_order)
+    : policy_(ratio),
       freeLists_(max_order + 1)
 {
-    SDPCM_ASSERT(isPowerOfTwo(frames_per_strip),
-                 "frames per strip must be a power of two");
-    SDPCM_ASSERT(isPowerOfTwo(strips_per_block),
-                 "strips per block must be a power of two");
-    stripOrder_ = log2Exact(frames_per_strip);
-    blockOrder_ = stripOrder_ + log2Exact(strips_per_block);
-    SDPCM_ASSERT(max_order >= blockOrder_,
+    SDPCM_ASSERT(max_order >= kBlockOrder,
                  "allocator must at least hold one 64MB block");
 }
 
 bool
 NmBuddyAllocator::stripUsedByFrame(std::uint64_t frame) const
 {
-    return policy_.stripInUse(frame / framesPerStrip_);
+    return policy_.stripInUse(frame / kFramesPerStrip);
 }
 
 bool
@@ -35,10 +23,10 @@ NmBuddyAllocator::hasUsablePages(const FrameBlock& block) const
 {
     if (policy_.ratio().isFull())
         return true;
-    if (block.order < stripOrder_)
+    if (block.order < kStripOrder)
         return stripUsedByFrame(block.start);
-    const std::uint64_t first = block.start / framesPerStrip_;
-    const std::uint64_t count = block.frames() / framesPerStrip_;
+    const std::uint64_t first = block.start / kFramesPerStrip;
+    const std::uint64_t count = block.frames() / kFramesPerStrip;
     for (std::uint64_t s = first; s < first + count; ++s) {
         if (policy_.stripInUse(s))
             return true;
@@ -57,14 +45,14 @@ NmBuddyAllocator::usablePages(const FrameBlock& block) const
 {
     if (policy_.ratio().isFull())
         return block.frames();
-    if (block.order < stripOrder_)
+    if (block.order < kStripOrder)
         return stripUsedByFrame(block.start) ? block.frames() : 0;
-    const std::uint64_t first = block.start / framesPerStrip_;
-    const std::uint64_t count = block.frames() / framesPerStrip_;
+    const std::uint64_t first = block.start / kFramesPerStrip;
+    const std::uint64_t count = block.frames() / kFramesPerStrip;
     std::uint64_t used = 0;
     for (std::uint64_t s = first; s < first + count; ++s)
         used += policy_.stripInUse(s) ? 1 : 0;
-    return used * framesPerStrip_;
+    return used * kFramesPerStrip;
 }
 
 std::vector<std::uint64_t>
@@ -95,7 +83,7 @@ NmBuddyAllocator::link(const FrameBlock& block)
 void
 NmBuddyAllocator::donate(const FrameBlock& block)
 {
-    SDPCM_ASSERT(block.order == blockOrder_,
+    SDPCM_ASSERT(block.order == kBlockOrder,
                  "donations must be 64MB blocks");
     link(block);
 }
@@ -103,13 +91,13 @@ NmBuddyAllocator::donate(const FrameBlock& block)
 unsigned
 NmBuddyAllocator::adjustedOrder(unsigned requested_order) const
 {
-    if (policy_.ratio().isFull() || requested_order < stripOrder_)
+    if (policy_.ratio().isFull() || requested_order < kStripOrder)
         return requested_order;
     const std::uint64_t need = 1ULL << requested_order;
-    for (unsigned cand = requested_order; cand <= blockOrder_; ++cand) {
+    for (unsigned cand = requested_order; cand <= kBlockOrder; ++cand) {
         // Worst-case usable frames over all aligned offsets of an order-
         // `cand` block within the (64MB-periodic) strip pattern.
-        const std::uint64_t block_frames = 1ULL << blockOrder_;
+        const std::uint64_t block_frames = 1ULL << kBlockOrder;
         const std::uint64_t cand_frames = 1ULL << cand;
         std::uint64_t worst = ~0ULL;
         for (std::uint64_t off = 0; off < block_frames;
@@ -120,14 +108,14 @@ NmBuddyAllocator::adjustedOrder(unsigned requested_order) const
         if (worst >= need)
             return cand;
     }
-    return blockOrder_ + 1; // unsatisfiable within one 64MB block
+    return kBlockOrder + 1; // unsatisfiable within one 64MB block
 }
 
 std::optional<FrameBlock>
 NmBuddyAllocator::allocate(unsigned order)
 {
     const bool multi_strip =
-        !policy_.ratio().isFull() && order >= stripOrder_;
+        !policy_.ratio().isFull() && order >= kStripOrder;
     const unsigned effective = adjustedOrder(order);
     if (effective >= freeLists_.size())
         return std::nullopt;
@@ -169,10 +157,10 @@ NmBuddyAllocator::allocate(unsigned order)
 
         // Dispose of the other half: park fully-no-use regions at strip
         // granularity, link everything else.
-        if (other.order >= stripOrder_ && fullyNoUse(other)) {
+        if (other.order >= kStripOrder && fullyNoUse(other)) {
             for (std::uint64_t f = other.start;
                  f < other.start + other.frames();
-                 f += framesPerStrip_) {
+                 f += kFramesPerStrip) {
                 const bool parked = parkedNoUse_.insert(f).second;
                 SDPCM_ASSERT(parked, "strip parked twice at frame ", f);
             }
@@ -210,9 +198,9 @@ NmBuddyAllocator::free(const FrameBlock& block)
     auto can_absorb = [&](auto&& self, const FrameBlock& b) -> bool {
         if (freeLists_[b.order].count(b.start))
             return true;
-        if (b.order == stripOrder_ && parkedNoUse_.count(b.start))
+        if (b.order == kStripOrder && parkedNoUse_.count(b.start))
             return true;
-        if (b.order > stripOrder_) {
+        if (b.order > kStripOrder) {
             const FrameBlock lower{b.start, b.order - 1};
             const FrameBlock upper{b.start + lower.frames(), b.order - 1};
             return self(self, lower) && self(self, upper);
@@ -222,9 +210,9 @@ NmBuddyAllocator::free(const FrameBlock& block)
     auto absorb = [&](auto&& self, const FrameBlock& b) -> void {
         if (freeLists_[b.order].erase(b.start))
             return;
-        if (b.order == stripOrder_ && parkedNoUse_.erase(b.start))
+        if (b.order == kStripOrder && parkedNoUse_.erase(b.start))
             return;
-        SDPCM_ASSERT(b.order > stripOrder_, "absorb bookkeeping error");
+        SDPCM_ASSERT(b.order > kStripOrder, "absorb bookkeeping error");
         const FrameBlock lower{b.start, b.order - 1};
         const FrameBlock upper{b.start + lower.frames(), b.order - 1};
         self(self, lower);
@@ -232,7 +220,7 @@ NmBuddyAllocator::free(const FrameBlock& block)
     };
 
     FrameBlock cur = block;
-    while (cur.order < freeLists_.size() - 1 && cur.order < blockOrder_) {
+    while (cur.order < freeLists_.size() - 1 && cur.order < kBlockOrder) {
         const std::uint64_t buddy_start =
             cur.start ^ (1ULL << cur.order);
         const FrameBlock buddy{buddy_start, cur.order};
@@ -262,10 +250,10 @@ NmBuddyAllocator::reclaimBlock()
 {
     if (policy_.ratio().isFull())
         return std::nullopt; // base array keeps its own blocks
-    auto& list = freeLists_[blockOrder_];
+    auto& list = freeLists_[kBlockOrder];
     if (list.empty())
         return std::nullopt;
-    FrameBlock block{*list.begin(), blockOrder_};
+    FrameBlock block{*list.begin(), kBlockOrder};
     list.erase(list.begin());
     return block;
 }
@@ -283,20 +271,14 @@ NmBuddyAllocator::freeFrames() const
 }
 
 PageAllocatorSystem::PageAllocatorSystem(const DimmGeometry& geometry)
-    : geometry_(geometry)
 {
-    const unsigned frames_per_strip = geometry.framesPerStrip();
-    const std::uint64_t strips_per_block = geometry.stripsPer64MB();
-    blockOrder_ = log2Exact(frames_per_strip) +
-                  log2Exact(strips_per_block);
-
     const std::uint64_t total_frames = geometry.pageFrames();
     SDPCM_ASSERT(isPowerOfTwo(total_frames),
                  "total frame count must be a power of two");
     const unsigned top_order = log2Exact(total_frames);
 
-    auto base = std::make_unique<NmBuddyAllocator>(
-        NmRatio{1, 1}, frames_per_strip, strips_per_block, top_order);
+    auto base =
+        std::make_unique<NmBuddyAllocator>(NmRatio{1, 1}, top_order);
     base->seedFree(FrameBlock{0, top_order}); // seed the whole memory
     arrays_[NmRatio{1, 1}] = std::move(base);
 }
@@ -304,15 +286,12 @@ PageAllocatorSystem::PageAllocatorSystem(const DimmGeometry& geometry)
 NmBuddyAllocator&
 PageAllocatorSystem::allocatorFor(const NmRatio& ratio)
 {
-    auto it = arrays_.find(ratio);
-    if (it != arrays_.end())
-        return *it->second;
-    auto arr = std::make_unique<NmBuddyAllocator>(
-        ratio, geometry_.framesPerStrip(), geometry_.stripsPer64MB(),
-        blockOrder_);
-    auto [ins, ok] = arrays_.emplace(ratio, std::move(arr));
-    SDPCM_ASSERT(ok, "allocator array insert failed");
-    return *ins->second;
+    std::unique_ptr<NmBuddyAllocator>& arr = arrays_[ratio];
+    if (!arr) {
+        arr = std::make_unique<NmBuddyAllocator>(
+            ratio, NmBuddyAllocator::kBlockOrder);
+    }
+    return *arr;
 }
 
 std::optional<FrameBlock>
@@ -326,7 +305,7 @@ PageAllocatorSystem::allocate(const NmRatio& ratio, unsigned order)
     if (auto block = arr.allocate(order))
         return block;
     // Refill with a 64MB block from the (1:1) array and retry.
-    auto donation = base.allocate(blockOrder_);
+    auto donation = base.allocate(NmBuddyAllocator::kBlockOrder);
     if (!donation)
         return std::nullopt;
     arr.donate(*donation);

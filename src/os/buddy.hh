@@ -5,7 +5,9 @@
  * The OS maintains one free-block-list array per (n:m) allocator. The
  * (1:1) array is the default buddy system owning all page frames; an
  * (n:m) allocator (n != m) acquires 64MB blocks from (1:1) on demand and
- * manages them with no-use strips carved out per NmPolicy:
+ * manages them with no-use strips carved out per NmPolicy. A strip (16
+ * frames, one per bank) and a 64MB block (kStripsPerBlock strips) are
+ * constants of the DIMM geometry, so every array shares their orders:
  *
  *  - blocks smaller than one strip (16 pages) always lie inside a used
  *    strip;
@@ -29,6 +31,7 @@
 #include <set>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/flat_map.hh"
 #include "os/nm_policy.hh"
 #include "pcm/geometry.hh"
@@ -51,21 +54,26 @@ struct FrameBlock
 /** Buddy free-list array for one (n:m) allocator. */
 class NmBuddyAllocator
 {
+    static constexpr unsigned kFramesPerStrip = DimmGeometry::framesPerStrip();
+    static_assert(isPowerOfTwo(kFramesPerStrip),
+                  "frames per strip must be a power of two");
+    static_assert(isPowerOfTwo(kStripsPerBlock),
+                  "strips per block must be a power of two");
+
   public:
+    /** Orders of one strip and of one 64MB block. */
+    static constexpr unsigned kStripOrder = log2Exact(kFramesPerStrip);
+    static constexpr unsigned kBlockOrder =
+        kStripOrder + log2Exact(kStripsPerBlock);
+
     /**
      * @param ratio allocator ratio
-     * @param frames_per_strip pages per device strip (16)
-     * @param strips_per_block strips per 64MB block
      * @param max_order largest block order this array may hold
      */
-    NmBuddyAllocator(const NmRatio& ratio, unsigned frames_per_strip,
-                     std::uint64_t strips_per_block, unsigned max_order);
+    NmBuddyAllocator(const NmRatio& ratio, unsigned max_order);
 
     const NmRatio& ratio() const { return policy_.ratio(); }
     const NmPolicy& policy() const { return policy_; }
-
-    /** Order of one 64MB block. */
-    unsigned blockOrder() const { return blockOrder_; }
 
     /** Hand this array a free block (e.g. a 64MB block from (1:1)). */
     void donate(const FrameBlock& block);
@@ -117,13 +125,10 @@ class NmBuddyAllocator
     void link(const FrameBlock& block);
 
     NmPolicy policy_;
-    unsigned framesPerStrip_;
-    unsigned stripOrder_;
-    unsigned blockOrder_;
     std::vector<std::set<std::uint64_t>> freeLists_;
     std::set<std::uint64_t> parkedNoUse_; //!< strip-order block starts
     /** Outstanding allocations (start -> order): double-free detection. */
-    FlatMap live_;
+    FlatMap<std::uint64_t> live_;
 };
 
 /**
@@ -153,8 +158,6 @@ class PageAllocatorSystem
                                             const FrameBlock& block);
 
   private:
-    DimmGeometry geometry_;
-    unsigned blockOrder_;
     std::map<NmRatio, std::unique_ptr<NmBuddyAllocator>> arrays_;
 };
 

@@ -13,8 +13,8 @@ DmaController::framesForTransfer(const NmRatio& tag,
         SDPCM_FATAL("DMA supports only (1:1) and (1:2) allocations, got ",
                     tag.toString());
     }
-    const NmPolicy policy(tag, geometry_.stripsPer64MB());
-    const unsigned frames_per_strip = geometry_.framesPerStrip();
+    const NmPolicy policy(tag);
+    const unsigned frames_per_strip = DimmGeometry::framesPerStrip();
     SDPCM_ASSERT(policy.stripInUse(start_frame / frames_per_strip),
                  "DMA start frame lies in a no-use strip");
 

@@ -7,7 +7,7 @@ NmPolicy::averageVerifiedNeighbors() const
 {
     std::uint64_t used = 0;
     std::uint64_t verified = 0;
-    for (std::uint64_t s = 0; s < stripsPerBlock_; ++s) {
+    for (std::uint64_t s = 0; s < kStripsPerBlock; ++s) {
         if (!stripInUse(s))
             continue;
         used += 1;

@@ -100,7 +100,7 @@ class Mmu
     PageAllocatorSystem& allocator_;
     NmRatio tag_;
     Tlb tlb_;
-    FlatMap table_; //!< virtual page -> frame
+    FlatMap<std::uint64_t> table_; //!< virtual page -> frame
     std::uint64_t pageFaults_ = 0;
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * The per-line store of a run: a flat hash table from a line's index
- * (`AddressMap::lineIndex`, inverted by `lineAt`) to an entry of type T.
+ * The per-line store of a run: entries of type T in never-moving chunks,
+ * found through a FlatMap (common/flat_map.hh) from a line's index
+ * (`AddressMap::lineIndex`, inverted by `lineAt`) to the entry's place.
  * The device keeps its line states in one, the WD ledger its pending
  * flips and blame, the integrity oracle its shadow lines, so what
  * identifies a line is decided once, by the address map.
@@ -16,8 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/bitops.hh"
-#include "common/logging.hh"
+#include "common/flat_map.hh"
 #include "pcm/address.hh"
 
 namespace sdpcm {
@@ -31,10 +31,9 @@ namespace sdpcm {
  * an entry stays valid for the table's whole lifetime, however many
  * entries are inserted after it.
  *
- * Lookups go through one open-addressing index of 8-byte {line index,
- * entry index} slots with linear probing. A probe compares the index
- * held in the slot, so it reads no entry. The index is allocated at the
- * first insertion and doubles before its load passes 3/4.
+ * Lookups go through a FlatMap index of 8-byte {line index, entry index}
+ * slots. A probe compares the index held in the slot, so it reads no
+ * entry; the n-th line inserted gets entry n.
  */
 template <typename T>
 class LineTable
@@ -44,10 +43,8 @@ class LineTable
     const T*
     find(LineIndex line) const
     {
-        if (slots_.empty())
-            return nullptr;
-        const Slot& s = slots_[probe(line)];
-        return s.line == line ? &entry(s.entry) : nullptr;
+        const std::uint32_t* e = index_.find(line);
+        return e ? &entry(*e) : nullptr;
     }
 
     T*
@@ -64,23 +61,18 @@ class LineTable
         bool inserted;
     };
 
-    /**
-     * The entry for `line`, inserted default-constructed if absent. One
-     * probe either finds the line or ends at the empty slot it claims;
-     * only an index doubling probes again.
-     */
+    /** The entry for `line`, inserted default-constructed if absent, in
+     *  one index probe (two when the index doubles). */
     Found
     findOrInsert(LineIndex line)
     {
-        if (!slots_.empty()) {
-            const std::size_t i = probe(line);
-            if (slots_[i].line == line)
-                return {entry(slots_[i].entry), false};
-            if (!full())
-                return {claim(i, line), true};
+        auto [e, inserted] = index_.findOrInsert(line);
+        if (inserted) {
+            e = static_cast<std::uint32_t>(index_.size() - 1);
+            if (e % kChunkEntries == 0)
+                chunks_.push_back(std::make_unique<T[]>(kChunkEntries));
         }
-        grow();
-        return {claim(probe(line), line), true};
+        return {entry(e), inserted};
     }
 
     /** The entry for `line`, inserted default-constructed if absent. */
@@ -90,7 +82,7 @@ class LineTable
         return findOrInsert(line).entry;
     }
 
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return index_.size(); }
 
     /** Call fn(line index, entry) for every entry, in no particular
      *  order. */
@@ -98,10 +90,8 @@ class LineTable
     void
     forEach(Fn&& fn) const
     {
-        for (const Slot& slot : slots_) {
-            if (slot.line != kNoLine)
-                fn(slot.line, entry(slot.entry));
-        }
+        index_.forEach(
+            [&](LineIndex line, std::uint32_t e) { fn(line, entry(e)); });
     }
 
     /** Every entry with its line, indices decoded by `map`, in (bank,
@@ -110,7 +100,7 @@ class LineTable
     sorted(const AddressMap& map) const
     {
         std::vector<std::pair<LineAddr, const T*>> lines;
-        lines.reserve(size_);
+        lines.reserve(size());
         forEach([&](LineIndex line, const T& e) {
             lines.emplace_back(map.lineAt(line), &e);
         });
@@ -122,15 +112,11 @@ class LineTable
     }
 
   private:
-    struct Slot
-    {
-        LineIndex line = kNoLine;  //!< kNoLine marks an empty slot
-        std::uint32_t entry = 0;   //!< the entry's place in the chunks
-    };
-    static_assert(sizeof(Slot) == 8, "an index slot is 8 bytes");
+    using Index = FlatMap<LineIndex, std::uint32_t>;
+    static_assert(Index::slotBytes() == 8, "an index slot is 8 bytes");
+    static_assert(Index::kNoKey == kNoLine, "kNoLine names no line");
 
     static constexpr std::size_t kChunkEntries = 512;
-    static constexpr std::size_t kMinSlots = 64;
 
     T&
     entry(std::uint32_t e) const
@@ -138,67 +124,8 @@ class LineTable
         return chunks_[e / kChunkEntries][e % kChunkEntries];
     }
 
-    /**
-     * Fibonacci hashing: the top bits of line * 2^64/phi depend on every
-     * bit of the line index, so lines differing only in their low bits
-     * still spread over the whole index.
-     */
-    std::size_t
-    home(LineIndex line) const
-    {
-        return static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ULL) >>
-                                        shift_);
-    }
-
-    /** The slot holding `line`, or the empty slot its probe ends at. */
-    std::size_t
-    probe(LineIndex line) const
-    {
-        SDPCM_ASSERT(line != kNoLine, "kNoLine names no line");
-        std::size_t i = home(line);
-        while (slots_[i].line != line && slots_[i].line != kNoLine)
-            i = (i + 1) & mask_;
-        return i;
-    }
-
-    /** True when one more entry would pass the 3/4 load. */
-    bool
-    full() const
-    {
-        return (size_ + 1) * 4 > (mask_ + 1) * 3;
-    }
-
-    /** Store a new default entry for `line` in the empty slot `i`. */
-    T&
-    claim(std::size_t i, LineIndex line)
-    {
-        if (size_ % kChunkEntries == 0)
-            chunks_.push_back(std::make_unique<T[]>(kChunkEntries));
-        const auto e = static_cast<std::uint32_t>(size_);
-        slots_[i] = Slot{line, e};
-        size_ += 1;
-        return entry(e);
-    }
-
-    void
-    grow()
-    {
-        const std::vector<Slot> old = std::move(slots_);
-        const std::size_t n = old.empty() ? kMinSlots : 2 * old.size();
-        slots_.assign(n, Slot{});
-        mask_ = n - 1;
-        shift_ = 64 - log2Exact(n);
-        for (const Slot& slot : old) {
-            if (slot.line != kNoLine)
-                slots_[probe(slot.line)] = slot;
-        }
-    }
-
-    std::vector<Slot> slots_;
+    Index index_;
     std::vector<std::unique_ptr<T[]>> chunks_;
-    std::size_t size_ = 0;
-    std::size_t mask_ = 0;
-    unsigned shift_ = 64;
 };
 
 } // namespace sdpcm

@@ -93,7 +93,7 @@ schemeFromArgs(const ArgParser& args)
                         args.get<unsigned>("m", 3)};
     if (!ratio.valid()) {
         SDPCM_FATAL("bad value for --n=", ratio.n, " --m=", ratio.m,
-                    ": needs 1 <= n <= m");
+                    ": needs 1 <= n <= m <= ", kStripsPerBlock);
     }
     SchemeConfig scheme;
     try {

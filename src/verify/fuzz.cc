@@ -223,7 +223,8 @@ FuzzScenario::fromJson(const std::string& text)
                                  ", 1<=cores<=" +
                                  std::to_string(kMaxCores) + ", ecp<=" +
                                  std::to_string(kMaxEcpEntries) +
-                                 ", refs>0 and 1<=n<=m");
+                                 ", refs>0 and 1<=n<=m<=" +
+                                 std::to_string(kStripsPerBlock));
     // Reuse the injector's own validation (finite, in-range), so a spec
     // and an --inject flag accept the same values.
     try {

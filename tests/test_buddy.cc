@@ -67,7 +67,7 @@ TEST(Buddy, PartialRatioAllocatesUsedStripsOnly)
 {
     PageAllocatorSystem sys(smallGeometry());
     const NmRatio half{1, 2};
-    const NmPolicy policy(half, smallGeometry().stripsPer64MB());
+    const NmPolicy policy(half);
     for (int i = 0; i < 500; ++i) {
         auto frame = sys.allocatePage(half);
         ASSERT_TRUE(frame.has_value());
@@ -113,7 +113,7 @@ TEST(Buddy, MultiStripAllocationProvidesEnoughUsableFrames)
         ASSERT_TRUE(block.has_value()) << ratio.toString();
         const auto frames = sys.usedFramesIn(ratio, *block);
         EXPECT_GE(frames.size(), 32u) << ratio.toString();
-        const NmPolicy policy(ratio, smallGeometry().stripsPer64MB());
+        const NmPolicy policy(ratio);
         for (const auto f : frames)
             EXPECT_TRUE(policy.stripInUse(f / 16));
     }
@@ -164,7 +164,7 @@ TEST(Buddy, FullCycleReturnsBlockToBase)
     // reclaimed for the (1:1) array.
     auto reclaimed = arr.reclaimBlock();
     ASSERT_TRUE(reclaimed.has_value());
-    EXPECT_EQ(reclaimed->order, arr.blockOrder());
+    EXPECT_EQ(reclaimed->order, NmBuddyAllocator::kBlockOrder);
     EXPECT_EQ(arr.parkedStrips(), 0u);
 }
 

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -199,14 +200,29 @@ TEST(Bitops, GetSetBit)
     EXPECT_EQ(x, 0u);
 }
 
+/** FlatMap tests run on the 64-bit table (page tables, live blocks)
+ *  and the 32-bit one (every LineTable's index). */
+using FlatMapTypes =
+    ::testing::Types<FlatMap<std::uint64_t>, FlatMap<std::uint32_t>>;
+
+template <typename Map>
+class FlatMapOf : public ::testing::Test
+{};
+TYPED_TEST_SUITE(FlatMapOf, FlatMapTypes);
+
+template <typename Map>
+class FlatMapOfDeath : public ::testing::Test
+{};
+TYPED_TEST_SUITE(FlatMapOfDeath, FlatMapTypes);
+
 /** Every entry of `map` and of `ref`, and their sizes, agree. */
+template <typename Map, typename Key>
 void
-expectSameEntries(const FlatMap& map,
-                  const std::unordered_map<std::uint64_t, std::uint64_t>& ref)
+expectSameEntries(const Map& map, const std::unordered_map<Key, Key>& ref)
 {
     ASSERT_EQ(map.size(), ref.size());
     std::size_t seen = 0;
-    map.forEach([&](std::uint64_t key, std::uint64_t value) {
+    map.forEach([&](Key key, Key value) {
         const auto it = ref.find(key);
         ASSERT_NE(it, ref.end()) << "stray key " << key;
         EXPECT_EQ(value, it->second) << "key " << key;
@@ -215,36 +231,39 @@ expectSameEntries(const FlatMap& map,
     EXPECT_EQ(seen, ref.size());
 }
 
-TEST(FlatMap, MatchesUnorderedMap)
+TYPED_TEST(FlatMapOf, MatchesUnorderedMap)
 {
-    // Three key shapes: consecutive pages (long probe runs), sparse
-    // keys near the reserved one, and keys beyond 32 bits. Each runs an
+    using Key = std::remove_const_t<decltype(TypeParam::kNoKey)>;
+    // Three key shapes: consecutive keys (long probe runs), sparse keys
+    // just below the reserved one, and keys that differ only in their
+    // upper half (beyond 32 bits in the 64-bit table). Each runs an
     // insert-heavy mix through many doublings, then an erase-heavy mix.
     Rng rng(29);
     for (int shape = 0; shape < 3; ++shape) {
-        const auto keyOf = [shape](std::uint64_t i) -> std::uint64_t {
+        const auto keyOf = [shape](std::uint64_t i) -> Key {
             switch (shape) {
               case 0:
-                return 4096 + i;
+                return static_cast<Key>(4096 + i);
               case 1:
-                return FlatMap::kNoKey - 1 - i * 0x10001ULL;
+                return static_cast<Key>(TypeParam::kNoKey - 1 -
+                                        i * 0x10001ULL);
               default:
-                return i << 32;
+                return static_cast<Key>(i << (4 * sizeof(Key)));
             }
         };
-        FlatMap map;
-        std::unordered_map<std::uint64_t, std::uint64_t> ref;
+        TypeParam map;
+        std::unordered_map<Key, Key> ref;
         EXPECT_EQ(map.find(keyOf(0)), nullptr);
         EXPECT_FALSE(map.erase(keyOf(0)));
         for (const double erase_share : {0.2, 0.7}) {
             for (int i = 0; i < 40000; ++i) {
-                const std::uint64_t key = keyOf(rng.below(20000));
+                const Key key = keyOf(rng.below(20000));
                 if (rng.chance(erase_share)) {
                     ASSERT_EQ(map.erase(key), ref.erase(key) == 1)
                         << "erase " << key;
                     continue;
                 }
-                const std::uint64_t value = rng.next64();
+                const auto value = static_cast<Key>(rng.next64());
                 const auto [slot, inserted] = map.findOrInsert(key);
                 ASSERT_EQ(inserted, ref.count(key) == 0) << "key " << key;
                 if (inserted) {
@@ -252,8 +271,8 @@ TEST(FlatMap, MatchesUnorderedMap)
                 }
                 slot = value;
                 ref[key] = value;
-                const std::uint64_t probe = keyOf(rng.below(20000));
-                const std::uint64_t* found = map.find(probe);
+                const Key probe = keyOf(rng.below(20000));
+                const Key* found = map.find(probe);
                 const auto it = ref.find(probe);
                 ASSERT_EQ(found != nullptr, it != ref.end()) << probe;
                 if (found) {
@@ -268,10 +287,10 @@ TEST(FlatMap, MatchesUnorderedMap)
     }
 }
 
-TEST(FlatMapDeath, ReservedKeyNamesNoEntry)
+TYPED_TEST(FlatMapOfDeath, ReservedKeyNamesNoEntry)
 {
-    FlatMap map;
-    EXPECT_DEATH(map.findOrInsert(FlatMap::kNoKey), "kNoKey");
+    TypeParam map;
+    EXPECT_DEATH(map.findOrInsert(TypeParam::kNoKey), "kNoKey");
 }
 
 TEST(RunningStat, Accumulates)

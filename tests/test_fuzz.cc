@@ -104,6 +104,9 @@ TEST(FuzzSpec, RejectsMalformedValues)
                  std::runtime_error);
     EXPECT_THROW((void)FuzzScenario::fromJson(mutate("n", "9")),
                  std::runtime_error); // n > m
+    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("m", "1025")),
+                 std::runtime_error); // above kStripsPerBlock
+    EXPECT_EQ(FuzzScenario::fromJson(mutate("m", "1024")).m, 1024u);
     EXPECT_THROW((void)FuzzScenario::fromJson(mutate("wc", "1")),
                  std::runtime_error); // number where bool expected
     EXPECT_THROW((void)FuzzScenario::fromJson(mutate("refs", "-1")),

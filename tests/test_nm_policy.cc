@@ -10,12 +10,10 @@
 namespace sdpcm {
 namespace {
 
-constexpr std::uint64_t kStrips = 1024; // strips per 64MB block
-
 TEST(NmPolicy, FullRatioUsesEverything)
 {
-    NmPolicy p(NmRatio{1, 1}, kStrips);
-    for (std::uint64_t s = 0; s < kStrips * 2; ++s) {
+    NmPolicy p(NmRatio{1, 1});
+    for (std::uint64_t s = 0; s < kStripsPerBlock * 2; ++s) {
         EXPECT_TRUE(p.stripInUse(s));
         EXPECT_TRUE(p.verifyUpper(s));
         EXPECT_TRUE(p.verifyLower(s));
@@ -26,7 +24,7 @@ TEST(NmPolicy, FullRatioUsesEverything)
 
 TEST(NmPolicy, OneTwoAlternatesStrips)
 {
-    NmPolicy p(NmRatio{1, 2}, kStrips);
+    NmPolicy p(NmRatio{1, 2});
     EXPECT_TRUE(p.stripInUse(0));
     EXPECT_FALSE(p.stripInUse(1));
     EXPECT_TRUE(p.stripInUse(2));
@@ -37,7 +35,7 @@ TEST(NmPolicy, OneTwoNeedsAlmostNoVerification)
 {
     // (1:2) separates any two data strips by a thermal-band strip; only
     // the block-edge rule keeps a handful of verifications.
-    NmPolicy p(NmRatio{1, 2}, kStrips);
+    NmPolicy p(NmRatio{1, 2});
     EXPECT_TRUE(p.verifyUpper(0));  // block edge: always outwards
     EXPECT_FALSE(p.verifyLower(0)); // strip 1 is no-use
     EXPECT_FALSE(p.verifyUpper(2));
@@ -49,9 +47,9 @@ TEST(NmPolicy, TwoThreeVerifiesExactlyOneNeighbor)
 {
     // Figure 9: under (2:3) every used strip has exactly one used
     // adjacent strip (modulo block edges).
-    NmPolicy p(NmRatio{2, 3}, kStrips);
+    NmPolicy p(NmRatio{2, 3});
     std::uint64_t used = 0;
-    for (std::uint64_t s = 1; s + 1 < kStrips; ++s) {
+    for (std::uint64_t s = 1; s + 1 < kStripsPerBlock; ++s) {
         if (!p.stripInUse(s))
             continue;
         used += 1;
@@ -65,7 +63,7 @@ TEST(NmPolicy, TwoThreeVerifiesExactlyOneNeighbor)
 
 TEST(NmPolicy, ThreeFourAveragesFourThirds)
 {
-    NmPolicy p(NmRatio{3, 4}, kStrips);
+    NmPolicy p(NmRatio{3, 4});
     EXPECT_NEAR(p.usableFraction(), 0.75, 0.01);
     EXPECT_NEAR(p.averageVerifiedNeighbors(), 4.0 / 3.0, 0.02);
 }
@@ -74,9 +72,9 @@ TEST(NmPolicy, MarkingRestartsAtBlockBoundary)
 {
     // Groups never span a 64MB block boundary: the pattern at the start
     // of block 1 equals the pattern at the start of block 0.
-    NmPolicy p(NmRatio{2, 3}, kStrips);
+    NmPolicy p(NmRatio{2, 3});
     for (std::uint64_t s = 0; s < 16; ++s) {
-        EXPECT_EQ(p.stripInUse(s), p.stripInUse(kStrips + s))
+        EXPECT_EQ(p.stripInUse(s), p.stripInUse(kStripsPerBlock + s))
             << "strip " << s;
     }
 }
@@ -85,10 +83,10 @@ TEST(NmPolicy, BlockEdgesAlwaysVerifyOutwards)
 {
     for (const auto ratio : {NmRatio{1, 2}, NmRatio{2, 3}, NmRatio{3, 4},
                              NmRatio{7, 8}}) {
-        NmPolicy p(ratio, kStrips);
+        NmPolicy p(ratio);
         EXPECT_TRUE(p.verifyUpper(0)) << ratio.toString();
-        EXPECT_TRUE(p.verifyUpper(kStrips)) << ratio.toString();
-        EXPECT_TRUE(p.verifyLower(kStrips - 1)) << ratio.toString();
+        EXPECT_TRUE(p.verifyUpper(kStripsPerBlock)) << ratio.toString();
+        EXPECT_TRUE(p.verifyLower(kStripsPerBlock - 1)) << ratio.toString();
     }
 }
 
@@ -101,7 +99,7 @@ TEST_P(NmPolicyRatios, MonotoneTradeoff)
     // The larger the usable fraction, the more verification work; this
     // is the monotone trade-off of Figure 16.
     const auto [n, m] = GetParam();
-    NmPolicy p(NmRatio{n, m}, kStrips);
+    NmPolicy p(NmRatio{n, m});
     EXPECT_NEAR(p.usableFraction(),
                 static_cast<double>(n) / static_cast<double>(m), 0.01);
     EXPECT_GE(p.averageVerifiedNeighbors(), 0.0);
@@ -116,11 +114,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(NmPolicy, VerificationOrderedByRatio)
 {
-    NmPolicy p12(NmRatio{1, 2}, kStrips);
-    NmPolicy p23(NmRatio{2, 3}, kStrips);
-    NmPolicy p34(NmRatio{3, 4}, kStrips);
-    NmPolicy p78(NmRatio{7, 8}, kStrips);
-    NmPolicy p11(NmRatio{1, 1}, kStrips);
+    NmPolicy p12(NmRatio{1, 2});
+    NmPolicy p23(NmRatio{2, 3});
+    NmPolicy p34(NmRatio{3, 4});
+    NmPolicy p78(NmRatio{7, 8});
+    NmPolicy p11(NmRatio{1, 1});
     EXPECT_LT(p12.averageVerifiedNeighbors(),
               p23.averageVerifiedNeighbors());
     EXPECT_LT(p23.averageVerifiedNeighbors(),

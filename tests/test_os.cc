@@ -177,8 +177,7 @@ TEST(Mmu, PartialTagAllocatesUsedStripsOnly)
 {
     PageAllocatorSystem sys(smallGeometry());
     Mmu mmu(sys, NmRatio{1, 2});
-    const NmPolicy policy(NmRatio{1, 2},
-                          smallGeometry().stripsPer64MB());
+    const NmPolicy policy(NmRatio{1, 2});
     for (std::uint64_t page = 0; page < 300; ++page) {
         const Translation t = mmu.translate(page * 4096);
         EXPECT_TRUE(policy.stripInUse(t.paddr / 4096 / 16));
@@ -228,8 +227,7 @@ TEST(Dma, OneTwoSkipsAlternateStrips)
     // Start at frame 0 (strip 0, used); strips are 16 frames.
     const auto frames = dma.framesForTransfer(NmRatio{1, 2}, 0, 40);
     ASSERT_EQ(frames.size(), 40u);
-    const NmPolicy policy(NmRatio{1, 2},
-                          smallGeometry().stripsPer64MB());
+    const NmPolicy policy(NmRatio{1, 2});
     for (const auto f : frames)
         EXPECT_TRUE(policy.stripInUse(f / 16));
     // First 16 frames contiguous, then the skip.

@@ -231,8 +231,7 @@ TEST_P(SchemeInvariant, CompletedWritesAreDurable)
     MemoryController ctrl(events, device, scheme, 77);
 
     // Data pages live in used strips only (rows chosen per the tag).
-    const NmPolicy policy(scheme.defaultTag,
-                          device.config().geometry.stripsPer64MB());
+    const NmPolicy policy(scheme.defaultTag);
     Rng rng(123);
     std::map<std::uint64_t, LineData> expected;
     ReadCallback ignore;

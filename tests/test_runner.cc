@@ -137,6 +137,8 @@ TEST(RunFlagsDeath, SchemeFlagsRejectWhatFuzzSpecsReject)
                 "bad value for --n=3 --m=2: needs 1 <= n <= m");
     EXPECT_EXIT(fails({"--n=0"}), ::testing::ExitedWithCode(1),
                 "needs 1 <= n <= m");
+    EXPECT_EXIT(fails({"--n=1", "--m=1025"}), ::testing::ExitedWithCode(1),
+                "bad value for --n=1 --m=1025: needs 1 <= n <= m <= 1024");
     EXPECT_EXIT(fails({"--wq=0"}), ::testing::ExitedWithCode(1),
                 "bad value for --wq=0");
     EXPECT_EXIT(fails({"--wq=1025"}), ::testing::ExitedWithCode(1),
@@ -183,14 +185,16 @@ TEST(RunFlags, ParsesEverySharedFlag)
 
 TEST(RunFlags, AcceptsEveryUpperBound)
 {
-    const ArgParser args =
-        parserOf({"--cores=64", "--telemetry-window=1024",
-                  "--inject=ecp=512", "--wq=1024"});
+    const ArgParser args = parserOf(
+        {"--cores=64", "--telemetry-window=1024", "--inject=ecp=512",
+         "--wq=1024", "--scheme=sdpcm", "--n=1", "--m=1024"});
     const auto [cfg, out] = parseRunFlags(args);
     EXPECT_EQ(cfg.cores, kMaxCores);
     EXPECT_EQ(cfg.telemetry.windowFrames, kMaxTelemetryWindowFrames);
     EXPECT_EQ(cfg.faults.ecpSteal, kLineBits);
-    EXPECT_EQ(schemeFromArgs(args).writeQueueEntries, kMaxWriteQueueEntries);
+    const SchemeConfig scheme = schemeFromArgs(args);
+    EXPECT_EQ(scheme.writeQueueEntries, kMaxWriteQueueEntries);
+    EXPECT_EQ(scheme.defaultTag, (NmRatio{1, kStripsPerBlock}));
 }
 
 TEST(RunFlags, DefaultsLeaveEveryObserverOff)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "event_adapters.hh"
 #include "sim/event_queue.hh"
 #include "sim/runner.hh"
@@ -220,6 +221,71 @@ TEST(SystemIntegration, TlbAndPagingActive)
     ASSERT_EQ(cores.size(), 2u);
     for (const auto& core : cores)
         EXPECT_TRUE(core->done());
+}
+
+/**
+ * A working set a little larger than the 64-entry TLB: three references
+ * in four go to a random page of a 48-page hot set, the fourth to the
+ * next page of a 40-page cold sweep. The 88 pages do not fit, so which
+ * references hit depends on which entry each refill evicts, and each
+ * miss costs the core a page-table walk.
+ */
+class TlbPressureStream : public TraceStream
+{
+  public:
+    explicit TlbPressureStream(std::uint64_t seed) : rng_(seed) {}
+
+    bool
+    next(TraceRecord& record) override
+    {
+        constexpr std::uint64_t kHotPages = 48;
+        constexpr std::uint64_t kColdPages = 40;
+        const std::uint64_t page =
+            (count_++ % 4 == 3) ? kHotPages + cold_++ % kColdPages
+                                : rng_.below(kHotPages);
+        record.isWrite = rng_.chance(0.25);
+        record.vaddr = page * DimmGeometry::rowBytes +
+                       rng_.below(DimmGeometry::linesPerRow()) *
+                           DimmGeometry::lineBytes;
+        record.gap = 20;
+        record.flipDensity = 0.1;
+        return true;
+    }
+
+  private:
+    Rng rng_;
+    std::uint64_t count_ = 0;
+    std::uint64_t cold_ = 0;
+};
+
+TEST(SystemIntegration, TlbEvictionOrderMatchesRecordedDigest)
+{
+    SystemConfig sc;
+    sc.scheme = SchemeConfig::sdpcm();
+    sc.cores = 2;
+    sc.refsPerCore = 3000;
+    sc.seed = 3;
+    const WorkloadSpec workload{
+        "tlbPressure", [](unsigned core, std::uint64_t seed) {
+            return std::make_unique<TlbPressureStream>(seed * 31 + core);
+        }};
+    System sys(sc, workload);
+    sys.run();
+
+    // FNV-1a over every snapshot name and value.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](const void* bytes, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= static_cast<const unsigned char*>(bytes)[i];
+            h *= 0x100000001b3ULL;
+        }
+    };
+    const StatSnapshot snap = sys.metrics().toSnapshot();
+    for (const auto& [name, value] : snap.values()) {
+        mix(name.data(), name.size());
+        mix(&value, sizeof value);
+    }
+    EXPECT_EQ(h, 0xb1ce12ce8578b828ULL) << std::hex << "0x" << h;
 }
 
 } // namespace
