@@ -122,9 +122,21 @@ BM_DeviceRead(benchmark::State& state)
 }
 BENCHMARK(BM_DeviceRead);
 
+/** Record a line by writing `data` to it once. */
+static void
+writeOnce(PcmDevice& dev, const LineAddr& la, const LineData& data)
+{
+    PcmDevice::WritePlan plan = dev.planWrite(la, data);
+    PcmDevice::RoundOutcome outcome;
+    while (dev.applyNextRound(plan, outcome)) {
+    }
+    dev.finishWrite(plan);
+}
+
 /**
  * Device layer, WD scan: the RESET rounds of sdpcm writes to warm lines
- * (each written line and its four neighbours already materialised).
+ * (each written line and its four neighbours already recorded, by a
+ * write of their own content).
  * Only the RESET rounds' applyNextRound calls are timed — their pulse
  * plus the neighbour probes — so items/s is RESET cells per second.
  */
@@ -148,7 +160,7 @@ BM_DeviceWdScan(benchmark::State& state)
                                  LineAddr{la.bank, la.row + 1, la.line},
                                  LineAddr{la.bank, la.row, la.line - 1},
                                  LineAddr{la.bank, la.row, la.line + 1}}) {
-            dev.peekLine(n);
+            writeOnce(dev, n, dev.peekLine(n));
         }
     }
 
@@ -180,14 +192,18 @@ BM_DeviceWdScan(benchmark::State& state)
 BENCHMARK(BM_DeviceWdScan)->UseManualTime();
 
 /**
- * Device layer, line lookup: readLine over a working set of 160k warm
- * lines (about the number write-mcf materialises), in random order.
+ * Device layer, line lookup: readLine over a working set of warm lines
+ * in random order. With `written` each line was written once, so every
+ * read finds its record; otherwise each was only read, so every read
+ * finds its row's touched mask and no record.
  */
 static void
-BM_LineLookup(benchmark::State& state)
+lineLookup(benchmark::State& state, bool written)
 {
     DeviceConfig dc;
     dc.seed = 3;
+    // No disturbance: the warm-up records exactly the warm lines.
+    dc.rates = WdRates{0.0, 0.0};
     PcmDevice dev(dc);
     const auto warm = static_cast<unsigned>(state.range(0));
     Rng rng(7);
@@ -197,7 +213,10 @@ BM_LineLookup(benchmark::State& state)
         // 16 banks x 64 lines per row, rows spread over the bank.
         const unsigned row_slot = i / (16 * 64);
         lines.push_back({i % 16, row_slot * 37, (i / 16) % 64});
-        dev.peekLine(lines.back());
+        if (written)
+            writeOnce(dev, lines.back(), LineData::randomFromKey(i));
+        else
+            dev.peekLine(lines.back());
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -205,16 +224,29 @@ BM_LineLookup(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations());
 }
+
+static void
+BM_LineLookup(benchmark::State& state)
+{
+    lineLookup(state, /*written=*/true);
+}
+
+static void
+BM_LineLookupReadOnly(benchmark::State& state)
+{
+    lineLookup(state, /*written=*/false);
+}
 // Warm lines: a small working set, one a few MB deep, and write-mcf's
 // 160k touched lines.
 BENCHMARK(BM_LineLookup)->Arg(1024)->Arg(16384)->Arg(160000);
+BENCHMARK(BM_LineLookupReadOnly)->Arg(1024)->Arg(16384)->Arg(160000);
 
 /**
  * Device layer, first touch: readLine of lines no read has touched, in
  * runs of consecutive line indices drawn like the trace generator's
  * bwaves runs: each starts at a random line and has a geometric length
  * of mean 8 (a run also ends at a line an earlier run took). Every call
- * finds no line and materialises one. Each device takes state.range(0)
+ * finds a line no access touched. Each device takes state.range(0)
  * lines; its replacement is built untimed.
  */
 static void

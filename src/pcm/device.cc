@@ -69,33 +69,73 @@ PcmDevice::lineKey(const LineAddr& addr) const
     return addr.row * config_.geometry.linesPerRow() + addr.line;
 }
 
-PcmDevice::LineState&
-PcmDevice::state(const LineAddr& addr)
+LineData
+PcmDevice::seedContent(const LineAddr& addr) const
+{
+    return LineData::randomFromKey(
+        mix64(config_.seed ^ (static_cast<std::uint64_t>(addr.bank) << 58) ^
+              lineKey(addr)));
+}
+
+LineIndex
+PcmDevice::indexOf(const LineAddr& addr) const
 {
     SDPCM_ASSERT(addr.bank < config_.geometry.banks(), "bank out of range");
     SDPCM_ASSERT(addr.line < config_.geometry.linesPerRow(),
                  "line out of range");
-    const auto [ls, fresh] = lines_.findOrInsert(map_.lineIndex(addr));
-    if (fresh)
-        materialise(ls, addr);
+    return map_.lineIndex(addr);
+}
+
+bool
+PcmDevice::touch(LineIndex line)
+{
+    std::uint64_t& mask = touched_.findOrInsert(line / kRowLines).value;
+    const std::uint64_t bit = 1ULL << (line % kRowLines);
+    if (mask & bit)
+        return false;
+    mask |= bit;
+    touchedLines_ += 1;
+    return true;
+}
+
+PcmDevice::LineState&
+PcmDevice::state(const LineAddr& addr)
+{
+    const LineIndex line = indexOf(addr);
+    const auto [ls, fresh] = lines_.findOrInsert(line);
+    if (fresh) {
+        seed(ls, addr);
+        if (touch(line))
+            drawStuckCells(ls, addr);
+    }
     return ls;
 }
 
-void
-PcmDevice::materialise(LineState& ls, const LineAddr& addr)
+const PcmDevice::LineState*
+PcmDevice::readState(const LineAddr& addr)
 {
-    // First touch: materialise deterministic content and, when modelling
-    // an aged DIMM, a sampled population of stuck-at cells.
-    const std::uint64_t key = lineKey(addr);
-    const std::uint64_t content_key =
-        mix64(config_.seed ^ (static_cast<std::uint64_t>(addr.bank) << 58) ^
-              key);
-    ls.physical = LineData::randomFromKey(content_key);
-    ls.ecp = EcpLine(config_.ecpEntries);
+    // Stuck cells are drawn from the device RNG at a line's first
+    // touch, so while a line can have them every touch records it.
+    if (hardErrorMean_ > 0.0 || inject_)
+        return &state(addr);
+    const LineIndex line = indexOf(addr);
+    return touch(line) ? nullptr : lines_.find(line);
+}
 
-    // A new stuck cell takes a hard ECP entry while one is free; past
-    // that, the line is saturated and the cell goes to the overflow.
-    // False for a cell that is stuck already.
+void
+PcmDevice::seed(LineState& ls, const LineAddr& addr) const
+{
+    ls.physical = seedContent(addr);
+    ls.ecp = EcpLine(config_.ecpEntries);
+}
+
+void
+PcmDevice::drawStuckCells(LineState& ls, const LineAddr& addr)
+{
+    // An aged DIMM's sampled population of stuck-at cells. A new stuck
+    // cell takes a hard ECP entry while one is free; past that, the
+    // line is saturated and the cell goes to the overflow. False for a
+    // cell that is stuck already.
     auto pin_stuck = [&](unsigned pos) {
         if (isHardCell(ls, addr, pos))
             return false;
@@ -130,7 +170,7 @@ PcmDevice::materialise(LineState& ls, const LineAddr& addr)
     // identical with and without injection.
     if (inject_) {
         injectScratch_.clear();
-        inject_->stuckCellsFor(addr.bank, key, injectScratch_);
+        inject_->stuckCellsFor(addr.bank, lineKey(addr), injectScratch_);
         for (const unsigned pos : injectScratch_) {
             if (pin_stuck(pos))
                 stats_.injectedStuckCells += 1;
@@ -177,11 +217,15 @@ PcmDevice::readLine(const LineAddr& addr)
 LineData
 PcmDevice::peekLine(const LineAddr& addr)
 {
-    LineState& ls = state(addr);
-    LineData data = ls.physical;
-    ls.ecp.apply(data);
+    const LineState* ls = readState(addr);
+    LineData data = ls ? ls->physical : seedContent(addr);
+    std::uint64_t flags = 0;
+    if (ls) {
+        ls->ecp.apply(data);
+        flags = ls->dinFlags;
+    }
     if (config_.dinEnabled || config_.fnwEnabled)
-        return encoder_.decode(data, ls.dinFlags);
+        return encoder_.decode(data, flags);
     return data;
 }
 
@@ -372,9 +416,10 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
 
     // Each neighbour line is pinned where its first lookup falls: the
     // word-line probe of the first RESET edge cell (before its idleness
-    // is known), or a successful bit-line draw. Pinning may materialise
-    // the line, which draws its stuck cells from the device RNG, so the
-    // scan's local copy of that RNG is handed back around it.
+    // is known), or a successful bit-line draw. Pinning records the
+    // line; on its first touch that draws its stuck cells from the
+    // device RNG, so the scan's local copy of that RNG is handed back
+    // around it.
     Rng rng = rng_;
     auto pin = [&](LineState*& slot, const LineAddr& n_addr) -> LineState& {
         if (!slot) {
@@ -694,13 +739,15 @@ PcmDevice::recordWdInEcp(const LineAddr& addr,
 unsigned
 PcmDevice::ecpUsed(const LineAddr& addr)
 {
-    return state(addr).ecp.size();
+    const LineState* ls = readState(addr);
+    return ls ? ls->ecp.size() : 0;
 }
 
 unsigned
 PcmDevice::ecpFree(const LineAddr& addr)
 {
-    return state(addr).ecp.freeEntries();
+    const LineState* ls = readState(addr);
+    return ls ? ls->ecp.freeEntries() : config_.ecpEntries;
 }
 
 LineData
@@ -708,7 +755,8 @@ PcmDevice::uncorrectableMask(const LineAddr& addr)
 {
     // Every stuck cell but a saturated line's overflow has a hard entry.
     LineData mask;
-    if (state(addr).saturated) {
+    const LineState* ls = readState(addr);
+    if (ls && ls->saturated) {
         for (const EcpEntry& e : *stuckOverflow_.find(map_.lineIndex(addr)))
             mask.setBit(e.cell(), true);
     }
@@ -719,9 +767,11 @@ std::vector<unsigned>
 PcmDevice::ecpWdCells(const LineAddr& addr)
 {
     std::vector<unsigned> cells;
-    for (const EcpEntry& e : state(addr).ecp.entries()) {
-        if (!e.hard())
-            cells.push_back(e.cell());
+    if (const LineState* ls = readState(addr)) {
+        for (const EcpEntry& e : ls->ecp.entries()) {
+            if (!e.hard())
+                cells.push_back(e.cell());
+        }
     }
     return cells;
 }
@@ -729,7 +779,35 @@ PcmDevice::ecpWdCells(const LineAddr& addr)
 std::size_t
 PcmDevice::touchedLines() const
 {
+    return touchedLines_;
+}
+
+std::size_t
+PcmDevice::recordedLines() const
+{
     return lines_.size();
+}
+
+template <typename Fn>
+void
+PcmDevice::forEachTouchedLine(Fn&& fn) const
+{
+    std::vector<std::pair<LineAddr, std::uint64_t>> rows;
+    rows.reserve(touched_.size());
+    touched_.forEach([&](std::uint32_t row, std::uint64_t mask) {
+        rows.emplace_back(map_.lineAt(row * kRowLines), mask);
+    });
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
+    });
+    for (const auto& [row_start, mask] : rows) {
+        const LineIndex first = map_.lineIndex(row_start);
+        for (std::uint64_t m = mask; m; m &= m - 1) {
+            const auto line = static_cast<unsigned>(std::countr_zero(m));
+            fn(LineAddr{row_start.bank, row_start.row, line},
+               lines_.find(first + line));
+        }
+    }
 }
 
 std::vector<LineCounterSample>
@@ -738,10 +816,11 @@ PcmDevice::lineCounterSamples() const
     std::vector<LineCounterSample> samples;
     if (!config_.lineCounters)
         return samples;
-    const auto lines = lines_.sorted(map_);
-    samples.reserve(lines.size());
-    for (const auto& [addr, ls] : lines)
-        samples.push_back(LineCounterSample{addr, ls->counters});
+    samples.reserve(touchedLines_);
+    forEachTouchedLine([&](const LineAddr& addr, const LineState* ls) {
+        samples.push_back(
+            LineCounterSample{addr, ls ? ls->counters : LineCounters{}});
+    });
     return samples;
 }
 
@@ -749,7 +828,13 @@ std::uint64_t
 PcmDevice::lineStateDigest() const
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto& [addr, ls] : lines_.sorted(map_)) {
+    forEachTouchedLine([&](const LineAddr& addr, const LineState* ls) {
+        // A line without a record hashes as its seeded record.
+        LineState seeded;
+        if (!ls) {
+            seed(seeded, addr);
+            ls = &seeded;
+        }
         fnvMix(h, addr.bank);
         fnvMix(h, addr.row);
         fnvMix(h, addr.line);
@@ -784,7 +869,7 @@ PcmDevice::lineStateDigest() const
                                       c.cellWrites}) {
             fnvMix(h, v);
         }
-    }
+    });
     return h;
 }
 

@@ -2,12 +2,19 @@
  * @file
  * Functional + fault model of the super dense PCM DIMM.
  *
- * The device stores physical cell states for every touched line (lines are
- * materialised on first access with deterministic pseudo-random content),
- * applies DIN encoding on the write path, injects thermal write
- * disturbance into word-line and bit-line neighbours of every RESET pulse,
- * maintains per-line ECP metadata (hard errors + LazyCorrection WD
- * parking) and tracks wear for the lifetime studies.
+ * Every line starts with deterministic pseudo-random content, a pure
+ * function of the device seed and the line's place. The device marks
+ * each line it touches in one 64-bit mask per device row, and records a
+ * line's physical cell states only once they can differ from that seed
+ * content: when the line is written or corrected, gets an ECP entry
+ * parked, or is pinned by a write's WD scan. A read of a line without a
+ * record answers from its seed content. On a device that can have
+ * stuck cells (aged, or with a fault injector) every line is recorded
+ * at its first touch, which draws them. The device applies DIN encoding
+ * on the write path, injects thermal write disturbance into word-line
+ * and bit-line neighbours of every RESET pulse, maintains per-line ECP
+ * metadata (hard errors + LazyCorrection WD parking) and tracks wear for
+ * the lifetime studies.
  *
  * Timing is the memory controller's job: the device exposes writes as a
  * sequence of <=128-cell program rounds so the controller can charge each
@@ -24,6 +31,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "obs/observers.hh"
@@ -63,9 +71,10 @@ struct AgingConfig
  * Per-line activity counters for spatial heatmaps (opt-in).
  *
  * Disabled by default: the hot path pays only a predictable branch per
- * increment site when `DeviceConfig::lineCounters` is off, and the
- * per-line memory cost (24 bytes/line) is only incurred for lines that
- * are materialised anyway.
+ * increment site when `DeviceConfig::lineCounters` is off. The counters
+ * live in a line's record (24 of its 128 bytes), so they cost nothing
+ * extra; a line without a record has only been read, and its counters
+ * are all zero.
  */
 struct LineCounters
 {
@@ -127,7 +136,7 @@ struct DeviceStats
     std::uint64_t ecpOverflows = 0;   //!< WD parking attempts that spilled
     std::uint64_t ecpBitsWritten = 0; //!< differential cell writes, ECP chip
     std::uint64_t ecpWdReleased = 0;  //!< WD entries cleared by writes
-    std::uint64_t hardErrors = 0;     //!< stuck-at cells materialised
+    std::uint64_t hardErrors = 0;     //!< aging stuck-at cells drawn
     std::uint64_t ecpSaturatedLines = 0; //!< hard errors exceeding ECP-N
     std::uint64_t injectedStuckCells = 0; //!< fault-injected stuck cells
 
@@ -163,10 +172,11 @@ class PcmDevice : public Observed
 
     /**
      * Attach a deterministic fault source (see verify/faultinject.hh).
-     * Injected stuck cells apply to lines materialised after this call, so
-     * attach before the first access; WD boosts apply immediately. The
-     * injector draws from its own RNG stream — the device's sequence is
-     * identical with and without one attached.
+     * Injected stuck cells apply to lines first touched after this call,
+     * so attach before the first access; WD boosts apply immediately.
+     * While one is attached, every line is recorded at its first touch.
+     * The injector draws from its own RNG stream — the device's sequence
+     * is identical with and without one attached.
      */
     void setFaultInjector(FaultInjector* inject) { inject_ = inject; }
 
@@ -236,13 +246,14 @@ class PcmDevice : public Observed
 
       private:
         friend class PcmDevice;
-        // The lines this write touches, pinned so the round, WD-scan and
-        // repair paths never look a line up. The written line is pinned
-        // at planning; each neighbour only where the scan first needs
-        // it, so pinning never changes when a line materialises (and
-        // draws its stuck cells from the device RNG). Pins point into
-        // the planning device's line store and stay valid as long as it
-        // lives; every re-plan resets them.
+        // The records of the lines this write touches, pinned so the
+        // round, WD-scan and repair paths never look a line up. Pinning
+        // records a line that has no record yet. The written line is
+        // pinned at planning; each neighbour only where the scan first
+        // needs it, so pinning never changes when a line is first
+        // touched (and draws its stuck cells from the device RNG). Pins
+        // point into the planning device's line store and stay valid as
+        // long as it lives; every re-plan resets them.
         LineState* line_ = nullptr;  //!< the written line
         LineState* left_ = nullptr;  //!< word-line neighbour, line - 1
         LineState* right_ = nullptr; //!< word-line neighbour, line + 1
@@ -357,19 +368,27 @@ class PcmDevice : public Observed
     /** Cells currently parked as WD entries in the line's ECP table. */
     std::vector<unsigned> ecpWdCells(const LineAddr& addr);
 
-    /** Number of distinct lines materialised (test/diagnostic hook). */
+    /** Number of distinct lines touched by any access (test/diagnostic
+     *  hook). */
     std::size_t touchedLines() const;
 
+    /** Number of touched lines holding a record: written, corrected,
+     *  ECP-parked, pinned by a WD scan, or touched on a device that can
+     *  have stuck cells (test/diagnostic hook). */
+    std::size_t recordedLines() const;
+
     /**
-     * Snapshot of every materialised line's counters, sorted by
-     * (bank, row, line). Empty unless `DeviceConfig::lineCounters` is set.
+     * Snapshot of every touched line's counters, sorted by (bank, row,
+     * line); a line without a record has zero counters. Empty unless
+     * `DeviceConfig::lineCounters` is set.
      */
     std::vector<LineCounterSample> lineCounterSamples() const;
 
     /**
-     * FNV-1a digest of every materialised line's modelled state, visited
-     * in (bank, row, line) order: physical cells, flag bits, ECP entries
-     * and their wear images, stuck cells, write count and counters.
+     * FNV-1a digest of every touched line's modelled state, visited in
+     * (bank, row, line) order: physical cells, flag bits, ECP entries
+     * and their wear images, stuck cells, write count and counters. A
+     * line without a record hashes as its seeded record would.
      * Differential tests compare it across host-side changes that must
      * leave the modelled cells untouched.
      */
@@ -382,7 +401,7 @@ class PcmDevice : public Observed
      * counters, the write count and the inline ECP table fill the
      * second. Two things are derived instead of stored:
      *  - the line's stuck cells, in draw order: its hard ECP entries
-     *    (pinned first at materialise, kept first by clearWd), then, on
+     *    (pinned first at first touch, kept first by clearWd), then, on
      *    a saturated line only, the rest in `stuckOverflow_`;
      *  - the ECP chip's slot image (wear model): the packed live
      *    entries once `ecpCharged` is set, all zeros before. Entries
@@ -404,13 +423,41 @@ class PcmDevice : public Observed
     static_assert(std::is_trivially_copyable_v<LineState>,
                   "a line's state owns no heap storage");
 
-    /** The line's state, materialised on first touch. */
+    /** The line's record, seeded when this call creates it. The only
+     *  place a record is created. */
     LineState& state(const LineAddr& addr);
-    /** Fill the fresh record `ls` of a line's first touch. */
-    void materialise(LineState& ls, const LineAddr& addr);
+
+    /**
+     * The line's record for a read path, or null when it has none: the
+     * line is then marked touched, and its content is its seed content
+     * with DIN flags 0 and no ECP entries. On a device that can have
+     * stuck cells every touch records its line (through state()).
+     */
+    const LineState* readState(const LineAddr& addr);
+
+    /** Mark the line touched; true on its first touch. */
+    bool touch(LineIndex line);
+
+    /** The line's index, its bank and line range asserted. */
+    LineIndex indexOf(const LineAddr& addr) const;
+
+    /** Fill a fresh record with the line's seed content and an empty
+     *  ECP table. */
+    void seed(LineState& ls, const LineAddr& addr) const;
+
+    /** Draw the stuck cells of a line's first touch into its record. */
+    void drawStuckCells(LineState& ls, const LineAddr& addr);
+
+    /** A line's content before anything changes it. */
+    LineData seedContent(const LineAddr& addr) const;
 
     /** Key within the bank: row * linesPerRow + line (content seed). */
     std::uint64_t lineKey(const LineAddr& addr) const;
+
+    /** Call fn(addr, record or null) for every touched line, in (bank,
+     *  row, line) order. */
+    template <typename Fn>
+    void forEachTouchedLine(Fn&& fn) const;
 
     /** Reset a plan for reuse, keeping its vectors' capacity. */
     static void resetPlan(WritePlan& plan, const LineAddr& addr);
@@ -457,10 +504,22 @@ class PcmDevice : public Observed
     /** Peak LineCounters::cellWrites across lines (wear-skew gauge). */
     std::uint32_t maxLineCellWrites_ = 0;
 
-    /** Injected stuck-cell scratch for materialise() (reused per line). */
+    /** Injected stuck-cell scratch for drawStuckCells() (reused per
+     *  line). */
     std::vector<unsigned> injectScratch_;
 
-    /** Every materialised line, keyed by its index (map_.lineIndex). */
+    /** Lines per touched mask: one device row. */
+    static constexpr unsigned kRowLines = DimmGeometry::linesPerRow();
+    static_assert(kRowLines == 64, "a row's touched mask is one word");
+
+    /** Every touched line, one bit per line of its device row, keyed by
+     *  the row's place: line index / kRowLines. Streaming reads of one
+     *  row share one slot. */
+    FlatMap<std::uint32_t, std::uint64_t> touched_;
+    std::size_t touchedLines_ = 0; //!< bits set in touched_
+
+    /** The record of every line that has one, keyed by its index
+     *  (map_.lineIndex). */
     LineTable<LineState> lines_;
 
     /** Each saturated line's stuck cells beyond its ECP entries, as

@@ -3,9 +3,10 @@
  * The per-line store of a run: entries of type T in never-moving chunks,
  * found through a FlatMap (common/flat_map.hh) from a line's index
  * (`AddressMap::lineIndex`, inverted by `lineAt`) to the entry's place.
- * The device keeps its line states in one, the WD ledger its pending
- * flips and blame, the integrity oracle its shadow lines, so what
- * identifies a line is decided once, by the address map.
+ * The device keeps the records of the lines it has changed in one (a
+ * line that was only read has none), the WD ledger its pending flips
+ * and blame, the integrity oracle its shadow lines, so what identifies
+ * a line is decided once, by the address map.
  */
 
 #ifndef SDPCM_PCM_LINE_TABLE_HH

@@ -7,8 +7,9 @@
  * sdpcm_tests. Events are plain records (sim/event_queue.hh): scheduling
  * and dispatching one must not allocate, and a whole run must allocate
  * far less than once per event. A line's device state is one fixed-size
- * record (pcm/device.hh): touching a line must not allocate beyond the
- * line table's own storage. The TLB lives in fixed arrays and the page
+ * record (pcm/device.hh): recording a line must not allocate beyond the
+ * line table's own storage, and reading a line nothing changed records
+ * nothing. The TLB lives in fixed arrays and the page
  * table in a flat map (os/page_table.hh): translating mapped pages must
  * not allocate, hit or miss.
  */
@@ -20,6 +21,8 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "os/page_table.hh"
@@ -252,10 +255,37 @@ doublings(std::size_t from, std::size_t to)
     return std::bit_width(to) - std::bit_width(from) + 1;
 }
 
+/** The i-th line the device tests touch: line 0 of every 8th row, so
+ *  its bit-line neighbours are lines of their own. */
+LineAddr
+spreadLine(unsigned i)
+{
+    return LineAddr{i % 16, 8 * (i / 16 % 4096), i / 16 / 4096};
+}
+
+/** The device rows (bank, row) the lines spreadLine(0 .. n-1) and their
+ *  bit-line neighbours lie in: the entries of the device's touched-mask
+ *  table once all of them are touched. */
+std::size_t
+spreadRows(const AddressMap& map, unsigned n)
+{
+    std::set<std::pair<unsigned, std::uint64_t>> rows;
+    for (unsigned i = 0; i < n; ++i) {
+        const LineAddr la = spreadLine(i);
+        for (const std::optional<LineAddr> row :
+             {std::optional<LineAddr>(la), map.upperNeighbor(la),
+              map.lowerNeighbor(la)}) {
+            if (row)
+                rows.emplace(row->bank, row->row);
+        }
+    }
+    return rows.size();
+}
+
 TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
 {
     // The sdpcm device: every write disturbs its bit-line neighbours,
-    // which the scan materialises, and VnC parks their errors in ECP.
+    // which the scan records, and VnC parks their errors in ECP.
     DeviceConfig dc;
     dc.seed = 11;
     PcmDevice dev(dc);
@@ -291,9 +321,7 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
         }
     };
     // Every 8th row, so each written line's neighbours are fresh too.
-    auto line = [](unsigned i) {
-        return LineAddr{i % 16, 8 * (i / 16 % 4096), i / 16 / 4096};
-    };
+    const auto line = spreadLine;
 
     // Warm-up: the plan and scratch vectors reach their high-water marks.
     plan.rounds.reserve(2 * kLineBits);
@@ -304,7 +332,7 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
 
     constexpr unsigned kLines = 2000;
     constexpr std::size_t kChunk = 512; // LineTable entries per chunk
-    const std::size_t lines_before = dev.touchedLines();
+    const std::size_t lines_before = dev.recordedLines();
     const std::uint64_t parked_before = dev.stats().ecpWdRecorded;
     std::uint64_t allocations = 0;
     std::uint64_t chunks = 0;
@@ -315,7 +343,7 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
         allocations = counter.count();
         chunks = counter.aligned();
     }
-    const std::size_t lines_after = dev.touchedLines();
+    const std::size_t lines_after = dev.recordedLines();
     ASSERT_GE(lines_after - lines_before, kLines);
     ASSERT_GT(dev.stats().ecpWdRecorded - parked_before, kLines / 2);
 
@@ -323,13 +351,48 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
     const std::size_t chunks_before = (lines_before + kChunk - 1) / kChunk;
     const std::size_t chunks_after = (lines_after + kChunk - 1) / kChunk;
     EXPECT_EQ(chunks, chunks_after - chunks_before);
-    // Everything else is the table's growth: its index and its chunk
-    // list, each doubling.
+    // Everything else is growth: the line table's index and chunk list
+    // and the touched-mask table, each doubling.
+    const std::size_t rows_before = spreadRows(map, 64);
+    const std::size_t rows_after = spreadRows(map, 64 + kLines);
     EXPECT_LE(allocations - chunks,
               doublings(lines_before, lines_after) +
-                  doublings(chunks_before, chunks_after))
+                  doublings(chunks_before, chunks_after) +
+                  doublings(rows_before, rows_after))
         << allocations << " allocations for "
         << lines_after - lines_before << " fresh lines";
+}
+
+TEST(Allocations, ReadOnlyLinesAllocateNoRecord)
+{
+    // The sdpcm device has no stuck cells, so a line nothing changed is
+    // only marked in its row's touched mask and read from its seed.
+    DeviceConfig dc;
+    dc.seed = 11;
+    PcmDevice dev(dc);
+    std::vector<unsigned> diffs;
+    diffs.reserve(kLineBits);
+
+    constexpr unsigned kLines = 2000;
+    std::size_t mismatches = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t chunks = 0;
+    {
+        const AllocationCounter counter;
+        for (unsigned i = 0; i < kLines; ++i) {
+            const LineData data = dev.readLine(spreadLine(i));
+            dev.verifyLineInto(spreadLine(i), data, diffs);
+            mismatches += diffs.size();
+        }
+        allocations = counter.count();
+        chunks = counter.aligned();
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(dev.touchedLines(), kLines);
+    EXPECT_EQ(dev.recordedLines(), 0u);
+    EXPECT_EQ(chunks, 0u);
+    // One row per line here: the touched-mask table's doublings.
+    EXPECT_LE(allocations, doublings(0, kLines)) << allocations;
 }
 
 } // namespace

@@ -361,6 +361,190 @@ TEST(Device, TouchedLinesTracksMaterialisation)
     EXPECT_EQ(dev.touchedLines(), 2u);
 }
 
+TEST(Device, ReadOnlyLinesKeepNoRecord)
+{
+    // The sdpcm device: no stuck cells, so a read records nothing.
+    const DeviceConfig dc;
+    PcmDevice dev(dc);
+    std::vector<unsigned> diffs;
+    const LineAddr a{0, 0, 0}, b{1, 5, 63}, c{2, 7, 1}, d{3, 9, 2},
+        e{4, 11, 3}, f{5, 13, 4}, g{6, 15, 5}, k{7, 17, 6};
+
+    const LineData content = dev.readLine(a);
+    EXPECT_EQ(dev.peekLine(b), dev.peekLine(b));
+    dev.verifyLineInto(c, LineData{}, diffs);
+    EXPECT_EQ(dev.verifyLine(d, dev.peekLine(d)), std::vector<unsigned>{});
+    EXPECT_EQ(dev.ecpUsed(e), 0u);
+    EXPECT_EQ(dev.ecpFree(f), dc.ecpEntries);
+    EXPECT_EQ(dev.ecpWdCells(g), std::vector<unsigned>{});
+    EXPECT_EQ(dev.uncorrectableMask(k), LineData{});
+    EXPECT_EQ(dev.touchedLines(), 8u);
+    EXPECT_EQ(dev.recordedLines(), 0u);
+    // A verify read against zeros reports every set cell of the content.
+    EXPECT_EQ(diffs.size(), dev.readLine(c).popcount());
+
+    // Reading again answers the same content; a write records the line.
+    EXPECT_EQ(dev.readLine(a), content);
+    EXPECT_EQ(dev.recordedLines(), 0u);
+    auto plan = dev.planWrite(a, content);
+    runPlan(dev, plan);
+    EXPECT_EQ(dev.readLine(a), content);
+    EXPECT_GE(dev.recordedLines(), 1u);
+    EXPECT_EQ(dev.touchedLines(), dev.recordedLines() + 7u);
+}
+
+TEST(Device, StuckCellDevicesRecordEveryTouchedLine)
+{
+    // Stuck cells are drawn at a line's first touch, so while a device
+    // can have them, reads record their lines.
+    DeviceConfig aged = quietConfig();
+    aged.aging.ageFraction = 0.6;
+    PcmDevice old_dimm(aged);
+    FaultSpec faults;
+    faults.stuckPerLine = 0.3;
+    FaultInjector inject(faults);
+    PcmDevice stormed(quietConfig());
+    stormed.setFaultInjector(&inject);
+    for (PcmDevice* dev : {&old_dimm, &stormed}) {
+        for (unsigned i = 0; i < 50; ++i)
+            dev->readLine(LineAddr{i % 16, i, i % 64});
+        EXPECT_EQ(dev->touchedLines(), 50u);
+        EXPECT_EQ(dev->recordedLines(), 50u);
+    }
+}
+
+/**
+ * Run `change` on two like devices, one of which read `line` first (so
+ * the change finds it touched but unrecorded), and expect the same
+ * modelled state. Returns the content the read returned.
+ */
+template <typename Change>
+LineData
+expectChangeStartsFromReadContent(const DeviceConfig& dc,
+                                  const LineAddr& line, Change&& change)
+{
+    PcmDevice read_first(dc);
+    PcmDevice fresh(dc);
+    const LineData content = read_first.readLine(line);
+    EXPECT_EQ(read_first.recordedLines(), 0u);
+    change(read_first);
+    change(fresh);
+    EXPECT_GE(read_first.recordedLines(), 1u);
+    EXPECT_EQ(read_first.lineStateDigest(), fresh.lineStateDigest());
+    EXPECT_EQ(read_first.readLine(line), fresh.readLine(line));
+    EXPECT_EQ(read_first.stats().dataCellWrites,
+              fresh.stats().dataCellWrites);
+    return content;
+}
+
+TEST(Device, FirstChangeOfAReadOnlyLineStartsFromItsReadContent)
+{
+    const DeviceConfig sdpcm;
+    const LineAddr la{3, 40, 7};
+    const std::vector<unsigned> cells = {0, 1, 2, 3, 100, 200, 300, 511};
+
+    // A write: the read content, with a few cells flipped.
+    LineData written;
+    const LineData read = expectChangeStartsFromReadContent(
+        quietConfig(), la, [&](PcmDevice& dev) {
+            written = dev.peekLine(la);
+            for (const unsigned cell : cells)
+                written.flipBit(cell);
+            auto plan = dev.planWrite(la, written);
+            runPlan(dev, plan);
+            EXPECT_EQ(dev.readLine(la), written);
+        });
+    EXPECT_EQ(read.diff(written).popcount(), cells.size());
+
+    // A correction RESETs exactly the named cells the content has set
+    // (a line no write touched has DIN flags 0: its cells are its data).
+    const LineData corrected = expectChangeStartsFromReadContent(
+        sdpcm, la, [&](PcmDevice& dev) {
+            auto plan = dev.planCorrection(la, cells);
+            runPlan(dev, plan);
+        });
+    {
+        PcmDevice dev(sdpcm);
+        dev.readLine(la);
+        auto plan = dev.planCorrection(la, cells);
+        unsigned set = 0;
+        for (const unsigned cell : cells) {
+            set += corrected.getBit(cell);
+            EXPECT_EQ(plan.masks.resetMask.getBit(cell),
+                      corrected.getBit(cell));
+        }
+        EXPECT_EQ(plan.masks.resetCount(), set);
+        EXPECT_GT(set, 0u);
+    }
+
+    // An ECP park overlays the parked cells on the read content.
+    const LineData parked_read = expectChangeStartsFromReadContent(
+        sdpcm, la, [&](PcmDevice& dev) {
+            EXPECT_TRUE(dev.recordWdInEcp(la, {5, 6}));
+            EXPECT_EQ(dev.ecpWdCells(la), (std::vector<unsigned>{5, 6}));
+        });
+    {
+        PcmDevice dev(sdpcm);
+        dev.readLine(la);
+        dev.recordWdInEcp(la, {5, 6});
+        LineData expected = parked_read;
+        expected.setBit(5, false);
+        expected.setBit(6, false);
+        EXPECT_EQ(dev.readLine(la), expected);
+    }
+
+    // A WD flip lands on the read content of a bit-line neighbour.
+    const LineAddr victim{3, 39, 7};
+    DeviceConfig hot = sdpcm;
+    hot.rates = WdRates{0.0, 1.0};
+    const LineData victim_read = expectChangeStartsFromReadContent(
+        hot, victim, [&](PcmDevice& dev) {
+            auto plan = dev.planWrite(la, LineData::randomFromKey(9));
+            runPlan(dev, plan);
+            EXPECT_GT(dev.stats().blDisturbances, 0u);
+        });
+    {
+        PcmDevice dev(hot);
+        dev.readLine(victim);
+        auto plan = dev.planWrite(la, LineData::randomFromKey(9));
+        runPlan(dev, plan);
+        const std::vector<unsigned> flipped =
+            dev.verifyLine(victim, victim_read);
+        EXPECT_EQ(flipped.size(), plan.blHitsUpper);
+        for (const unsigned cell : flipped)
+            EXPECT_FALSE(victim_read.getBit(cell)) << cell;
+    }
+}
+
+TEST(Device, CounterSamplesListReadOnlyLinesWithZeroCounters)
+{
+    DeviceConfig dc = quietConfig();
+    dc.lineCounters = true;
+    PcmDevice dev(dc);
+    const LineAddr read_only{2, 10, 4};
+    const LineAddr written{2, 10, 5};
+    dev.readLine(read_only);
+    auto plan = dev.planWrite(written, LineData::randomFromKey(3));
+    runPlan(dev, plan);
+    dev.readLine(LineAddr{0, 1, 63});
+
+    const std::vector<LineCounterSample> samples = dev.lineCounterSamples();
+    ASSERT_EQ(samples.size(), 3u);
+    EXPECT_EQ(samples[0].addr, (LineAddr{0, 1, 63}));
+    EXPECT_EQ(samples[1].addr, read_only);
+    EXPECT_EQ(samples[2].addr, written);
+    for (const std::size_t i : {0u, 1u}) {
+        const LineCounters& c = samples[i].counters;
+        for (const std::uint32_t v : {c.writes, c.wdFlips, c.wdAbsorbed,
+                                      c.wdCorrected, c.ecpHighWater,
+                                      c.cellWrites}) {
+            EXPECT_EQ(v, 0u) << i;
+        }
+    }
+    EXPECT_EQ(samples[2].counters.writes, 1u);
+    EXPECT_EQ(dev.recordedLines(), 1u);
+}
+
 // --- Line store ------------------------------------------------------
 
 struct StoreProbe
@@ -577,7 +761,7 @@ TEST(LineStore, BanksNeverAlias)
 //
 // A fixed script drives the device through every write-path entry point
 // the controller uses and hashes everything it can observe. The recorded
-// digests pin the order of line materialisation, of the device RNG
+// digests pin the order of first touches, of the device RNG
 // stream (hard-cell draws included) and of every disturbance, so a
 // host-side change to the device must reproduce them exactly. A change
 // meant to alter simulated behaviour re-records them and says so.
@@ -639,26 +823,39 @@ struct ScriptResult
     std::uint64_t forcedFlips = 0;
 };
 
+/** The script's mix of steps. */
+struct ScriptMix
+{
+    /** Of every ten steps, how many write; two of the rest read, one
+     *  queries the ECP and one corrects. */
+    unsigned writeSteps = 6;
+    /** A read step reads a run of up to 16 lines anywhere in the row
+     *  instead of one edge line, so many lines are only ever read. */
+    bool streamReads = false;
+    /** The step before which the injector is attached. */
+    unsigned injectFromStep = 0;
+};
+
 /**
  * Run the scripted sequence: data writes with VnC-style neighbour
  * clean-up (ECP parking or correction) or none (blind writes, whose
- * neighbours first materialise inside the WD scan), cancelled writes
+ * neighbours are first recorded inside the WD scan), cancelled writes
  * that repair their in-row damage and resume, stand-alone corrections,
  * reads and ECP queries. All of it stays in a 2-bank x 24-row window
- * (fewer rows when the geometry has fewer) whose lines sit at the row
- * edges, so word-line, bit-line and edge neighbours keep interacting.
+ * (fewer rows when the geometry has fewer) whose written lines sit at
+ * the row edges, so word-line, bit-line and edge neighbours keep
+ * interacting.
  */
 ScriptResult
-runDeviceScript(DeviceConfig dc, const FaultSpec& faults)
+runDeviceScript(DeviceConfig dc, const FaultSpec& faults,
+                const ScriptMix& script = {})
 {
     dc.geometry.rowsPerBank =
         std::min<std::uint64_t>(dc.geometry.rowsPerBank, 24);
     PcmDevice dev(dc);
     std::unique_ptr<FaultInjector> inject;
-    if (faults.any()) {
+    if (faults.any())
         inject = std::make_unique<FaultInjector>(faults);
-        dev.setFaultInjector(inject.get());
-    }
     EventQueue events;
     WdLedger ledger(events, dc.geometry);
     dev.observe({.ledger = &ledger});
@@ -709,13 +906,15 @@ runDeviceScript(DeviceConfig dc, const FaultSpec& faults)
     };
 
     for (unsigned step = 0; step < 1500; ++step) {
+        if (inject && step == script.injectFromStep)
+            dev.setFaultInjector(inject.get());
         const unsigned line = rng.chance(0.5)
             ? static_cast<unsigned>(rng.below(4))
             : 60 + static_cast<unsigned>(rng.below(4));
         const LineAddr la{static_cast<unsigned>(rng.below(2)),
                           rng.below(dc.geometry.rowsPerBank), line};
         const unsigned action = static_cast<unsigned>(rng.below(10));
-        if (action < 6) {
+        if (action < script.writeSteps) {
             const bool vnc = rng.chance(0.6);
             const std::optional<LineAddr> upper =
                 vnc ? map.upperNeighbor(la) : std::nullopt;
@@ -753,6 +952,11 @@ runDeviceScript(DeviceConfig dc, const FaultSpec& faults)
             if (lower)
                 settle(*lower, lower_before);
             mixLine(h, dev.readLine(la));
+        } else if (action < 8 && script.streamReads) {
+            const unsigned first = static_cast<unsigned>(rng.below(64));
+            const unsigned run = 1 + static_cast<unsigned>(rng.below(16));
+            for (unsigned l = first; l < std::min(64u, first + run); ++l)
+                mixLine(h, dev.readLine(LineAddr{la.bank, la.row, l}));
         } else if (action < 8) {
             mixLine(h, dev.readLine(la));
         } else if (action == 8) {
@@ -797,6 +1001,7 @@ struct DiffCase
     DeviceConfig config;
     FaultSpec faults; //!< no injector unless faults.any()
     std::uint64_t digest; //!< recorded
+    ScriptMix script = {};
 };
 
 void
@@ -851,6 +1056,10 @@ diffCases()
     DeviceConfig ecp_none = aged;
     ecp_none.ecpEntries = 0;
 
+    const ScriptMix read_mostly{.writeSteps = 1, .streamReads = true};
+    ScriptMix late_injector = read_mostly;
+    late_injector.injectFromStep = 750;
+
     // Digests recorded with the per-bank std::unordered_map line store.
     return {
         {"sdpcm", sdpcm, FaultSpec{}, 0xd876b677d10d9e51ULL},
@@ -866,6 +1075,14 @@ diffCases()
         {"saturated", saturated, FaultSpec{}, 0xefa9632a25ce70eeULL},
         {"ecpMax", ecp_max, FaultSpec{}, 0x0bd895eb1a0f5a4dULL},
         {"ecpNone", ecp_none, FaultSpec{}, 0xbab2c42998a1955bULL},
+        // Recorded with a record for every touched line. One step in
+        // ten writes, seven stream reads; most lines are only read, and
+        // some are written, pinned, parked or corrected after it. The
+        // late injector leaves the lines touched before it without
+        // injected stuck cells, however late they are first written.
+        {"readMostly", counted, FaultSpec{}, 0xf4e2a3523475c3b6ULL, read_mostly},
+        {"readMostlyLateInjector", sdpcm, storm, 0x98685fe091ba6844ULL,
+         late_injector},
     };
 }
 
@@ -875,7 +1092,7 @@ class DeviceDifferential : public ::testing::TestWithParam<DiffCase>
 TEST_P(DeviceDifferential, ScriptMatchesRecordedDigest)
 {
     const DiffCase& c = GetParam();
-    const ScriptResult r = runDeviceScript(c.config, c.faults);
+    const ScriptResult r = runDeviceScript(c.config, c.faults, c.script);
     EXPECT_EQ(r.digest, c.digest) << std::hex << "0x" << r.digest;
 
     // The script must reach the paths it guards.

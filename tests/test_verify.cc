@@ -154,7 +154,7 @@ TEST(DeviceInjection, EcpStealMaterialisesStuckCells)
     device.setFaultInjector(&inj);
 
     const LineAddr la{0, 10, 0};
-    (void)device.readLine(la); // materialises the line
+    (void)device.readLine(la); // records the line and its stuck cells
     EXPECT_GE(device.stats().injectedStuckCells, 2u);
     const std::uint64_t after_one = device.stats().injectedStuckCells;
     (void)device.readLine(la); // same line: no re-injection
@@ -166,7 +166,7 @@ TEST(DeviceInjection, EcpStealMaterialisesStuckCells)
 TEST(DeviceInjection, StuckValueMatchesContentAtMaterialisation)
 {
     // A stuck cell freezes the value the cell held when the line was
-    // first materialised, so a fresh line reads identically with and
+    // first touched, so a fresh line reads identically with and
     // without injection; only later writes can collide with it.
     DeviceConfig dc;
     dc.seed = 21;
