@@ -182,13 +182,13 @@ main(int argc, char** argv)
         return 0;
     }
 
-    auto [cfg, out] = parseRunFlags(args);
-    const SchemeConfig scheme = schemeFromArgs(args);
-    const std::string workload_name = args.getString("workload", "mcf");
+    CliRun cli = parseCliRun(args);
+    RunnerConfig& cfg = cli.flags.config;
+    const RunOutputs& out = cli.flags.outputs;
+    const SchemeConfig& scheme = cli.scheme;
+    const std::string& workload_name = cli.workload;
     const std::string capture_path = args.getString("capture", "");
     const std::string replay_path = args.getString("replay", "");
-    cfg.aging.ageFraction =
-        args.get<double>("age", 0.0, 0.0, kMaxAgeFraction);
     cfg.tracePath = args.getString("trace", "");
     cfg.epochTicks = args.get<Tick>("epoch", 0);
     const std::string epoch_csv_path = args.getString("epoch-csv", "");

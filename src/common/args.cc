@@ -10,19 +10,22 @@
 namespace sdpcm {
 
 ArgParser::ArgParser(int argc, char** argv)
+    : ArgParser(argc > 1 ? std::vector<std::string>(argv + 1, argv + argc)
+                         : std::vector<std::string>{})
+{}
+
+ArgParser::ArgParser(const std::vector<std::string>& words)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            positional_.push_back(arg);
+    for (const std::string& word : words) {
+        if (word.rfind("--", 0) != 0) {
+            positional_.push_back(word);
             continue;
         }
-        arg = arg.substr(2);
-        auto eq = arg.find('=');
+        const auto eq = word.find('=');
         if (eq == std::string::npos)
-            options_[arg] = std::nullopt;
+            options_[word.substr(2)] = std::nullopt;
         else
-            options_[arg.substr(0, eq)] = arg.substr(eq + 1);
+            options_[word.substr(2, eq - 2)] = word.substr(eq + 1);
     }
 }
 

@@ -45,6 +45,8 @@ class ArgParser
 {
   public:
     ArgParser(int argc, char** argv);
+    /** The same over the words after the program name. */
+    explicit ArgParser(const std::vector<std::string>& words);
 
     bool has(const std::string& key) const;
 

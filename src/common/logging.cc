@@ -21,12 +21,6 @@ setLogLevel(LogLevel level)
     g_level = level;
 }
 
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
 bool
 logEnabled(LogLevel level)
 {
@@ -57,14 +51,6 @@ warnImpl(const std::string& msg)
     if (!logEnabled(LogLevel::Warn))
         return;
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string& msg)
-{
-    if (!logEnabled(LogLevel::Info))
-        return;
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 void

@@ -2,8 +2,8 @@
  * @file
  * Status and error reporting helpers, following the gem5 convention:
  * panic() for internal invariant violations (simulator bugs), fatal() for
- * unrecoverable user errors (bad configuration), warn()/inform() for
- * conditions the user should know about.
+ * unrecoverable user errors (bad configuration), warn() for conditions
+ * the user should know about.
  */
 
 #ifndef SDPCM_COMMON_LOGGING_HH
@@ -24,8 +24,8 @@ namespace sdpcm {
  *  - Warn: SDPCM_WARN. This is the floor `--quiet` maps to, so alerts
  *    that must never be silenced (SLO monitor breaches, watchdog
  *    stalls, oracle mismatches) are emitted at Warn.
- *  - Info: SDPCM_INFORM and bench/CLI progress lines (SDPCM_PROGRESS,
- *    banners, per-cell matrix completion lines). The default.
+ *  - Info: bench/CLI progress lines (SDPCM_PROGRESS, banners,
+ *    per-cell matrix completion lines). The default.
  */
 enum class LogLevel
 {
@@ -36,7 +36,6 @@ enum class LogLevel
 
 /** Set the global verbosity (frontends map --quiet to Warn). */
 void setLogLevel(LogLevel level);
-LogLevel logLevel();
 
 /** True when messages of `level` should be printed. */
 bool logEnabled(LogLevel level);
@@ -56,7 +55,6 @@ composeMessage(Args&&... args)
 [[noreturn]] void panicImpl(const char* file, int line, const std::string& msg);
 [[noreturn]] void fatalImpl(const char* file, int line, const std::string& msg);
 void warnImpl(const std::string& msg);
-void informImpl(const std::string& msg);
 void progressImpl(const std::string& msg);
 
 } // namespace detail
@@ -80,10 +78,6 @@ void progressImpl(const std::string& msg);
 /** Report a suspicious-but-survivable condition. */
 #define SDPCM_WARN(...) \
     ::sdpcm::detail::warnImpl(::sdpcm::detail::composeMessage(__VA_ARGS__))
-
-/** Report normal operating status. */
-#define SDPCM_INFORM(...) \
-    ::sdpcm::detail::informImpl(::sdpcm::detail::composeMessage(__VA_ARGS__))
 
 /**
  * Bench/CLI progress line (stderr, no prefix, Info level): per-cell

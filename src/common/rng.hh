@@ -164,18 +164,23 @@ class Rng
         double logQ_;         //!< log1p(-p)
     };
 
-    /** Standard normal draw (Box-Muller). */
-    double gaussian();
-
-    /** Normal draw with given mean and standard deviation. */
-    double
-    gaussian(double mean, double sigma)
+    /**
+     * Poisson draw (Knuth's product of uniforms), for the small means
+     * of stuck-cell counts. It draws once even when mean <= 0, so
+     * callers that must leave the stream untouched skip the call.
+     */
+    unsigned
+    poisson(double mean)
     {
-        return mean + sigma * gaussian();
+        const double limit = std::exp(-mean);
+        unsigned count = 0;
+        double product = uniform();
+        while (product > limit) {
+            ++count;
+            product *= uniform();
+        }
+        return count;
     }
-
-    /** Lognormal draw parameterised by the underlying normal. */
-    double lognormal(double mu, double sigma);
 
   private:
     /** A geometric draw given log_q = log1p(-p), for 0 < p < 1. */
@@ -196,8 +201,6 @@ class Rng
     }
 
     std::array<std::uint64_t, 4> state_{};
-    bool cachedGaussianValid_ = false;
-    double cachedGaussian_ = 0.0;
 };
 
 } // namespace sdpcm

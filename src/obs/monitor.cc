@@ -1,11 +1,10 @@
 #include "obs/monitor.hh"
 
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/args.hh"
 #include "common/logging.hh"
 
 namespace sdpcm {
@@ -35,17 +34,9 @@ double
 parseNumber(const std::string& rule, const std::string& text)
 {
     try {
-        std::size_t used = 0;
-        const double v = std::stod(text, &used);
-        if (used != text.size())
-            badRule(rule, "trailing characters in number '" + text + "'");
-        if (!std::isfinite(v))
-            badRule(rule, "limit must be finite, got '" + text + "'");
-        return v;
-    } catch (const std::invalid_argument&) {
-        badRule(rule, "expected a number, got '" + text + "'");
-    } catch (const std::out_of_range&) {
-        badRule(rule, "number out of range: '" + text + "'");
+        return ArgParser::parseDouble(text);
+    } catch (const std::invalid_argument& e) {
+        badRule(rule, e.what());
     }
 }
 

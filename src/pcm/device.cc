@@ -150,14 +150,7 @@ PcmDevice::drawStuckCells(LineState& ls, const LineAddr& addr)
     };
 
     if (hardErrorMean_ > 0.0) {
-        // Knuth Poisson sampling; the mean is small (<= a few errors).
-        const double limit = std::exp(-hardErrorMean_);
-        unsigned count = 0;
-        double product = rng_.uniform();
-        while (product > limit) {
-            ++count;
-            product *= rng_.uniform();
-        }
+        const unsigned count = rng_.poisson(hardErrorMean_);
         for (unsigned i = 0; i < count; ++i) {
             if (pin_stuck(static_cast<unsigned>(rng_.below(kLineBits))))
                 stats_.hardErrors += 1;

@@ -118,6 +118,16 @@ schemeFromArgs(const ArgParser& args)
     return scheme;
 }
 
+CliRun
+parseCliRun(const ArgParser& args)
+{
+    CliRun run{parseRunFlags(args), schemeFromArgs(args),
+               args.getString("workload", "mcf")};
+    run.flags.config.aging.ageFraction =
+        args.get<double>("age", 0.0, 0.0, kMaxAgeFraction);
+    return run;
+}
+
 double
 geomean(const std::vector<double>& values)
 {
@@ -168,7 +178,8 @@ runMatrix(const std::vector<SchemeConfig>& schemes,
 
     const std::size_t n_workloads = workloads.size();
     const std::size_t total = schemes.size() * n_workloads;
-    std::vector<RunMetrics> cells(total);
+    // Each cell's metrics are built once, when the cell has run.
+    std::vector<std::optional<RunMetrics>> cells(total);
 
     // Deterministic-ordered progress: completions are recorded under the
     // lock and flushed in matrix order, so the report stream is identical
@@ -204,7 +215,7 @@ runMatrix(const std::vector<SchemeConfig>& schemes,
         results[s].scheme = schemes[s].name;
         for (std::size_t w = 0; w < n_workloads; ++w) {
             results[s].byWorkload.emplace(
-                workloads[w].name, std::move(cells[s * n_workloads + w]));
+                workloads[w].name, std::move(*cells[s * n_workloads + w]));
         }
     }
     return results;

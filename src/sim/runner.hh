@@ -101,6 +101,22 @@ RunFlags parseRunFlags(const ArgParser& args,
  */
 SchemeConfig schemeFromArgs(const ArgParser& args);
 
+/** One sdpcm_cli run as its flags give it. */
+struct CliRun
+{
+    RunFlags flags;
+    SchemeConfig scheme;
+    std::string workload; //!< --workload (default mcf; "all" = matrix)
+};
+
+/**
+ * The flags of one sdpcm_cli run: parseRunFlags, schemeFromArgs,
+ * --workload and --age (into flags.config.aging), fatal on any bad
+ * value. The scenario fuzzer parses FuzzScenario::args() through this
+ * too, so the repro line it prints is the run it made.
+ */
+CliRun parseCliRun(const ArgParser& args);
+
 /** Run one (scheme, workload) pair and return its metrics. */
 RunMetrics runOne(const SchemeConfig& scheme, const WorkloadSpec& workload,
                   const RunnerConfig& cfg);

@@ -1,9 +1,10 @@
 #include "verify/faultinject.hh"
 
-#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/args.hh"
 #include "pcm/line.hh"
 
 namespace sdpcm {
@@ -11,6 +12,7 @@ namespace sdpcm {
 FaultSpec
 FaultSpec::parse(const std::string& text)
 {
+    using Int = std::int64_t;
     FaultSpec spec;
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -28,52 +30,39 @@ FaultSpec::parse(const std::string& text)
         }
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
+        // Numbers come from the flag parser's strict readers (integers
+        // are base 0); each key then checks its own range.
+        const auto in = [&key](auto v, decltype(v) lo, decltype(v) hi) {
+            if (v >= lo && v <= hi)
+                return v;
+            std::ostringstream why;
+            why << key << " must be " << (v < lo ? ">= " : "<= ")
+                << (v < lo ? lo : hi);
+            throw std::invalid_argument(why.str());
+        };
         try {
-            std::size_t used = 0;
-            // std::stoul/stoull silently wrap negative input
-            // ("ecp=-1" -> 4294967295), so reject a leading sign up
-            // front for the unsigned keys.
-            const bool negative = !value.empty() && value[0] == '-';
             if (key == "stuck") {
-                spec.stuckPerLine = std::stod(value, &used);
+                spec.stuckPerLine = in(ArgParser::parseDouble(value), 0.0,
+                                       std::numeric_limits<double>::max());
             } else if (key == "ecp") {
-                if (negative)
-                    throw std::invalid_argument("ecp must be >= 0");
-                const unsigned long v = std::stoul(value, &used);
                 // A steal is a stuck cell drawn from the line's cells.
-                if (v > kLineBits) {
-                    throw std::invalid_argument(
-                        "ecp must be <= " + std::to_string(kLineBits));
-                }
-                spec.ecpSteal = static_cast<unsigned>(v);
+                spec.ecpSteal = static_cast<unsigned>(
+                    in(ArgParser::parseInt(value), Int{0}, Int{kLineBits}));
             } else if (key == "wd") {
-                spec.wdBoost = std::stod(value, &used);
+                spec.wdBoost = in(ArgParser::parseDouble(value), 0.0, 1.0);
             } else if (key == "seed") {
-                if (negative)
-                    throw std::invalid_argument("seed must be >= 0");
-                spec.seed = std::stoull(value, &used);
+                spec.seed = static_cast<std::uint64_t>(
+                    in(ArgParser::parseInt(value), Int{0},
+                       std::numeric_limits<Int>::max()));
             } else {
                 throw std::invalid_argument(
                     "unknown fault spec key '" + key +
                     "' (stuck, ecp, wd, seed)");
             }
-            if (used != value.size())
-                throw std::invalid_argument("trailing junk");
         } catch (const std::invalid_argument& e) {
             throw std::invalid_argument("bad fault spec value '" + item +
                                         "': " + e.what());
-        } catch (const std::out_of_range&) {
-            throw std::invalid_argument("fault spec value out of range: '" +
-                                        item + "'");
         }
-    }
-    // Written as negated "in range" checks so NaN (which compares false
-    // against everything) is rejected rather than slipping through.
-    if (!(spec.stuckPerLine >= 0.0 &&
-          std::isfinite(spec.stuckPerLine)) ||
-        !(spec.wdBoost >= 0.0 && spec.wdBoost <= 1.0)) {
-        throw std::invalid_argument(
-            "fault spec needs finite stuck>=0 and wd in [0,1]");
     }
     return spec;
 }
@@ -99,15 +88,8 @@ FaultInjector::stuckCellsFor(unsigned bank, std::uint64_t line_key,
                   (static_cast<std::uint64_t>(bank) << 56) ^
                   (line_key * 0x9e3779b97f4a7c15ULL)));
     unsigned count = spec_.ecpSteal;
-    if (spec_.stuckPerLine > 0.0) {
-        // Knuth Poisson sampling, same scheme as the aging model.
-        const double limit = std::exp(-spec_.stuckPerLine);
-        double product = rng.uniform();
-        while (product > limit) {
-            count += 1;
-            product *= rng.uniform();
-        }
-    }
+    if (spec_.stuckPerLine > 0.0)
+        count += rng.poisson(spec_.stuckPerLine);
     for (unsigned i = 0; i < count; ++i)
         out.push_back(static_cast<unsigned>(rng.below(kLineBits)));
 }

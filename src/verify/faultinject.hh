@@ -55,7 +55,10 @@ struct FaultSpec
 
     /**
      * Parse a comma-separated spec: "stuck=0.3,ecp=2,wd=0.02,seed=9".
-     * Unknown keys or malformed values throw std::invalid_argument.
+     * Numbers are read as flags read them (ArgParser::parseDouble,
+     * parseInt). Unknown keys, malformed values and values out of
+     * range (stuck >= 0, ecp in [0, 512], wd in [0, 1], seed >= 0)
+     * throw std::invalid_argument.
      */
     static FaultSpec parse(const std::string& text);
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "common/args.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "obs/profiler.hh"
@@ -16,29 +17,36 @@
 
 namespace sdpcm {
 
-SchemeConfig
-FuzzScenario::toScheme() const
+namespace {
+
+/** True for the scheme names SchemeConfig::byName builds from --n/--m. */
+bool
+takesRatio(const std::string& scheme)
 {
-    SchemeConfig sc = SchemeConfig::byName(scheme, NmRatio{n, m});
-    sc.ecpEntries = ecp;
-    sc.writeQueueEntries = wq;
-    sc.writeCancellation = wc;
-    sc.maxCancelsPerWrite = maxCancels;
-    sc.drainBurstWrites = drainBurst;
-    sc.idleWriteDrain = idleDrain;
-    return sc;
+    return scheme == "nm" || scheme == "sdpcm" || scheme == "all" ||
+           scheme == "lazyc+preread+nm";
 }
 
-FaultSpec
-FuzzScenario::toFaults() const
+/** A double in shortest round-trip form: the shrinker halves stuck/wd
+ *  to values the default 6 digits would print rounded. */
+std::string
+exact(double v)
 {
-    FaultSpec f;
-    f.stuckPerLine = stuck;
-    f.ecpSteal = ecpSteal;
-    f.wdBoost = wd;
-    f.seed = faultSeed;
-    return f;
+    std::ostringstream num;
+    json::writeNumber(num, v);
+    return num.str();
 }
+
+/** The scenario's --inject value (every channel and the seed). */
+std::string
+injectSpec(const FuzzScenario& s)
+{
+    return "stuck=" + exact(s.stuck) + ",ecp=" +
+           std::to_string(s.ecpSteal) + ",wd=" + exact(s.wd) +
+           ",seed=" + std::to_string(s.faultSeed);
+}
+
+} // namespace
 
 std::string
 FuzzScenario::describe() const
@@ -50,7 +58,7 @@ FuzzScenario::describe() const
         os << " drain-burst=" << drainBurst;
     if (maxCancels != 4)
         os << " max-cancels=" << maxCancels;
-    if (scheme == "nm" || scheme == "sdpcm")
+    if (takesRatio(scheme))
         os << " (" << n << ":" << m << ")";
     if (idleDrain)
         os << " idle-drain";
@@ -64,33 +72,43 @@ FuzzScenario::describe() const
     return os.str();
 }
 
+std::vector<std::string>
+FuzzScenario::args() const
+{
+    using std::to_string;
+    std::vector<std::string> words = {
+        "--verify-oracle",
+        "--scheme=" + scheme,
+        "--workload=" + workload,
+        "--refs=" + to_string(refs),
+        "--seed=" + to_string(seed),
+        "--cores=" + to_string(cores),
+        "--ecp=" + to_string(ecp),
+        "--wq=" + to_string(wq),
+        "--wc=" + to_string(wc ? 1 : 0),
+        "--idle-drain=" + to_string(idleDrain ? 1 : 0),
+        "--max-cancels=" + to_string(maxCancels),
+        "--drain-burst=" + to_string(drainBurst),
+    };
+    if (age > 0.0)
+        words.push_back("--age=" + exact(age));
+    if (takesRatio(scheme)) {
+        words.push_back("--n=" + to_string(n));
+        words.push_back("--m=" + to_string(m));
+    }
+    // An unarmed injector is never built, so its seed need not travel.
+    if (stuck > 0.0 || ecpSteal > 0 || wd > 0.0)
+        words.push_back("--inject=" + injectSpec(*this));
+    return words;
+}
+
 std::string
 FuzzScenario::cliLine() const
 {
-    // Doubles in shortest round-trip form: the shrinker halves stuck/wd
-    // to values the default 6 digits would print rounded.
-    const auto exact = [](double v) {
-        std::ostringstream num;
-        json::writeNumber(num, v);
-        return num.str();
-    };
-    std::ostringstream os;
-    os << "sdpcm_cli --verify-oracle --scheme=" << scheme
-       << " --workload=" << workload << " --refs=" << refs
-       << " --seed=" << seed << " --cores=" << cores << " --ecp=" << ecp
-       << " --wq=" << wq << " --wc=" << (wc ? 1 : 0)
-       << " --idle-drain=" << (idleDrain ? 1 : 0)
-       << " --max-cancels=" << maxCancels
-       << " --drain-burst=" << drainBurst;
-    if (age > 0.0)
-        os << " --age=" << exact(age);
-    if (scheme == "nm" || scheme == "sdpcm")
-        os << " --n=" << n << " --m=" << m;
-    if (stuck > 0.0 || ecpSteal > 0 || wd > 0.0) {
-        os << " --inject=stuck=" << exact(stuck) << ",ecp=" << ecpSteal
-           << ",wd=" << exact(wd) << ",seed=" << faultSeed;
-    }
-    return os.str();
+    std::string line = "sdpcm_cli";
+    for (const std::string& word : args())
+        line += " " + word;
+    return line;
 }
 
 void
@@ -202,13 +220,14 @@ FuzzScenario::fromJson(const std::string& text)
         s.n = field<unsigned>(doc, "n");
         s.m = field<unsigned>(doc, "m");
         s.cores = field<unsigned>(doc, "cores");
-        s.refs = field<std::uint64_t>(doc, "refs");
-        s.seed = field<std::uint64_t>(doc, "seed");
+        // --refs, --seed and --inject's seed read integers as int64.
+        s.refs = field<std::int64_t>(doc, "refs");
+        s.seed = field<std::int64_t>(doc, "seed");
         s.age = field<double>(doc, "age");
         s.stuck = field<double>(doc, "stuck");
         s.ecpSteal = field<unsigned>(doc, "ecpSteal");
         s.wd = field<double>(doc, "wd");
-        s.faultSeed = field<std::uint64_t>(doc, "faultSeed");
+        s.faultSeed = field<std::int64_t>(doc, "faultSeed");
     } catch (const std::out_of_range&) {
         throw std::runtime_error("fuzz spec: missing required field");
     }
@@ -225,12 +244,10 @@ FuzzScenario::fromJson(const std::string& text)
                                  std::to_string(kMaxEcpEntries) +
                                  ", refs>0 and 1<=n<=m<=" +
                                  std::to_string(kStripsPerBlock));
-    // Reuse the injector's own validation (finite, in-range), so a spec
-    // and an --inject flag accept the same values.
+    // Reuse the injector's own validation (in-range), so a spec and an
+    // --inject flag accept the same values.
     try {
-        (void)FaultSpec::parse("stuck=" + std::to_string(s.stuck) +
-                               ",ecp=" + std::to_string(s.ecpSteal) +
-                               ",wd=" + std::to_string(s.wd));
+        (void)FaultSpec::parse(injectSpec(s));
     } catch (const std::invalid_argument& e) {
         throw std::runtime_error(std::string("fuzz spec: ") + e.what());
     }
@@ -282,18 +299,16 @@ fuzzTickBudget(const FuzzScenario& s)
 FuzzResult
 runScenario(const FuzzScenario& s, bool profile_stalls)
 {
+    const ArgParser args(s.args());
+    const CliRun run = parseCliRun(args);
+    args.finishParsing();
     SystemConfig sc;
-    sc.scheme = s.toScheme();
-    sc.cores = s.cores;
-    sc.refsPerCore = s.refs;
-    sc.seed = s.seed;
+    static_cast<RunOptions&>(sc) = run.flags.config;
+    sc.scheme = run.scheme;
     sc.maxTicks = fuzzTickBudget(s);
-    sc.aging.ageFraction = s.age;
-    sc.verifyOracle = true;
-    sc.faults = s.toFaults();
     sc.profile = profile_stalls;
 
-    System system(sc, workloadFromProfile(s.workload));
+    System system(sc, workloadFromProfile(run.workload));
     system.run();
 
     FuzzResult r;

@@ -30,11 +30,10 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
-#include "controller/scheme.hh"
 #include "pcm/timing.hh"
-#include "verify/faultinject.hh"
 
 namespace sdpcm {
 
@@ -60,21 +59,18 @@ struct FuzzScenario
     double wd = 0.0;              //!< forced WD-flip probability
     std::uint64_t faultSeed = 1;  //!< injector RNG seed
 
-    /** Materialise the scheme (SchemeConfig::byName; throws
-     *  std::invalid_argument on an unknown name). */
-    SchemeConfig toScheme() const;
-
-    /** Materialise the fault-injection spec. */
-    FaultSpec toFaults() const;
-
     /** One-line summary for progress and triage output. */
     std::string describe() const;
 
     /**
-     * The exact sdpcm_cli invocation reproducing this scenario
-     * (including --verify-oracle), for copy-paste triage; doubles
-     * print in shortest round-trip form.
+     * The scenario as sdpcm_cli flags (--verify-oracle included);
+     * doubles print in shortest round-trip form. runScenario parses
+     * these with parseCliRun, the parser sdpcm_cli runs, so a scenario
+     * is exactly its command line.
      */
+    std::vector<std::string> args() const;
+
+    /** "sdpcm_cli " + args(), space-joined, for copy-paste triage. */
     std::string cliLine() const;
 
     /** Replayable JSON spec (parse back with fromJson). */
@@ -83,8 +79,9 @@ struct FuzzScenario
 
     /**
      * Parse a spec produced by writeJson. Unknown keys are rejected and
-     * malformed values throw std::runtime_error, so a stale corpus file
-     * fails loudly instead of silently running a different scenario.
+     * malformed values (numbers outside what their flags accept
+     * included) throw std::runtime_error, so a stale corpus file fails
+     * loudly instead of silently running a different scenario.
      */
     static FuzzScenario fromJson(const std::string& text);
     static FuzzScenario fromJsonFile(const std::string& path);
@@ -121,7 +118,9 @@ struct FuzzResult
 Tick fuzzTickBudget(const FuzzScenario& s);
 
 /**
- * Run one scenario in-process with the oracle armed. Never throws;
+ * Run one scenario in-process: parse s.args() with parseCliRun, then
+ * set only the tick budget and the profiler. Never throws; a flag the
+ * parser rejects (an unknown scheme name) is a fatal exit and
  * telescoping-assert failures abort the process (use the fork driver to
  * observe those as Crash).
  *

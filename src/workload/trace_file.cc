@@ -1,6 +1,12 @@
 #include "workload/trace_file.hh"
 
+#include <cstdint>
+#include <sstream>
+#include <stdexcept>
+
+#include "common/args.hh"
 #include "common/logging.hh"
+#include "obs/json.hh"
 
 namespace sdpcm {
 
@@ -16,7 +22,9 @@ void
 TraceFileWriter::write(const TraceRecord& record)
 {
     out_ << (record.isWrite ? 'W' : 'R') << ' ' << record.vaddr << ' '
-         << record.gap << ' ' << record.flipDensity << '\n';
+         << record.gap << ' ';
+    json::writeNumber(out_, record.flipDensity);
+    out_ << '\n';
 }
 
 std::uint64_t
@@ -33,7 +41,8 @@ TraceFileWriter::capture(TraceStream& source, std::uint64_t count)
 }
 
 TraceFileStream::TraceFileStream(const std::string& path)
-    : in_(path)
+    : path_(path),
+      in_(path)
 {
     if (!in_)
         SDPCM_FATAL("cannot open trace file for reading: ", path);
@@ -42,21 +51,34 @@ TraceFileStream::TraceFileStream(const std::string& path)
 bool
 TraceFileStream::next(TraceRecord& record)
 {
-    std::string token;
-    while (in_ >> token) {
-        if (token == "#") {
-            std::string rest;
-            std::getline(in_, rest);
-            continue;
-        }
-        if (token != "R" && token != "W") {
-            SDPCM_WARN("malformed trace token: ", token);
-            return false;
-        }
-        record.isWrite = token == "W";
-        if (!(in_ >> record.vaddr >> record.gap >> record.flipDensity)) {
-            SDPCM_WARN("truncated trace record");
-            return false;
+    for (std::string text; std::getline(in_, text);) {
+        line_ += 1;
+        std::istringstream fields(text);
+        std::string kind, vaddr, gap, density, extra;
+        if (!(fields >> kind) || kind[0] == '#')
+            continue; // blank line or comment
+        try {
+            if ((kind != "R" && kind != "W") ||
+                !(fields >> vaddr >> gap >> density) || fields >> extra)
+                throw std::invalid_argument("want 'R|W vaddr gap "
+                                            "flip_density'");
+            const std::int64_t addr = ArgParser::parseInt(vaddr);
+            const std::int64_t instrs = ArgParser::parseInt(gap);
+            record.flipDensity = ArgParser::parseDouble(density);
+            if (addr < 0)
+                throw std::invalid_argument("vaddr must be >= 0");
+            if (instrs < 0 || instrs > std::int64_t{UINT32_MAX})
+                throw std::invalid_argument(
+                    "gap must be in [0, 4294967295]");
+            if (!(record.flipDensity >= 0.0 && record.flipDensity <= 1.0))
+                throw std::invalid_argument(
+                    "flip density must be in [0, 1]");
+            record.isWrite = kind == "W";
+            record.vaddr = static_cast<std::uint64_t>(addr);
+            record.gap = static_cast<std::uint32_t>(instrs);
+        } catch (const std::invalid_argument& e) {
+            SDPCM_FATAL("bad trace record at ", path_, ":", line_, ": ",
+                        e.what());
         }
         return true;
     }

@@ -5,9 +5,10 @@
  * The paper captured PIN traces once and replayed them across schemes;
  * this pair of classes gives the same workflow: TraceFileWriter records
  * any TraceStream to a text file (one record per line: `R|W vaddr gap
- * flip_density`), and TraceFileStream replays it. Replaying a file
- * guarantees every scheme sees the *identical* reference stream even
- * across library versions.
+ * flip_density`, densities in shortest round-trip form), and
+ * TraceFileStream replays it. Replaying a capture reproduces the live
+ * run exactly, and every scheme sees the *identical* reference stream
+ * even across library versions.
  */
 
 #ifndef SDPCM_WORKLOAD_TRACE_FILE_HH
@@ -36,7 +37,12 @@ class TraceFileWriter
     std::ofstream out_;
 };
 
-/** Replay a trace file as a TraceStream. */
+/**
+ * Replay a trace file as a TraceStream. Blank lines and lines starting
+ * with '#' are skipped; any other line must be one whole record, read
+ * with ArgParser's strict readers (vaddr >= 0, gap <= 2^32-1, density
+ * in [0, 1]), or the replay is fatal, naming the file and line.
+ */
 class TraceFileStream : public TraceStream
 {
   public:
@@ -45,7 +51,9 @@ class TraceFileStream : public TraceStream
     bool next(TraceRecord& record) override;
 
   private:
+    std::string path_;
     std::ifstream in_;
+    std::uint64_t line_ = 0; //!< lines read so far
 };
 
 } // namespace sdpcm

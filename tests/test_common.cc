@@ -157,18 +157,32 @@ TEST(Rng, GeometricMean)
     EXPECT_NEAR(sum / trials, 9.0, 0.5);
 }
 
-TEST(Rng, GaussianMoments)
+TEST(Rng, PoissonMatchesKnuthLoopDrawForDraw)
 {
-    Rng rng(3);
-    double sum = 0.0, sq = 0.0;
-    const int trials = 50000;
-    for (int i = 0; i < trials; ++i) {
-        const double g = rng.gaussian();
-        sum += g;
-        sq += g * g;
+    // The aging model and the fault injector both draw stuck-cell
+    // counts through poisson(); it must keep the product-of-uniforms
+    // loop they each carried, draw for draw, and its mean.
+    for (const double mean : {0.0, 1e-3, 0.1, 0.5, 1.5, 4.0}) {
+        Rng a(23);
+        Rng b(23);
+        double sum = 0.0;
+        const int trials = 20000;
+        for (int i = 0; i < trials; ++i) {
+            const double limit = std::exp(-mean);
+            unsigned count = 0;
+            double product = b.uniform();
+            while (product > limit) {
+                ++count;
+                product *= b.uniform();
+            }
+            const unsigned drawn = a.poisson(mean);
+            ASSERT_EQ(drawn, count) << "mean=" << mean << " draw " << i;
+            sum += drawn;
+        }
+        EXPECT_EQ(a.next64(), b.next64()) << "mean=" << mean;
+        EXPECT_NEAR(sum / trials, mean, 0.05 + 0.03 * mean)
+            << "mean=" << mean;
     }
-    EXPECT_NEAR(sum / trials, 0.0, 0.03);
-    EXPECT_NEAR(sq / trials, 1.0, 0.05);
 }
 
 TEST(Bitops, PowersOfTwo)
@@ -440,20 +454,9 @@ TEST(ArgParserDeath, FinishParsingFatalsOnUnknownFlag)
                 "unknown option\\(s\\): --telemetery");
 }
 
-/** An ArgParser over `words` (argv[0] is supplied). */
-ArgParser
-parserOf(std::vector<std::string> words)
-{
-    words.insert(words.begin(), "prog");
-    std::vector<char*> argv;
-    for (std::string& w : words)
-        argv.push_back(w.data());
-    return ArgParser(static_cast<int>(argv.size()), argv.data());
-}
-
 TEST(ArgParser, TypedGetterReadsInRangeValues)
 {
-    const ArgParser args = parserOf(
+    const ArgParser args(
         {"--cores=4", "--seed=0x10", "--age=0.25", "--top=0"});
     EXPECT_EQ(args.get<unsigned>("cores", 8, 1), 4u);
     EXPECT_EQ(args.get<std::uint64_t>("seed", 1), 16u);
@@ -465,7 +468,7 @@ TEST(ArgParser, TypedGetterReadsInRangeValues)
 
 TEST(ArgParserDeath, TypedGetterRejectsNegativeUnsigned)
 {
-    const ArgParser args = parserOf({"--cores=-1"});
+    const ArgParser args({"--cores=-1"});
     EXPECT_EXIT(args.get<unsigned>("cores", 8),
                 ::testing::ExitedWithCode(1),
                 "bad value for --cores=-1: must be in \\[0, 4294967295\\]");
@@ -473,8 +476,7 @@ TEST(ArgParserDeath, TypedGetterRejectsNegativeUnsigned)
 
 TEST(ArgParserDeath, TypedGetterRejectsOutOfRange)
 {
-    const ArgParser args =
-        parserOf({"--cores=0", "--wq=4294967296", "--age=2"});
+    const ArgParser args({"--cores=0", "--wq=4294967296", "--age=2"});
     EXPECT_EXIT(args.get<unsigned>("cores", 8, 1),
                 ::testing::ExitedWithCode(1),
                 "bad value for --cores=0: must be in \\[1, 4294967295\\]");
@@ -488,7 +490,7 @@ TEST(ArgParserDeath, TypedGetterRejectsOutOfRange)
 
 TEST(ArgParser, BareFlagIsNotOne)
 {
-    const ArgParser args = parserOf({"--quiet", "--spans", "--report="});
+    const ArgParser args({"--quiet", "--spans", "--report="});
     EXPECT_TRUE(args.getBool("quiet", false)); // bare = true
     EXPECT_TRUE(args.has("spans"));
     EXPECT_EQ(args.getPath("spans"), "");      // on, no file
@@ -498,7 +500,7 @@ TEST(ArgParser, BareFlagIsNotOne)
 
 TEST(ArgParserDeath, ValueGetterFatalsOnBareFlag)
 {
-    const ArgParser args = parserOf({"--trace", "--refs", "--age"});
+    const ArgParser args({"--trace", "--refs", "--age"});
     EXPECT_EXIT(args.getString("trace", ""), ::testing::ExitedWithCode(1),
                 "fatal: --trace needs a value");
     EXPECT_EXIT(args.get<unsigned>("refs", 10),
@@ -509,15 +511,14 @@ TEST(ArgParserDeath, ValueGetterFatalsOnBareFlag)
 
 TEST(ArgParser, GetPathKeepsFileNames)
 {
-    const ArgParser args = parserOf({"--spans=S.json", "--profile=1.json"});
+    const ArgParser args({"--spans=S.json", "--profile=1.json"});
     EXPECT_EQ(args.getPath("spans"), "S.json");
     EXPECT_EQ(args.getPath("profile"), "1.json");
 }
 
 TEST(ArgParserDeath, GetPathRejectsBooleanWord)
 {
-    const ArgParser args =
-        parserOf({"--profile=0", "--wd-ledger=1", "--spans=off"});
+    const ArgParser args({"--profile=0", "--wd-ledger=1", "--spans=off"});
     for (const char* key : {"profile", "wd-ledger", "spans"}) {
         EXPECT_EXIT(args.getPath(key), ::testing::ExitedWithCode(1),
                     std::string("bad value for --") + key +

@@ -136,12 +136,28 @@ TEST(FuzzSpec, RejectsMalformedValues)
                  std::runtime_error);
 }
 
+TEST(FuzzSpec, RejectsSeedsTheFlagsReject)
+{
+    // --refs, --seed and --inject's seed read integers as int64, so a
+    // spec holding 2^63 would pass the spec check and then fail as
+    // flags in runScenario.
+    for (const char* key : {"refs", "seed", "faultSeed"}) {
+        std::string json = FuzzScenario().toJson();
+        const std::string needle = "\"" + std::string(key) + "\":";
+        const auto at = json.find(needle) + needle.size();
+        json.replace(at, json.find_first_of(",}", at) - at,
+                     " 9223372036854775808");
+        EXPECT_THROW((void)FuzzScenario::fromJson(json), std::runtime_error)
+            << key;
+    }
+}
+
 TEST(FuzzSpec, CliLineIsFaithful)
 {
     const FuzzScenario s = sampleScenario();
     const std::string cli = s.cliLine();
-    // Every knob toScheme() applies must appear on the CLI line, or the
-    // printed reproducer would run a different scenario than the spec.
+    // Every scheme knob must appear on the CLI line, or the printed
+    // reproducer would run a different scenario than the spec.
     for (const char* flag :
          {"--verify-oracle", "--scheme=sdpcm", "--workload=qstress",
           "--refs=1234", "--seed=42", "--cores=3", "--ecp=4", "--wq=2",
@@ -153,10 +169,37 @@ TEST(FuzzSpec, CliLineIsFaithful)
     }
 }
 
+/** A scenario's scheme as the spec's fields give it (the reference the
+ *  parsed flags must match). */
+SchemeConfig
+schemeOf(const FuzzScenario& s)
+{
+    SchemeConfig sc = SchemeConfig::byName(s.scheme, NmRatio{s.n, s.m});
+    sc.ecpEntries = s.ecp;
+    sc.writeQueueEntries = s.wq;
+    sc.writeCancellation = s.wc;
+    sc.maxCancelsPerWrite = s.maxCancels;
+    sc.drainBurstWrites = s.drainBurst;
+    sc.idleWriteDrain = s.idleDrain;
+    return sc;
+}
+
+/** A scenario's fault-injection spec as the spec's fields give it. */
+FaultSpec
+faultsOf(const FuzzScenario& s)
+{
+    FaultSpec f;
+    f.stuckPerLine = s.stuck;
+    f.ecpSteal = s.ecpSteal;
+    f.wdBoost = s.wd;
+    f.seed = s.faultSeed;
+    return f;
+}
+
 /**
- * Parse `s.cliLine()` the way sdpcm_cli does (library scheme and run
- * parsers, plus the CLI's own --workload/--age) and require every knob
- * to come back exactly: a replayed repro must run this scenario.
+ * Parse `s.args()` the way sdpcm_cli does (parseCliRun, the parser
+ * runScenario uses too) and require every spec field to come back
+ * exactly; the printed line must split back into those words.
  */
 void
 expectCliLineReplays(const FuzzScenario& s)
@@ -167,24 +210,25 @@ expectCliLineReplays(const FuzzScenario& s)
     std::istringstream is(line);
     for (std::string w; is >> w;)
         words.push_back(w);
-    std::vector<char*> argv;
-    for (std::string& w : words)
-        argv.push_back(w.data());
-    const ArgParser args(static_cast<int>(argv.size()), argv.data());
-    const SchemeConfig scheme = schemeFromArgs(args);
-    const RunnerConfig cfg = parseRunFlags(args).config;
-    EXPECT_EQ(args.getString("workload", ""), s.workload);
-    EXPECT_EQ(args.get<double>("age", 0.0), s.age);
-    args.finishParsing(); // fatal on any flag the CLI would not accept
+    ASSERT_FALSE(words.empty());
+    EXPECT_EQ(words.front(), "sdpcm_cli");
+    words.erase(words.begin());
+    EXPECT_EQ(words, s.args());
 
-    EXPECT_EQ(scheme, s.toScheme());
+    const ArgParser args(s.args());
+    const CliRun run = parseCliRun(args);
+    args.finishParsing(); // fatal on any flag the CLI would not accept
+    const RunnerConfig& cfg = run.flags.config;
+    EXPECT_EQ(run.workload, s.workload);
+    EXPECT_EQ(cfg.aging.ageFraction, s.age);
+    EXPECT_EQ(run.scheme, schemeOf(s));
     EXPECT_EQ(cfg.cores, s.cores);
     EXPECT_EQ(cfg.refsPerCore, s.refs);
     EXPECT_EQ(cfg.seed, s.seed);
     EXPECT_TRUE(cfg.verifyOracle);
     // The line carries --inject only when a fault channel is on; an
     // unarmed injector is never built, so its seed does not travel.
-    const FaultSpec faults = s.toFaults();
+    const FaultSpec faults = faultsOf(s);
     EXPECT_EQ(cfg.faults, faults.any() ? faults : FaultSpec{});
 }
 
@@ -199,6 +243,14 @@ TEST(FuzzSpec, CliLineReplaysExactKnobs)
         }
     }
     ASSERT_FALSE(scenarios.empty());
+    // Every scheme byName builds from the ratio carries --n/--m.
+    for (const char* scheme : {"nm", "sdpcm", "all", "lazyc+preread+nm"}) {
+        FuzzScenario s = sampleScenario();
+        s.scheme = scheme;
+        s.n = 1;
+        s.m = 2;
+        scenarios.push_back(s);
+    }
     Rng rng(1);
     for (int i = 0; i < 200; ++i) {
         const FuzzScenario s = randomScenario(rng);
@@ -248,9 +300,12 @@ TEST(FuzzGen, GeneratesValidScenarios)
         EXPECT_GE(s.age, 0.0);
         EXPECT_LE(s.age, 1.0);
         // Everything the generator draws must survive its own spec
-        // validation (the corpus is written through this path).
+        // validation (the corpus is written through this path) and
+        // parse as sdpcm_cli flags (a bad one is fatal).
         EXPECT_NO_THROW((void)FuzzScenario::fromJson(s.toJson()));
-        EXPECT_NO_THROW((void)s.toScheme());
+        const CliRun run = parseCliRun(ArgParser(s.args()));
+        EXPECT_EQ(run.workload, s.workload);
+        EXPECT_EQ(run.scheme, schemeOf(s));
     }
 }
 

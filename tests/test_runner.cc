@@ -82,17 +82,6 @@ TEST(Runner, StandardWorkloadsMatchTable3)
     }
 }
 
-/** An ArgParser over `words` (argv[0] is supplied). */
-ArgParser
-parserOf(std::vector<std::string> words)
-{
-    words.insert(words.begin(), "prog");
-    std::vector<char*> argv;
-    for (std::string& w : words)
-        argv.push_back(w.data());
-    return ArgParser(static_cast<int>(argv.size()), argv.data());
-}
-
 TEST(SchemeConfig, ByNameCoversEveryCliName)
 {
     const NmRatio r{1, 2};
@@ -111,7 +100,7 @@ TEST(SchemeConfig, ByNameCoversEveryCliName)
 
 TEST(RunFlags, SchemeFlagsOverrideTheNamedScheme)
 {
-    const ArgParser args = parserOf(
+    const ArgParser args(
         {"--scheme=sdpcm", "--n=1", "--m=2", "--ecp=3", "--wq=8",
          "--wc", "--idle-drain=1", "--max-cancels=0", "--drain-burst=0"});
     SchemeConfig want = SchemeConfig::sdpcm(NmRatio{1, 2});
@@ -124,13 +113,13 @@ TEST(RunFlags, SchemeFlagsOverrideTheNamedScheme)
     EXPECT_EQ(schemeFromArgs(args), want);
     args.finishParsing();
     // No scheme flags: the CLI default.
-    EXPECT_EQ(schemeFromArgs(parserOf({})), SchemeConfig::lazyCPreRead());
+    EXPECT_EQ(schemeFromArgs(ArgParser({})), SchemeConfig::lazyCPreRead());
 }
 
 TEST(RunFlagsDeath, SchemeFlagsRejectWhatFuzzSpecsReject)
 {
     const auto fails = [](std::vector<std::string> words) {
-        const ArgParser args = parserOf(std::move(words));
+        const ArgParser args(words);
         (void)schemeFromArgs(args);
     };
     EXPECT_EXIT(fails({"--n=3", "--m=2"}), ::testing::ExitedWithCode(1),
@@ -151,7 +140,7 @@ TEST(RunFlagsDeath, SchemeFlagsRejectWhatFuzzSpecsReject)
 
 TEST(RunFlags, ParsesEverySharedFlag)
 {
-    const ArgParser args = parserOf(
+    const ArgParser args(
         {"--refs=500", "--seed=9", "--cores=2", "--jobs=3",
          "--verify-oracle", "--inject=stuck=0.5,seed=4",
          "--spans=S.json", "--spans-folded=S.folded", "--spans-top=5",
@@ -185,7 +174,7 @@ TEST(RunFlags, ParsesEverySharedFlag)
 
 TEST(RunFlags, AcceptsEveryUpperBound)
 {
-    const ArgParser args = parserOf(
+    const ArgParser args(
         {"--cores=64", "--telemetry-window=1024", "--inject=ecp=512",
          "--wq=1024", "--scheme=sdpcm", "--n=1", "--m=1024"});
     const auto [cfg, out] = parseRunFlags(args);
@@ -200,7 +189,7 @@ TEST(RunFlags, AcceptsEveryUpperBound)
 TEST(RunFlags, DefaultsLeaveEveryObserverOff)
 {
     const auto [cfg, out] =
-        parseRunFlags(parserOf({"--spans-top=0", "--wd-top=0"}), 1234);
+        parseRunFlags(ArgParser({"--spans-top=0", "--wd-top=0"}), 1234);
     EXPECT_EQ(cfg.refsPerCore, 1234u);
     EXPECT_FALSE(cfg.spans); // a top-0 table asks for no output
     EXPECT_FALSE(cfg.wdLedger);
@@ -213,7 +202,7 @@ TEST(RunFlags, DefaultsLeaveEveryObserverOff)
 TEST(RunFlagsDeath, RejectsOutOfRangeRunKnobs)
 {
     const auto fails = [](std::vector<std::string> words) {
-        (void)parseRunFlags(parserOf(std::move(words)));
+        (void)parseRunFlags(ArgParser(words));
     };
     EXPECT_EXIT(fails({"--cores=0"}), ::testing::ExitedWithCode(1),
                 "bad value for --cores=0");
