@@ -93,8 +93,9 @@ BM_DeviceWrite(benchmark::State& state)
     for (auto _ : state) {
         const LineAddr la{static_cast<unsigned>(rng.below(16)), row,
                           static_cast<unsigned>(rng.below(64))};
-        auto plan = dev.planWrite(la, LineData::randomFromKey(
-                                          rng.next64()));
+        PcmDevice::WritePlan plan;
+        dev.planWriteInto(plan, la,
+                          LineData::randomFromKey(rng.next64()));
         PcmDevice::RoundOutcome outcome;
         while (dev.applyNextRound(plan, outcome)) {
         }
@@ -126,7 +127,8 @@ BENCHMARK(BM_DeviceRead);
 static void
 writeOnce(PcmDevice& dev, const LineAddr& la, const LineData& data)
 {
-    PcmDevice::WritePlan plan = dev.planWrite(la, data);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, data);
     PcmDevice::RoundOutcome outcome;
     while (dev.applyNextRound(plan, outcome)) {
     }
@@ -246,14 +248,17 @@ BENCHMARK(BM_LineLookupReadOnly)->Arg(1024)->Arg(16384)->Arg(160000);
  * runs of consecutive line indices drawn like the trace generator's
  * bwaves runs: each starts at a random line and has a geometric length
  * of mean 8 (a run also ends at a line an earlier run took). Every call
- * finds a line no access touched. Each device takes state.range(0)
- * lines; its replacement is built untimed.
+ * finds a line no access touched. Each device, of the given age, takes
+ * state.range(0) lines; its replacement is built untimed. The
+ * `recorded` counter is the share of its touched lines the last device
+ * recorded.
  */
 static void
-BM_LineFirstTouch(benchmark::State& state)
+lineFirstTouch(benchmark::State& state, double age)
 {
     DeviceConfig dc;
     dc.seed = 3;
+    dc.aging.ageFraction = age;
     const AddressMap map(dc.geometry);
     const auto per_device = static_cast<std::size_t>(state.range(0));
     const std::uint64_t dimm_lines =
@@ -283,8 +288,25 @@ BM_LineFirstTouch(benchmark::State& state)
         benchmark::DoNotOptimize(dev->readLine(lines[next++]).words[0]);
     }
     state.SetItemsProcessed(state.iterations());
+    state.counters["recorded"] = static_cast<double>(dev->recordedLines()) /
+        static_cast<double>(dev->touchedLines());
+}
+
+static void
+BM_LineFirstTouch(benchmark::State& state)
+{
+    lineFirstTouch(state, 0.0);
 }
 BENCHMARK(BM_LineFirstTouch)->Arg(160000);
+
+/** The same on an aged DIMM (range(1): percent of its lifetime used),
+ *  where every first touch draws the line's stuck cells. */
+static void
+BM_LineFirstTouchAged(benchmark::State& state)
+{
+    lineFirstTouch(state, static_cast<double>(state.range(1)) / 100.0);
+}
+BENCHMARK(BM_LineFirstTouchAged)->Args({160000, 30})->Args({160000, 60});
 
 static void
 BM_BuddyAllocFree(benchmark::State& state)

@@ -68,7 +68,8 @@ main(int argc, char** argv)
                 static_cast<unsigned>(flip_density * kLineBits);
             for (unsigned f = 0; f < flips; ++f)
                 data.flipBit(static_cast<unsigned>(rng.below(kLineBits)));
-            auto plan = dev.planWrite(la, data);
+            PcmDevice::WritePlan plan;
+            dev.planWriteInto(plan, la, data);
             resets_stat.record(plan.masks.resetCount());
             PcmDevice::RoundOutcome outcome;
             while (dev.applyNextRound(plan, outcome)) {
@@ -83,13 +84,11 @@ main(int argc, char** argv)
             }
         }
         // Restore the victim for the next trial's baseline.
-        auto fix = dev.planCorrection(
-            victim, [&] {
-                std::vector<unsigned> cells;
-                forEachSetBit(dev.peekLine(victim).diff(victim_before),
-                              [&](unsigned pos) { cells.push_back(pos); });
-                return cells;
-            }());
+        std::vector<unsigned> cells;
+        forEachSetBit(dev.peekLine(victim).diff(victim_before),
+                      [&](unsigned pos) { cells.push_back(pos); });
+        PcmDevice::WritePlan fix;
+        dev.planCorrectionInto(fix, victim, cells);
         PcmDevice::RoundOutcome outcome;
         while (dev.applyNextRound(fix, outcome)) {
         }

@@ -1,6 +1,7 @@
 #include "obs/monitor.hh"
 
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -121,8 +122,9 @@ parseOne(const std::string& text)
         r.metric = parts[0];
         r.slo = parseNumber(text, parts[1]);
         r.budget = parseNumber(text, parts[2]);
-        if (r.slo <= 0.0)
-            badRule(text, "burn() slo must be positive");
+        // evaluate() converts the slo to a 64-bit cycle count.
+        if (!(r.slo > 0.0 && r.slo < std::ldexp(1.0, 64)))
+            badRule(text, "burn() slo must be in (0, 2^64) cycles");
         if (r.budget <= 0.0 || r.budget > 1.0)
             badRule(text, "burn() budget must be in (0, 1]");
     } else if (fn.size() >= 2 && fn[0] == 'p') {

@@ -114,12 +114,21 @@ PcmDevice::state(const LineAddr& addr)
 const PcmDevice::LineState*
 PcmDevice::readState(const LineAddr& addr)
 {
-    // Stuck cells are drawn from the device RNG at a line's first
-    // touch, so while a line can have them every touch records it.
-    if (hardErrorMean_ > 0.0 || inject_)
-        return &state(addr);
     const LineIndex line = indexOf(addr);
-    return touch(line) ? nullptr : lines_.find(line);
+    if (!touch(line))
+        return lines_.find(line);
+    if (hardErrorMean_ == 0.0 && !inject_)
+        return nullptr;
+    // Stuck cells are drawn from the device RNG at a line's first
+    // touch; only a line that drew one differs from its seed content.
+    LineState drawn;
+    seed(drawn, addr);
+    drawStuckCells(drawn, addr);
+    if (drawn.ecp.size() == 0 && !drawn.saturated)
+        return nullptr;
+    LineState& ls = state(addr);
+    ls = drawn;
+    return &ls;
 }
 
 void
@@ -255,14 +264,6 @@ PcmDevice::sealPlan(WritePlan& plan, const LineState& ls)
     buildRounds(plan);
 }
 
-PcmDevice::WritePlan
-PcmDevice::planWrite(const LineAddr& addr, const LineData& new_logical)
-{
-    WritePlan plan;
-    planWriteInto(plan, addr, new_logical);
-    return plan;
-}
-
 void
 PcmDevice::planWriteInto(WritePlan& plan, const LineAddr& addr,
                          const LineData& new_logical)
@@ -288,15 +289,6 @@ PcmDevice::planWriteInto(WritePlan& plan, const LineAddr& addr,
     });
 
     sealPlan(plan, ls);
-}
-
-PcmDevice::WritePlan
-PcmDevice::planCorrection(const LineAddr& addr,
-                          const std::vector<unsigned>& cells)
-{
-    WritePlan plan;
-    planCorrectionInto(plan, addr, cells);
-    return plan;
 }
 
 void
@@ -680,14 +672,6 @@ PcmDevice::finishWrite(WritePlan& plan)
     // Wear accounting for the (disturbance-free) ECP chip.
     chargeEcp(ls, ecp_before);
     return out;
-}
-
-std::vector<unsigned>
-PcmDevice::verifyLine(const LineAddr& addr, const LineData& expected)
-{
-    std::vector<unsigned> errors;
-    verifyLineInto(addr, expected, errors);
-    return errors;
 }
 
 void

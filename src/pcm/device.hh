@@ -7,14 +7,13 @@
  * each line it touches in one 64-bit mask per device row, and records a
  * line's physical cell states only once they can differ from that seed
  * content: when the line is written or corrected, gets an ECP entry
- * parked, or is pinned by a write's WD scan. A read of a line without a
- * record answers from its seed content. On a device that can have
- * stuck cells (aged, or with a fault injector) every line is recorded
- * at its first touch, which draws them. The device applies DIN encoding
- * on the write path, injects thermal write disturbance into word-line
- * and bit-line neighbours of every RESET pulse, maintains per-line ECP
- * metadata (hard errors + LazyCorrection WD parking) and tracks wear for
- * the lifetime studies.
+ * parked, is pinned by a write's WD scan, or draws a stuck cell at its
+ * first touch (on an aged device, or one with a fault injector). A read
+ * of a line without a record answers from its seed content. The device
+ * applies DIN encoding on the write path, injects thermal write
+ * disturbance into word-line and bit-line neighbours of every RESET
+ * pulse, maintains per-line ECP metadata (hard errors + LazyCorrection
+ * WD parking) and tracks wear for the lifetime studies.
  *
  * Timing is the memory controller's job: the device exposes writes as a
  * sequence of <=128-cell program rounds so the controller can charge each
@@ -174,9 +173,10 @@ class PcmDevice : public Observed
      * Attach a deterministic fault source (see verify/faultinject.hh).
      * Injected stuck cells apply to lines first touched after this call,
      * so attach before the first access; WD boosts apply immediately.
-     * While one is attached, every line is recorded at its first touch.
-     * The injector draws from its own RNG stream — the device's sequence
-     * is identical with and without one attached.
+     * A line that draws an injected stuck cell is recorded at its first
+     * touch, like any line with a stuck cell. The injector draws from
+     * its own RNG stream — the device's sequence is identical with and
+     * without one attached.
      */
     void setFaultInjector(FaultInjector* inject) { inject_ = inject; }
 
@@ -261,22 +261,16 @@ class PcmDevice : public Observed
         LineState* lower_ = nullptr; //!< bit-line neighbour, row + 1
     };
 
-    /** Plan a normal write of logical data. */
-    WritePlan planWrite(const LineAddr& addr, const LineData& new_logical);
-
     /**
-     * Plan a normal write into an existing plan object, reusing its
-     * heap buffers (rounds, wlHits). The hot path re-plans every write
+     * Plan a normal write of logical data into `plan`, reusing its heap
+     * buffers (rounds, wlHits). The hot path re-plans every write
      * service; recycling the vectors keeps it allocation-free.
      */
     void planWriteInto(WritePlan& plan, const LineAddr& addr,
                        const LineData& new_logical);
 
-    /** Plan a correction write RESETting the given disturbed cells. */
-    WritePlan planCorrection(const LineAddr& addr,
-                             const std::vector<unsigned>& cells);
-
-    /** Buffer-reusing variant of planCorrection (see planWriteInto). */
+    /** Plan a correction write RESETting the given disturbed cells into
+     *  `plan` (buffers reused as in planWriteInto). */
     void planCorrectionInto(WritePlan& plan, const LineAddr& addr,
                             const std::vector<unsigned>& cells);
 
@@ -343,12 +337,9 @@ class PcmDevice : public Observed
 
     /**
      * Compare the line's current logical content against `expected` and
-     * return the positions that differ (the disturbed cells).
+     * fill `out` (cleared first, its capacity reused) with the positions
+     * that differ (the disturbed cells).
      */
-    std::vector<unsigned> verifyLine(const LineAddr& addr,
-                                     const LineData& expected);
-
-    /** Scratch-reusing variant: `out` is cleared and refilled. */
     void verifyLineInto(const LineAddr& addr, const LineData& expected,
                         std::vector<unsigned>& out);
 
@@ -373,8 +364,8 @@ class PcmDevice : public Observed
     std::size_t touchedLines() const;
 
     /** Number of touched lines holding a record: written, corrected,
-     *  ECP-parked, pinned by a WD scan, or touched on a device that can
-     *  have stuck cells (test/diagnostic hook). */
+     *  ECP-parked, pinned by a WD scan, or given a stuck cell at their
+     *  first touch (test/diagnostic hook). */
     std::size_t recordedLines() const;
 
     /**
@@ -430,8 +421,9 @@ class PcmDevice : public Observed
     /**
      * The line's record for a read path, or null when it has none: the
      * line is then marked touched, and its content is its seed content
-     * with DIN flags 0 and no ECP entries. On a device that can have
-     * stuck cells every touch records its line (through state()).
+     * with DIN flags 0 and no ECP entries. A first touch on a device
+     * that can have stuck cells draws them, and records the line
+     * (through state()) only if it got one.
      */
     const LineState* readState(const LineAddr& addr);
 
@@ -445,7 +437,8 @@ class PcmDevice : public Observed
      *  ECP table. */
     void seed(LineState& ls, const LineAddr& addr) const;
 
-    /** Draw the stuck cells of a line's first touch into its record. */
+    /** Draw the stuck cells of a line's first touch into `ls`, its
+     *  seeded state (its record, or readState's local copy). */
     void drawStuckCells(LineState& ls, const LineAddr& addr);
 
     /** A line's content before anything changes it. */

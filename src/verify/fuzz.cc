@@ -10,10 +10,12 @@
 
 #include "common/args.hh"
 #include "common/logging.hh"
+#include "controller/scheme.hh"
 #include "obs/json.hh"
 #include "obs/profiler.hh"
 #include "pcm/ecp.hh"
 #include "sim/runner.hh"
+#include "workload/generators.hh"
 
 namespace sdpcm {
 
@@ -245,12 +247,23 @@ FuzzScenario::fromJson(const std::string& text)
                                  ", refs>0 and 1<=n<=m<=" +
                                  std::to_string(kStripsPerBlock));
     // Reuse the injector's own validation (in-range), so a spec and an
-    // --inject flag accept the same values.
+    // --inject flag accept the same values, and check the scheme and
+    // workload names against the tables the run looks them up in, where
+    // an unknown name is a fatal.
     try {
         (void)FaultSpec::parse(injectSpec(s));
+        (void)SchemeConfig::byName(s.scheme, NmRatio{s.n, s.m});
     } catch (const std::invalid_argument& e) {
         throw std::runtime_error(std::string("fuzz spec: ") + e.what());
     }
+    const auto& profiles = table3Profiles();
+    if (s.workload != "qstress" &&
+        std::none_of(profiles.begin(), profiles.end(),
+                     [&](const WorkloadProfile& p) {
+                         return p.name == s.workload;
+                     }))
+        throw std::runtime_error("fuzz spec: unknown workload '" +
+                                 s.workload + "'");
     return s;
 }
 

@@ -395,5 +395,48 @@ TEST(Allocations, ReadOnlyLinesAllocateNoRecord)
     EXPECT_LE(allocations, doublings(0, kLines)) << allocations;
 }
 
+TEST(Allocations, AgedReadOnlyLinesRecordOnlyStuckLines)
+{
+    // An aged device draws a line's stuck cells at its first touch and
+    // records only the lines that drew one.
+    DeviceConfig dc;
+    dc.seed = 11;
+    dc.aging.ageFraction = 0.3;
+    PcmDevice dev(dc);
+    std::vector<unsigned> diffs;
+    diffs.reserve(kLineBits);
+
+    constexpr unsigned kLines = 2000;
+    constexpr std::size_t kChunk = 512; // LineTable entries per chunk
+    std::size_t mismatches = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t chunks = 0;
+    {
+        const AllocationCounter counter;
+        for (unsigned i = 0; i < kLines; ++i) {
+            const LineData data = dev.readLine(spreadLine(i));
+            dev.verifyLineInto(spreadLine(i), data, diffs);
+            mismatches += diffs.size();
+        }
+        allocations = counter.count();
+        chunks = counter.aligned();
+    }
+    std::size_t stuck_lines = 0;
+    for (unsigned i = 0; i < kLines; ++i)
+        stuck_lines += dev.ecpUsed(spreadLine(i)) > 0;
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(dev.touchedLines(), kLines);
+    EXPECT_EQ(dev.recordedLines(), stuck_lines);
+    EXPECT_GT(stuck_lines, 0u);
+    EXPECT_LT(stuck_lines, kLines / 10);
+    EXPECT_EQ(chunks, (stuck_lines + kChunk - 1) / kChunk);
+    // Everything else is growth: the touched-mask table (one row per
+    // line here), the line table's index and its chunk list.
+    EXPECT_LE(allocations - chunks,
+              doublings(0, kLines) + doublings(0, stuck_lines) +
+                  doublings(0, chunks))
+        << allocations;
+}
+
 } // namespace
 } // namespace sdpcm

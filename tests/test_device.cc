@@ -47,7 +47,8 @@ TEST(Device, WriteThenReadRoundTrip)
     PcmDevice dev(quietConfig());
     const LineAddr la{3, 100, 7};
     const LineData data = LineData::randomFromKey(77);
-    auto plan = dev.planWrite(la, data);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, data);
     runPlan(dev, plan);
     EXPECT_EQ(dev.readLine(la), data);
 }
@@ -59,7 +60,8 @@ TEST(Device, RoundTripWithoutDin)
     PcmDevice dev(dc);
     const LineAddr la{0, 5, 0};
     const LineData data = LineData::randomFromKey(3);
-    auto plan = dev.planWrite(la, data);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, data);
     runPlan(dev, plan);
     EXPECT_EQ(dev.readLine(la), data);
 }
@@ -84,7 +86,8 @@ TEST(Device, WindowedRoundsCoverChangedWindowsOnly)
     LineData target = old;
     target.flipBit(0);   // window 0
     target.flipBit(300); // window 2
-    auto plan = dev.planWrite(la, target);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, target);
     // Two windows touched, one cell each -> exactly two rounds.
     EXPECT_EQ(plan.totalRounds(), 2u);
 }
@@ -100,7 +103,8 @@ TEST(Device, PooledRoundsFollowCeilDiv)
     LineData target;
     for (unsigned w = 0; w < kLineWords; ++w)
         target.words[w] = ~old.words[w]; // flip all 512 cells
-    auto plan = dev.planWrite(la, target);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, target);
     // 256-ish RESETs and SETs each -> ceil(n/128) rounds per kind.
     unsigned reset_rounds = 0, set_rounds = 0;
     for (const auto& r : plan.rounds)
@@ -127,7 +131,8 @@ TEST(Device, BitLineDisturbanceHitsVulnerableCellsOnly)
     LineData target = old;
     target.flipBit(100);
     target.flipBit(200);
-    auto plan = dev.planWrite(la, target);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, target);
     runPlan(dev, plan);
 
     // Only the columns that were RESET can disturb, and only if the
@@ -157,7 +162,8 @@ TEST(Device, NoBitLineDisturbanceAtZeroRate)
     const LineAddr la{2, 50, 9};
     const LineAddr upper{2, 49, 9};
     const LineData before = dev.peekLine(upper);
-    auto plan = dev.planWrite(la, LineData::randomFromKey(5));
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, LineData::randomFromKey(5));
     runPlan(dev, plan);
     EXPECT_EQ(dev.peekLine(upper), before);
     EXPECT_EQ(dev.stats().blDisturbances, 0u);
@@ -174,10 +180,12 @@ TEST(Device, VerifyDetectsInjectedErrors)
     const LineAddr upper{4, 59, 0};
     const LineData expected = dev.readLine(upper); // pre-write read
 
-    auto plan = dev.planWrite(la, LineData::randomFromKey(123));
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, LineData::randomFromKey(123));
     runPlan(dev, plan);
 
-    const auto errors = dev.verifyLine(upper, expected);
+    std::vector<unsigned> errors;
+    dev.verifyLineInto(upper, expected, errors);
     EXPECT_EQ(static_cast<unsigned>(errors.size()), plan.blHitsUpper);
 }
 
@@ -192,16 +200,21 @@ TEST(Device, CorrectionRestoresDisturbedLine)
     const LineAddr lower{4, 62, 3};
     const LineData expected = dev.readLine(lower);
 
-    auto plan = dev.planWrite(la, LineData::randomFromKey(321));
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, LineData::randomFromKey(321));
     runPlan(dev, plan);
-    auto errors = dev.verifyLine(lower, expected);
+    std::vector<unsigned> errors;
+    dev.verifyLineInto(lower, expected, errors);
     ASSERT_FALSE(errors.empty());
 
     dev.setRates(WdRates{0.0, 0.0}); // keep the correction clean
-    auto fix = dev.planCorrection(lower, errors);
+    PcmDevice::WritePlan fix;
+    dev.planCorrectionInto(fix, lower, errors);
     EXPECT_TRUE(fix.isCorrection);
     runPlan(dev, fix);
-    EXPECT_TRUE(dev.verifyLine(lower, expected).empty());
+    std::vector<unsigned> left;
+    dev.verifyLineInto(lower, expected, left);
+    EXPECT_TRUE(left.empty());
     EXPECT_EQ(dev.stats().correctionWrites, 1u);
 }
 
@@ -219,15 +232,19 @@ TEST(Device, EcpParkingMakesReadsCorrect)
 
     LineData target = dev.peekLine(la);
     target.flipBit(40); // at most 1 RESET -> at most 1 disturbance/side
-    auto plan = dev.planWrite(la, target);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, target);
     runPlan(dev, plan);
 
-    auto errors = dev.verifyLine(upper, expected);
+    std::vector<unsigned> errors;
+    dev.verifyLineInto(upper, expected, errors);
     if (!errors.empty()) {
         EXPECT_TRUE(dev.recordWdInEcp(upper, errors));
         // The read path now overlays the parked corrections.
         EXPECT_EQ(dev.readLine(upper), expected);
-        EXPECT_TRUE(dev.verifyLine(upper, expected).empty());
+        std::vector<unsigned> left;
+        dev.verifyLineInto(upper, expected, left);
+        EXPECT_TRUE(left.empty());
         EXPECT_EQ(dev.stats().ecpWdRecorded, errors.size());
     }
 }
@@ -250,7 +267,8 @@ TEST(Device, WriteReleasesParkedWdEntries)
     const LineAddr la{0, 8, 0};
     EXPECT_TRUE(dev.recordWdInEcp(la, {5, 6}));
     EXPECT_EQ(dev.ecpUsed(la), 2u);
-    auto plan = dev.planWrite(la, LineData::randomFromKey(8));
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, LineData::randomFromKey(8));
     const auto out = runPlan(dev, plan);
     EXPECT_EQ(out.ecpWdReleased, 2u);
     EXPECT_EQ(dev.ecpUsed(la), 0u);
@@ -265,12 +283,14 @@ TEST(Device, PartialWriteResumesCleanly)
     const LineAddr la{6, 90, 5};
     const LineData data = LineData::randomFromKey(2024);
 
-    auto plan = dev.planWrite(la, data);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, data);
     PcmDevice::RoundOutcome outcome;
     if (plan.roundsRemaining())
         dev.applyNextRound(plan, outcome); // one round, then "cancel"
 
-    auto resume = dev.planWrite(la, data);
+    PcmDevice::WritePlan resume;
+    dev.planWriteInto(resume, la, data);
     runPlan(dev, resume);
     EXPECT_EQ(dev.readLine(la), data);
 }
@@ -291,7 +311,8 @@ TEST(Device, AgedDeviceHasStuckCellsCoveredByEcp)
     for (unsigned i = 0; i < 50; ++i) {
         const LineAddr la{i % 16, 100 + i, i % 64};
         const LineData data = LineData::randomFromKey(i * 31 + 1);
-        auto plan = dev.planWrite(la, data);
+        PcmDevice::WritePlan plan;
+        dev.planWriteInto(plan, la, data);
         runPlan(dev, plan);
         EXPECT_EQ(dev.readLine(la), data) << "line " << i;
     }
@@ -328,7 +349,8 @@ TEST(Device, WordLineFixupsRepairOwnRow)
 
     const LineAddr la{7, 110, 8};
     const LineData data = LineData::randomFromKey(55);
-    auto plan = dev.planWrite(la, data);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, data);
     const auto out = runPlan(dev, plan);
     // Everything disturbed within the row was repaired by the write.
     EXPECT_EQ(out.wlErrorsFixed, plan.wlHits.size());
@@ -342,7 +364,8 @@ TEST(Device, Figure4StatsAccumulate)
     PcmDevice dev(dc);
     for (unsigned i = 0; i < 40; ++i) {
         const LineAddr la{i % 16, 200 + i / 16, i % 64};
-        auto plan = dev.planWrite(la, LineData::randomFromKey(i));
+        PcmDevice::WritePlan plan;
+        dev.planWriteInto(plan, la, LineData::randomFromKey(i));
         runPlan(dev, plan);
     }
     EXPECT_EQ(dev.stats().wlErrorsPerWrite.count(), 40u);
@@ -373,7 +396,9 @@ TEST(Device, ReadOnlyLinesKeepNoRecord)
     const LineData content = dev.readLine(a);
     EXPECT_EQ(dev.peekLine(b), dev.peekLine(b));
     dev.verifyLineInto(c, LineData{}, diffs);
-    EXPECT_EQ(dev.verifyLine(d, dev.peekLine(d)), std::vector<unsigned>{});
+    std::vector<unsigned> clean;
+    dev.verifyLineInto(d, dev.peekLine(d), clean);
+    EXPECT_EQ(clean, std::vector<unsigned>{});
     EXPECT_EQ(dev.ecpUsed(e), 0u);
     EXPECT_EQ(dev.ecpFree(f), dc.ecpEntries);
     EXPECT_EQ(dev.ecpWdCells(g), std::vector<unsigned>{});
@@ -386,17 +411,19 @@ TEST(Device, ReadOnlyLinesKeepNoRecord)
     // Reading again answers the same content; a write records the line.
     EXPECT_EQ(dev.readLine(a), content);
     EXPECT_EQ(dev.recordedLines(), 0u);
-    auto plan = dev.planWrite(a, content);
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, a, content);
     runPlan(dev, plan);
     EXPECT_EQ(dev.readLine(a), content);
     EXPECT_GE(dev.recordedLines(), 1u);
     EXPECT_EQ(dev.touchedLines(), dev.recordedLines() + 7u);
 }
 
-TEST(Device, StuckCellDevicesRecordEveryTouchedLine)
+TEST(Device, StuckCellDevicesRecordOnlyLinesWithStuckCells)
 {
-    // Stuck cells are drawn at a line's first touch, so while a device
-    // can have them, reads record their lines.
+    // Stuck cells are drawn at a line's first touch, and a read records
+    // only a line that drew one. A stuck cell holds its seed value, so
+    // every read answers what a healthy device reads.
     DeviceConfig aged = quietConfig();
     aged.aging.ageFraction = 0.6;
     PcmDevice old_dimm(aged);
@@ -406,10 +433,18 @@ TEST(Device, StuckCellDevicesRecordEveryTouchedLine)
     PcmDevice stormed(quietConfig());
     stormed.setFaultInjector(&inject);
     for (PcmDevice* dev : {&old_dimm, &stormed}) {
-        for (unsigned i = 0; i < 50; ++i)
-            dev->readLine(LineAddr{i % 16, i, i % 64});
+        PcmDevice healthy(quietConfig());
+        std::size_t stuck_lines = 0;
+        for (unsigned i = 0; i < 50; ++i) {
+            const LineAddr la{i % 16, i, i % 64};
+            EXPECT_EQ(dev->readLine(la), healthy.readLine(la)) << i;
+            stuck_lines += dev->ecpUsed(la) > 0 ||
+                dev->uncorrectableMask(la).popcount() > 0;
+        }
         EXPECT_EQ(dev->touchedLines(), 50u);
-        EXPECT_EQ(dev->recordedLines(), 50u);
+        EXPECT_EQ(dev->recordedLines(), stuck_lines);
+        EXPECT_GT(stuck_lines, 0u);
+        EXPECT_LT(stuck_lines, 50u);
     }
 }
 
@@ -450,7 +485,8 @@ TEST(Device, FirstChangeOfAReadOnlyLineStartsFromItsReadContent)
             written = dev.peekLine(la);
             for (const unsigned cell : cells)
                 written.flipBit(cell);
-            auto plan = dev.planWrite(la, written);
+            PcmDevice::WritePlan plan;
+            dev.planWriteInto(plan, la, written);
             runPlan(dev, plan);
             EXPECT_EQ(dev.readLine(la), written);
         });
@@ -460,13 +496,15 @@ TEST(Device, FirstChangeOfAReadOnlyLineStartsFromItsReadContent)
     // (a line no write touched has DIN flags 0: its cells are its data).
     const LineData corrected = expectChangeStartsFromReadContent(
         sdpcm, la, [&](PcmDevice& dev) {
-            auto plan = dev.planCorrection(la, cells);
+            PcmDevice::WritePlan plan;
+            dev.planCorrectionInto(plan, la, cells);
             runPlan(dev, plan);
         });
     {
         PcmDevice dev(sdpcm);
         dev.readLine(la);
-        auto plan = dev.planCorrection(la, cells);
+        PcmDevice::WritePlan plan;
+        dev.planCorrectionInto(plan, la, cells);
         unsigned set = 0;
         for (const unsigned cell : cells) {
             set += corrected.getBit(cell);
@@ -499,17 +537,19 @@ TEST(Device, FirstChangeOfAReadOnlyLineStartsFromItsReadContent)
     hot.rates = WdRates{0.0, 1.0};
     const LineData victim_read = expectChangeStartsFromReadContent(
         hot, victim, [&](PcmDevice& dev) {
-            auto plan = dev.planWrite(la, LineData::randomFromKey(9));
+            PcmDevice::WritePlan plan;
+            dev.planWriteInto(plan, la, LineData::randomFromKey(9));
             runPlan(dev, plan);
             EXPECT_GT(dev.stats().blDisturbances, 0u);
         });
     {
         PcmDevice dev(hot);
         dev.readLine(victim);
-        auto plan = dev.planWrite(la, LineData::randomFromKey(9));
+        PcmDevice::WritePlan plan;
+        dev.planWriteInto(plan, la, LineData::randomFromKey(9));
         runPlan(dev, plan);
-        const std::vector<unsigned> flipped =
-            dev.verifyLine(victim, victim_read);
+        std::vector<unsigned> flipped;
+        dev.verifyLineInto(victim, victim_read, flipped);
         EXPECT_EQ(flipped.size(), plan.blHitsUpper);
         for (const unsigned cell : flipped)
             EXPECT_FALSE(victim_read.getBit(cell)) << cell;
@@ -524,7 +564,8 @@ TEST(Device, CounterSamplesListReadOnlyLinesWithZeroCounters)
     const LineAddr read_only{2, 10, 4};
     const LineAddr written{2, 10, 5};
     dev.readLine(read_only);
-    auto plan = dev.planWrite(written, LineData::randomFromKey(3));
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, written, LineData::randomFromKey(3));
     runPlan(dev, plan);
     dev.readLine(LineAddr{0, 1, 63});
 
@@ -742,8 +783,9 @@ TEST(LineStore, BanksNeverAlias)
         for (unsigned bank = 0; bank < 16; ++bank) {
             LineAddr la = pattern;
             la.bank = bank;
-            auto plan = dev.planWrite(
-                la, LineData::randomFromKey(pattern.row * 100 + bank));
+            PcmDevice::WritePlan plan;
+            dev.planWriteInto(
+                plan, la, LineData::randomFromKey(pattern.row * 100 + bank));
             runPlan(dev, plan);
         }
         for (unsigned bank = 0; bank < 16; ++bank) {
@@ -1083,6 +1125,11 @@ diffCases()
         {"readMostly", counted, FaultSpec{}, 0xf4e2a3523475c3b6ULL, read_mostly},
         {"readMostlyLateInjector", sdpcm, storm, 0x98685fe091ba6844ULL,
          late_injector},
+        // Recorded with a record for every line an aged device touched:
+        // most lines are only read, and about a third of the lines draw
+        // a stuck cell at their first touch.
+        {"readMostlyAged", aged, FaultSpec{}, 0x47d6a8654d40dc24ULL,
+         read_mostly},
     };
 }
 

@@ -180,7 +180,8 @@ TEST(WdAnalytic, CrossValidatesAgainstDeviceModel)
         for (unsigned w = 1; w <= 10; ++w) {
             for (unsigned f = 0; f < 75; ++f)
                 data.flipBit(static_cast<unsigned>(rng.below(kLineBits)));
-            auto plan = dev.planWrite(la, data);
+            PcmDevice::WritePlan plan;
+            dev.planWriteInto(plan, la, data);
             resets.record(plan.masks.resetCount());
             PcmDevice::RoundOutcome outcome;
             while (dev.applyNextRound(plan, outcome)) {

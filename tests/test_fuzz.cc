@@ -132,6 +132,16 @@ TEST(FuzzSpec, RejectsMalformedValues)
               512u);
     EXPECT_THROW((void)FuzzScenario::fromJson(mutate("stuck", "-1")),
                  std::runtime_error);
+    // Names the run's SchemeConfig::byName and workloadFromProfile
+    // would stop on as fatals.
+    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("scheme", "\"dinn\"")),
+                 std::runtime_error);
+    EXPECT_THROW(
+        (void)FuzzScenario::fromJson(mutate("workload", "\"bogus\"")),
+        std::runtime_error);
+    EXPECT_EQ(FuzzScenario::fromJson(mutate("workload", "\"stream\""))
+                  .workload,
+              "stream");
     EXPECT_THROW((void)FuzzScenario::fromJson("not json"),
                  std::runtime_error);
 }

@@ -61,7 +61,8 @@ TEST_P(DeviceRoundTrip, RandomWritesAlwaysReadBack)
                           1 + rng.below(100),
                           static_cast<unsigned>(rng.below(64))};
         const LineData data = LineData::randomFromKey(rng.next64());
-        auto plan = dev.planWrite(la, data);
+        PcmDevice::WritePlan plan;
+        dev.planWriteInto(plan, la, data);
         PcmDevice::RoundOutcome outcome;
         while (dev.applyNextRound(plan, outcome)) {
         }
@@ -93,8 +94,9 @@ TEST(DeviceProperty, RoundsPartitionTheProgramMasks)
     for (int i = 0; i < 60; ++i) {
         const LineAddr la{0, 1 + rng.below(50),
                           static_cast<unsigned>(rng.below(64))};
-        auto plan = dev.planWrite(la, LineData::randomFromKey(
-                                          rng.next64()));
+        PcmDevice::WritePlan plan;
+        dev.planWriteInto(plan, la,
+                          LineData::randomFromKey(rng.next64()));
         // Every programmed cell appears in exactly one round, and each
         // round is homogeneous and within the parallelism budget.
         LineData seen{};

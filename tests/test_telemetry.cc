@@ -155,6 +155,8 @@ TEST(MonitorRules, MalformedSpecsThrow)
         "r:p0(x)<=5",                       // quantile out of range
         "r:burn(x,5)<=1",                   // burn needs 3 args
         "r:burn(x,0,0.5)<=1",               // slo must be positive
+        "r:burn(x,1e30,0.5)<=1",            // slo beyond 2^64 cycles
+        "r:burn(x,18446744073709551616,0.5)<=1", // slo of exactly 2^64
         "r:burn(x,5,2)<=1",                 // budget > 1
         "r:gauge()<=1",                     // empty metric
         "a b:p99(x)<=5",                    // bad name chars
@@ -168,6 +170,8 @@ TEST(MonitorRules, MalformedSpecsThrow)
     }
     // Empty rules between separators are skipped, not errors.
     EXPECT_EQ(MonitorRule::parseList(";;").size(), 0u);
+    // An slo below 2^64 is a cycle count evaluate() can compare.
+    EXPECT_EQ(MonitorRule::parseList("r:burn(x,1e19,0.5)<=1").size(), 1u);
 }
 
 TEST(MonitorRules, DescribeRoundTripsThroughParse)

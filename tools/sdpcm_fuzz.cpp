@@ -25,7 +25,7 @@
  *                 (default: current directory)
  *   --replay=FILE run one JSON scenario spec and report its outcome
  *   --corpus=DIR  replay every *.json spec in DIR (regression corpus);
- *                 nonzero exit if any spec is not clean
+ *                 exit 1 if any spec is not clean, 2 if any is malformed
  *   --no-shrink   report violations without shrinking
  *
  * Exit code: 0 when every executed scenario was clean, 1 on any
@@ -196,11 +196,15 @@ replayCorpus(const std::string& dir)
     }
     std::sort(specs.begin(), specs.end());
     int failures = 0;
-    for (const std::string& path : specs)
-        failures += replayOne(path, /*in_process=*/false) == 0 ? 0 : 1;
+    int worst = 0; // a spec error (2) outranks a violation (1)
+    for (const std::string& path : specs) {
+        const int code = replayOne(path, /*in_process=*/false);
+        failures += code == 0 ? 0 : 1;
+        worst = std::max(worst, code);
+    }
     std::cout << specs.size() << " corpus spec(s), " << failures
               << " violation(s)\n";
-    return failures == 0 ? 0 : 1;
+    return worst;
 }
 
 } // namespace
