@@ -4,6 +4,49 @@
 
 namespace sdpcm {
 
+namespace {
+
+using SortedStarts = std::vector<std::uint64_t>;
+
+/** Insert `start` in order; false when it is listed already. */
+bool
+insertSorted(SortedStarts& list, std::uint64_t start)
+{
+    const auto it = std::lower_bound(list.begin(), list.end(), start);
+    if (it != list.end() && *it == start)
+        return false;
+    list.insert(it, start);
+    return true;
+}
+
+bool
+containsSorted(const SortedStarts& list, std::uint64_t start)
+{
+    return std::binary_search(list.begin(), list.end(), start);
+}
+
+/** Remove `start`; false when it was not listed. */
+bool
+eraseSorted(SortedStarts& list, std::uint64_t start)
+{
+    const auto it = std::lower_bound(list.begin(), list.end(), start);
+    if (it == list.end() || *it != start)
+        return false;
+    list.erase(it);
+    return true;
+}
+
+/** Remove and return the lowest start of a non-empty list. */
+std::uint64_t
+popLowest(SortedStarts& list)
+{
+    const std::uint64_t start = list.front();
+    list.erase(list.begin());
+    return start;
+}
+
+} // namespace
+
 NmBuddyAllocator::NmBuddyAllocator(const NmRatio& ratio, unsigned max_order)
     : policy_(ratio),
       freeLists_(max_order + 1)
@@ -75,8 +118,7 @@ NmBuddyAllocator::link(const FrameBlock& block)
                  "linking a fully no-use block at frame ", block.start);
     SDPCM_ASSERT(block.start % block.frames() == 0,
                  "unaligned block at frame ", block.start);
-    const bool inserted =
-        freeLists_[block.order].insert(block.start).second;
+    const bool inserted = insertSorted(freeLists_[block.order], block.start);
     SDPCM_ASSERT(inserted, "double free of block at frame ", block.start);
 }
 
@@ -130,8 +172,7 @@ NmBuddyAllocator::allocate(unsigned order)
     if (found_order >= freeLists_.size())
         return std::nullopt;
 
-    FrameBlock cur{*freeLists_[found_order].begin(), found_order};
-    freeLists_[found_order].erase(freeLists_[found_order].begin());
+    FrameBlock cur{popLowest(freeLists_[found_order]), found_order};
 
     // Split down to the effective order, linking or parking the halves we
     // do not descend into.
@@ -161,7 +202,7 @@ NmBuddyAllocator::allocate(unsigned order)
             for (std::uint64_t f = other.start;
                  f < other.start + other.frames();
                  f += kFramesPerStrip) {
-                const bool parked = parkedNoUse_.insert(f).second;
+                const bool parked = insertSorted(parkedNoUse_, f);
                 SDPCM_ASSERT(parked, "strip parked twice at frame ", f);
             }
         } else {
@@ -196,9 +237,9 @@ NmBuddyAllocator::free(const FrameBlock& block)
     // Transactionally check whether a buddy region is entirely available
     // (free-listed blocks and/or parked no-use strips), then consume it.
     auto can_absorb = [&](auto&& self, const FrameBlock& b) -> bool {
-        if (freeLists_[b.order].count(b.start))
+        if (containsSorted(freeLists_[b.order], b.start))
             return true;
-        if (b.order == kStripOrder && parkedNoUse_.count(b.start))
+        if (b.order == kStripOrder && containsSorted(parkedNoUse_, b.start))
             return true;
         if (b.order > kStripOrder) {
             const FrameBlock lower{b.start, b.order - 1};
@@ -208,9 +249,9 @@ NmBuddyAllocator::free(const FrameBlock& block)
         return false;
     };
     auto absorb = [&](auto&& self, const FrameBlock& b) -> void {
-        if (freeLists_[b.order].erase(b.start))
+        if (eraseSorted(freeLists_[b.order], b.start))
             return;
-        if (b.order == kStripOrder && parkedNoUse_.erase(b.start))
+        if (b.order == kStripOrder && eraseSorted(parkedNoUse_, b.start))
             return;
         SDPCM_ASSERT(b.order > kStripOrder, "absorb bookkeeping error");
         const FrameBlock lower{b.start, b.order - 1};
@@ -236,7 +277,7 @@ NmBuddyAllocator::free(const FrameBlock& block)
         while (cur.order < freeLists_.size() - 1) {
             const std::uint64_t buddy_start =
                 cur.start ^ (1ULL << cur.order);
-            if (!freeLists_[cur.order].erase(buddy_start))
+            if (!eraseSorted(freeLists_[cur.order], buddy_start))
                 break;
             cur.start = std::min(cur.start, buddy_start);
             cur.order += 1;
@@ -253,9 +294,7 @@ NmBuddyAllocator::reclaimBlock()
     auto& list = freeLists_[kBlockOrder];
     if (list.empty())
         return std::nullopt;
-    FrameBlock block{*list.begin(), kBlockOrder};
-    list.erase(list.begin());
-    return block;
+    return FrameBlock{popLowest(list), kBlockOrder};
 }
 
 std::uint64_t
@@ -286,7 +325,9 @@ PageAllocatorSystem::PageAllocatorSystem(const DimmGeometry& geometry)
 NmBuddyAllocator&
 PageAllocatorSystem::allocatorFor(const NmRatio& ratio)
 {
-    std::unique_ptr<NmBuddyAllocator>& arr = arrays_[ratio];
+    // A full ratio (n == m) parks no strip: it shares the (1:1) array.
+    std::unique_ptr<NmBuddyAllocator>& arr =
+        arrays_[ratio.isFull() ? NmRatio{1, 1} : ratio];
     if (!arr) {
         arr = std::make_unique<NmBuddyAllocator>(
             ratio, NmBuddyAllocator::kBlockOrder);

@@ -28,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -125,8 +124,11 @@ class NmBuddyAllocator
     void link(const FrameBlock& block);
 
     NmPolicy policy_;
-    std::vector<std::set<std::uint64_t>> freeLists_;
-    std::set<std::uint64_t> parkedNoUse_; //!< strip-order block starts
+    /** Free block starts, one list per order, each sorted ascending: an
+     *  allocation takes the front, the lowest start. */
+    std::vector<std::vector<std::uint64_t>> freeLists_;
+    /** Parked no-use strips' starts, sorted ascending. */
+    std::vector<std::uint64_t> parkedNoUse_;
     /** Outstanding allocations (start -> order): double-free detection. */
     FlatMap<std::uint64_t> live_;
 };
@@ -150,7 +152,8 @@ class PageAllocatorSystem
     /** Free a block back to its ratio's array. */
     void free(const NmRatio& ratio, const FrameBlock& block);
 
-    /** The per-ratio allocator (created on demand). */
+    /** The per-ratio allocator (created on demand); every full ratio
+     *  (n == m) gets the (1:1) array. */
     NmBuddyAllocator& allocatorFor(const NmRatio& ratio);
 
     /** Usable frames of a block under its ratio. */

@@ -69,12 +69,24 @@ PcmDevice::lineKey(const LineAddr& addr) const
     return addr.row * config_.geometry.linesPerRow() + addr.line;
 }
 
+std::uint64_t
+PcmDevice::seedKey(const LineAddr& addr) const
+{
+    return mix64(config_.seed ^
+                 (static_cast<std::uint64_t>(addr.bank) << 58) ^
+                 lineKey(addr));
+}
+
 LineData
 PcmDevice::seedContent(const LineAddr& addr) const
 {
-    return LineData::randomFromKey(
-        mix64(config_.seed ^ (static_cast<std::uint64_t>(addr.bank) << 58) ^
-              lineKey(addr)));
+    return LineData::randomFromKey(seedKey(addr));
+}
+
+std::uint64_t
+PcmDevice::seedWord(const LineAddr& addr, unsigned w) const
+{
+    return LineData::wordFromKey(seedKey(addr), w);
 }
 
 LineIndex
@@ -111,14 +123,20 @@ PcmDevice::state(const LineAddr& addr)
     return ls;
 }
 
-const PcmDevice::LineState*
+PcmDevice::LineState*
 PcmDevice::readState(const LineAddr& addr)
 {
     const LineIndex line = indexOf(addr);
     if (!touch(line))
         return lines_.find(line);
-    if (hardErrorMean_ == 0.0 && !inject_)
+    if (!canStick())
         return nullptr;
+    return firstTouchRecord(addr);
+}
+
+PcmDevice::LineState*
+PcmDevice::firstTouchRecord(const LineAddr& addr)
+{
     // Stuck cells are drawn from the device RNG at a line's first
     // touch; only a line that drew one differs from its seed content.
     LineState drawn;
@@ -247,10 +265,10 @@ PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr)
     plan.blHitsUpper = 0;
     plan.blHitsLower = 0;
     plan.line_ = nullptr;
-    plan.left_ = nullptr;
-    plan.right_ = nullptr;
-    plan.upper_ = nullptr;
-    plan.lower_ = nullptr;
+    plan.left_ = {};
+    plan.right_ = {};
+    plan.upper_ = {};
+    plan.lower_ = {};
 }
 
 void
@@ -399,20 +417,37 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     if (!wl && !upper && !lower)
         return;
 
-    // Each neighbour line is pinned where its first lookup falls: the
+    // Each neighbour line is looked up where its first probe falls: the
     // word-line probe of the first RESET edge cell (before its idleness
-    // is known), or a successful bit-line draw. Pinning records the
-    // line; on its first touch that draws its stuck cells from the
-    // device RNG, so the scan's local copy of that RNG is handed back
-    // around it.
+    // is known), or a successful bit-line draw. A lookup pins the line's
+    // record if it has one (a recorded line is touched already);
+    // otherwise it touches the line, and a first touch on a device that
+    // can have stuck cells draws them from the device RNG, as a read's
+    // does, so the scan's local copy of that RNG is handed back around
+    // it.
     Rng rng = rng_;
-    auto pin = [&](LineState*& slot, const LineAddr& n_addr) -> LineState& {
-        if (!slot) {
-            rng_ = rng;
-            slot = &state(n_addr);
-            rng = rng_;
+    auto look_up = [&](WritePlan::Pin& pin,
+                       const LineAddr& n_addr) -> const LineState* {
+        if (!pin.touched) {
+            pin.touched = true;
+            const LineIndex line = indexOf(n_addr);
+            pin.record = lines_.find(line);
+            if (!pin.record && touch(line) && canStick()) {
+                rng_ = rng;
+                pin.record = firstTouchRecord(n_addr);
+                rng = rng_;
+            }
         }
-        return *slot;
+        return pin.record;
+    };
+    // A flip lands only on an amorphous cell that is not stuck. A
+    // neighbour without a record holds its seed content and no stuck
+    // cell, so only the probed word of that content is computed.
+    auto vulnerable = [&](const LineState* ns, const LineAddr& n_addr,
+                          unsigned n_pos) {
+        if (!ns)
+            return ((seedWord(n_addr, n_pos / 64) >> (n_pos % 64)) & 1) == 0;
+        return !ns->physical.getBit(n_pos) && !isHardCell(*ns, n_addr, n_pos);
     };
     // The natural draw always runs first so the device RNG stream is
     // injection-independent; the injector may then force the flip
@@ -422,11 +457,15 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     auto hit = [&](const Rng::Chance& chance) {
         return chance(rng) || (inject_ && inject_->forceWdFlip());
     };
-    auto flip = [&](LineState& ns, const LineAddr& n_addr, unsigned n_pos,
-                    bool word_line) {
-        ns.physical.setBit(n_pos, true);
+    // A landed flip on a neighbour without a record yet records it, as
+    // it stands: the lookup touched it already, so nothing is drawn.
+    auto flip = [&](LineState*& victim, const LineAddr& n_addr,
+                    unsigned n_pos, bool word_line) {
+        if (!victim)
+            victim = &state(n_addr);
+        victim->physical.setBit(n_pos, true);
         if (config_.lineCounters)
-            ns.counters.wdFlips += 1;
+            victim->counters.wdFlips += 1;
         if (obs_.ledger) {
             obs_.ledger->recordFlip(addr, plan.isCorrection, n_addr, n_pos,
                                     word_line);
@@ -434,35 +473,31 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     };
     // Word-line probe of an idle cell (same device row, adjacent cells
     // on the shared word-line; oxide isolation between bit-lines).
-    auto probe_wl = [&](LineState& ns, const LineAddr& n_addr,
+    auto probe_wl = [&](LineState*& victim, const LineAddr& n_addr,
                         unsigned n_pos) {
         if (!hit(wl_chance))
             return false;
-        flip(ns, n_addr, n_pos, /*word_line=*/true);
+        flip(victim, n_addr, n_pos, /*word_line=*/true);
         outcome.wlErrors += 1;
         stats_.wlDisturbances += 1;
         plan.wlHits.push_back((n_addr.line << 9) | n_pos);
         return true;
     };
     // Word-line probe of a neighbour line's edge cell.
-    auto probe_edge = [&](LineState*& slot, const LineAddr& n_addr,
+    auto probe_edge = [&](WritePlan::Pin& pin, const LineAddr& n_addr,
                           unsigned n_pos) {
-        LineState& ns = pin(slot, n_addr);
-        if (!ns.physical.getBit(n_pos) && !isHardCell(ns, n_addr, n_pos))
-            probe_wl(ns, n_addr, n_pos);
+        if (vulnerable(look_up(pin, n_addr), n_addr, n_pos))
+            probe_wl(pin.record, n_addr, n_pos);
     };
     // Bit-line probe (adjacent device rows on the shared GST rail; always
     // idle since a write touches a single row). The neighbour is only
     // needed when the thermal draw succeeds; the flip lands iff the cell
     // is vulnerable.
-    auto probe_bl = [&](LineState*& slot, const LineAddr& n_addr,
+    auto probe_bl = [&](WritePlan::Pin& pin, const LineAddr& n_addr,
                         unsigned pos, unsigned& hits) {
-        if (!hit(bl_chance))
+        if (!hit(bl_chance) || !vulnerable(look_up(pin, n_addr), n_addr, pos))
             return;
-        LineState& ns = pin(slot, n_addr);
-        if (ns.physical.getBit(pos) || isHardCell(ns, n_addr, pos))
-            return;
-        flip(ns, n_addr, pos, /*word_line=*/false);
+        flip(pin.record, n_addr, pos, /*word_line=*/false);
         outcome.blErrors += 1;
         stats_.blDisturbances += 1;
         hits += 1;
@@ -495,14 +530,14 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
                 // Left neighbour, then right.
                 if (offset > 0) {
                     const std::uint64_t bit = 1ULL << (offset - 1);
-                    if ((idle & bit) && probe_wl(ls, addr, pos - 1))
+                    if ((idle & bit) && probe_wl(plan.line_, addr, pos - 1))
                         idle &= ~bit;
                 } else if (has_left) {
                     probe_edge(plan.left_, left, pos | 63);
                 }
                 if (offset < 63) {
                     const std::uint64_t bit = 1ULL << (offset + 1);
-                    if ((idle & bit) && probe_wl(ls, addr, pos + 1))
+                    if ((idle & bit) && probe_wl(plan.line_, addr, pos + 1))
                         idle &= ~bit;
                 } else if (has_right) {
                     probe_edge(plan.right_, right, w << 6);
@@ -584,15 +619,15 @@ PcmDevice::repairWlHits(WritePlan& plan)
     // DIN check-and-rewrite: the disturbances a write causes within its
     // own device row are repaired as part of the write operation (the
     // disturbed cells were idle '0' cells, so the repair is a RESET).
-    // Every hit lies on the written line or a word-line neighbour the
-    // scan pinned when it flipped the cell.
+    // Every hit lies on the written line or a word-line neighbour whose
+    // record the scan pinned when it flipped the cell.
     unsigned fixed = 0;
     for (const unsigned key : plan.wlHits) {
         const unsigned line = key >> 9;
         const unsigned pos = key & 511;
         LineState& fs = line == plan.addr.line ? *plan.line_
-            : line < plan.addr.line            ? *plan.left_
-                                               : *plan.right_;
+            : line < plan.addr.line            ? *plan.left_.record
+                                               : *plan.right_.record;
         if (fs.physical.getBit(pos)) {
             fs.physical.setBit(pos, false);
             fixed += 1;

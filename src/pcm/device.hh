@@ -7,13 +7,14 @@
  * each line it touches in one 64-bit mask per device row, and records a
  * line's physical cell states only once they can differ from that seed
  * content: when the line is written or corrected, gets an ECP entry
- * parked, is pinned by a write's WD scan, or draws a stuck cell at its
- * first touch (on an aged device, or one with a fault injector). A read
- * of a line without a record answers from its seed content. The device
- * applies DIN encoding on the write path, injects thermal write
- * disturbance into word-line and bit-line neighbours of every RESET
- * pulse, maintains per-line ECP metadata (hard errors + LazyCorrection
- * WD parking) and tracks wear for the lifetime studies.
+ * parked, is given a WD flip, or draws a stuck cell at its first touch
+ * (on an aged device, or one with a fault injector). A read of a line
+ * without a record, and the WD scan's look at a neighbour without one,
+ * answer from its seed content. The device applies DIN encoding on the
+ * write path, injects thermal write disturbance into word-line and
+ * bit-line neighbours of every RESET pulse, maintains per-line ECP
+ * metadata (hard errors + LazyCorrection WD parking) and tracks wear
+ * for the lifetime studies.
  *
  * Timing is the memory controller's job: the device exposes writes as a
  * sequence of <=128-cell program rounds so the controller can charge each
@@ -246,19 +247,35 @@ class PcmDevice : public Observed
 
       private:
         friend class PcmDevice;
+        /** A neighbour line as this write's WD scan found it. */
+        struct Pin
+        {
+            LineState* record = nullptr; //!< its record, once it has one
+            bool touched = false;        //!< the scan looked it up
+        };
         // The records of the lines this write touches, pinned so the
-        // round, WD-scan and repair paths never look a line up. Pinning
-        // records a line that has no record yet. The written line is
-        // pinned at planning; each neighbour only where the scan first
-        // needs it, so pinning never changes when a line is first
-        // touched (and draws its stuck cells from the device RNG). Pins
-        // point into the planning device's line store and stay valid as
-        // long as it lives; every re-plan resets them.
-        LineState* line_ = nullptr;  //!< the written line
-        LineState* left_ = nullptr;  //!< word-line neighbour, line - 1
-        LineState* right_ = nullptr; //!< word-line neighbour, line + 1
-        LineState* upper_ = nullptr; //!< bit-line neighbour, row - 1
-        LineState* lower_ = nullptr; //!< bit-line neighbour, row + 1
+        // round, WD-scan and repair paths look each line up once. The
+        // written line is recorded and pinned at planning. The scan looks
+        // each neighbour up only where it first needs it, so a lookup
+        // never changes when a line is first touched (and draws its
+        // stuck cells from the device RNG); the lookup touches the line
+        // and pins its record if it has one, but makes none unless that
+        // first touch draws a stuck cell, as a read's would. Until a
+        // flip lands on it, a neighbour without a record answers from
+        // its seed content; the first flip records it and pins the
+        // record. A pin without a record is therefore right only while
+        // no other plan writes, corrects or parks an entry on its line
+        // before this plan's last round: the controller runs one plan
+        // per bank at a time, every neighbour lies in the written
+        // line's bank, and a read records no line that is touched
+        // already. Record pins point into the planning device's line
+        // store and stay valid as long as it lives; every re-plan resets
+        // them.
+        LineState* line_ = nullptr; //!< the written line
+        Pin left_;  //!< word-line neighbour, line - 1
+        Pin right_; //!< word-line neighbour, line + 1
+        Pin upper_; //!< bit-line neighbour, row - 1
+        Pin lower_; //!< bit-line neighbour, row + 1
     };
 
     /**
@@ -364,9 +381,16 @@ class PcmDevice : public Observed
     std::size_t touchedLines() const;
 
     /** Number of touched lines holding a record: written, corrected,
-     *  ECP-parked, pinned by a WD scan, or given a stuck cell at their
-     *  first touch (test/diagnostic hook). */
+     *  ECP-parked, given a WD flip, or given a stuck cell at their first
+     *  touch (test/diagnostic hook). */
     std::size_t recordedLines() const;
+
+    /** A line's content before anything changes it: a pure function of
+     *  the device seed and the line's place. */
+    LineData seedContent(const LineAddr& addr) const;
+
+    /** Word `w` of seedContent(addr), computed alone. */
+    std::uint64_t seedWord(const LineAddr& addr, unsigned w) const;
 
     /**
      * Snapshot of every touched line's counters, sorted by (bank, row,
@@ -421,11 +445,26 @@ class PcmDevice : public Observed
     /**
      * The line's record for a read path, or null when it has none: the
      * line is then marked touched, and its content is its seed content
-     * with DIN flags 0 and no ECP entries. A first touch on a device
-     * that can have stuck cells draws them, and records the line
-     * (through state()) only if it got one.
+     * with DIN flags 0 and no ECP entries. A first touch on a device that
+     * can have stuck cells draws them (firstTouchRecord).
      */
-    const LineState* readState(const LineAddr& addr);
+    LineState* readState(const LineAddr& addr);
+
+    /** True when a line's first touch draws stuck cells: the device is
+     *  aged or has a fault injector. */
+    bool
+    canStick() const
+    {
+        return hardErrorMean_ > 0.0 || inject_;
+    }
+
+    /**
+     * A first touch on a device that can have stuck cells: draw them into
+     * a local seeded state, and record the line (through state()) only
+     * if it got one; null otherwise. Kept out of line so that readState's
+     * frame holds no over-aligned LineState.
+     */
+    [[gnu::noinline]] LineState* firstTouchRecord(const LineAddr& addr);
 
     /** Mark the line touched; true on its first touch. */
     bool touch(LineIndex line);
@@ -438,14 +477,14 @@ class PcmDevice : public Observed
     void seed(LineState& ls, const LineAddr& addr) const;
 
     /** Draw the stuck cells of a line's first touch into `ls`, its
-     *  seeded state (its record, or readState's local copy). */
+     *  seeded state (its record, or firstTouchRecord's local copy). */
     void drawStuckCells(LineState& ls, const LineAddr& addr);
-
-    /** A line's content before anything changes it. */
-    LineData seedContent(const LineAddr& addr) const;
 
     /** Key within the bank: row * linesPerRow + line (content seed). */
     std::uint64_t lineKey(const LineAddr& addr) const;
+
+    /** The key the line's seed content is drawn from. */
+    std::uint64_t seedKey(const LineAddr& addr) const;
 
     /** Call fn(addr, record or null) for every touched line, in (bank,
      *  row, line) order. */

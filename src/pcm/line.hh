@@ -73,14 +73,23 @@ struct LineData
         return words == other.words;
     }
 
+    /** Word `w` of randomFromKey(key), computed alone: the w-th step of
+     *  a splitmix64 stream whose state starts at key ^ phi. */
+    static std::uint64_t
+    wordFromKey(std::uint64_t key, unsigned w)
+    {
+        constexpr std::uint64_t kPhi = 0x9e3779b97f4a7c15ULL;
+        std::uint64_t state = (key ^ kPhi) + w * kPhi;
+        return splitmix64(state);
+    }
+
     /** Deterministic pseudo-random content derived from a 64-bit key. */
     static LineData
     randomFromKey(std::uint64_t key)
     {
         LineData line;
-        std::uint64_t state = key ^ 0x9e3779b97f4a7c15ULL;
-        for (auto& word : line.words)
-            word = splitmix64(state);
+        for (unsigned w = 0; w < kLineWords; ++w)
+            line.words[w] = wordFromKey(key, w);
         return line;
     }
 

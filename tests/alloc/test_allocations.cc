@@ -194,8 +194,9 @@ TEST(Allocations, SystemRunAllocatesLessThanOncePerTenEvents)
     // at 2,970: this run writes no line to the device, and reading one
     // never allocated ECP state. A TLB in fixed arrays, a flat page
     // table and a flat live-block set took it to 713 (0.083 per
-    // event). What remains is the buddy free lists' nodes on first
-    // touch and the growth of the flat tables, none per event.
+    // event), and sorted buddy free lists in place of their set nodes
+    // to 135. What remains is the growth of the flat tables and the
+    // lists, none per event.
     SystemConfig sc;
     sc.scheme = SchemeConfig::sdpcm();
     sc.cores = 2;
@@ -247,6 +248,28 @@ TEST(Allocations, WarmTranslationAllocatesNothing)
     EXPECT_EQ(allocations, 0u);
 }
 
+TEST(Allocations, FirstTouchPagesAllocateOnlyListGrowth)
+{
+    // sdpcm's (2:3) tag: each page fault takes the lowest free page,
+    // splitting a block when none is left, which links the halves it
+    // does not keep and parks the no-use strips.
+    PageAllocatorSystem allocator{DimmGeometry{}};
+    constexpr unsigned kPages = 25000;
+    unsigned mapped = 0;
+    std::uint64_t allocations = 0;
+    {
+        const AllocationCounter counter;
+        for (unsigned i = 0; i < kPages; ++i)
+            mapped += allocator.allocatePage(NmRatio{2, 3}).has_value();
+        allocations = counter.count();
+    }
+    EXPECT_EQ(mapped, kPages);
+    // Storage growth only: the (2:3) array, its free lists, its parked
+    // strips and its live blocks (48 allocations; 25,810 when every
+    // linked block and parked strip was a set node).
+    EXPECT_LT(allocations, 64u) << allocations;
+}
+
 /** Reallocations of storage that doubles as it grows from `from` to
  *  `to` entries, counting a first allocation at `from`. */
 std::uint64_t
@@ -285,7 +308,8 @@ spreadRows(const AddressMap& map, unsigned n)
 TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
 {
     // The sdpcm device: every write disturbs its bit-line neighbours,
-    // which the scan records, and VnC parks their errors in ECP.
+    // which the scan records where a flip lands, and VnC parks their
+    // errors in ECP.
     DeviceConfig dc;
     dc.seed = 11;
     PcmDevice dev(dc);
@@ -361,6 +385,69 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
                   doublings(rows_before, rows_after))
         << allocations << " allocations for "
         << lines_after - lines_before << " fresh lines";
+}
+
+TEST(Allocations, ScanThatLandsNothingAllocatesNoChunk)
+{
+    // Without DIN, and with every bit-line draw a hit, each RESET cell
+    // looks up both bit-line neighbours; each write RESETs only cells
+    // they hold crystalline, so no flip lands and a neighbour is only
+    // marked in its row's touched mask.
+    DeviceConfig dc;
+    dc.seed = 11;
+    dc.dinEnabled = false;
+    PcmDevice dev(dc);
+    const AddressMap& map = dev.addressMap();
+    PcmDevice::WritePlan plan;
+    PcmDevice::RoundOutcome round;
+    plan.rounds.reserve(2 * kLineBits);
+    LineData all_set;
+    all_set.words.fill(~0ULL);
+
+    constexpr unsigned kLines = 2000;
+    std::size_t neighbours = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t chunks = 0;
+    for (unsigned i = 0; i < kLines; ++i) {
+        const LineAddr la = spreadLine(i);
+        // Every cell crystalline first, at rates that look nothing up.
+        dev.setRates(WdRates{0.0, 0.0});
+        dev.planWriteInto(plan, la, all_set);
+        while (dev.applyNextRound(plan, round)) {
+        }
+        dev.finishWrite(plan);
+
+        LineData resets = all_set;
+        for (const std::optional<LineAddr> n :
+             {map.upperNeighbor(la), map.lowerNeighbor(la)}) {
+            if (!n)
+                continue;
+            neighbours += 1;
+            const LineData seed = dev.seedContent(*n);
+            for (unsigned w = 0; w < kLineWords; ++w)
+                resets.words[w] &= seed.words[w];
+        }
+        LineData data;
+        for (unsigned w = 0; w < kLineWords; ++w)
+            data.words[w] = ~resets.words[w];
+        dev.setRates(WdRates{0.0, 1.0});
+        dev.planWriteInto(plan, la, data);
+        {
+            const AllocationCounter counter;
+            while (dev.applyNextRound(plan, round)) {
+            }
+            allocations += counter.count();
+            chunks += counter.aligned();
+        }
+        dev.finishWrite(plan);
+    }
+    EXPECT_EQ(dev.stats().blDisturbances, 0u);
+    EXPECT_EQ(dev.touchedLines(), kLines + neighbours);
+    EXPECT_EQ(dev.recordedLines(), kLines);
+    EXPECT_EQ(chunks, 0u);
+    // Only the touched-mask table grows: its rows' doublings.
+    EXPECT_LE(allocations, doublings(0, spreadRows(map, kLines)))
+        << allocations;
 }
 
 TEST(Allocations, ReadOnlyLinesAllocateNoRecord)

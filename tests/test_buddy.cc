@@ -63,6 +63,37 @@ TEST(Buddy, BlocksAreAligned)
     }
 }
 
+TEST(Buddy, AllocationTakesTheLowestFreeBlock)
+{
+    // Pages freed while their buddies stay allocated do not merge, so
+    // the order-0 free list holds them all; each allocation takes the
+    // lowest, whatever order they were freed in.
+    PageAllocatorSystem sys(smallGeometry());
+    auto& base = sys.allocatorFor(NmRatio{1, 1});
+    for (std::uint64_t page = 0; page < 16; ++page)
+        ASSERT_EQ(base.allocatePage(), page);
+    for (const std::uint64_t page : {12, 2, 8, 6})
+        base.free(FrameBlock{page, 0});
+    for (const std::uint64_t page : {2, 6, 8, 12})
+        EXPECT_EQ(base.allocatePage(), page);
+    EXPECT_EQ(base.allocatePage(), 16u);
+}
+
+TEST(Buddy, FullRatiosShareTheBaseArray)
+{
+    // (2:2) uses every strip, as (1:1) does: its pages come from the
+    // (1:1) array and go back to it.
+    PageAllocatorSystem sys(smallGeometry());
+    auto& base = sys.allocatorFor(NmRatio{1, 1});
+    EXPECT_EQ(&sys.allocatorFor(NmRatio{2, 2}), &base);
+    const std::uint64_t before = base.freeFrames();
+    const auto page = sys.allocatePage(NmRatio{2, 2});
+    ASSERT_TRUE(page.has_value());
+    EXPECT_EQ(base.freeFrames(), before - 1);
+    sys.free(NmRatio{2, 2}, FrameBlock{*page, 0});
+    EXPECT_EQ(base.freeFrames(), before);
+}
+
 TEST(Buddy, PartialRatioAllocatesUsedStripsOnly)
 {
     PageAllocatorSystem sys(smallGeometry());

@@ -448,6 +448,104 @@ TEST(Device, StuckCellDevicesRecordOnlyLinesWithStuckCells)
     }
 }
 
+/** A line of crystalline cells only. */
+LineData
+allSet()
+{
+    LineData line;
+    line.words.fill(~0ULL);
+    return line;
+}
+
+TEST(Device, NeighboursNoFlipLandsOnKeepNoRecord)
+{
+    // Without DIN, and with every draw a hit, the WD scan looks up all
+    // four neighbours of the written line: the bit-line ones at its
+    // first RESET cell, a word-line one at its first RESET cell on the
+    // word edge next to it. This write RESETs only cells whose
+    // neighbour cells are crystalline, so no flip lands anywhere.
+    DeviceConfig dc = quietConfig();
+    dc.dinEnabled = false;
+    PcmDevice dev(dc);
+    const AddressMap& map = dev.addressMap();
+    const LineAddr la{3, 40, 7};
+    const LineAddr left{3, 40, 6};
+    const LineAddr right{3, 40, 8};
+    const LineAddr upper = *map.upperNeighbor(la);
+    const LineAddr lower = *map.lowerNeighbor(la);
+
+    // At quiet rates the scan looks nothing up.
+    PcmDevice::WritePlan plan;
+    dev.planWriteInto(plan, la, allSet());
+    runPlan(dev, plan);
+    EXPECT_EQ(dev.touchedLines(), 1u);
+
+    const LineData up = dev.seedContent(upper);
+    const LineData low = dev.seedContent(lower);
+    LineData data;
+    unsigned left_edges = 0;
+    unsigned right_edges = 0;
+    for (unsigned w = 0; w < kLineWords; ++w) {
+        // Cell offset 0 neighbours the left line's cell 63 of the same
+        // word, offset 63 the right line's cell 0.
+        std::uint64_t resets = up.words[w] & low.words[w];
+        if (!dev.seedContent(left).getBit(w * 64 + 63))
+            resets &= ~1ULL;
+        if (!dev.seedContent(right).getBit(w * 64))
+            resets &= ~(1ULL << 63);
+        left_edges += resets & 1;
+        right_edges += resets >> 63;
+        data.words[w] = ~resets;
+    }
+    ASSERT_GT(left_edges, 0u);
+    ASSERT_GT(right_edges, 0u);
+    dev.setRates(WdRates{1.0, 1.0});
+    dev.planWriteInto(plan, la, data);
+    runPlan(dev, plan);
+    EXPECT_EQ(dev.stats().wlDisturbances, 0u);
+    EXPECT_EQ(dev.stats().blDisturbances, 0u);
+    EXPECT_EQ(dev.touchedLines(), 5u);
+    EXPECT_EQ(dev.recordedLines(), 1u);
+    for (const LineAddr& n : {left, right, upper, lower})
+        EXPECT_EQ(dev.peekLine(n), dev.seedContent(n));
+
+    // A flip that lands records its line: with bit-line draws alone,
+    // RESET one cell that only the upper neighbour holds amorphous.
+    unsigned cell = 0;
+    while (up.getBit(cell) || !low.getBit(cell))
+        ++cell;
+    data.setBit(cell, false);
+    dev.setRates(WdRates{0.0, 1.0});
+    dev.planWriteInto(plan, la, data);
+    runPlan(dev, plan);
+    EXPECT_EQ(dev.stats().blDisturbances, 1u);
+    EXPECT_EQ(dev.recordedLines(), 2u);
+    LineData flipped = up;
+    flipped.setBit(cell, true);
+    EXPECT_EQ(dev.peekLine(upper), flipped);
+    EXPECT_EQ(dev.peekLine(lower), low);
+}
+
+TEST(Device, SeedWordIsThatWordOfSeedContent)
+{
+    for (const std::uint64_t seed : {1ULL, 99ULL, 0xdeadbeefULL}) {
+        DeviceConfig dc = quietConfig();
+        dc.seed = seed;
+        dc.dinEnabled = false;
+        PcmDevice dev(dc);
+        const std::uint64_t last_row = dc.geometry.rowsPerBank - 1;
+        for (const LineAddr& la :
+             {LineAddr{0, 0, 0}, LineAddr{15, last_row, 63},
+              LineAddr{3, 40, 7}, LineAddr{7, 1234, 31}}) {
+            const LineData content = dev.seedContent(la);
+            for (unsigned w = 0; w < kLineWords; ++w)
+                EXPECT_EQ(dev.seedWord(la, w), content.words[w]) << w;
+            // Without encoding, a line nothing changed reads as it.
+            EXPECT_EQ(dev.peekLine(la), content);
+        }
+    }
+}
+
 /**
  * Run `change` on two like devices, one of which read `line` first (so
  * the change finds it touched but unrecorded), and expect the same
@@ -868,12 +966,16 @@ struct ScriptResult
 /** The script's mix of steps. */
 struct ScriptMix
 {
-    /** Of every ten steps, how many write; two of the rest read, one
-     *  queries the ECP and one corrects. */
+    /** Of every ten steps, how many write and how many correct; of the
+     *  rest, one queries the ECP and the others read. */
     unsigned writeSteps = 6;
+    unsigned correctSteps = 1;
     /** A read step reads a run of up to 16 lines anywhere in the row
      *  instead of one edge line, so many lines are only ever read. */
     bool streamReads = false;
+    /** A correction names cells at word edges (offsets 0 and 63), so
+     *  each one it RESETs looks up a word-line neighbour line. */
+    bool edgeCorrections = false;
     /** The step before which the injector is attached. */
     unsigned injectFromStep = 0;
 };
@@ -947,6 +1049,7 @@ runDeviceScript(DeviceConfig dc, const FaultSpec& faults,
         correct(la, diffs);
     };
 
+    const unsigned ecp_step = 9 - script.correctSteps;
     for (unsigned step = 0; step < 1500; ++step) {
         if (inject && step == script.injectFromStep)
             dev.setFaultInjector(inject.get());
@@ -994,14 +1097,14 @@ runDeviceScript(DeviceConfig dc, const FaultSpec& faults,
             if (lower)
                 settle(*lower, lower_before);
             mixLine(h, dev.readLine(la));
-        } else if (action < 8 && script.streamReads) {
+        } else if (action < ecp_step && script.streamReads) {
             const unsigned first = static_cast<unsigned>(rng.below(64));
             const unsigned run = 1 + static_cast<unsigned>(rng.below(16));
             for (unsigned l = first; l < std::min(64u, first + run); ++l)
                 mixLine(h, dev.readLine(LineAddr{la.bank, la.row, l}));
-        } else if (action < 8) {
+        } else if (action < ecp_step) {
             mixLine(h, dev.readLine(la));
-        } else if (action == 8) {
+        } else if (action == ecp_step) {
             mix(h, dev.ecpUsed(la));
             mix(h, dev.ecpFree(la));
             for (const unsigned cell : dev.ecpWdCells(la))
@@ -1009,8 +1112,16 @@ runDeviceScript(DeviceConfig dc, const FaultSpec& faults,
             mixLine(h, dev.uncorrectableMask(la));
         } else {
             std::vector<unsigned> cells(1 + rng.below(8));
-            for (unsigned& cell : cells)
-                cell = static_cast<unsigned>(rng.below(kLineBits));
+            for (unsigned& cell : cells) {
+                if (!script.edgeCorrections) {
+                    cell = static_cast<unsigned>(rng.below(kLineBits));
+                    continue;
+                }
+                // A word's first or last cell, drawn in this order.
+                const auto word = static_cast<unsigned>(rng.below(kLineWords));
+                const bool last = rng.chance(0.5);
+                cell = word << 6 | (last ? 63 : 0);
+            }
             correct(la, cells);
         }
     }
@@ -1098,7 +1209,12 @@ diffCases()
     DeviceConfig ecp_none = aged;
     ecp_none.ecpEntries = 0;
 
+    DeviceConfig wl_aged = aged;
+    wl_aged.rates.bitLine = 0.0;
+
     const ScriptMix read_mostly{.writeSteps = 1, .streamReads = true};
+    const ScriptMix wl_storm{
+        .writeSteps = 3, .correctSteps = 5, .edgeCorrections = true};
     ScriptMix late_injector = read_mostly;
     late_injector.injectFromStep = 750;
 
@@ -1130,6 +1246,13 @@ diffCases()
         // a stuck cell at their first touch.
         {"readMostlyAged", aged, FaultSpec{}, 0x47d6a8654d40dc24ULL,
          read_mostly},
+        // Recorded with a record for every neighbour the WD scan looked
+        // up. No bit-line disturbance, and half the steps correct cells
+        // at word edges: corrections look up word-line neighbours
+        // (drawing their stuck cells if they are fresh) and, at DIN's
+        // residual rate, seldom land a flip on one.
+        {"wordLineStorm", wl_aged, FaultSpec{}, 0x021960cbed7c49f5ULL,
+         wl_storm},
     };
 }
 

@@ -26,6 +26,10 @@ counts, per metric, the pairs it won; ties count for neither side.
 Both sides build themselves (simbench/run.py does) and run once, untimed,
 before the pairs start. Run it from anywhere; nothing under simbench/ is
 changed.
+
+With --traced pcm.bytes_per_line,..., each side also runs once with
+--trace 1 after the pairs, and its entry stores those per-layer metrics
+under "traced".
 """
 
 import argparse
@@ -72,10 +76,10 @@ def attribution(checkout):
     return {"sha": None, "uncommitted_on": head}
 
 
-def run_once(checkout, args, seconds):
+def run_once(checkout, args, seconds, trace=0):
     cmd = [sys.executable, os.path.join("simbench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           text=True)
     if proc.returncode:
@@ -138,6 +142,9 @@ def main():
                         help="note stored with this checkout's entry")
     parser.add_argument("--baseline-label", default="",
                         help="note stored with the baseline's entry")
+    parser.add_argument("--traced", default="",
+                        help="comma-separated per-layer metrics to store "
+                             "from one --trace 1 run per side")
     args = parser.parse_args()
     if args.seed < 0 or args.runs < 1:
         parser.error("needs --seed >= 0 and --runs >= 1")
@@ -163,6 +170,15 @@ def main():
                             for k, v in result["metrics"].items()})),
                 file=sys.stderr)
 
+    traced = {}
+    names = [n for n in args.traced.split(",") if n]
+    for checkout in sides if names else []:
+        metrics = run_once(checkout, args, WARMUP_SECONDS, trace=1)["metrics"]
+        missing = [n for n in names if n not in metrics]
+        if missing:
+            fail("no per-layer metric " + ", ".join(missing))
+        traced[checkout] = {n: metrics[n]["value"] for n in names}
+
     entries = []
     if baseline:
         entries.append(summarize(baseline, results[baseline], args,
@@ -173,6 +189,9 @@ def main():
                           "wins": pair_wins(benchmark, results[baseline],
                                             results[ROOT])}
     entries.append(entry)
+    for checkout, e in zip(sides, entries):
+        if checkout in traced:
+            e["traced"] = traced[checkout]
 
     doc = {"note": "simbench end-to-end medians per commit, appended by"
                    " tools/bench_trajectory.py", "entries": []}
