@@ -7,30 +7,24 @@
  * is tracked across PRs.
  *
  *   bench_wallclock [--refs=N] [--jobs=N] [--full] [--out=FILE]
- *                   [--baseline=FILE]
  *
  * Default matrix: 3 schemes x 4 workloads (fast smoke at --refs=2000,
- * the quick-bench CMake target). --full runs the fig11 7-scheme matrix
+ * the tier-1 ctest quick_bench). --full runs the fig11 7-scheme matrix
  * over all 9 Table 3 workloads.
  *
  * After that reference pair, one serial pass per observer (a row of
  * the pass table: span attribution, streaming telemetry + SLO
  * monitors, the WD provenance ledger + per-line wear counters, the
- * host-time self-profiler) guards the observability promises: every
+ * host-time self-profiler) guards the observability promise: every
  * pre-existing metric stays bit-identical (each observer observes,
- * never perturbs), and the everything-off path keeps its speed — pass
- * --baseline=FILE (a
- * previous BENCH_parallel.json) to fail the bench if the
- * observability-off serial wall-clock regressed more than 2%, or if
- * the profiler-on pass costs more than 2% over the same run's
- * profiler-off serial pass.
+ * never perturbs). Each pass's time over the serial pass is printed,
+ * not gated: one run's timings are too noisy to judge.
  */
 
 #include <chrono>
 #include <fstream>
 #include <functional>
 #include <iomanip>
-#include <sstream>
 #include <thread>
 
 #include "bench_common.hh"
@@ -75,23 +69,6 @@ subsetIdentical(const std::vector<SchemeResults>& base,
     return ok;
 }
 
-/** serial_seconds of a previous BENCH_parallel.json, or -1. */
-double
-baselineSerialSeconds(const std::string& path)
-{
-    std::ifstream is(path);
-    if (!is)
-        SDPCM_FATAL("cannot open baseline: ", path);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const JsonValue doc = parseJson(buf.str());
-    if (!doc.isObject() || !doc.has("serial_seconds") ||
-        doc.at("serial_seconds").type != JsonValue::Type::Number) {
-        SDPCM_FATAL("baseline ", path, " has no serial_seconds");
-    }
-    return doc.at("serial_seconds").number;
-}
-
 /** One timed pass over the matrix. */
 struct Pass
 {
@@ -123,7 +100,6 @@ main(int argc, char** argv)
     const bool full = args.has("full");
     const std::string out_path =
         args.getString("out", "BENCH_parallel.json");
-    const std::string baseline_path = args.getString("baseline", "");
     args.finishParsing();
 
     std::vector<SchemeConfig> schemes;
@@ -206,7 +182,6 @@ main(int argc, char** argv)
     const Pass& serial = passes[0];
     const Pass& parallel = passes[1];
     const Pass& ledger = passes[4];
-    const Pass& prof = passes[5];
 
     // subsetIdentical warns about every metric that differs.
     const bool identical =
@@ -256,35 +231,6 @@ main(int argc, char** argv)
                   << "\n";
     }
 
-    bool baseline_ok = true;
-    if (!baseline_path.empty()) {
-        const double base_s = baselineSerialSeconds(baseline_path);
-        const double rel =
-            base_s > 0.0 ? serial.seconds / base_s - 1.0 : 0.0;
-        std::cout << "baseline : " << TablePrinter::fmt(base_s, 3)
-                  << " s spans-off serial ("
-                  << TablePrinter::pct(rel, 1) << " vs this run)\n";
-        if (rel > 0.02) {
-            baseline_ok = false;
-            std::cout << "FAIL: spans-off wall-clock regressed "
-                      << TablePrinter::pct(rel, 1) << " > 2% vs "
-                      << baseline_path
-                      << " — the compile-time-off promise is broken\n";
-        }
-        // Gate the profiler's own cost under the same flag: gating it
-        // unconditionally would make every run hostage to wall-clock
-        // noise, but a --baseline run has opted into timing assertions.
-        const double prof_overhead = serial.seconds > 0.0
-            ? prof.seconds / serial.seconds - 1.0 : 0.0;
-        if (prof_overhead > 0.02) {
-            baseline_ok = false;
-            std::cout << "FAIL: profiler-on pass cost "
-                      << TablePrinter::pct(prof_overhead, 1)
-                      << " > 2% over the profiler-off serial pass — "
-                         "the observe-only overhead promise is broken\n";
-        }
-    }
-
     std::ofstream os(out_path);
     if (!os)
         SDPCM_FATAL("cannot open ", out_path);
@@ -323,7 +269,7 @@ main(int argc, char** argv)
     const int oracle_rc =
         finish(out, "bench_wallclock", ledger.cfg, ledger.results,
                "REPORT_wallclock.json", std::move(environment));
-    if (!all_clean || !baseline_ok)
+    if (!all_clean)
         return 1;
     return oracle_rc;
 }
