@@ -2,30 +2,28 @@
  * @file
  * Wall-clock harness for the parallel run-matrix executor: times the
  * same scheme x workload matrix serially (--jobs=1) and parallel
- * (--jobs=N, default all host cores), checks the results are
- * bit-identical, and writes BENCH_parallel.json so the perf trajectory
- * is tracked across PRs.
+ * (--jobs=N, default all host cores) and checks the results are
+ * bit-identical. The timings and verdicts go to stdout and to the run
+ * report's environment block (REPORT_wallclock.json, or --report=FILE).
  *
- *   bench_wallclock [--refs=N] [--jobs=N] [--full] [--out=FILE]
+ *   bench_wallclock [--refs=N] [--jobs=N] [--full] [--report=FILE]
  *
  * Default matrix: 3 schemes x 4 workloads (fast smoke at --refs=2000,
  * the tier-1 ctest quick_bench). --full runs the fig11 7-scheme matrix
  * over all 9 Table 3 workloads.
  *
- * After that reference pair, one serial pass per observer (a row of
- * the pass table: span attribution, streaming telemetry + SLO
- * monitors, the WD provenance ledger + per-line wear counters, the
+ * After that reference pair, one serial pass with every observer on
+ * (span attribution, streaming telemetry + an SLO monitor that never
+ * fires, the WD provenance ledger + per-line wear counters, the
  * host-time self-profiler) guards the observability promise: every
- * pre-existing metric stays bit-identical (each observer observes,
- * never perturbs). Each pass's time over the serial pass is printed,
- * not gated: one run's timings are too noisy to judge.
+ * metric of the serial pass stays bit-identical in it (the observers
+ * observe, never perturb). Its time over the serial pass is printed,
+ * not gated: one run's timings are too noisy to judge, and simbench's
+ * obs.*_frac metrics price each observer.
  */
 
 #include <chrono>
-#include <fstream>
-#include <functional>
 #include <iomanip>
-#include <thread>
 
 #include "bench_common.hh"
 
@@ -72,22 +70,10 @@ subsetIdentical(const std::vector<SchemeResults>& base,
 /** One timed pass over the matrix. */
 struct Pass
 {
-    const char* label; //!< stdout label, e.g. "spans-on"
-    const char* key;   //!< JSON / report key stem, e.g. "spans"
-    bool observer;     //!< gated observe-only against the serial pass
-    /** Turns the everything-off serial config into this pass's. */
-    std::function<void(RunnerConfig&)> apply;
-    RunnerConfig cfg = {};
+    const char* label; //!< stdout label
+    RunnerConfig cfg;
     std::vector<SchemeResults> results = {};
     double seconds = 0.0;
-};
-
-/** A figure of the BENCH json and the report environment. */
-struct Figure
-{
-    std::string key;
-    double value;
-    bool flag = false; //!< written as true/false in the BENCH json
 };
 
 } // namespace
@@ -98,8 +84,6 @@ main(int argc, char** argv)
     ArgParser args(argc, argv);
     const auto [cfg, out] = parseRunFlags(args, 2000);
     const bool full = args.has("full");
-    const std::string out_path =
-        args.getString("out", "BENCH_parallel.json");
     args.finishParsing();
 
     std::vector<SchemeConfig> schemes;
@@ -127,149 +111,92 @@ main(int argc, char** argv)
     std::cout << schemes.size() << " schemes x " << workloads.size()
               << " workloads\n\n";
 
-    // The harness owns the observability knobs: every pass starts from
-    // the everything-off serial config regardless of --spans,
-    // --telemetry-*, --wd-ledger, or --profile flags. --profile in
-    // particular must not leak into the reference pair: it would put
-    // nondeterministic host-clock prof.* metrics into the reference
-    // snapshots, failing every identical/subset gate, and turn the
-    // profiler overhead into a profiler-on vs profiler-on no-op.
+    // The harness owns the observability knobs: the reference pair runs
+    // everything-off regardless of --spans, --telemetry-*, --wd-ledger,
+    // or --profile flags. --profile in particular must not leak into
+    // it: it would put nondeterministic host-clock prof.* metrics into
+    // the reference snapshots and fail every identical/subset gate.
     RunnerConfig off = cfg;
     off.jobs = 1;
     off.spans = false;
     off.telemetry = TelemetryConfig{};
     off.wdLedger = false;
     off.profile = false;
-    // The serial/parallel reference pair, then one pass per observer.
-    // Every observer pass must keep each metric of the serial pass
-    // bit-identical (observe-only); its cost is its time over serial.
-    std::vector<Pass> passes = {
-        {"serial", "serial", false, [](RunnerConfig&) {}},
-        {"parallel", "parallel", false,
-         [jobs](RunnerConfig& c) { c.jobs = jobs; }},
-        {"spans-on", "spans", true,
-         [](RunnerConfig& c) { c.spans = true; }},
-        // Registry polling + windowed sketches + a monitor rule that
-        // never fires, so the whole frame path runs. No stream file:
-        // this times the sampling machinery, not disk I/O.
-        {"telem-on", "telemetry", true,
-         [](RunnerConfig& c) {
-             c.telemetry.intervalTicks = 100000;
-             c.telemetry.monitorRules =
-                 "p99r:p99(ctrl.readLatency)<=1000000000";
-         }},
-        // WD provenance plus per-line wear counters (the wear.* metrics
-        // need them), so this also times the heatmap bookkeeping.
-        {"ledger-on", "ledger", true,
-         [](RunnerConfig& c) {
-             c.wdLedger = true;
-             c.lineCounters = true;
-         }},
-        // Arms every PROF_SCOPE site; its only observable work is
-        // reading the host clock.
-        {"prof-on", "profiler", true,
-         [](RunnerConfig& c) { c.profile = true; }},
-    };
+    RunnerConfig parallel_cfg = off;
+    parallel_cfg.jobs = jobs;
+    // Every observer at once, serially: span attribution; registry
+    // polling + windowed sketches + a monitor rule that never fires, so
+    // the whole frame path runs (no stream file: no disk I/O); WD
+    // provenance plus the per-line wear counters the wear.* metrics
+    // need; and every PROF_SCOPE site of the profiler.
+    RunnerConfig observed = off;
+    observed.spans = true;
+    observed.telemetry.intervalTicks = 100000;
+    observed.telemetry.monitorRules =
+        "p99r:p99(ctrl.readLatency)<=1000000000";
+    observed.wdLedger = true;
+    observed.lineCounters = true;
+    observed.profile = true;
+    Pass passes[] = {
+        {"serial", off}, {"parallel", parallel_cfg}, {"observers", observed}};
     for (Pass& pass : passes) {
-        pass.cfg = off;
-        pass.apply(pass.cfg);
         const auto t0 = std::chrono::steady_clock::now();
         pass.results = runMatrix(schemes, workloads, pass.cfg);
         pass.seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
     }
-    const Pass& serial = passes[0];
-    const Pass& parallel = passes[1];
-    const Pass& ledger = passes[4];
+    const auto& [serial, parallel, observers] = passes;
 
     // subsetIdentical warns about every metric that differs.
     const bool identical =
         subsetIdentical(serial.results, parallel.results, "parallel") &&
         subsetIdentical(parallel.results, serial.results, "serial");
+    const bool observe_only =
+        subsetIdentical(serial.results, observers.results, "observers");
     const double speedup =
         parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0;
+    const double overhead =
+        serial.seconds > 0.0 ? observers.seconds / serial.seconds - 1.0
+                             : 0.0;
 
-    // Seconds, speedup, then the bit-identity verdicts: stdout, the
-    // BENCH json and the report's gate-ignored environment all list the
-    // figures in this order.
-    std::vector<Figure> figures;
     std::cout << std::left;
     for (const Pass& pass : passes) {
-        figures.push_back({std::string(pass.key) +
-                               (pass.observer ? "_serial_seconds"
-                                              : "_seconds"),
-                           pass.seconds});
         std::cout << std::setw(9) << pass.label << ": "
                   << TablePrinter::fmt(pass.seconds, 3) << " s";
-        if (pass.observer) {
-            const double overhead = serial.seconds > 0.0
-                ? pass.seconds / serial.seconds - 1.0 : 0.0;
+        if (&pass == &parallel)
+            std::cout << "  (" << jobs << " jobs)";
+        else if (&pass == &observers)
             std::cout << "  serial (" << TablePrinter::pct(overhead, 1)
                       << " overhead)";
-        } else if (&pass == &parallel) {
-            std::cout << "  (" << jobs << " jobs)";
-        }
         std::cout << "\n";
     }
-    figures.push_back({"speedup", speedup});
-    figures.push_back({"identical", identical ? 1.0 : 0.0, true});
     std::cout << std::setw(9) << "speedup" << ": "
               << TablePrinter::fmt(speedup, 2) << "x\n"
               << std::setw(9) << "identical" << ": "
-              << (identical ? "yes" : "NO") << "\n";
-    bool all_clean = identical;
-    for (const Pass& pass : passes) {
-        if (!pass.observer)
-            continue;
-        const bool clean =
-            subsetIdentical(serial.results, pass.results, pass.label);
-        all_clean = all_clean && clean;
-        figures.push_back({std::string(pass.key) + "_observe_only",
-                           clean ? 1.0 : 0.0, true});
-        std::cout << pass.key << " obs-only: " << (clean ? "yes" : "NO")
-                  << "\n";
-    }
+              << (identical ? "yes" : "NO") << "\n"
+              << "observers obs-only: " << (observe_only ? "yes" : "NO")
+              << "\n";
 
-    std::ofstream os(out_path);
-    if (!os)
-        SDPCM_FATAL("cannot open ", out_path);
-    os << "{\n"
-       << "  \"refs_per_core\": " << cfg.refsPerCore << ",\n"
-       << "  \"cores\": " << cfg.cores << ",\n"
-       << "  \"seed\": " << cfg.seed << ",\n"
-       << "  \"schemes\": " << schemes.size() << ",\n"
-       << "  \"workloads\": " << workloads.size() << ",\n"
-       << "  \"jobs\": " << jobs << ",\n"
-       << "  \"host_cores\": " << std::thread::hardware_concurrency();
-    std::vector<std::pair<std::string, double>> environment;
-    for (const Figure& f : figures) {
-        os << ",\n  \"" << f.key << "\": ";
-        if (f.flag)
-            os << (f.value ? "true" : "false");
-        else
-            os << f.value;
-        environment.emplace_back(f.key, f.value);
-    }
-    os << "\n}\n";
-    SDPCM_PROGRESS("written to ", out_path);
-
-    for (const Pass* pass : {&passes[2], &passes[5]}) {
-        writeObserverOutputs(out, pass->cfg, "bench_wallclock",
-                             "bench_wallclock", perScheme(pass->results),
-                             false);
-    }
-    // The ledger pass is the report's reference copy: every shared
-    // metric bit-matches the everything-off serial run while the wd.* /
-    // wear.* families ride along, so the regression gate sees the
-    // widest schema. Its config (not the raw cfg) produced those runs,
-    // so the report's host.profiler provenance stays truthful even when
-    // --profile was passed. Wall-clock figures go into the gate-ignored
-    // environment section.
-    const int oracle_rc =
-        finish(out, "bench_wallclock", ledger.cfg, ledger.results,
-               "REPORT_wallclock.json", std::move(environment));
-    if (!all_clean)
+    // The observers pass is the report's reference copy: every shared
+    // metric bit-matches the everything-off serial run while the span.*,
+    // telemetry.*, mon.*, wd.*, wear.* and prof.* families ride along,
+    // so the regression gate sees the widest schema, and one finish()
+    // writes its span, ledger and profile outputs. Its config (not the
+    // raw cfg) produced those runs, so the report's host.profiler
+    // provenance stays truthful. Wall-clock figures go into the
+    // gate-ignored environment section.
+    const int oracle_rc = finish(
+        out, "bench_wallclock", observers.cfg, observers.results,
+        "REPORT_wallclock.json",
+        {{"serial_seconds", serial.seconds},
+         {"parallel_seconds", parallel.seconds},
+         {"observers_serial_seconds", observers.seconds},
+         {"speedup", speedup},
+         {"jobs", static_cast<double>(jobs)},
+         {"identical", identical ? 1.0 : 0.0},
+         {"observers_observe_only", observe_only ? 1.0 : 0.0}});
+    if (!identical || !observe_only)
         return 1;
     return oracle_rc;
 }

@@ -38,8 +38,8 @@
  *
  * Discipline matches obs/spans.hh: device and controller hold a null
  * pointer when the ledger is off (every emission site is one null
- * check), and bench_wallclock proves the ledger-on run leaves every
- * pre-existing metric bit-identical (observe-only).
+ * check), and bench_wallclock's observers pass proves the ledger-on run
+ * leaves every pre-existing metric bit-identical (observe-only).
  */
 
 #ifndef SDPCM_OBS_LEDGER_HH

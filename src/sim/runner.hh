@@ -43,8 +43,8 @@ struct RunnerConfig : RunOptions
 };
 
 /**
- * Knob bounds beyond the knobs' types, checked by the flag parsers and
- * FuzzScenario::fromJson alike (with NmRatio::valid for 1 <= n <= m).
+ * Knob bounds beyond the knobs' types, checked by the flag parsers only
+ * (with NmRatio::valid for 1 <= n <= m).
  */
 inline constexpr unsigned kMinCores = 1;
 /** Each core is an event target with its own MMU and trace stream;

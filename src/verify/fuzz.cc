@@ -1,21 +1,15 @@
 #include "verify/fuzz.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
-#include <stdexcept>
-#include <type_traits>
 
 #include "common/args.hh"
 #include "common/logging.hh"
 #include "controller/scheme.hh"
 #include "obs/json.hh"
 #include "obs/profiler.hh"
-#include "pcm/ecp.hh"
 #include "sim/runner.hh"
-#include "workload/generators.hh"
 
 namespace sdpcm {
 
@@ -113,171 +107,6 @@ FuzzScenario::cliLine() const
     return line;
 }
 
-void
-FuzzScenario::writeJson(std::ostream& os) const
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("scheme", scheme);
-    w.kv("workload", workload);
-    w.kv("wc", wc);
-    w.kv("idleDrain", idleDrain);
-    w.kv("maxCancels", static_cast<std::uint64_t>(maxCancels));
-    w.kv("drainBurst", static_cast<std::uint64_t>(drainBurst));
-    w.kv("ecp", static_cast<std::uint64_t>(ecp));
-    w.kv("wq", static_cast<std::uint64_t>(wq));
-    w.kv("n", static_cast<std::uint64_t>(n));
-    w.kv("m", static_cast<std::uint64_t>(m));
-    w.kv("cores", static_cast<std::uint64_t>(cores));
-    w.kv("refs", refs);
-    w.kv("seed", seed);
-    w.kv("age", age);
-    w.kv("stuck", stuck);
-    w.kv("ecpSteal", static_cast<std::uint64_t>(ecpSteal));
-    w.kv("wd", wd);
-    w.kv("faultSeed", faultSeed);
-    w.endObject();
-    os << "\n";
-}
-
-std::string
-FuzzScenario::toJson() const
-{
-    std::ostringstream os;
-    writeJson(os);
-    return os.str();
-}
-
-namespace {
-
-/** Spec field `key` as a T (integers must fit T), or a runtime_error. */
-template <typename T>
-T
-field(const JsonValue& doc, const char* key)
-{
-    const JsonValue& v = doc.at(key);
-    const auto bad = [key](const std::string& want) {
-        return std::runtime_error(std::string("fuzz spec: field '") + key +
-                                  "' must be " + want);
-    };
-    if constexpr (std::is_same_v<T, bool>) {
-        if (v.type != JsonValue::Type::Bool)
-            throw bad("a boolean");
-        return v.boolean;
-    } else if constexpr (std::is_same_v<T, std::string>) {
-        if (v.type != JsonValue::Type::String)
-            throw bad("a string");
-        return v.str;
-    } else {
-        if (v.type != JsonValue::Type::Number)
-            throw bad("a number");
-        if (std::is_integral_v<T> &&
-            !(v.number >= 0.0 &&
-              v.number < std::ldexp(1.0, std::numeric_limits<T>::digits)))
-            throw bad("in [0, " +
-                      std::to_string(std::numeric_limits<T>::max()) + "]");
-        return static_cast<T>(v.number);
-    }
-}
-
-} // namespace
-
-FuzzScenario
-FuzzScenario::fromJson(const std::string& text)
-{
-    JsonValue doc;
-    try {
-        doc = parseJson(text);
-    } catch (const std::runtime_error& e) {
-        throw std::runtime_error(std::string("fuzz spec: ") + e.what());
-    }
-    if (!doc.isObject())
-        throw std::runtime_error("fuzz spec: top level must be an object");
-
-    static const char* const known[] = {
-        "scheme", "workload", "wc",    "idleDrain", "maxCancels",
-        "drainBurst", "ecp", "wq",     "n",        "m",     "cores",
-        "refs", "seed", "age", "stuck", "ecpSteal", "wd", "faultSeed",
-    };
-    for (const auto& [key, value] : doc.object) {
-        (void)value;
-        bool ok = false;
-        for (const char* k : known)
-            ok = ok || key == k;
-        if (!ok)
-            throw std::runtime_error("fuzz spec: unknown field '" + key +
-                                     "'");
-    }
-
-    FuzzScenario s;
-    try {
-        s.scheme = field<std::string>(doc, "scheme");
-        s.workload = field<std::string>(doc, "workload");
-        s.wc = field<bool>(doc, "wc");
-        s.idleDrain = field<bool>(doc, "idleDrain");
-        s.maxCancels = field<unsigned>(doc, "maxCancels");
-        s.drainBurst = field<unsigned>(doc, "drainBurst");
-        s.ecp = field<unsigned>(doc, "ecp");
-        s.wq = field<unsigned>(doc, "wq");
-        s.n = field<unsigned>(doc, "n");
-        s.m = field<unsigned>(doc, "m");
-        s.cores = field<unsigned>(doc, "cores");
-        // --refs, --seed and --inject's seed read integers as int64.
-        s.refs = field<std::int64_t>(doc, "refs");
-        s.seed = field<std::int64_t>(doc, "seed");
-        s.age = field<double>(doc, "age");
-        s.stuck = field<double>(doc, "stuck");
-        s.ecpSteal = field<unsigned>(doc, "ecpSteal");
-        s.wd = field<double>(doc, "wd");
-        s.faultSeed = field<std::int64_t>(doc, "faultSeed");
-    } catch (const std::out_of_range&) {
-        throw std::runtime_error("fuzz spec: missing required field");
-    }
-    if (!(s.age >= 0.0 && s.age <= kMaxAgeFraction))
-        throw std::runtime_error("fuzz spec: age must be in [0,1]");
-    if (s.wq < kMinWriteQueueEntries || s.wq > kMaxWriteQueueEntries ||
-        s.cores < kMinCores || s.cores > kMaxCores ||
-        s.ecp > kMaxEcpEntries || s.refs < kMinRefsPerCore ||
-        !NmRatio{s.n, s.m}.valid())
-        throw std::runtime_error("fuzz spec: needs 1<=wq<=" +
-                                 std::to_string(kMaxWriteQueueEntries) +
-                                 ", 1<=cores<=" +
-                                 std::to_string(kMaxCores) + ", ecp<=" +
-                                 std::to_string(kMaxEcpEntries) +
-                                 ", refs>0 and 1<=n<=m<=" +
-                                 std::to_string(kStripsPerBlock));
-    // Reuse the injector's own validation (in-range), so a spec and an
-    // --inject flag accept the same values, and check the scheme and
-    // workload names against the tables the run looks them up in, where
-    // an unknown name is a fatal.
-    try {
-        (void)FaultSpec::parse(injectSpec(s));
-        (void)SchemeConfig::byName(s.scheme, NmRatio{s.n, s.m});
-    } catch (const std::invalid_argument& e) {
-        throw std::runtime_error(std::string("fuzz spec: ") + e.what());
-    }
-    const auto& profiles = table3Profiles();
-    if (s.workload != "qstress" &&
-        std::none_of(profiles.begin(), profiles.end(),
-                     [&](const WorkloadProfile& p) {
-                         return p.name == s.workload;
-                     }))
-        throw std::runtime_error("fuzz spec: unknown workload '" +
-                                 s.workload + "'");
-    return s;
-}
-
-FuzzScenario
-FuzzScenario::fromJsonFile(const std::string& path)
-{
-    std::ifstream is(path);
-    if (!is)
-        throw std::runtime_error("cannot open fuzz spec: " + path);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return fromJson(buf.str());
-}
-
 const char*
 outcomeName(FuzzOutcome outcome)
 {
@@ -295,7 +124,7 @@ outcomeName(FuzzOutcome outcome)
 }
 
 Tick
-fuzzTickBudget(const FuzzScenario& s)
+fuzzTickBudget(const RunOptions& run)
 {
     // The worst legitimate fault-free configuration measured (qstress,
     // wq=2, write cancellation, 4 cores) needs ~3.3k ticks per
@@ -304,24 +133,57 @@ fuzzTickBudget(const FuzzScenario& s)
     // measured ~330k ticks/ref of correction cascades — so the per-ref
     // budget scales with the storm. Expiry therefore means livelock;
     // deadlock shows up earlier as a quiescent event queue.
-    const double storm = 1.0 + 40.0 * s.wd + 4.0 * s.stuck;
+    const double storm =
+        1.0 + 40.0 * run.faults.wdBoost + 4.0 * run.faults.stuckPerLine;
     const auto per_ref = static_cast<Tick>(20000.0 * storm);
-    return Tick(4000000) + per_ref * s.refs * s.cores;
+    return Tick(4000000) + per_ref * run.refsPerCore * run.cores;
+}
+
+namespace {
+
+/** The run sdpcm_cli makes of `words`: fatal on any word it would
+ *  reject, the workload's name included. */
+CliRun
+parseScenario(const std::vector<std::string>& words)
+{
+    const ArgParser args(words);
+    CliRun cli = parseCliRun(args);
+    args.finishParsing();
+    (void)workloadFromProfile(cli.workload);
+    return cli;
+}
+
+} // namespace
+
+std::vector<std::string>
+readScenarioLine(const std::string& path)
+{
+    std::ifstream is(path);
+    if (!is)
+        SDPCM_FATAL("cannot open fuzz scenario: ", path);
+    std::vector<std::string> words;
+    for (std::string word; is >> word;)
+        words.push_back(word);
+    if (words.empty() || words.front() != "sdpcm_cli") {
+        SDPCM_FATAL("fuzz scenario ", path, " must start with sdpcm_cli, "
+                    "not '", words.empty() ? "" : words.front(), "'");
+    }
+    words.erase(words.begin());
+    (void)parseScenario(words);
+    return words;
 }
 
 FuzzResult
-runScenario(const FuzzScenario& s, bool profile_stalls)
+runScenario(const std::vector<std::string>& args, bool profile_stalls)
 {
-    const ArgParser args(s.args());
-    const CliRun run = parseCliRun(args);
-    args.finishParsing();
+    const CliRun cli = parseScenario(args);
     SystemConfig sc;
-    static_cast<RunOptions&>(sc) = run.flags.config;
-    sc.scheme = run.scheme;
-    sc.maxTicks = fuzzTickBudget(s);
+    static_cast<RunOptions&>(sc) = cli.flags.config;
+    sc.scheme = cli.scheme;
+    sc.maxTicks = fuzzTickBudget(sc);
     sc.profile = profile_stalls;
 
-    System system(sc, workloadFromProfile(run.workload));
+    System system(sc, workloadFromProfile(cli.workload));
     system.run();
 
     FuzzResult r;
@@ -337,14 +199,15 @@ runScenario(const FuzzScenario& s, bool profile_stalls)
     if (unfinished > 0) {
         r.outcome = FuzzOutcome::Stall;
         std::ostringstream os;
-        os << unfinished << " of " << s.cores
+        os << unfinished << " of " << sc.cores
            << " cores unfinished at tick " << m.finalTick << " (budget "
-           << fuzzTickBudget(s) << ")";
+           << sc.maxTicks << ")";
         if (m.prof.enabled) {
             // Where the host clock went while the sim livelocked — the
             // phase spinning at the top is usually the stalled machine.
             os << "\n";
-            printProfileTop(os, "stall " + s.scheme + "/" + s.workload,
+            printProfileTop(os, "stall " + sc.scheme.name + "/" +
+                                    cli.workload,
                             m.prof, 5);
         }
         r.detail = os.str();

@@ -15,12 +15,14 @@
  *                    fork-per-trial driver in tools/sdpcm_fuzz.cpp,
  *                    which maps a child's signal exit onto this value
  *
- * Failing scenarios are shrunk to a minimal reproducer by a greedy
- * fixed-point pass (see shrink below) and emitted as a replayable JSON
- * spec plus the exact sdpcm_cli line. Scenario generation and shrinking
- * are deterministic: the same master seed always visits the same
- * scenarios in the same order, so a CI failure is reproducible from its
- * trial number alone.
+ * A scenario is the sdpcm_cli line it prints (cliLine), and that line
+ * is its only stored form: failing scenarios are shrunk to a minimal
+ * reproducer by a greedy fixed-point pass (see shrink below) and saved
+ * as that line, which readScenarioLine reads back through the flag
+ * parser sdpcm_cli runs. Scenario generation and shrinking are
+ * deterministic: the same master seed always visits the same scenarios
+ * in the same order, so a CI failure is reproducible from its trial
+ * number alone.
  */
 
 #ifndef SDPCM_VERIFY_FUZZ_HH
@@ -28,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,9 @@
 
 namespace sdpcm {
 
-/** One fuzzable simulation configuration (JSON-serializable). */
+struct RunOptions;
+
+/** One fuzzable simulation configuration, drawn and shrunk as fields. */
 struct FuzzScenario
 {
     std::string scheme = "sdpcm"; //!< sdpcm_cli scheme name
@@ -70,21 +73,12 @@ struct FuzzScenario
      */
     std::vector<std::string> args() const;
 
-    /** "sdpcm_cli " + args(), space-joined, for copy-paste triage. */
-    std::string cliLine() const;
-
-    /** Replayable JSON spec (parse back with fromJson). */
-    void writeJson(std::ostream& os) const;
-    std::string toJson() const;
-
     /**
-     * Parse a spec produced by writeJson. Unknown keys are rejected and
-     * malformed values (numbers outside what their flags accept
-     * included) throw std::runtime_error, so a stale corpus file fails
-     * loudly instead of silently running a different scenario.
+     * "sdpcm_cli " + args(), space-joined: the stored form of a
+     * scenario (read back with readScenarioLine) and its copy-paste
+     * reproducer.
      */
-    static FuzzScenario fromJson(const std::string& text);
-    static FuzzScenario fromJsonFile(const std::string& path);
+    std::string cliLine() const;
 
     bool operator==(const FuzzScenario&) const = default;
 };
@@ -109,20 +103,32 @@ struct FuzzResult
 };
 
 /**
- * Tick budget for a scenario: generous enough that the slowest
- * legitimate configuration (tiny queue, qstress, write cancellation)
- * finishes with an order of magnitude to spare, so expiry means a
- * genuine livelock. Deadlocks (quiescent event queue, unfinished cores)
- * are detected regardless of the budget.
+ * Tick budget for a scenario's run (its refs, cores and injected
+ * stuck-cell and WD rates): generous enough that the slowest legitimate
+ * configuration (tiny queue, qstress, write cancellation) finishes with
+ * an order of magnitude to spare, so expiry means a genuine livelock.
+ * Deadlocks (quiescent event queue, unfinished cores) are detected
+ * regardless of the budget.
  */
-Tick fuzzTickBudget(const FuzzScenario& s);
+Tick fuzzTickBudget(const RunOptions& run);
 
 /**
- * Run one scenario in-process: parse s.args() with parseCliRun, then
- * set only the tick budget and the profiler. Never throws; a flag the
- * parser rejects (an unknown scheme name) is a fatal exit and
- * telescoping-assert failures abort the process (use the fork driver to
- * observe those as Crash).
+ * Read a stored scenario: one line, `sdpcm_cli` and then its flags, as
+ * cliLine() prints it. The line is split on whitespace and its flags
+ * are parsed as sdpcm_cli parses one run (parseCliRun, finishParsing,
+ * then the workload's profile), so a line whose first word is not
+ * sdpcm_cli, an unreadable file, and any flag the parser rejects stop
+ * with a `fatal:` line (exit 1) before anything runs. Returns the words
+ * after sdpcm_cli, which runScenario takes.
+ */
+std::vector<std::string> readScenarioLine(const std::string& path);
+
+/**
+ * Run one scenario in-process from its sdpcm_cli words (args() or what
+ * readScenarioLine returns): parse them with parseCliRun, then set only
+ * the tick budget and the profiler. Never throws; a flag the parser
+ * rejects is a fatal exit and telescoping-assert failures abort the
+ * process (use the fork driver to observe those as Crash).
  *
  * `profile_stalls` additionally arms the observe-only host-time
  * profiler (obs/profiler.hh): on a Stall verdict the host-phase blame
@@ -131,7 +137,7 @@ Tick fuzzTickBudget(const FuzzScenario& s);
  * shrink probes — the blame of the minimal reproducer is what matters,
  * and every probe would otherwise dump a table.
  */
-FuzzResult runScenario(const FuzzScenario& s,
+FuzzResult runScenario(const std::vector<std::string>& args,
                        bool profile_stalls = false);
 
 /**

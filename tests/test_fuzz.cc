@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the scenario fuzzer (verify/fuzz.hh): JSON spec round-trip
- * and strict parsing, deterministic scenario generation, the greedy
+ * Tests for the scenario fuzzer (verify/fuzz.hh): the sdpcm_cli line as
+ * a scenario's stored form and the reader that stops on any flag the
+ * parser rejects, deterministic scenario generation, the greedy
  * shrinker against planted invariants, outcome classification of real
  * runs, and shrunk-reproducer regression scenarios for bugs the fuzzer
  * (or its probe sweeps) surfaced.
@@ -9,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/args.hh"
@@ -47,118 +51,129 @@ sampleScenario()
     return s;
 }
 
-// ---------------------------------------------------------------------
-// JSON spec round-trip
-// ---------------------------------------------------------------------
-
-TEST(FuzzSpec, JsonRoundTripPreservesEveryField)
+/** `line` and its newline in a file of its own, as the corpus stores
+ *  a scenario; named after the running test, so parallel test
+ *  processes never share one. */
+std::string
+lineFile(const std::string& line)
 {
-    const FuzzScenario s = sampleScenario();
-    const FuzzScenario back = FuzzScenario::fromJson(s.toJson());
-    EXPECT_EQ(s, back);
-    // Spec -> JSON -> spec -> JSON is bit-identical, so a corpus file
-    // rewritten by tooling never churns in review.
-    EXPECT_EQ(s.toJson(), back.toJson());
+    static unsigned count = 0;
+    const std::string path =
+        ::testing::TempDir() +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(count++) + ".cli";
+    std::ofstream(path) << line << "\n";
+    return path;
 }
 
-TEST(FuzzSpec, JsonRoundTripOfDefaults)
+/** The sample scenario's line with each of `flags` (space-separated)
+ *  in place of its word for that flag, or after its words. */
+std::string
+sampleLineWith(const std::string& flags)
 {
-    const FuzzScenario s;
-    const FuzzScenario back = FuzzScenario::fromJson(s.toJson());
-    EXPECT_EQ(s, back);
-    EXPECT_EQ(s.toJson(), back.toJson());
+    std::vector<std::string> words = sampleScenario().args();
+    std::istringstream is(flags);
+    for (std::string flag; is >> flag;) {
+        const std::string key = flag.substr(0, flag.find('=') + 1);
+        const auto at = std::find_if(
+            words.begin(), words.end(),
+            [&key](const std::string& w) { return w.rfind(key, 0) == 0; });
+        if (at == words.end())
+            words.push_back(flag);
+        else
+            *at = flag;
+    }
+    std::string line = "sdpcm_cli";
+    for (const std::string& word : words)
+        line += " " + word;
+    return line;
 }
+
+// ---------------------------------------------------------------------
+// The stored line and its reader
+// ---------------------------------------------------------------------
 
 TEST(FuzzSpec, RejectsUnknownField)
 {
-    FuzzScenario s;
-    std::string json = s.toJson();
-    json.replace(json.find("\"scheme\""), 8, "\"shceme\"");
-    EXPECT_THROW((void)FuzzScenario::fromJson(json), std::runtime_error);
-}
-
-TEST(FuzzSpec, RejectsMissingField)
-{
-    // Dropping a required key must fail loudly, not default silently: a
-    // stale corpus spec should never run a different scenario.
-    EXPECT_THROW((void)FuzzScenario::fromJson("{\"scheme\": \"sdpcm\"}"),
-                 std::runtime_error);
+    // A misspelled flag is the parser's unknown option, and a line that
+    // is not an sdpcm_cli line is no scenario at all.
+    EXPECT_EXIT((void)readScenarioLine(lineFile(sampleLineWith(
+                    "--shceme=sdpcm"))),
+                ::testing::ExitedWithCode(1),
+                "fatal: unknown option\\(s\\): --shceme");
+    std::string line = sampleScenario().cliLine();
+    line.replace(0, 9, "sdpcm_fuzz");
+    EXPECT_EXIT((void)readScenarioLine(lineFile(line)),
+                ::testing::ExitedWithCode(1),
+                "fatal: fuzz scenario .* must start with sdpcm_cli, not "
+                "'sdpcm_fuzz'");
 }
 
 TEST(FuzzSpec, RejectsMalformedValues)
 {
-    const FuzzScenario s = sampleScenario();
-    auto mutate = [&s](const std::string& key, const std::string& val) {
-        std::string json = s.toJson();
-        const std::string needle = "\"" + key + "\":";
-        const auto at = json.find(needle) + needle.size();
-        const auto end = json.find_first_of(",}", at);
-        json.replace(at, end - at, " " + val);
-        return json;
+    // Each line stops where sdpcm_cli stops on the same flag: exit 1
+    // with the fatal line naming it.
+    const std::pair<const char*, const char*> rejected[] = {
+        {"--wq=0", "bad value for --wq=0"},
+        {"--cores=0", "bad value for --cores=0"},
+        {"--cores=65", "bad value for --cores=65"}, // above kMaxCores
+        // Would wrap to 1 core through a cast.
+        {"--cores=4294967297", "bad value for --cores=4294967297"},
+        {"--age=1.5", "bad value for --age=1.5"},
+        {"--n=9 --m=3", "bad value for --n=9 --m=3"}, // n > m
+        // Above kStripsPerBlock.
+        {"--n=1 --m=1025", "bad value for --n=1 --m=1025"},
+        {"--refs=-1", "bad value for --refs=-1"},
+        {"--refs=0", "bad value for --refs=0"},
+        // Above kMaxWriteQueueEntries and kMaxEcpEntries.
+        {"--wq=1025", "bad value for --wq=1025"},
+        {"--ecp=11", "bad value for --ecp=11"},
+        // Above kLineBits.
+        {"--inject=ecp=513",
+         "bad --inject spec: .*'ecp=513': ecp must be <= 512"},
+        {"--inject=stuck=-1",
+         "bad --inject spec: .*'stuck=-1': stuck must be >= 0"},
+        {"--scheme=dinn", "unknown scheme 'dinn'"},
+        {"--workload=bogus", "unknown workload profile: bogus"},
     };
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("wq", "0")),
-                 std::runtime_error);
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("cores", "0")),
-                 std::runtime_error);
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("age", "1.5")),
-                 std::runtime_error);
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("n", "9")),
-                 std::runtime_error); // n > m
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("m", "1025")),
-                 std::runtime_error); // above kStripsPerBlock
-    EXPECT_EQ(FuzzScenario::fromJson(mutate("m", "1024")).m, 1024u);
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("wc", "1")),
-                 std::runtime_error); // number where bool expected
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("refs", "-1")),
-                 std::runtime_error);
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("refs", "0")),
-                 std::runtime_error);
-    EXPECT_THROW(
-        (void)FuzzScenario::fromJson(mutate("cores", "4294967297")),
-        std::runtime_error); // would wrap to 1 core through a cast
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("cores", "65")),
-                 std::runtime_error); // above kMaxCores
-    EXPECT_EQ(FuzzScenario::fromJson(mutate("cores", "64")).cores, 64u);
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("wq", "1025")),
-                 std::runtime_error); // above kMaxWriteQueueEntries
-    EXPECT_EQ(FuzzScenario::fromJson(mutate("wq", "1024")).wq, 1024u);
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("ecp", "11")),
-                 std::runtime_error); // above kMaxEcpEntries
-    EXPECT_EQ(FuzzScenario::fromJson(mutate("ecp", "10")).ecp, 10u);
-    // ecpSteal goes through FaultSpec::parse, like --inject=ecp=N.
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("ecpSteal", "513")),
-                 std::runtime_error); // above kLineBits
-    EXPECT_EQ(FuzzScenario::fromJson(mutate("ecpSteal", "512")).ecpSteal,
-              512u);
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("stuck", "-1")),
-                 std::runtime_error);
-    // Names the run's SchemeConfig::byName and workloadFromProfile
-    // would stop on as fatals.
-    EXPECT_THROW((void)FuzzScenario::fromJson(mutate("scheme", "\"dinn\"")),
-                 std::runtime_error);
-    EXPECT_THROW(
-        (void)FuzzScenario::fromJson(mutate("workload", "\"bogus\"")),
-        std::runtime_error);
-    EXPECT_EQ(FuzzScenario::fromJson(mutate("workload", "\"stream\""))
-                  .workload,
-              "stream");
-    EXPECT_THROW((void)FuzzScenario::fromJson("not json"),
-                 std::runtime_error);
+    for (const auto& [flags, fatal] : rejected) {
+        const std::string path = lineFile(sampleLineWith(flags));
+        EXPECT_EXIT((void)readScenarioLine(path),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: ") + fatal)
+            << flags;
+    }
+
+    // The accepted boundaries pass the reader, which returns the
+    // scenario's own words.
+    FuzzScenario edge = sampleScenario();
+    edge.m = 1024;
+    edge.cores = 64;
+    edge.wq = 1024;
+    edge.ecp = 10;
+    edge.ecpSteal = 512;
+    edge.workload = "stream";
+    EXPECT_EQ(readScenarioLine(lineFile(edge.cliLine())), edge.args());
 }
 
 TEST(FuzzSpec, RejectsSeedsTheFlagsReject)
 {
     // --refs, --seed and --inject's seed read integers as int64, so a
-    // spec holding 2^63 would pass the spec check and then fail as
-    // flags in runScenario.
-    for (const char* key : {"refs", "seed", "faultSeed"}) {
-        std::string json = FuzzScenario().toJson();
-        const std::string needle = "\"" + std::string(key) + "\":";
-        const auto at = json.find(needle) + needle.size();
-        json.replace(at, json.find_first_of(",}", at) - at,
-                     " 9223372036854775808");
-        EXPECT_THROW((void)FuzzScenario::fromJson(json), std::runtime_error)
-            << key;
+    // stored line holding 2^63 stops in the reader, as sdpcm_cli would,
+    // rather than running a different scenario.
+    const std::pair<const char*, const char*> rejected[] = {
+        {"--refs=9223372036854775808",
+         "bad value for --refs=9223372036854775808"},
+        {"--seed=9223372036854775808",
+         "bad value for --seed=9223372036854775808"},
+        {"--inject=seed=9223372036854775808",
+         "bad --inject spec: .*9223372036854775808"},
+    };
+    for (const auto& [flags, fatal] : rejected) {
+        EXPECT_EXIT((void)readScenarioLine(lineFile(sampleLineWith(flags))),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: ") + fatal)
+            << flags;
     }
 }
 
@@ -244,15 +259,30 @@ expectCliLineReplays(const FuzzScenario& s)
 
 TEST(FuzzSpec, CliLineReplaysExactKnobs)
 {
-    std::vector<FuzzScenario> scenarios;
+    // Each corpus file is one cliLine() and its newline, read back
+    // through the line reader, and arms the oracle.
+    unsigned corpus_lines = 0;
     for (const auto& entry :
          std::filesystem::directory_iterator(SDPCM_FUZZ_CORPUS_DIR)) {
-        if (entry.path().extension() == ".json") {
-            scenarios.push_back(
-                FuzzScenario::fromJsonFile(entry.path().string()));
-        }
+        if (entry.path().extension() != ".cli")
+            continue;
+        SCOPED_TRACE(entry.path().string());
+        const std::vector<std::string> words =
+            readScenarioLine(entry.path().string());
+        std::string line = "sdpcm_cli";
+        for (const std::string& word : words)
+            line += " " + word;
+        std::ifstream is(entry.path());
+        std::ostringstream text;
+        text << is.rdbuf();
+        EXPECT_EQ(text.str(), line + "\n");
+        EXPECT_TRUE(
+            parseCliRun(ArgParser(words)).flags.config.verifyOracle);
+        corpus_lines += 1;
     }
-    ASSERT_FALSE(scenarios.empty());
+    ASSERT_GT(corpus_lines, 0u);
+
+    std::vector<FuzzScenario> scenarios;
     // Every scheme byName builds from the ratio carries --n/--m.
     for (const char* scheme : {"nm", "sdpcm", "all", "lazyc+preread+nm"}) {
         FuzzScenario s = sampleScenario();
@@ -309,10 +339,8 @@ TEST(FuzzGen, GeneratesValidScenarios)
         EXPECT_GE(s.refs, 1u);
         EXPECT_GE(s.age, 0.0);
         EXPECT_LE(s.age, 1.0);
-        // Everything the generator draws must survive its own spec
-        // validation (the corpus is written through this path) and
-        // parse as sdpcm_cli flags (a bad one is fatal).
-        EXPECT_NO_THROW((void)FuzzScenario::fromJson(s.toJson()));
+        // Everything the generator draws must parse as sdpcm_cli flags
+        // (a bad one is fatal).
         const CliRun run = parseCliRun(ArgParser(s.args()));
         EXPECT_EQ(run.workload, s.workload);
         EXPECT_EQ(run.scheme, schemeOf(s));
@@ -396,7 +424,7 @@ TEST(FuzzRun, TinyScenarioRunsClean)
     s.cores = 2;
     s.wq = 2;
     s.wc = true;
-    const FuzzResult r = runScenario(s);
+    const FuzzResult r = runScenario(s.args());
     EXPECT_EQ(r.outcome, FuzzOutcome::Clean) << r.detail;
     EXPECT_EQ(r.mismatches, 0u);
 }
@@ -414,8 +442,15 @@ TEST(FuzzRun, FaultStormStillClean)
     s.stuck = 1.5;
     s.ecpSteal = 3;
     s.wd = 0.08;
-    const FuzzResult r = runScenario(s);
+    const FuzzResult r = runScenario(s.args());
     EXPECT_EQ(r.outcome, FuzzOutcome::Clean) << r.detail;
+}
+
+/** The run sdpcm_cli parses from a scenario's words. */
+RunOptions
+runOf(const FuzzScenario& s)
+{
+    return parseCliRun(ArgParser(s.args())).flags.config;
 }
 
 TEST(FuzzRun, BudgetIsGenerous)
@@ -425,7 +460,7 @@ TEST(FuzzRun, BudgetIsGenerous)
     s.wd = 0.0;
     // ~20k ticks per reference per core plus fixed slack: far above the
     // ~3.3k/ref worst case measured for legitimate fault-free configs.
-    EXPECT_EQ(fuzzTickBudget(s),
+    EXPECT_EQ(fuzzTickBudget(runOf(s)),
               Tick(4000000) + Tick(20000) * s.refs * s.cores);
 }
 
@@ -439,11 +474,11 @@ TEST(FuzzRun, BudgetScalesWithFaultStorm)
     FuzzScenario storm = calm;
     storm.wd = 1.0;
     storm.stuck = 10.0;
-    EXPECT_GT(fuzzTickBudget(storm), fuzzTickBudget(calm));
+    EXPECT_GT(fuzzTickBudget(runOf(storm)), fuzzTickBudget(runOf(calm)));
     // Measured: ~166M final ticks for 500 refs x 2 cores.
     storm.refs = 500;
     storm.cores = 2;
-    EXPECT_GE(fuzzTickBudget(storm), Tick(1000000000));
+    EXPECT_GE(fuzzTickBudget(runOf(storm)), Tick(1000000000));
 }
 
 // ---------------------------------------------------------------------
@@ -464,7 +499,7 @@ TEST(FuzzRegression, ZeroDrainBurstRunsClean)
     s.wc = true;
     s.cores = 2;
     s.refs = 300;
-    const FuzzResult r = runScenario(s);
+    const FuzzResult r = runScenario(s.args());
     EXPECT_EQ(r.outcome, FuzzOutcome::Clean) << r.detail;
 }
 
@@ -479,7 +514,7 @@ TEST(FuzzRegression, ZeroDrainBurstWithIdleDrainRunsClean)
     s.wq = 4;
     s.cores = 2;
     s.refs = 300;
-    const FuzzResult r = runScenario(s);
+    const FuzzResult r = runScenario(s.args());
     EXPECT_EQ(r.outcome, FuzzOutcome::Clean) << r.detail;
 }
 

@@ -8,8 +8,8 @@
  * sanitizer crash is observed as a classified violation instead of
  * killing the campaign. Any failing scenario is shrunk to a minimal
  * reproducer (fewest refs/cores/faults) — every shrink probe forks too,
- * so crashing probes are fine — and emitted as a replayable JSON spec
- * plus the exact sdpcm_cli line.
+ * so crashing probes are fine — and saved as its sdpcm_cli line, the
+ * one stored form of a scenario (FuzzScenario::cliLine).
  *
  * Usage:
  *   sdpcm_fuzz [--trials=N] [--seconds=S] [--seed=N] [--out=DIR]
@@ -21,15 +21,22 @@
  *                 budget expires first (0 = no wall-clock bound)
  *   --seed=N      master seed; the scenario sequence is a pure function
  *                 of it (default 1)
- *   --out=DIR     write shrunk reproducers as DIR/repro_<trial>.json
+ *   --out=DIR     write shrunk reproducers as DIR/repro_<trial>.cli
  *                 (default: current directory)
- *   --replay=FILE run one JSON scenario spec and report its outcome
- *   --corpus=DIR  replay every *.json spec in DIR (regression corpus);
- *                 exit 1 if any spec is not clean, 2 if any is malformed
+ *   --replay=FILE run one scenario line (sdpcm_cli and its flags) and
+ *                 report its outcome
+ *   --corpus=DIR  replay every *.cli line in DIR (regression corpus)
  *   --no-shrink   report violations without shrinking
  *
+ * A replayed line is parsed by sdpcm_cli's flag parser
+ * (readScenarioLine) before any child is forked: a file that cannot be
+ * read, a first word other than sdpcm_cli, or a flag the parser rejects
+ * stops the run with a `fatal:` line naming it, exit 1, as the flag
+ * would on sdpcm_cli itself.
+ *
  * Exit code: 0 when every executed scenario was clean, 1 on any
- * violation, 2 on usage/spec errors.
+ * violation or rejected line, 2 on usage errors (--trials=0 without
+ * --seconds, a corpus directory without *.cli lines).
  */
 
 #include <algorithm>
@@ -67,21 +74,22 @@ constexpr int kExitStall = 11;
  * a table).
  */
 FuzzResult
-runIsolated(const FuzzScenario& s, bool profile_stalls = false)
+runIsolated(const std::vector<std::string>& words,
+            bool profile_stalls = false)
 {
     const pid_t pid = fork();
     if (pid < 0) {
         // Out of processes: degrade to in-process (a crash then kills
         // the campaign, which still fails loudly).
         SDPCM_WARN("fork failed; running scenario in-process");
-        return runScenario(s, profile_stalls);
+        return runScenario(words, profile_stalls);
     }
     if (pid == 0) {
         // Child: quiet logs (the parent prints triage), run, encode.
         // The exit-code protocol cannot carry the blame table, so a
         // stalled child prints it itself (stderr is the parent's).
         setLogLevel(LogLevel::Error);
-        const FuzzResult r = runScenario(s, profile_stalls);
+        const FuzzResult r = runScenario(words, profile_stalls);
         if (r.outcome == FuzzOutcome::Stall && profile_stalls &&
             !r.detail.empty()) {
             std::cerr << "stall triage: " << r.detail << "\n";
@@ -120,7 +128,7 @@ runIsolated(const FuzzScenario& s, bool profile_stalls = false)
         break;
       case kExitOracleMismatch:
         r.outcome = FuzzOutcome::OracleMismatch;
-        r.detail = "oracle mismatch (replay the spec for counts)";
+        r.detail = "oracle mismatch (run the repro line for counts)";
         break;
       case kExitStall:
         r.outcome = FuzzOutcome::Stall;
@@ -146,65 +154,56 @@ shrinkIsolated(const FuzzScenario& failing, FuzzOutcome outcome,
     return shrink(
         failing,
         [outcome](const FuzzScenario& c) {
-            return runIsolated(c).outcome == outcome;
+            return runIsolated(c.args()).outcome == outcome;
         },
         probes);
 }
 
+/** Run one stored scenario line (already parsed) and report it. */
 int
-replayOne(const std::string& path, bool in_process)
+replayOne(const std::string& path, const std::vector<std::string>& words)
 {
-    FuzzScenario s;
-    try {
-        s = FuzzScenario::fromJsonFile(path);
-    } catch (const std::runtime_error& e) {
-        std::cerr << "sdpcm_fuzz: " << e.what() << "\n";
-        return 2;
-    }
-    const FuzzResult r = in_process
-        ? runScenario(s, /*profile_stalls=*/true)
-        : runIsolated(s, /*profile_stalls=*/true);
+    const FuzzResult r = runIsolated(words, /*profile_stalls=*/true);
     std::cout << path << ": " << outcomeName(r.outcome);
     if (!r.detail.empty())
         std::cout << " — " << r.detail;
-    std::cout << "\n  " << s.describe() << "\n";
-    if (r.outcome != FuzzOutcome::Clean) {
-        std::cout << "  repro: " << s.cliLine() << "\n";
-        return 1;
-    }
-    return 0;
+    std::cout << "\n  sdpcm_cli";
+    for (const std::string& word : words)
+        std::cout << " " << word;
+    std::cout << "\n";
+    return r.outcome == FuzzOutcome::Clean ? 0 : 1;
 }
 
 int
 replayCorpus(const std::string& dir)
 {
     namespace fs = std::filesystem;
-    std::vector<std::string> specs;
+    std::vector<std::string> paths;
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(dir, ec)) {
-        if (entry.path().extension() == ".json")
-            specs.push_back(entry.path().string());
+        if (entry.path().extension() == ".cli")
+            paths.push_back(entry.path().string());
     }
     if (ec) {
         std::cerr << "sdpcm_fuzz: cannot read corpus dir " << dir << ": "
                   << ec.message() << "\n";
         return 2;
     }
-    if (specs.empty()) {
-        std::cerr << "sdpcm_fuzz: no *.json specs in " << dir << "\n";
+    if (paths.empty()) {
+        std::cerr << "sdpcm_fuzz: no *.cli lines in " << dir << "\n";
         return 2;
     }
-    std::sort(specs.begin(), specs.end());
+    std::sort(paths.begin(), paths.end());
+    // Every line is parsed before the first child forks.
+    std::vector<std::vector<std::string>> lines;
+    for (const std::string& path : paths)
+        lines.push_back(readScenarioLine(path));
     int failures = 0;
-    int worst = 0; // a spec error (2) outranks a violation (1)
-    for (const std::string& path : specs) {
-        const int code = replayOne(path, /*in_process=*/false);
-        failures += code == 0 ? 0 : 1;
-        worst = std::max(worst, code);
-    }
-    std::cout << specs.size() << " corpus spec(s), " << failures
+    for (std::size_t i = 0; i < paths.size(); ++i)
+        failures += replayOne(paths[i], lines[i]);
+    std::cout << paths.size() << " corpus line(s), " << failures
               << " violation(s)\n";
-    return worst;
+    return failures == 0 ? 0 : 1;
 }
 
 } // namespace
@@ -223,11 +222,15 @@ main(int argc, char** argv)
                "  --seed=N      master seed (scenario stream is "
                "deterministic in it)\n"
                "  --out=DIR     where shrunk reproducers land "
-               "(repro_<trial>.json)\n"
-               "  --replay=FILE run one JSON spec, report the outcome\n"
-               "  --corpus=DIR  replay every *.json spec in DIR\n"
+               "(repro_<trial>.cli)\n"
+               "  --replay=FILE run one scenario line (sdpcm_cli and its "
+               "flags), report the outcome\n"
+               "  --corpus=DIR  replay every *.cli line in DIR\n"
                "  --no-shrink   skip reproducer minimisation\n"
-               "  --quiet       only print violations and the summary\n";
+               "  --quiet       only print violations and the summary\n"
+               "A replayed line is parsed as sdpcm_cli flags first: a "
+               "flag it rejects is a\n"
+               "fatal: line, exit 1, before any scenario runs.\n";
         return 0;
     }
     if (args.getBool("quiet", false))
@@ -242,7 +245,7 @@ main(int argc, char** argv)
     args.finishParsing();
 
     if (args.has("replay"))
-        return replayOne(replay_path, /*in_process=*/false);
+        return replayOne(replay_path, readScenarioLine(replay_path));
     if (args.has("corpus"))
         return replayCorpus(corpus_dir);
     if (trials == 0 && seconds <= 0.0) {
@@ -270,7 +273,7 @@ main(int argc, char** argv)
         // Drawn before the fork so the stream is identical whether or
         // not earlier trials failed.
         const FuzzScenario s = randomScenario(rng);
-        const FuzzResult r = runIsolated(s, /*profile_stalls=*/true);
+        const FuzzResult r = runIsolated(s.args(), /*profile_stalls=*/true);
         executed += 1;
         by_outcome[static_cast<int>(r.outcome)] += 1;
         if (r.outcome == FuzzOutcome::Clean) {
@@ -292,11 +295,11 @@ main(int argc, char** argv)
                       << minimal.describe() << "\n";
         }
         const std::string repro_path =
-            out_dir + "/repro_" + std::to_string(trial) + ".json";
+            out_dir + "/repro_" + std::to_string(trial) + ".cli";
         std::ofstream os(repro_path);
         if (os) {
-            minimal.writeJson(os);
-            std::cout << "  spec:  " << repro_path << "\n";
+            os << minimal.cliLine() << "\n";
+            std::cout << "  saved: " << repro_path << "\n";
         } else {
             std::cerr << "  (cannot write " << repro_path << ")\n";
         }
