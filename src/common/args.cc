@@ -22,10 +22,12 @@ ArgParser::ArgParser(const std::vector<std::string>& words)
             continue;
         }
         const auto eq = word.find('=');
-        if (eq == std::string::npos)
-            options_[word.substr(2)] = std::nullopt;
-        else
-            options_[word.substr(2, eq - 2)] = word.substr(eq + 1);
+        const bool bare = eq == std::string::npos;
+        const std::string key = word.substr(2, bare ? eq : eq - 2);
+        const std::optional<std::string> text =
+            bare ? std::nullopt : std::optional(word.substr(eq + 1));
+        if (!options_.emplace(key, text).second)
+            SDPCM_FATAL("--", key, " given twice");
     }
 }
 

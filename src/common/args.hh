@@ -5,7 +5,8 @@
  * Supports `--key=value` and bare `--flag` forms; other arguments are
  * positional. Bench binaries use this to accept `--refs=N` (trace
  * length per core) and `--seed=N` without pulling in a heavyweight
- * flags library.
+ * flags library. A key given twice (`--refs=10 --refs=20`) is a fatal
+ * error, not a silent last-one-wins.
  *
  * Values are parsed strictly: `--refs=10k` or `--seed=banana` is a fatal
  * error, not a silent truncation to 10 / 0, and get<T>() range-checks

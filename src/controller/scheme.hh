@@ -115,9 +115,9 @@ struct SchemeConfig
     static SchemeConfig sdpcm(const NmRatio& tag = NmRatio{2, 3});
 
     /**
-     * The scheme of a sdpcm_cli --scheme / fuzz spec name; the (n:m)
-     * schemes use `ratio`. Throws std::invalid_argument on an unknown
-     * name.
+     * The scheme an sdpcm_cli --scheme name gives (a stored fuzz
+     * scenario is an sdpcm_cli line too); the (n:m) schemes use
+     * `ratio`. Throws std::invalid_argument on an unknown name.
      */
     static SchemeConfig byName(const std::string& name,
                                const NmRatio& ratio);

@@ -197,8 +197,10 @@ PcmDevice::drawStuckCells(LineState& ls, const LineAddr& addr)
         }
     }
 
-    if (config_.lineCounters)
-        ls.counters.ecpHighWater = ls.ecp.size();
+    // A line without a counters entry has zero counters, so only a line
+    // that drew a hard entry gets one here.
+    if (config_.lineCounters && ls.ecp.size() > 0)
+        counters_[map_.lineIndex(addr)].ecpHighWater = ls.ecp.size();
 }
 
 template <typename Fn>
@@ -249,8 +251,16 @@ PcmDevice::peekLine(const LineAddr& addr)
     return data;
 }
 
+LineCounters&
+PcmDevice::pinCounters(WritePlan::Pin& pin, const LineAddr& addr)
+{
+    if (!pin.counters)
+        pin.counters = &counters_[map_.lineIndex(addr)];
+    return *pin.counters;
+}
+
 void
-PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr)
+PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr, LineState& ls)
 {
     plan.addr = addr;
     plan.targetPhysical = LineData{};
@@ -264,7 +274,9 @@ PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr)
     plan.wlHits.clear();
     plan.blHitsUpper = 0;
     plan.blHitsLower = 0;
-    plan.line_ = nullptr;
+    plan.line_ = {.record = &ls};
+    if (config_.lineCounters)
+        pinCounters(plan.line_, addr);
     plan.left_ = {};
     plan.right_ = {};
     plan.upper_ = {};
@@ -287,8 +299,7 @@ PcmDevice::planWriteInto(WritePlan& plan, const LineAddr& addr,
                          const LineData& new_logical)
 {
     LineState& ls = state(addr);
-    resetPlan(plan, addr);
-    plan.line_ = &ls;
+    resetPlan(plan, addr, ls);
 
     if (config_.dinEnabled || config_.fnwEnabled) {
         const auto enc = encoder_.encode(new_logical, ls.physical);
@@ -314,8 +325,7 @@ PcmDevice::planCorrectionInto(WritePlan& plan, const LineAddr& addr,
                               const std::vector<unsigned>& cells)
 {
     LineState& ls = state(addr);
-    resetPlan(plan, addr);
-    plan.line_ = &ls;
+    resetPlan(plan, addr, ls);
     plan.isCorrection = true;
     plan.targetFlags = ls.dinFlags;
 
@@ -396,7 +406,7 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
                              RoundOutcome& outcome)
 {
     const LineAddr& addr = plan.addr;
-    LineState& ls = *plan.line_;
+    const LineState& ls = *plan.line_.record;
 
     // Constants of the round, out of the cell loop. DIN encoding
     // suppresses most vulnerable patterns along the word-line.
@@ -459,13 +469,13 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     };
     // A landed flip on a neighbour without a record yet records it, as
     // it stands: the lookup touched it already, so nothing is drawn.
-    auto flip = [&](LineState*& victim, const LineAddr& n_addr,
+    auto flip = [&](WritePlan::Pin& victim, const LineAddr& n_addr,
                     unsigned n_pos, bool word_line) {
-        if (!victim)
-            victim = &state(n_addr);
-        victim->physical.setBit(n_pos, true);
+        if (!victim.record)
+            victim.record = &state(n_addr);
+        victim.record->physical.setBit(n_pos, true);
         if (config_.lineCounters)
-            victim->counters.wdFlips += 1;
+            pinCounters(victim, n_addr).wdFlips += 1;
         if (obs_.ledger) {
             obs_.ledger->recordFlip(addr, plan.isCorrection, n_addr, n_pos,
                                     word_line);
@@ -473,7 +483,7 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     };
     // Word-line probe of an idle cell (same device row, adjacent cells
     // on the shared word-line; oxide isolation between bit-lines).
-    auto probe_wl = [&](LineState*& victim, const LineAddr& n_addr,
+    auto probe_wl = [&](WritePlan::Pin& victim, const LineAddr& n_addr,
                         unsigned n_pos) {
         if (!hit(wl_chance))
             return false;
@@ -487,7 +497,7 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     auto probe_edge = [&](WritePlan::Pin& pin, const LineAddr& n_addr,
                           unsigned n_pos) {
         if (vulnerable(look_up(pin, n_addr), n_addr, n_pos))
-            probe_wl(pin.record, n_addr, n_pos);
+            probe_wl(pin, n_addr, n_pos);
     };
     // Bit-line probe (adjacent device rows on the shared GST rail; always
     // idle since a write touches a single row). The neighbour is only
@@ -497,7 +507,7 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
                         unsigned pos, unsigned& hits) {
         if (!hit(bl_chance) || !vulnerable(look_up(pin, n_addr), n_addr, pos))
             return;
-        flip(pin.record, n_addr, pos, /*word_line=*/false);
+        flip(pin, n_addr, pos, /*word_line=*/false);
         outcome.blErrors += 1;
         stats_.blDisturbances += 1;
         hits += 1;
@@ -572,7 +582,7 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
     if (!plan.roundsRemaining())
         return false;
 
-    LineState& ls = *plan.line_;
+    LineState& ls = *plan.line_.record;
     const ProgramRound& round = plan.rounds[plan.nextRound];
     plan.nextRound += 1;
     const bool is_reset = round.isReset;
@@ -598,9 +608,10 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
     else
         stats_.normalCellWrites += programmed;
     if (config_.lineCounters) {
-        ls.counters.cellWrites += programmed;
-        if (ls.counters.cellWrites > maxLineCellWrites_)
-            maxLineCellWrites_ = ls.counters.cellWrites;
+        LineCounters& counters = *plan.line_.counters;
+        counters.cellWrites += programmed;
+        if (counters.cellWrites > maxLineCellWrites_)
+            maxLineCellWrites_ = counters.cellWrites;
     }
 
     // Only RESET pulses disseminate enough heat to disturb (SET current is
@@ -620,24 +631,25 @@ PcmDevice::repairWlHits(WritePlan& plan)
     // own device row are repaired as part of the write operation (the
     // disturbed cells were idle '0' cells, so the repair is a RESET).
     // Every hit lies on the written line or a word-line neighbour whose
-    // record the scan pinned when it flipped the cell.
+    // record (and counters) the scan pinned when it flipped the cell.
     unsigned fixed = 0;
     for (const unsigned key : plan.wlHits) {
         const unsigned line = key >> 9;
         const unsigned pos = key & 511;
-        LineState& fs = line == plan.addr.line ? *plan.line_
-            : line < plan.addr.line            ? *plan.left_.record
-                                               : *plan.right_.record;
-        if (fs.physical.getBit(pos)) {
-            fs.physical.setBit(pos, false);
+        const WritePlan::Pin& fs = line == plan.addr.line ? plan.line_
+            : line < plan.addr.line                       ? plan.left_
+                                                          : plan.right_;
+        if (fs.record->physical.getBit(pos)) {
+            fs.record->physical.setBit(pos, false);
             fixed += 1;
             stats_.dataCellWrites += 1;
             stats_.correctionCellWrites += 1;
             if (config_.lineCounters) {
-                fs.counters.wdCorrected += 1;
-                fs.counters.cellWrites += 1;
-                if (fs.counters.cellWrites > maxLineCellWrites_)
-                    maxLineCellWrites_ = fs.counters.cellWrites;
+                LineCounters& counters = *fs.counters;
+                counters.wdCorrected += 1;
+                counters.cellWrites += 1;
+                if (counters.cellWrites > maxLineCellWrites_)
+                    maxLineCellWrites_ = counters.cellWrites;
             }
             if (obs_.ledger) {
                 obs_.ledger->flipRepaired(
@@ -653,11 +665,12 @@ PcmDevice::finishWrite(WritePlan& plan)
 {
     SDPCM_ASSERT(!plan.roundsRemaining(),
                  "finishWrite with rounds still pending");
-    SDPCM_ASSERT(plan.line_, "finishWrite on a plan that was never planned");
+    SDPCM_ASSERT(plan.line_.record,
+                 "finishWrite on a plan that was never planned");
     FinishOutcome out;
     out.wlErrorsFixed = repairWlHits(plan);
 
-    LineState& ls = *plan.line_;
+    LineState& ls = *plan.line_.record;
     const EcpLine ecp_before = ls.ecp;
 
     if (!plan.isCorrection) {
@@ -665,7 +678,7 @@ PcmDevice::finishWrite(WritePlan& plan)
         ls.writeCount += 1;
         stats_.lineWrites += 1;
         if (config_.lineCounters)
-            ls.counters.writes += 1;
+            plan.line_.counters->writes += 1;
         // Refresh stuck-cell intended values held in ECP.
         ls.ecp.updateHardValues(plan.intendedPhysical);
         // Figure 4 bookkeeping (normal data writes only).
@@ -688,7 +701,7 @@ PcmDevice::finishWrite(WritePlan& plan)
         // Every cell a correction RESETs was a disturbed (or re-disturbed)
         // victim cell on this line.
         if (config_.lineCounters) {
-            ls.counters.wdCorrected += static_cast<std::uint32_t>(
+            plan.line_.counters->wdCorrected += static_cast<std::uint32_t>(
                 plan.masks.resetCount());
         }
         if (obs_.ledger) {
@@ -724,14 +737,16 @@ PcmDevice::recordWdInEcp(const LineAddr& addr,
                          const std::vector<unsigned>& cells)
 {
     LineState& ls = state(addr);
+    LineCounters* counters = config_.lineCounters
+        ? &counters_[map_.lineIndex(addr)] : nullptr;
     const EcpLine ecp_before = ls.ecp;
     bool all_fit = true;
     for (const unsigned pos : cells) {
         SDPCM_ASSERT(pos < kLineBits, "ECP cell out of range");
         if (ls.ecp.recordWd(pos)) {
             stats_.ecpWdRecorded += 1;
-            if (config_.lineCounters)
-                ls.counters.wdAbsorbed += 1;
+            if (counters)
+                counters->wdAbsorbed += 1;
             if (obs_.ledger)
                 obs_.ledger->flipAbsorbed(addr, pos);
         } else {
@@ -740,9 +755,9 @@ PcmDevice::recordWdInEcp(const LineAddr& addr,
     }
     if (!all_fit)
         stats_.ecpOverflows += 1;
-    if (config_.lineCounters) {
-        ls.counters.ecpHighWater =
-            std::max<std::uint32_t>(ls.counters.ecpHighWater, ls.ecp.size());
+    if (counters) {
+        counters->ecpHighWater =
+            std::max<std::uint32_t>(counters->ecpHighWater, ls.ecp.size());
     }
     chargeEcp(ls, ecp_before);
     return all_fit;
@@ -816,8 +831,7 @@ PcmDevice::forEachTouchedLine(Fn&& fn) const
         const LineIndex first = map_.lineIndex(row_start);
         for (std::uint64_t m = mask; m; m &= m - 1) {
             const auto line = static_cast<unsigned>(std::countr_zero(m));
-            fn(LineAddr{row_start.bank, row_start.row, line},
-               lines_.find(first + line));
+            fn(LineAddr{row_start.bank, row_start.row, line}, first + line);
         }
     }
 }
@@ -829,9 +843,10 @@ PcmDevice::lineCounterSamples() const
     if (!config_.lineCounters)
         return samples;
     samples.reserve(touchedLines_);
-    forEachTouchedLine([&](const LineAddr& addr, const LineState* ls) {
+    forEachTouchedLine([&](const LineAddr& addr, LineIndex line) {
+        const LineCounters* counters = counters_.find(line);
         samples.push_back(
-            LineCounterSample{addr, ls ? ls->counters : LineCounters{}});
+            LineCounterSample{addr, counters ? *counters : LineCounters{}});
     });
     return samples;
 }
@@ -840,8 +855,10 @@ std::uint64_t
 PcmDevice::lineStateDigest() const
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    forEachTouchedLine([&](const LineAddr& addr, const LineState* ls) {
-        // A line without a record hashes as its seeded record.
+    forEachTouchedLine([&](const LineAddr& addr, LineIndex line) {
+        // A line without a record hashes as its seeded record, and one
+        // without a counters entry as zero counters.
+        const LineState* ls = lines_.find(line);
         LineState seeded;
         if (!ls) {
             seed(seeded, addr);
@@ -875,7 +892,8 @@ PcmDevice::lineStateDigest() const
         for (unsigned slot = 0; slot < slots; ++slot)
             fnvMix(h, slotImage(entries, slot));
         fnvMix(h, ls->writeCount);
-        const LineCounters& c = ls->counters;
+        const LineCounters* counters = counters_.find(line);
+        const LineCounters c = counters ? *counters : LineCounters{};
         for (const std::uint32_t v : {c.writes, c.wdFlips, c.wdAbsorbed,
                                       c.wdCorrected, c.ecpHighWater,
                                       c.cellWrites}) {

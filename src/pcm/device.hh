@@ -72,9 +72,9 @@ struct AgingConfig
  *
  * Disabled by default: the hot path pays only a predictable branch per
  * increment site when `DeviceConfig::lineCounters` is off. The counters
- * live in a line's record (24 of its 128 bytes), so they cost nothing
- * extra; a line without a record has only been read, and its counters
- * are all zero.
+ * live in a table of their own, beside the line records, that exists
+ * only when they are on; a line without an entry there has all-zero
+ * counters (a line without a record has only been read).
  */
 struct LineCounters
 {
@@ -247,11 +247,13 @@ class PcmDevice : public Observed
 
       private:
         friend class PcmDevice;
-        /** A neighbour line as this write's WD scan found it. */
+        /** A line this write touches, as the plan or its WD scan found
+         *  it. */
         struct Pin
         {
-            LineState* record = nullptr; //!< its record, once it has one
-            bool touched = false;        //!< the scan looked it up
+            LineState* record = nullptr;      //!< its record, once it has one
+            LineCounters* counters = nullptr; //!< its counters, once pinned
+            bool touched = false;             //!< the scan looked it up
         };
         // The records of the lines this write touches, pinned so the
         // round, WD-scan and repair paths look each line up once. The
@@ -268,10 +270,12 @@ class PcmDevice : public Observed
         // before this plan's last round: the controller runs one plan
         // per bank at a time, every neighbour lies in the written
         // line's bank, and a read records no line that is touched
-        // already. Record pins point into the planning device's line
-        // store and stay valid as long as it lives; every re-plan resets
-        // them.
-        LineState* line_ = nullptr; //!< the written line
+        // already. With lineCounters on, a line's counters are pinned
+        // with the written line's record and at a neighbour's first
+        // landed flip, so no later round, repair or finish looks them
+        // up. Pins point into the planning device's line tables and
+        // stay valid as long as it lives; every re-plan resets them.
+        Pin line_;  //!< the written line
         Pin left_;  //!< word-line neighbour, line - 1
         Pin right_; //!< word-line neighbour, line + 1
         Pin upper_; //!< bit-line neighbour, row - 1
@@ -394,8 +398,8 @@ class PcmDevice : public Observed
 
     /**
      * Snapshot of every touched line's counters, sorted by (bank, row,
-     * line); a line without a record has zero counters. Empty unless
-     * `DeviceConfig::lineCounters` is set.
+     * line); a line without a counters entry has zero counters. Empty
+     * unless `DeviceConfig::lineCounters` is set.
      */
     std::vector<LineCounterSample> lineCounterSamples() const;
 
@@ -403,7 +407,8 @@ class PcmDevice : public Observed
      * FNV-1a digest of every touched line's modelled state, visited in
      * (bank, row, line) order: physical cells, flag bits, ECP entries
      * and their wear images, stuck cells, write count and counters. A
-     * line without a record hashes as its seeded record would.
+     * line without a record hashes as its seeded record would, and one
+     * without a counters entry as zero counters.
      * Differential tests compare it across host-side changes that must
      * leave the modelled cells untouched.
      */
@@ -411,10 +416,10 @@ class PcmDevice : public Observed
 
   private:
     /**
-     * One line's modelled state: a fixed record that never allocates.
-     * The 512 cells fill the first cache line; the DIN flags, the
-     * counters, the write count and the inline ECP table fill the
-     * second. Two things are derived instead of stored:
+     * One line's modelled state: a fixed record that never allocates,
+     * holding only simulated state: the 512 cells, the DIN flags, the
+     * write count and the inline ECP table (the LineCounters observer
+     * keeps its own table). Two things are derived instead of stored:
      *  - the line's stuck cells, in draw order: its hard ECP entries
      *    (pinned first at first touch, kept first by clearWd), then, on
      *    a saturated line only, the rest in `stuckOverflow_`;
@@ -423,18 +428,17 @@ class PcmDevice : public Observed
      *    change only in finishWrite and recordWdInEcp, which both end
      *    with a charge.
      */
-    struct alignas(64) LineState
+    struct LineState
     {
         LineData physical;
         std::uint64_t dinFlags = 0;
-        LineCounters counters; //!< updated only when config_.lineCounters
         std::uint32_t writeCount = 0;
         EcpLine ecp;
         bool ecpCharged = false; //!< the ECP slots were charged once
         bool saturated = false;  //!< stuck cells beyond the ECP entries
     };
-    static_assert(sizeof(LineState) <= 128,
-                  "a line's state is two cache lines");
+    static_assert(sizeof(LineState) <= 104,
+                  "a line's state is its cells and 40 bytes of metadata");
     static_assert(std::is_trivially_copyable_v<LineState>,
                   "a line's state owns no heap storage");
 
@@ -462,7 +466,7 @@ class PcmDevice : public Observed
      * A first touch on a device that can have stuck cells: draw them into
      * a local seeded state, and record the line (through state()) only
      * if it got one; null otherwise. Kept out of line so that readState's
-     * frame holds no over-aligned LineState.
+     * frame holds no LineState.
      */
     [[gnu::noinline]] LineState* firstTouchRecord(const LineAddr& addr);
 
@@ -486,13 +490,19 @@ class PcmDevice : public Observed
     /** The key the line's seed content is drawn from. */
     std::uint64_t seedKey(const LineAddr& addr) const;
 
-    /** Call fn(addr, record or null) for every touched line, in (bank,
-     *  row, line) order. */
+    /** Call fn(addr, line index) for every touched line, in (bank, row,
+     *  line) order. */
     template <typename Fn>
     void forEachTouchedLine(Fn&& fn) const;
 
-    /** Reset a plan for reuse, keeping its vectors' capacity. */
-    static void resetPlan(WritePlan& plan, const LineAddr& addr);
+    /** Reset a plan for reuse, keeping its vectors' capacity, and pin
+     *  the written line: its record `ls` and, with lineCounters on, its
+     *  counters. */
+    void resetPlan(WritePlan& plan, const LineAddr& addr, LineState& ls);
+
+    /** The counters `pin`, a plan's pin of the line at `addr`, holds,
+     *  pinning them on first use (lineCounters on). */
+    LineCounters& pinCounters(WritePlan::Pin& pin, const LineAddr& addr);
 
     /** Finalise a plan's masks and rounds from its target state. */
     void sealPlan(WritePlan& plan, const LineState& ls);
@@ -553,6 +563,11 @@ class PcmDevice : public Observed
     /** The record of every line that has one, keyed by its index
      *  (map_.lineIndex). */
     LineTable<LineState> lines_;
+
+    /** With lineCounters on, the counters of every line a plan, a
+     *  landed flip, an ECP park or a stuck-cell draw counted on, keyed
+     *  like lines_; empty with it off. */
+    LineTable<LineCounters> counters_;
 
     /** Each saturated line's stuck cells beyond its ECP entries, as
      *  hard entries in draw order, keyed like lines_. */

@@ -30,7 +30,9 @@ namespace sdpcm {
  * Pointer-stability rule: entries live in fixed-capacity chunks that are
  * never moved or freed before the table is, so a pointer or reference to
  * an entry stays valid for the table's whole lifetime, however many
- * entries are inserted after it.
+ * entries are inserted after it. Each chunk starts on a cache line, so
+ * which cache lines an entry spans does not depend on where the heap
+ * places its chunk.
  *
  * Lookups go through a FlatMap index of 8-byte {line index, entry index}
  * slots. A probe compares the index held in the slot, so it reads no
@@ -71,7 +73,7 @@ class LineTable
         if (inserted) {
             e = static_cast<std::uint32_t>(index_.size() - 1);
             if (e % kChunkEntries == 0)
-                chunks_.push_back(std::make_unique<T[]>(kChunkEntries));
+                chunks_.push_back(std::make_unique<Chunk>());
         }
         return {entry(e), inserted};
     }
@@ -119,14 +121,19 @@ class LineTable
 
     static constexpr std::size_t kChunkEntries = 512;
 
+    struct alignas(64) Chunk
+    {
+        T entries[kChunkEntries];
+    };
+
     T&
     entry(std::uint32_t e) const
     {
-        return chunks_[e / kChunkEntries][e % kChunkEntries];
+        return chunks_[e / kChunkEntries]->entries[e % kChunkEntries];
     }
 
     Index index_;
-    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::vector<std::unique_ptr<Chunk>> chunks_;
 };
 
 } // namespace sdpcm

@@ -169,6 +169,19 @@ readScenarioLine(const std::string& path)
                     "not '", words.empty() ? "" : words.front(), "'");
     }
     words.erase(words.begin());
+    // runScenario writes no output, so a flag naming one (or its family)
+    // would replay clean and write nothing.
+    for (const std::string& word : words) {
+        const std::string key = word.substr(0, word.find('='));
+        for (const std::string flag :
+             {"--report", "--spans", "--wd-ledger", "--wd-top", "--profile",
+              "--trace", "--telemetry", "--epoch", "--heatmap"}) {
+            if (key == flag || key.rfind(flag + "-", 0) == 0) {
+                SDPCM_FATAL("fuzz scenario ", path, " carries the output "
+                            "flag ", key, "; a scenario runs without outputs");
+            }
+        }
+    }
     (void)parseScenario(words);
     return words;
 }

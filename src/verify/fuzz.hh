@@ -117,9 +117,11 @@ Tick fuzzTickBudget(const RunOptions& run);
  * cliLine() prints it. The line is split on whitespace and its flags
  * are parsed as sdpcm_cli parses one run (parseCliRun, finishParsing,
  * then the workload's profile), so a line whose first word is not
- * sdpcm_cli, an unreadable file, and any flag the parser rejects stop
- * with a `fatal:` line (exit 1) before anything runs. Returns the words
- * after sdpcm_cli, which runScenario takes.
+ * sdpcm_cli, an unreadable file, any flag the parser rejects and any
+ * output flag (--report, --spans*, --wd-ledger, --wd-top, --profile*,
+ * --trace, --telemetry*, --epoch*, --heatmap*: a scenario runs without
+ * outputs) stop with a `fatal:` line (exit 1) before anything runs.
+ * Returns the words after sdpcm_cli, which runScenario takes.
  */
 std::vector<std::string> readScenarioLine(const std::string& path);
 

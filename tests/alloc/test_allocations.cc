@@ -8,8 +8,9 @@
  * and dispatching one must not allocate, and a whole run must allocate
  * far less than once per event. A line's device state is one fixed-size
  * record (pcm/device.hh): recording a line must not allocate beyond the
- * line table's own storage, and reading a line nothing changed records
- * nothing. The TLB lives in fixed arrays and the page
+ * line table's own storage, reading a line nothing changed records
+ * nothing, and per-line counters take storage only when they are on.
+ * The TLB lives in fixed arrays and the page
  * table in a flat map (os/page_table.hh): translating mapped pages must
  * not allocate, hit or miss.
  */
@@ -66,7 +67,7 @@ countedNew(std::size_t size)
     throw std::bad_alloc();
 }
 
-// The over-aligned form (an alignas(64) line record's table chunks)
+// The over-aligned form (a LineTable's cache-line-aligned chunks)
 // bypasses the plain one, so it is counted apart as well.
 void*
 countedAlignedNew(std::size_t size, std::align_val_t align)
@@ -305,52 +306,70 @@ spreadRows(const AddressMap& map, unsigned n)
     return rows.size();
 }
 
-TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
+/**
+ * The write-heavy device script: write a fresh line, verify its
+ * bit-line neighbours against their content before the write and park
+ * what the write disturbed. On the sdpcm device every write disturbs
+ * its bit-line neighbours, which the scan records where a flip lands,
+ * and VnC parks their errors in ECP. Its plan and scratch vectors are
+ * reserved up front to their high-water marks.
+ */
+class FreshLineWriter
 {
-    // The sdpcm device: every write disturbs its bit-line neighbours,
-    // which the scan records where a flip lands, and VnC parks their
-    // errors in ECP.
-    DeviceConfig dc;
-    dc.seed = 11;
-    PcmDevice dev(dc);
-    const AddressMap& map = dev.addressMap();
-    PcmDevice::WritePlan plan;
-    PcmDevice::RoundOutcome round;
-    std::vector<unsigned> diffs;
-    Rng rng(5);
+  public:
+    explicit FreshLineWriter(PcmDevice& dev) : dev_(dev)
+    {
+        plan_.rounds.reserve(2 * kLineBits);
+        plan_.wlHits.reserve(3 * kLineBits);
+        diffs_.reserve(kLineBits);
+    }
 
-    // Write a fresh line, verify its bit-line neighbours against their
-    // content before the write and park what the write disturbed.
-    auto touch = [&](const LineAddr& la) {
+    void
+    operator()(const LineAddr& la)
+    {
+        const AddressMap& map = dev_.addressMap();
         const std::optional<LineAddr> nbrs[] = {map.upperNeighbor(la),
                                                 map.lowerNeighbor(la)};
         LineData before[2];
         for (unsigned i = 0; i < 2; ++i) {
             if (nbrs[i])
-                before[i] = dev.readLine(*nbrs[i]);
+                before[i] = dev_.readLine(*nbrs[i]);
         }
-        LineData data = dev.peekLine(la);
+        LineData data = dev_.peekLine(la);
         for (unsigned i = 0; i < 128; ++i)
-            data.flipBit(static_cast<unsigned>(rng.below(kLineBits)));
-        dev.planWriteInto(plan, la, data);
-        while (dev.applyNextRound(plan, round)) {
+            data.flipBit(static_cast<unsigned>(rng_.below(kLineBits)));
+        dev_.planWriteInto(plan_, la, data);
+        while (dev_.applyNextRound(plan_, round_)) {
         }
-        dev.finishWrite(plan);
+        dev_.finishWrite(plan_);
         for (unsigned i = 0; i < 2; ++i) {
             if (!nbrs[i])
                 continue;
-            dev.verifyLineInto(*nbrs[i], before[i], diffs);
-            if (!diffs.empty())
-                dev.recordWdInEcp(*nbrs[i], diffs);
+            dev_.verifyLineInto(*nbrs[i], before[i], diffs_);
+            if (!diffs_.empty())
+                dev_.recordWdInEcp(*nbrs[i], diffs_);
         }
-    };
+    }
+
+  private:
+    PcmDevice& dev_;
+    PcmDevice::WritePlan plan_;
+    PcmDevice::RoundOutcome round_;
+    std::vector<unsigned> diffs_;
+    Rng rng_{5};
+};
+
+TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
+{
+    DeviceConfig dc;
+    dc.seed = 11;
+    PcmDevice dev(dc);
+    const AddressMap& map = dev.addressMap();
+    FreshLineWriter touch(dev);
     // Every 8th row, so each written line's neighbours are fresh too.
     const auto line = spreadLine;
 
-    // Warm-up: the plan and scratch vectors reach their high-water marks.
-    plan.rounds.reserve(2 * kLineBits);
-    plan.wlHits.reserve(3 * kLineBits);
-    diffs.reserve(kLineBits);
+    // Warm-up: the counted lines join tables that already hold some.
     for (unsigned i = 0; i < 64; ++i)
         touch(line(i));
 
@@ -385,6 +404,57 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
                   doublings(rows_before, rows_after))
         << allocations << " allocations for "
         << lines_after - lines_before << " fresh lines";
+}
+
+TEST(Allocations, LineCountersOffAllocateNoCounterStorage)
+{
+    // The same write-heavy script from a fresh device, with per-line
+    // counters off and on. Off, it allocates the line records' chunks
+    // and index growth only; on, the counters' own table adds its
+    // chunks (one counters entry per record here: every recorded line
+    // was written or took a flip).
+    constexpr unsigned kLines = 2000;
+    constexpr std::size_t kChunk = 512; // LineTable entries per chunk
+    struct Counted
+    {
+        std::uint64_t allocations = 0;
+        std::uint64_t chunks = 0;
+        std::size_t lines = 0;
+    };
+    auto run = [](bool line_counters) {
+        DeviceConfig dc;
+        dc.seed = 11;
+        dc.lineCounters = line_counters;
+        PcmDevice dev(dc);
+        FreshLineWriter touch(dev);
+        Counted c;
+        {
+            const AllocationCounter counter;
+            for (unsigned i = 0; i < kLines; ++i)
+                touch(spreadLine(i));
+            c.allocations = counter.count();
+            c.chunks = counter.aligned();
+        }
+        c.lines = dev.recordedLines();
+        return c;
+    };
+    const Counted off = run(false);
+    const Counted on = run(true);
+    ASSERT_GE(off.lines, kLines);
+    ASSERT_EQ(on.lines, off.lines);
+
+    const std::size_t record_chunks = (off.lines + kChunk - 1) / kChunk;
+    EXPECT_EQ(off.chunks, record_chunks);
+    EXPECT_EQ(on.chunks, 2 * record_chunks);
+    // Everything else is growth: the line table's index and chunk list
+    // and the touched-mask table, each doubling from empty.
+    const DeviceConfig dc;
+    const std::size_t rows = spreadRows(AddressMap(dc.geometry), kLines);
+    EXPECT_LE(off.allocations - off.chunks,
+              doublings(0, off.lines) + doublings(0, record_chunks) +
+                  doublings(0, rows))
+        << off.allocations << " allocations for " << off.lines
+        << " recorded lines";
 }
 
 TEST(Allocations, ScanThatLandsNothingAllocatesNoChunk)

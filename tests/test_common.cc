@@ -454,6 +454,19 @@ TEST(ArgParserDeath, FinishParsingFatalsOnUnknownFlag)
                 "unknown option\\(s\\): --telemetery");
 }
 
+TEST(ArgParserDeath, RepeatedFlagIsFatal)
+{
+    // Neither value wins: the parser stops before any flag is read,
+    // bare or with a value.
+    EXPECT_EXIT((void)ArgParser({"--refs=10", "--refs=20", "--cores=1"}),
+                ::testing::ExitedWithCode(1), "fatal: --refs given twice");
+    EXPECT_EXIT((void)ArgParser({"--spans", "--spans=s.json"}),
+                ::testing::ExitedWithCode(1), "fatal: --spans given twice");
+    const char* argv[] = {"prog", "--quiet", "--quiet"};
+    EXPECT_EXIT((void)ArgParser(3, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(1), "fatal: --quiet given twice");
+}
+
 TEST(ArgParser, TypedGetterReadsInRangeValues)
 {
     const ArgParser args(

@@ -1212,6 +1212,9 @@ diffCases()
     DeviceConfig wl_aged = aged;
     wl_aged.rates.bitLine = 0.0;
 
+    DeviceConfig aged_counted = aged;
+    aged_counted.lineCounters = true;
+
     const ScriptMix read_mostly{.writeSteps = 1, .streamReads = true};
     const ScriptMix wl_storm{
         .writeSteps = 3, .correctSteps = 5, .edgeCorrections = true};
@@ -1253,6 +1256,10 @@ diffCases()
         // residual rate, seldom land a flip on one.
         {"wordLineStorm", wl_aged, FaultSpec{}, 0x021960cbed7c49f5ULL,
          wl_storm},
+        // Recorded with the counters in the line record. Aged and
+        // injected, so first touches draw stuck cells, and each line
+        // that draws a hard entry starts its ECP high-water mark there.
+        {"agedCounters", aged_counted, storm, 0x31e59cd7af07f86fULL},
     };
 }
 

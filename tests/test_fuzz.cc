@@ -156,6 +156,27 @@ TEST(FuzzSpec, RejectsMalformedValues)
     EXPECT_EQ(readScenarioLine(lineFile(edge.cliLine())), edge.args());
 }
 
+TEST(FuzzSpec, RejectsOutputFlags)
+{
+    // A scenario runs without outputs, so a stored line naming one
+    // stops in the reader instead of replaying clean and writing
+    // nothing.
+    for (const char* flag :
+         {"--report=r.json", "--spans", "--spans-folded=s.folded",
+          "--wd-ledger=l.json", "--wd-top=3", "--profile",
+          "--profile-sample=1", "--trace=t.json", "--telemetry=t.jsonl",
+          "--telemetry-interval=1000", "--epoch=100", "--epoch-csv=e.csv",
+          "--heatmap=wear", "--heatmap-pgm=h.pgm"}) {
+        const std::string key =
+            std::string(flag).substr(0, std::string(flag).find('='));
+        EXPECT_EXIT((void)readScenarioLine(lineFile(sampleLineWith(flag))),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: fuzz scenario .* carries the output flag " + key +
+                        ";")
+            << flag;
+    }
+}
+
 TEST(FuzzSpec, RejectsSeedsTheFlagsReject)
 {
     // --refs, --seed and --inject's seed read integers as int64, so a

@@ -32,7 +32,8 @@
  * (readScenarioLine) before any child is forked: a file that cannot be
  * read, a first word other than sdpcm_cli, or a flag the parser rejects
  * stops the run with a `fatal:` line naming it, exit 1, as the flag
- * would on sdpcm_cli itself.
+ * would on sdpcm_cli itself. So does an output flag (--report,
+ * --spans, --trace, ...): a scenario runs without outputs.
  *
  * Exit code: 0 when every executed scenario was clean, 1 on any
  * violation or rejected line, 2 on usage errors (--trials=0 without
@@ -229,8 +230,10 @@ main(int argc, char** argv)
                "  --no-shrink   skip reproducer minimisation\n"
                "  --quiet       only print violations and the summary\n"
                "A replayed line is parsed as sdpcm_cli flags first: a "
-               "flag it rejects is a\n"
-               "fatal: line, exit 1, before any scenario runs.\n";
+               "flag it rejects, or an\n"
+               "output flag (--report, --spans, --trace, ...), is a "
+               "fatal: line, exit 1,\n"
+               "before any scenario runs.\n";
         return 0;
     }
     if (args.getBool("quiet", false))
