@@ -1,15 +1,16 @@
 /**
  * @file
  * Component micro-benchmarks (google-benchmark): encoder throughput,
- * disturbance-injecting writes, reads, the device's WD scan, line
- * lookup and first touch, the buddy allocator, the cache model and the
- * event queue.
+ * disturbance-injecting writes, reads, the device's WD scan over warm
+ * and cold neighbours, line lookup and first touch, the buddy
+ * allocator, the cache model and the event queue.
  * These guard the simulator's own speed — the experiment harnesses run
  * millions of these operations.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <memory>
 #include <unordered_set>
@@ -135,6 +136,40 @@ writeOnce(PcmDevice& dev, const LineAddr& la, const LineData& data)
     dev.finishWrite(plan);
 }
 
+/** The four neighbours of a line: bit-line above and below, word-line
+ *  left and right. */
+static std::array<LineAddr, 4>
+neighboursOf(const LineAddr& la)
+{
+    return {LineAddr{la.bank, la.row - 1, la.line},
+            LineAddr{la.bank, la.row + 1, la.line},
+            LineAddr{la.bank, la.row, la.line - 1},
+            LineAddr{la.bank, la.row, la.line + 1}};
+}
+
+/** Write fresh random content to `la` (about a quarter of the cells
+ *  RESET) and return the seconds its RESET rounds took. */
+static double
+timedResetRounds(PcmDevice& dev, PcmDevice::WritePlan& plan,
+                 const LineAddr& la, Rng& rng, std::uint64_t& reset_cells)
+{
+    PcmDevice::RoundOutcome outcome;
+    dev.planWriteInto(plan, la, LineData::randomFromKey(rng.next64()));
+    reset_cells += plan.masks.resetCount();
+    double timed_s = 0.0;
+    for (PcmDevice::RoundPeek peek = dev.peekNextRound(plan); peek.valid;
+         peek = dev.peekNextRound(plan)) {
+        const auto t0 = std::chrono::steady_clock::now();
+        dev.applyNextRound(plan, outcome);
+        const auto t1 = std::chrono::steady_clock::now();
+        if (peek.isReset)
+            timed_s += std::chrono::duration<double>(t1 - t0).count();
+    }
+    benchmark::DoNotOptimize(outcome);
+    dev.finishWrite(plan);
+    return timed_s;
+}
+
 /**
  * Device layer, WD scan: the RESET rounds of sdpcm writes to warm lines
  * (each written line and its four neighbours already recorded, by a
@@ -157,41 +192,78 @@ BM_DeviceWdScan(benchmark::State& state)
                          1 + static_cast<unsigned>(rng.below(62))});
     }
     for (const LineAddr& la : lines) {
-        for (const LineAddr n : {la,
-                                 LineAddr{la.bank, la.row - 1, la.line},
-                                 LineAddr{la.bank, la.row + 1, la.line},
-                                 LineAddr{la.bank, la.row, la.line - 1},
-                                 LineAddr{la.bank, la.row, la.line + 1}}) {
+        writeOnce(dev, la, dev.peekLine(la));
+        for (const LineAddr& n : neighboursOf(la))
             writeOnce(dev, n, dev.peekLine(n));
-        }
     }
 
     PcmDevice::WritePlan plan;
-    PcmDevice::RoundOutcome outcome;
     std::uint64_t reset_cells = 0;
     std::size_t next = 0;
     for (auto _ : state) {
         const LineAddr& la = lines[next];
         next = (next + 1) % kLines;
-        // Fresh random content: about a quarter of the cells RESET.
-        dev.planWriteInto(plan, la, LineData::randomFromKey(rng.next64()));
-        reset_cells += plan.masks.resetCount();
-        double timed_s = 0.0;
-        for (PcmDevice::RoundPeek peek = dev.peekNextRound(plan); peek.valid;
-             peek = dev.peekNextRound(plan)) {
-            const auto t0 = std::chrono::steady_clock::now();
-            dev.applyNextRound(plan, outcome);
-            const auto t1 = std::chrono::steady_clock::now();
-            if (peek.isReset)
-                timed_s += std::chrono::duration<double>(t1 - t0).count();
-        }
-        benchmark::DoNotOptimize(outcome);
-        dev.finishWrite(plan);
-        state.SetIterationTime(timed_s);
+        state.SetIterationTime(
+            timedResetRounds(dev, plan, la, rng, reset_cells));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(reset_cells));
 }
 BENCHMARK(BM_DeviceWdScan)->UseManualTime();
+
+/**
+ * Device layer, WD scan over cold neighbours: as BM_DeviceWdScan, but
+ * each written line's four neighbours were read and hold no record, the
+ * case 97,404 of a write-mcf run's 104,035 scan lookups hit. 32,000
+ * written lines (every third line of every third row) and their 128,000
+ * neighbours make a 160k-line store; no two written lines share a
+ * neighbour, and each is written once per device, so every neighbour is
+ * still without a record when its write looks it up. The next device is
+ * built untimed, without disturbance.
+ */
+static void
+BM_DeviceWdScanCold(benchmark::State& state)
+{
+    DeviceConfig dc;
+    dc.seed = 3;
+    constexpr std::size_t kLines = 32000;
+    std::vector<LineAddr> lines;
+    for (std::uint64_t row = 1; lines.size() < kLines; row += 3) {
+        for (unsigned bank = 0; bank < 16; ++bank) {
+            for (unsigned line = 1; line < 63; line += 3)
+                lines.push_back({bank, row, line});
+        }
+    }
+    lines.resize(kLines);
+    Rng rng(6);
+    for (std::size_t i = kLines - 1; i > 0; --i)
+        std::swap(lines[i], lines[rng.below(i + 1)]);
+    auto build = [&] {
+        auto dev = std::make_unique<PcmDevice>(dc);
+        dev->setRates(WdRates{0.0, 0.0});
+        for (const LineAddr& la : lines) {
+            writeOnce(*dev, la, dev->peekLine(la));
+            for (const LineAddr& n : neighboursOf(la))
+                benchmark::DoNotOptimize(dev->peekLine(n).words[0]);
+        }
+        dev->setRates(dc.rates);
+        return dev;
+    };
+
+    std::unique_ptr<PcmDevice> dev = build();
+    PcmDevice::WritePlan plan;
+    std::uint64_t reset_cells = 0;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        if (next == kLines) {
+            dev = build();
+            next = 0;
+        }
+        state.SetIterationTime(
+            timedResetRounds(*dev, plan, lines[next++], rng, reset_cells));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(reset_cells));
+}
+BENCHMARK(BM_DeviceWdScanCold)->UseManualTime();
 
 /**
  * Device layer, line lookup: readLine over a working set of warm lines

@@ -2,9 +2,8 @@
  * @file
  * The one open-addressing hash table of the simulator: an MMU's page
  * table (virtual page -> frame), a buddy array's live blocks (start
- * frame -> order), the device's touched-line masks (device row -> one
- * bit per line, pcm/device.hh) and the index of every LineTable (line
- * index -> entry index, pcm/line_table.hh).
+ * frame -> order) and the index of every LineTable (line index ->
+ * entry index, pcm/line_table.hh).
  *
  * Node containers pay an allocation per insertion and a pointer chase
  * per lookup. A FlatMap keeps {key, value} pairs in one vector with

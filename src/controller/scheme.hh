@@ -24,6 +24,11 @@ namespace sdpcm {
  *  8 to 64; the bound keeps each bank's pending-write counts 16-bit. */
 inline constexpr unsigned kMaxWriteQueueEntries = 1024;
 
+/** Most times one write may be cancelled (`--max-cancels`). The fuzzer
+ *  draws at most 8; the bound keeps a flag value from letting reads
+ *  cancel a write without end. */
+inline constexpr unsigned kMaxCancelsPerWrite = 1024;
+
 /** Memory-controller / device mechanism selection. */
 struct SchemeConfig
 {
@@ -48,7 +53,7 @@ struct SchemeConfig
 
     /** Write cancellation (Qureshi et al., HPCA'10) integration. */
     bool writeCancellation = false;
-    unsigned maxCancelsPerWrite = 4;
+    unsigned maxCancelsPerWrite = 4; //!< at most kMaxCancelsPerWrite
 
     /**
      * Replace the DIN data-chip encoder with Flip-N-Write. FNW minimises

@@ -98,43 +98,50 @@ PcmDevice::indexOf(const LineAddr& addr) const
     return map_.lineIndex(addr);
 }
 
-bool
-PcmDevice::touch(LineIndex line)
+PcmDevice::WritePlan::Pin
+PcmDevice::pinOf(std::uint32_t entry)
 {
-    std::uint64_t& mask = touched_.findOrInsert(line / kRowLines).value;
-    const std::uint64_t bit = 1ULL << (line % kRowLines);
-    if (mask & bit)
-        return false;
-    mask |= bit;
-    touchedLines_ += 1;
-    return true;
+    return {.record = &records_[entry],
+            .counters = config_.lineCounters ? &counters_[entry] : nullptr,
+            .touched = true};
 }
 
-PcmDevice::LineState&
-PcmDevice::state(const LineAddr& addr)
+PcmDevice::WritePlan::Pin
+PcmDevice::state(const LineAddr& addr, const LineState* drawn)
 {
-    const LineIndex line = indexOf(addr);
-    const auto [ls, fresh] = lines_.findOrInsert(line);
+    const auto [entry, fresh, first] = rows_.record(indexOf(addr));
     if (fresh) {
-        seed(ls, addr);
-        if (touch(line))
-            drawStuckCells(ls, addr);
+        // The n-th record, and its counters, are entry n of their columns.
+        records_.push();
+        LineState& ls = records_[entry];
+        if (drawn) {
+            ls = *drawn;
+        } else {
+            seed(ls, addr);
+            if (first)
+                drawStuckCells(ls, addr);
+        }
+        if (config_.lineCounters) {
+            counters_.push();
+            // A first touch's hard entries start its ECP high-water mark.
+            counters_[entry].ecpHighWater = ls.ecp.size();
+        }
     }
-    return ls;
+    return pinOf(entry);
 }
 
 PcmDevice::LineState*
 PcmDevice::readState(const LineAddr& addr)
 {
-    const LineIndex line = indexOf(addr);
-    if (!touch(line))
-        return lines_.find(line);
+    const auto [first, entry] = rows_.touch(indexOf(addr));
+    if (!first)
+        return entry == RowTable::kNoEntry ? nullptr : &records_[entry];
     if (!canStick())
         return nullptr;
-    return firstTouchRecord(addr);
+    return firstTouchRecord(addr).record;
 }
 
-PcmDevice::LineState*
+PcmDevice::WritePlan::Pin
 PcmDevice::firstTouchRecord(const LineAddr& addr)
 {
     // Stuck cells are drawn from the device RNG at a line's first
@@ -143,10 +150,8 @@ PcmDevice::firstTouchRecord(const LineAddr& addr)
     seed(drawn, addr);
     drawStuckCells(drawn, addr);
     if (drawn.ecp.size() == 0 && !drawn.saturated)
-        return nullptr;
-    LineState& ls = state(addr);
-    ls = drawn;
-    return &ls;
+        return {};
+    return state(addr, &drawn);
 }
 
 void
@@ -196,11 +201,6 @@ PcmDevice::drawStuckCells(LineState& ls, const LineAddr& addr)
                 stats_.injectedStuckCells += 1;
         }
     }
-
-    // A line without a counters entry has zero counters, so only a line
-    // that drew a hard entry gets one here.
-    if (config_.lineCounters && ls.ecp.size() > 0)
-        counters_[map_.lineIndex(addr)].ecpHighWater = ls.ecp.size();
 }
 
 template <typename Fn>
@@ -251,16 +251,9 @@ PcmDevice::peekLine(const LineAddr& addr)
     return data;
 }
 
-LineCounters&
-PcmDevice::pinCounters(WritePlan::Pin& pin, const LineAddr& addr)
-{
-    if (!pin.counters)
-        pin.counters = &counters_[map_.lineIndex(addr)];
-    return *pin.counters;
-}
-
 void
-PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr, LineState& ls)
+PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr,
+                     const WritePlan::Pin& line)
 {
     plan.addr = addr;
     plan.targetPhysical = LineData{};
@@ -274,9 +267,7 @@ PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr, LineState& ls)
     plan.wlHits.clear();
     plan.blHitsUpper = 0;
     plan.blHitsLower = 0;
-    plan.line_ = {.record = &ls};
-    if (config_.lineCounters)
-        pinCounters(plan.line_, addr);
+    plan.line_ = line;
     plan.left_ = {};
     plan.right_ = {};
     plan.upper_ = {};
@@ -298,8 +289,8 @@ void
 PcmDevice::planWriteInto(WritePlan& plan, const LineAddr& addr,
                          const LineData& new_logical)
 {
-    LineState& ls = state(addr);
-    resetPlan(plan, addr, ls);
+    resetPlan(plan, addr, state(addr));
+    LineState& ls = *plan.line_.record;
 
     if (config_.dinEnabled || config_.fnwEnabled) {
         const auto enc = encoder_.encode(new_logical, ls.physical);
@@ -324,8 +315,8 @@ void
 PcmDevice::planCorrectionInto(WritePlan& plan, const LineAddr& addr,
                               const std::vector<unsigned>& cells)
 {
-    LineState& ls = state(addr);
-    resetPlan(plan, addr, ls);
+    resetPlan(plan, addr, state(addr));
+    LineState& ls = *plan.line_.record;
     plan.isCorrection = true;
     plan.targetFlags = ls.dinFlags;
 
@@ -429,24 +420,24 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
 
     // Each neighbour line is looked up where its first probe falls: the
     // word-line probe of the first RESET edge cell (before its idleness
-    // is known), or a successful bit-line draw. A lookup pins the line's
-    // record if it has one (a recorded line is touched already);
-    // otherwise it touches the line, and a first touch on a device that
-    // can have stuck cells draws them from the device RNG, as a read's
-    // does, so the scan's local copy of that RNG is handed back around
-    // it.
+    // is known), or a successful bit-line draw. A lookup touches the
+    // line and pins its record if it has one (a recorded line is
+    // touched already); a first touch on a device that can have stuck
+    // cells draws them from the device RNG, as a read's does, so the
+    // scan's local copy of that RNG is handed back around it.
     Rng rng = rng_;
     auto look_up = [&](WritePlan::Pin& pin,
                        const LineAddr& n_addr) -> const LineState* {
         if (!pin.touched) {
-            pin.touched = true;
-            const LineIndex line = indexOf(n_addr);
-            pin.record = lines_.find(line);
-            if (!pin.record && touch(line) && canStick()) {
+            const auto [first, entry] = rows_.touch(indexOf(n_addr));
+            if (entry != RowTable::kNoEntry) {
+                pin = pinOf(entry);
+            } else if (first && canStick()) {
                 rng_ = rng;
-                pin.record = firstTouchRecord(n_addr);
+                pin = firstTouchRecord(n_addr);
                 rng = rng_;
             }
+            pin.touched = true;
         }
         return pin.record;
     };
@@ -472,10 +463,10 @@ PcmDevice::injectDisturbance(const LineData& resets, WritePlan& plan,
     auto flip = [&](WritePlan::Pin& victim, const LineAddr& n_addr,
                     unsigned n_pos, bool word_line) {
         if (!victim.record)
-            victim.record = &state(n_addr);
+            victim = state(n_addr);
         victim.record->physical.setBit(n_pos, true);
         if (config_.lineCounters)
-            pinCounters(victim, n_addr).wdFlips += 1;
+            victim.counters->wdFlips += 1;
         if (obs_.ledger) {
             obs_.ledger->recordFlip(addr, plan.isCorrection, n_addr, n_pos,
                                     word_line);
@@ -736,9 +727,9 @@ bool
 PcmDevice::recordWdInEcp(const LineAddr& addr,
                          const std::vector<unsigned>& cells)
 {
-    LineState& ls = state(addr);
-    LineCounters* counters = config_.lineCounters
-        ? &counters_[map_.lineIndex(addr)] : nullptr;
+    const WritePlan::Pin line = state(addr);
+    LineState& ls = *line.record;
+    LineCounters* counters = line.counters;
     const EcpLine ecp_before = ls.ecp;
     bool all_fit = true;
     for (const unsigned pos : cells) {
@@ -806,34 +797,13 @@ PcmDevice::ecpWdCells(const LineAddr& addr)
 std::size_t
 PcmDevice::touchedLines() const
 {
-    return touchedLines_;
+    return rows_.touchedLines();
 }
 
 std::size_t
 PcmDevice::recordedLines() const
 {
-    return lines_.size();
-}
-
-template <typename Fn>
-void
-PcmDevice::forEachTouchedLine(Fn&& fn) const
-{
-    std::vector<std::pair<LineAddr, std::uint64_t>> rows;
-    rows.reserve(touched_.size());
-    touched_.forEach([&](std::uint32_t row, std::uint64_t mask) {
-        rows.emplace_back(map_.lineAt(row * kRowLines), mask);
-    });
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-        return a.first < b.first;
-    });
-    for (const auto& [row_start, mask] : rows) {
-        const LineIndex first = map_.lineIndex(row_start);
-        for (std::uint64_t m = mask; m; m &= m - 1) {
-            const auto line = static_cast<unsigned>(std::countr_zero(m));
-            fn(LineAddr{row_start.bank, row_start.row, line}, first + line);
-        }
-    }
+    return records_.size();
 }
 
 std::vector<LineCounterSample>
@@ -842,11 +812,11 @@ PcmDevice::lineCounterSamples() const
     std::vector<LineCounterSample> samples;
     if (!config_.lineCounters)
         return samples;
-    samples.reserve(touchedLines_);
-    forEachTouchedLine([&](const LineAddr& addr, LineIndex line) {
-        const LineCounters* counters = counters_.find(line);
-        samples.push_back(
-            LineCounterSample{addr, counters ? *counters : LineCounters{}});
+    samples.reserve(rows_.touchedLines());
+    rows_.forEach(map_, [&](const LineAddr& addr, std::uint32_t entry) {
+        samples.push_back(LineCounterSample{
+            addr, entry == RowTable::kNoEntry ? LineCounters{}
+                                              : counters_[entry]});
     });
     return samples;
 }
@@ -855,15 +825,14 @@ std::uint64_t
 PcmDevice::lineStateDigest() const
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    forEachTouchedLine([&](const LineAddr& addr, LineIndex line) {
-        // A line without a record hashes as its seeded record, and one
-        // without a counters entry as zero counters.
-        const LineState* ls = lines_.find(line);
+    rows_.forEach(map_, [&](const LineAddr& addr, std::uint32_t entry) {
+        // A line without a record hashes as its seeded record, with zero
+        // counters.
+        const bool recorded = entry != RowTable::kNoEntry;
         LineState seeded;
-        if (!ls) {
+        if (!recorded)
             seed(seeded, addr);
-            ls = &seeded;
-        }
+        const LineState* ls = recorded ? &records_[entry] : &seeded;
         fnvMix(h, addr.bank);
         fnvMix(h, addr.row);
         fnvMix(h, addr.line);
@@ -892,8 +861,8 @@ PcmDevice::lineStateDigest() const
         for (unsigned slot = 0; slot < slots; ++slot)
             fnvMix(h, slotImage(entries, slot));
         fnvMix(h, ls->writeCount);
-        const LineCounters* counters = counters_.find(line);
-        const LineCounters c = counters ? *counters : LineCounters{};
+        const LineCounters c = recorded && config_.lineCounters
+            ? counters_[entry] : LineCounters{};
         for (const std::uint32_t v : {c.writes, c.wdFlips, c.wdAbsorbed,
                                       c.wdCorrected, c.ecpHighWater,
                                       c.cellWrites}) {

@@ -4,13 +4,14 @@
  *
  * Every line starts with deterministic pseudo-random content, a pure
  * function of the device seed and the line's place. The device marks
- * each line it touches in one 64-bit mask per device row, and records a
- * line's physical cell states only once they can differ from that seed
- * content: when the line is written or corrected, gets an ECP entry
- * parked, is given a WD flip, or draws a stuck cell at its first touch
- * (on an aged device, or one with a fault injector). A read of a line
- * without a record, and the WD scan's look at a neighbour without one,
- * answer from its seed content. The device applies DIN encoding on the
+ * each line it touches in its row's slot of a row table
+ * (pcm/row_table.hh), and records a line's physical cell states only
+ * once they can differ from that seed content: when the line is
+ * written or corrected, gets an ECP entry parked, is given a WD flip,
+ * or draws a stuck cell at its first touch (on an aged device, or one
+ * with a fault injector). A read of a line without a record, and the
+ * WD scan's look at a neighbour without one, answer from its seed
+ * content. The device applies DIN encoding on the
  * write path, injects thermal write disturbance into word-line and
  * bit-line neighbours of every RESET pulse, maintains per-line ECP
  * metadata (hard errors + LazyCorrection WD parking) and tracks wear
@@ -31,7 +32,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/flat_map.hh"
+#include "common/column.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "obs/observers.hh"
@@ -43,6 +44,7 @@
 #include "pcm/geometry.hh"
 #include "pcm/line.hh"
 #include "pcm/line_table.hh"
+#include "pcm/row_table.hh"
 #include "pcm/timing.hh"
 
 namespace sdpcm {
@@ -72,9 +74,9 @@ struct AgingConfig
  *
  * Disabled by default: the hot path pays only a predictable branch per
  * increment site when `DeviceConfig::lineCounters` is off. The counters
- * live in a table of their own, beside the line records, that exists
- * only when they are on; a line without an entry there has all-zero
- * counters (a line without a record has only been read).
+ * live in a column of their own, beside the line records and numbered
+ * like them, that exists only when they are on; a line without a
+ * record has all-zero counters (it has only been read).
  */
 struct LineCounters
 {
@@ -270,11 +272,11 @@ class PcmDevice : public Observed
         // before this plan's last round: the controller runs one plan
         // per bank at a time, every neighbour lies in the written
         // line's bank, and a read records no line that is touched
-        // already. With lineCounters on, a line's counters are pinned
-        // with the written line's record and at a neighbour's first
-        // landed flip, so no later round, repair or finish looks them
-        // up. Pins point into the planning device's line tables and
-        // stay valid as long as it lives; every re-plan resets them.
+        // already. With lineCounters on, a record's counters are pinned
+        // with it, so no later round, repair or finish looks them up.
+        // Pins point into the planning device's record and counters
+        // columns and stay valid as long as it lives; every re-plan
+        // resets them.
         Pin line_;  //!< the written line
         Pin left_;  //!< word-line neighbour, line - 1
         Pin right_; //!< word-line neighbour, line + 1
@@ -442,9 +444,18 @@ class PcmDevice : public Observed
     static_assert(std::is_trivially_copyable_v<LineState>,
                   "a line's state owns no heap storage");
 
-    /** The line's record, seeded when this call creates it. The only
-     *  place a record is created. */
-    LineState& state(const LineAddr& addr);
+    /**
+     * The pin of the line's record, created if it has none: a copy of
+     * `drawn` (a first touch's stuck-cell draw) when given, else seeded,
+     * drawing its stuck cells if this is the line's first touch. The
+     * only place a record is created.
+     */
+    WritePlan::Pin state(const LineAddr& addr,
+                         const LineState* drawn = nullptr);
+
+    /** The pin of record `entry`: it, and with lineCounters on its
+     *  counters. */
+    WritePlan::Pin pinOf(std::uint32_t entry);
 
     /**
      * The line's record for a read path, or null when it has none: the
@@ -465,13 +476,10 @@ class PcmDevice : public Observed
     /**
      * A first touch on a device that can have stuck cells: draw them into
      * a local seeded state, and record the line (through state()) only
-     * if it got one; null otherwise. Kept out of line so that readState's
-     * frame holds no LineState.
+     * if it got one; an empty pin otherwise. Kept out of line so that
+     * readState's frame holds no LineState.
      */
-    [[gnu::noinline]] LineState* firstTouchRecord(const LineAddr& addr);
-
-    /** Mark the line touched; true on its first touch. */
-    bool touch(LineIndex line);
+    [[gnu::noinline]] WritePlan::Pin firstTouchRecord(const LineAddr& addr);
 
     /** The line's index, its bank and line range asserted. */
     LineIndex indexOf(const LineAddr& addr) const;
@@ -490,19 +498,10 @@ class PcmDevice : public Observed
     /** The key the line's seed content is drawn from. */
     std::uint64_t seedKey(const LineAddr& addr) const;
 
-    /** Call fn(addr, line index) for every touched line, in (bank, row,
-     *  line) order. */
-    template <typename Fn>
-    void forEachTouchedLine(Fn&& fn) const;
-
     /** Reset a plan for reuse, keeping its vectors' capacity, and pin
-     *  the written line: its record `ls` and, with lineCounters on, its
-     *  counters. */
-    void resetPlan(WritePlan& plan, const LineAddr& addr, LineState& ls);
-
-    /** The counters `pin`, a plan's pin of the line at `addr`, holds,
-     *  pinning them on first use (lineCounters on). */
-    LineCounters& pinCounters(WritePlan::Pin& pin, const LineAddr& addr);
+     *  the written line, `line`. */
+    void resetPlan(WritePlan& plan, const LineAddr& addr,
+                   const WritePlan::Pin& line);
 
     /** Finalise a plan's masks and rounds from its target state. */
     void sealPlan(WritePlan& plan, const LineState& ls);
@@ -550,27 +549,18 @@ class PcmDevice : public Observed
      *  line). */
     std::vector<unsigned> injectScratch_;
 
-    /** Lines per touched mask: one device row. */
-    static constexpr unsigned kRowLines = DimmGeometry::linesPerRow();
-    static_assert(kRowLines == 64, "a row's touched mask is one word");
+    /** Every touched line, and the entry number of each record. */
+    RowTable rows_;
 
-    /** Every touched line, one bit per line of its device row, keyed by
-     *  the row's place: line index / kRowLines. Streaming reads of one
-     *  row share one slot. */
-    FlatMap<std::uint32_t, std::uint64_t> touched_;
-    std::size_t touchedLines_ = 0; //!< bits set in touched_
+    /** The record of every line that has one, by entry number. */
+    Column<LineState> records_;
 
-    /** The record of every line that has one, keyed by its index
-     *  (map_.lineIndex). */
-    LineTable<LineState> lines_;
-
-    /** With lineCounters on, the counters of every line a plan, a
-     *  landed flip, an ECP park or a stuck-cell draw counted on, keyed
-     *  like lines_; empty with it off. */
-    LineTable<LineCounters> counters_;
+    /** With lineCounters on, every record's counters, numbered like
+     *  records_; empty with it off. */
+    Column<LineCounters> counters_;
 
     /** Each saturated line's stuck cells beyond its ECP entries, as
-     *  hard entries in draw order, keyed like lines_. */
+     *  hard entries in draw order, keyed by line index. */
     LineTable<std::vector<EcpEntry>> stuckOverflow_;
 };
 

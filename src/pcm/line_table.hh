@@ -1,12 +1,13 @@
 /**
  * @file
- * The per-line store of a run: entries of type T in never-moving chunks,
- * found through a FlatMap (common/flat_map.hh) from a line's index
- * (`AddressMap::lineIndex`, inverted by `lineAt`) to the entry's place.
- * The device keeps the records of the lines it has changed in one (a
- * line that was only read has none), the WD ledger its pending flips
- * and blame, the integrity oracle its shadow lines, so what identifies
- * a line is decided once, by the address map.
+ * A hashed per-line store: entries of type T in a Column
+ * (common/column.hh), found through a FlatMap (common/flat_map.hh) from
+ * a line's index (`AddressMap::lineIndex`, inverted by `lineAt`) to the
+ * entry's number. The WD ledger keeps its pending flips and blame in
+ * one, the integrity oracle its shadow lines and the device its
+ * saturated lines' stuck-cell overflow, so what identifies a line is
+ * decided once, by the address map. The device finds its line records
+ * through its row table instead (pcm/row_table.hh).
  */
 
 #ifndef SDPCM_PCM_LINE_TABLE_HH
@@ -14,10 +15,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/column.hh"
 #include "common/flat_map.hh"
 #include "pcm/address.hh"
 
@@ -25,14 +26,8 @@ namespace sdpcm {
 
 /**
  * A flat hash table from a 32-bit line index to an entry of type T.
- * Entries are never erased.
- *
- * Pointer-stability rule: entries live in fixed-capacity chunks that are
- * never moved or freed before the table is, so a pointer or reference to
- * an entry stays valid for the table's whole lifetime, however many
- * entries are inserted after it. Each chunk starts on a cache line, so
- * which cache lines an entry spans does not depend on where the heap
- * places its chunk.
+ * Entries are never erased, and keep their address for the table's
+ * whole lifetime (the Column's pointer-stability rule).
  *
  * Lookups go through a FlatMap index of 8-byte {line index, entry index}
  * slots. A probe compares the index held in the slot, so it reads no
@@ -47,7 +42,7 @@ class LineTable
     find(LineIndex line) const
     {
         const std::uint32_t* e = index_.find(line);
-        return e ? &entry(*e) : nullptr;
+        return e ? &entries_[*e] : nullptr;
     }
 
     T*
@@ -70,12 +65,9 @@ class LineTable
     findOrInsert(LineIndex line)
     {
         auto [e, inserted] = index_.findOrInsert(line);
-        if (inserted) {
-            e = static_cast<std::uint32_t>(index_.size() - 1);
-            if (e % kChunkEntries == 0)
-                chunks_.push_back(std::make_unique<Chunk>());
-        }
-        return {entry(e), inserted};
+        if (inserted)
+            e = entries_.push();
+        return {entries_[e], inserted};
     }
 
     /** The entry for `line`, inserted default-constructed if absent. */
@@ -94,7 +86,7 @@ class LineTable
     forEach(Fn&& fn) const
     {
         index_.forEach(
-            [&](LineIndex line, std::uint32_t e) { fn(line, entry(e)); });
+            [&](LineIndex line, std::uint32_t e) { fn(line, entries_[e]); });
     }
 
     /** Every entry with its line, indices decoded by `map`, in (bank,
@@ -119,21 +111,8 @@ class LineTable
     static_assert(Index::slotBytes() == 8, "an index slot is 8 bytes");
     static_assert(Index::kNoKey == kNoLine, "kNoLine names no line");
 
-    static constexpr std::size_t kChunkEntries = 512;
-
-    struct alignas(64) Chunk
-    {
-        T entries[kChunkEntries];
-    };
-
-    T&
-    entry(std::uint32_t e) const
-    {
-        return chunks_[e / kChunkEntries]->entries[e % kChunkEntries];
-    }
-
     Index index_;
-    std::vector<std::unique_ptr<Chunk>> chunks_;
+    Column<T> entries_;
 };
 
 } // namespace sdpcm

@@ -112,7 +112,8 @@ schemeFromArgs(const ArgParser& args)
     scheme.idleWriteDrain =
         args.getBool("idle-drain", scheme.idleWriteDrain);
     scheme.maxCancelsPerWrite =
-        args.get<unsigned>("max-cancels", scheme.maxCancelsPerWrite);
+        args.get<unsigned>("max-cancels", scheme.maxCancelsPerWrite, 0,
+                           kMaxCancelsPerWrite);
     scheme.drainBurstWrites =
         args.get<unsigned>("drain-burst", scheme.drainBurstWrites);
     return scheme;

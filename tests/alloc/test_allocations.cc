@@ -7,9 +7,10 @@
  * sdpcm_tests. Events are plain records (sim/event_queue.hh): scheduling
  * and dispatching one must not allocate, and a whole run must allocate
  * far less than once per event. A line's device state is one fixed-size
- * record (pcm/device.hh): recording a line must not allocate beyond the
- * line table's own storage, reading a line nothing changed records
- * nothing, and per-line counters take storage only when they are on.
+ * record (pcm/device.hh): touching or recording a line must not allocate
+ * beyond the storage of the device's row table and record column,
+ * reading a line nothing changed records nothing, and per-line counters
+ * take storage only when they are on.
  * The TLB lives in fixed arrays and the page
  * table in a flat map (os/page_table.hh): translating mapped pages must
  * not allocate, hit or miss.
@@ -26,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "os/page_table.hh"
 #include "pcm/device.hh"
 #include "sim/event_queue.hh"
@@ -67,8 +69,9 @@ countedNew(std::size_t size)
     throw std::bad_alloc();
 }
 
-// The over-aligned form (a LineTable's cache-line-aligned chunks)
-// bypasses the plain one, so it is counted apart as well.
+// The over-aligned form (a Column's cache-line-aligned chunks: the
+// device's records and counters) bypasses the plain one, so it is
+// counted apart as well.
 void*
 countedAlignedNew(std::size_t size, std::align_val_t align)
 {
@@ -288,8 +291,7 @@ spreadLine(unsigned i)
 }
 
 /** The device rows (bank, row) the lines spreadLine(0 .. n-1) and their
- *  bit-line neighbours lie in: the entries of the device's touched-mask
- *  table once all of them are touched. */
+ *  bit-line neighbours lie in. */
 std::size_t
 spreadRows(const AddressMap& map, unsigned n)
 {
@@ -304,6 +306,47 @@ spreadRows(const AddressMap& map, unsigned n)
         }
     }
     return rows.size();
+}
+
+/** The lines spreadLine(0 .. n-1), and with `neighbours` their bit-line
+ *  neighbours. */
+std::vector<LineAddr>
+spreadLines(const AddressMap& map, unsigned n, bool neighbours)
+{
+    std::vector<LineAddr> lines;
+    for (unsigned i = 0; i < n; ++i) {
+        const LineAddr la = spreadLine(i);
+        lines.push_back(la);
+        for (const std::optional<LineAddr> nbr :
+             {map.upperNeighbor(la), map.lowerNeighbor(la)}) {
+            if (neighbours && nbr)
+                lines.push_back(*nbr);
+        }
+    }
+    return lines;
+}
+
+/**
+ * Allocations the device's row table makes, from empty, to touch the
+ * rows of `touched` and record `records` lines: its leaf slabs, its list
+ * slabs (a record's list takes under 4 words over its list's moves, and
+ * a slab wastes under 64 at its end), each with its slab list's
+ * doublings, and its directory's doublings.
+ */
+std::uint64_t
+rowTableAllocations(const AddressMap& map,
+                    const std::vector<LineAddr>& touched,
+                    std::size_t records)
+{
+    std::set<std::uint64_t> leaves;
+    for (const LineAddr& la : touched)
+        leaves.insert(map.lineIndex(la) / 64 / RowTable::kLeafRows);
+    const std::uint64_t leaf_slabs =
+        ceilDiv(leaves.size(), RowTable::kSlabRows / RowTable::kLeafRows);
+    const std::uint64_t list_slabs =
+        ceilDiv(4 * records, RowTable::kSlabWords - 64);
+    return leaf_slabs + doublings(0, leaf_slabs) + list_slabs +
+        doublings(0, list_slabs) + doublings(0, *leaves.rbegin() + 1);
 }
 
 /**
@@ -374,7 +417,7 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
         touch(line(i));
 
     constexpr unsigned kLines = 2000;
-    constexpr std::size_t kChunk = 512; // LineTable entries per chunk
+    constexpr std::size_t kChunk = 512; // Column entries per chunk
     const std::size_t lines_before = dev.recordedLines();
     const std::uint64_t parked_before = dev.stats().ecpWdRecorded;
     std::uint64_t allocations = 0;
@@ -390,18 +433,16 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
     ASSERT_GE(lines_after - lines_before, kLines);
     ASSERT_GT(dev.stats().ecpWdRecorded - parked_before, kLines / 2);
 
-    // The line table's chunks are the only over-aligned allocations.
+    // The record column's chunks are the only over-aligned allocations.
     const std::size_t chunks_before = (lines_before + kChunk - 1) / kChunk;
     const std::size_t chunks_after = (lines_after + kChunk - 1) / kChunk;
     EXPECT_EQ(chunks, chunks_after - chunks_before);
-    // Everything else is growth: the line table's index and chunk list
-    // and the touched-mask table, each doubling.
-    const std::size_t rows_before = spreadRows(map, 64);
-    const std::size_t rows_after = spreadRows(map, 64 + kLines);
+    // Everything else is table storage: the record column's chunk list
+    // doubling, and the row table's slabs and directory.
     EXPECT_LE(allocations - chunks,
-              doublings(lines_before, lines_after) +
-                  doublings(chunks_before, chunks_after) +
-                  doublings(rows_before, rows_after))
+              doublings(chunks_before, chunks_after) +
+                  rowTableAllocations(
+                      map, spreadLines(map, 64 + kLines, true), lines_after))
         << allocations << " allocations for "
         << lines_after - lines_before << " fresh lines";
 }
@@ -409,12 +450,11 @@ TEST(Allocations, FreshLinesAllocateOnlyTableStorage)
 TEST(Allocations, LineCountersOffAllocateNoCounterStorage)
 {
     // The same write-heavy script from a fresh device, with per-line
-    // counters off and on. Off, it allocates the line records' chunks
-    // and index growth only; on, the counters' own table adds its
-    // chunks (one counters entry per record here: every recorded line
-    // was written or took a flip).
+    // counters off and on. Off, it allocates the record column's chunks
+    // and the row table's storage only; on, the counters' own column
+    // adds its chunks (one counters entry per record).
     constexpr unsigned kLines = 2000;
-    constexpr std::size_t kChunk = 512; // LineTable entries per chunk
+    constexpr std::size_t kChunk = 512; // Column entries per chunk
     struct Counted
     {
         std::uint64_t allocations = 0;
@@ -446,13 +486,13 @@ TEST(Allocations, LineCountersOffAllocateNoCounterStorage)
     const std::size_t record_chunks = (off.lines + kChunk - 1) / kChunk;
     EXPECT_EQ(off.chunks, record_chunks);
     EXPECT_EQ(on.chunks, 2 * record_chunks);
-    // Everything else is growth: the line table's index and chunk list
-    // and the touched-mask table, each doubling from empty.
-    const DeviceConfig dc;
-    const std::size_t rows = spreadRows(AddressMap(dc.geometry), kLines);
+    // Everything else is table storage, from empty: the record column's
+    // chunk list doubling, and the row table's slabs and directory.
+    const AddressMap map{DeviceConfig{}.geometry};
     EXPECT_LE(off.allocations - off.chunks,
-              doublings(0, off.lines) + doublings(0, record_chunks) +
-                  doublings(0, rows))
+              doublings(0, record_chunks) +
+                  rowTableAllocations(map, spreadLines(map, kLines, true),
+                                      off.lines))
         << off.allocations << " allocations for " << off.lines
         << " recorded lines";
 }
@@ -548,8 +588,12 @@ TEST(Allocations, ReadOnlyLinesAllocateNoRecord)
     EXPECT_EQ(dev.touchedLines(), kLines);
     EXPECT_EQ(dev.recordedLines(), 0u);
     EXPECT_EQ(chunks, 0u);
-    // One row per line here: the touched-mask table's doublings.
-    EXPECT_LE(allocations, doublings(0, kLines)) << allocations;
+    // Only the row table's storage for the rows touched: no list slab.
+    EXPECT_LE(allocations,
+              rowTableAllocations(dev.addressMap(),
+                                  spreadLines(dev.addressMap(), kLines, false),
+                                  0))
+        << allocations;
 }
 
 TEST(Allocations, AgedReadOnlyLinesRecordOnlyStuckLines)
@@ -564,7 +608,7 @@ TEST(Allocations, AgedReadOnlyLinesRecordOnlyStuckLines)
     diffs.reserve(kLineBits);
 
     constexpr unsigned kLines = 2000;
-    constexpr std::size_t kChunk = 512; // LineTable entries per chunk
+    constexpr std::size_t kChunk = 512; // Column entries per chunk
     std::size_t mismatches = 0;
     std::uint64_t allocations = 0;
     std::uint64_t chunks = 0;
@@ -587,11 +631,14 @@ TEST(Allocations, AgedReadOnlyLinesRecordOnlyStuckLines)
     EXPECT_GT(stuck_lines, 0u);
     EXPECT_LT(stuck_lines, kLines / 10);
     EXPECT_EQ(chunks, (stuck_lines + kChunk - 1) / kChunk);
-    // Everything else is growth: the touched-mask table (one row per
-    // line here), the line table's index and its chunk list.
+    // Everything else is table storage: the record column's chunk list
+    // doubling, and the row table's slabs and directory.
     EXPECT_LE(allocations - chunks,
-              doublings(0, kLines) + doublings(0, stuck_lines) +
-                  doublings(0, chunks))
+              doublings(0, chunks) +
+                  rowTableAllocations(dev.addressMap(),
+                                      spreadLines(dev.addressMap(), kLines,
+                                                  false),
+                                      stuck_lines))
         << allocations;
 }
 
